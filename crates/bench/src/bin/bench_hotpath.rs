@@ -1,11 +1,9 @@
 //! Hot-path throughput rig: simulated memory references per wall-clock
-//! second, per architecture and step mode, on a fixed workload.
+//! second, per architecture, on a fixed workload.
 //!
 //! Every simulated reference walks `System::access` → `OsKernel::touch` →
 //! `Hierarchy::access` → `HmaPolicy::access`; this runner measures how
 //! fast that walk goes on the host, independent of what it simulates.
-//! Each architecture is measured twice — once per [`StepMode`] — so the
-//! batched spine's speedup over the scalar spine is a recorded number.
 //! The output seeds the perf trajectory: `BENCH_hotpath.json` records
 //! accesses/sec and ns/access for a `fig15`-style cell of each
 //! architecture, so any hot-path regression shows up as a number, not a
@@ -15,14 +13,13 @@
 //! runs on the same machine are comparable across commits. Wall-clock
 //! timing covers only the measured run, not spawn/prefault/warm-up.
 //!
-//! Schema v3 adds two sections beyond the per-cell numbers: a scalar
-//! stage decomposition (decode drain / hierarchy-walk replay / residual
-//! translate+glue, see [`StageBreakdown`]) and a sharded batch-fill
-//! probe recording whether batched mode earns default status on this
-//! host ([`BatchedFillProbe`]).
+//! Beyond the per-cell numbers, the report carries a stage
+//! decomposition of the Chameleon-Opt cell (decode drain /
+//! hierarchy-walk replay / residual translate+glue, see
+//! [`StageBreakdown`]) and the host's CPU count, so every committed
+//! number names the machine shape it was measured on.
 //!
-//! Usage: `bench_hotpath [--instr N] [--reps N] [--out PATH]
-//!                       [--check PATH] [--verify]`
+//! Usage: `bench_hotpath [--instr N] [--reps N] [--out PATH] [--check PATH]`
 //!   --instr N    instructions per core for the measured run
 //!                (default 2,000,000; CI smoke passes a smaller N)
 //!   --reps N     measured repetitions per cell; the fastest is reported
@@ -30,18 +27,14 @@
 //!                one-sided: interference only ever slows a run down)
 //!   --out PATH   output JSON path (default BENCH_hotpath.json)
 //!   --check PATH instead of writing a report, measure the Chameleon-Opt
-//!                batched cell and fail (exit 1) if its ns/access
-//!                regressed more than 25% against the committed report
-//!                at PATH — the CI drift gate
-//!   --verify     instead of writing a report, run the Chameleon-Opt
-//!                cell in both step modes and fail (exit 1) unless the
-//!                two `SystemReport`s serialise to identical JSON — the
-//!                CI bit-identity smoke
+//!                cell and fail (exit 1) if its ns/access regressed more
+//!                than 25% against the committed report at PATH — the
+//!                CI drift gate
 
 use std::time::Instant;
 
 use chameleon::cache::{Hierarchy, PrefetchBuf, WritebackBuf};
-use chameleon::{Architecture, ScaledParams, StepMode, System};
+use chameleon::{Architecture, ScaledParams, System};
 use chameleon_cpu::{InstructionStream, Op};
 use serde::{Deserialize, Serialize};
 
@@ -49,15 +42,13 @@ use serde::{Deserialize, Serialize};
 /// committed ns/access before the gate fails.
 const DRIFT_TOLERANCE: f64 = 0.25;
 
-/// One (architecture, step mode) hot-path throughput measurement.
+/// One architecture's hot-path throughput measurement.
 #[derive(Debug, Serialize, Deserialize)]
 struct HotpathCell {
     /// Architecture label (paper legend spelling).
     arch: String,
     /// Workload name.
     app: String,
-    /// Step mode the cell ran under (`"scalar"` or `"batched"`).
-    mode: String,
     /// Simulated memory references the measured run issued.
     accesses: u64,
     /// Instructions retired across cores.
@@ -68,14 +59,10 @@ struct HotpathCell {
     accesses_per_sec: f64,
     /// Host cost: wall-clock nanoseconds per simulated reference.
     ns_per_access: f64,
-    /// Batched cells only: this cell's throughput over the same
-    /// architecture's scalar cell (`scalar ns/access ÷ batched
-    /// ns/access`); `null` on scalar cells.
-    speedup: Option<f64>,
 }
 
-/// Where the scalar hot path spends its time, measured on the
-/// Chameleon-Opt scalar cell: the decode stage is a pure stream drain,
+/// Where the hot path spends its time, measured on the Chameleon-Opt
+/// cell: the decode stage is a pure stream drain,
 /// the walk stage replays the decoded reference trace through the fused
 /// SRAM hierarchy spine, and the translate/glue stage is the exact
 /// residual (total − decode − walk) — translation + memo + HMA policy +
@@ -94,65 +81,39 @@ struct StageBreakdown {
     /// Residual host cost per reference: translation + memo + policy +
     /// core/driver glue (`total − decode − walk`, clamped at zero).
     translate_glue_ns_per_access: f64,
-    /// The Chameleon-Opt scalar cell total the stages decompose.
+    /// The Chameleon-Opt cell total the stages decompose.
     total_ns_per_access: f64,
-}
-
-/// The batched spine's sharded-fill re-measurement: ns/access for the
-/// Chameleon-Opt batched cell at each probed `fill_threads` count, and
-/// an honest verdict on whether batched mode earns default status on
-/// this host.
-#[derive(Debug, Serialize, Deserialize)]
-struct BatchedFillProbe {
-    /// Probed host-thread counts for the parallel batch decode.
-    fill_threads: Vec<usize>,
-    /// Best-of ns/access at the matching `fill_threads` entry.
-    ns_per_access: Vec<f64>,
-    /// Which step mode stays the default after this measurement.
-    default_mode: String,
-    /// One-line justification recorded with the numbers (e.g. host CPU
-    /// count), so the verdict is auditable later.
-    note: String,
 }
 
 #[derive(Debug, Serialize, Deserialize)]
 struct HotpathReport {
-    /// Report shape version. v2 added per-mode cells and `speedup`; v3
-    /// added the scalar stage decomposition and the sharded-fill probe.
+    /// Report shape version (v4: one cell per architecture plus
+    /// `host_cpus`).
     schema_version: u32,
+    /// Logical CPUs the measuring host exposed.
+    host_cpus: usize,
     /// Instructions per core each cell ran.
     instructions_per_core: u64,
     /// Fixed workload every cell runs.
     app: String,
-    /// Per-(architecture, mode) measurements.
+    /// Per-architecture measurements.
     cells: Vec<HotpathCell>,
-    /// Scalar hot-path cost decomposition (Chameleon-Opt cell).
+    /// Hot-path cost decomposition (Chameleon-Opt cell).
     stages: StageBreakdown,
-    /// Sharded batch-fill re-measurement (Chameleon-Opt cell).
-    batched_fill: BatchedFillProbe,
 }
 
 /// The committed report's shape version; `--check` and the bench-crate
 /// schema test both pin it.
-const HOTPATH_SCHEMA_VERSION: u32 = 3;
+const HOTPATH_SCHEMA_VERSION: u32 = 4;
 
-fn mode_label(mode: StepMode) -> &'static str {
-    match mode {
-        StepMode::Scalar => "scalar",
-        StepMode::Batched => "batched",
-    }
-}
-
-fn build_cell(arch: Architecture, instructions_per_core: u64, mode: StepMode) -> System {
+fn build_cell(arch: Architecture, instructions_per_core: u64) -> System {
     let mut params = ScaledParams::tiny();
     params.instructions_per_core = instructions_per_core;
-    let mut system = System::new(arch, &params);
-    system.set_step_mode(mode);
-    system
+    System::new(arch, &params)
 }
 
-fn measure_once(arch: Architecture, instructions_per_core: u64, mode: StepMode) -> HotpathCell {
-    let mut system = build_cell(arch, instructions_per_core, mode);
+fn measure_once(arch: Architecture, instructions_per_core: u64) -> HotpathCell {
+    let mut system = build_cell(arch, instructions_per_core);
     let streams = system
         .spawn_rate_workload("mcf", instructions_per_core, 1)
         .expect("mcf is a Table II app");
@@ -168,27 +129,20 @@ fn measure_once(arch: Architecture, instructions_per_core: u64, mode: StepMode) 
     HotpathCell {
         arch: report.arch,
         app: report.workload,
-        mode: mode_label(mode).to_owned(),
         accesses,
         instructions,
         elapsed_ns,
         accesses_per_sec: accesses as f64 / secs,
         ns_per_access: elapsed_ns as f64 / accesses.max(1) as f64,
-        speedup: None,
     }
 }
 
 /// Best of `reps` runs: each repetition simulates the identical cell, so
 /// the fastest wall-clock time is the cleanest estimate of the hot
 /// path's cost.
-fn measure(
-    arch: Architecture,
-    instructions_per_core: u64,
-    reps: u32,
-    mode: StepMode,
-) -> HotpathCell {
+fn measure(arch: Architecture, instructions_per_core: u64, reps: u32) -> HotpathCell {
     (0..reps.max(1))
-        .map(|_| measure_once(arch, instructions_per_core, mode))
+        .map(|_| measure_once(arch, instructions_per_core))
         .min_by(|a, b| a.elapsed_ns.cmp(&b.elapsed_ns))
         .expect("at least one repetition")
 }
@@ -209,11 +163,7 @@ fn measure_decode(instructions_per_core: u64, reps: u32) -> (f64, u64) {
     let mut best = f64::INFINITY;
     let mut refs = 0u64;
     for _ in 0..reps.max(1) {
-        let mut system = build_cell(
-            Architecture::ChameleonOpt,
-            instructions_per_core,
-            StepMode::Scalar,
-        );
+        let mut system = build_cell(Architecture::ChameleonOpt, instructions_per_core);
         let mut streams = spawn_streams(&mut system, instructions_per_core);
         let mut mem = 0u64;
         let mut sink = 0u64;
@@ -243,11 +193,7 @@ fn measure_decode(instructions_per_core: u64, reps: u32) -> (f64, u64) {
 fn measure_walk(instructions_per_core: u64, reps: u32) -> f64 {
     let params = ScaledParams::tiny();
     // Decode each core's reference trace once.
-    let mut system = build_cell(
-        Architecture::ChameleonOpt,
-        instructions_per_core,
-        StepMode::Scalar,
-    );
+    let mut system = build_cell(Architecture::ChameleonOpt, instructions_per_core);
     let streams = spawn_streams(&mut system, instructions_per_core);
     let cores = streams.len();
     let traces: Vec<Vec<(u64, bool)>> = streams
@@ -305,12 +251,12 @@ fn measure_walk(instructions_per_core: u64, reps: u32) -> f64 {
     best
 }
 
-/// Builds the scalar stage decomposition around an already-measured
-/// Chameleon-Opt scalar cell.
-fn measure_stages(scalar: &HotpathCell, instructions_per_core: u64, reps: u32) -> StageBreakdown {
+/// Builds the stage decomposition around an already-measured
+/// Chameleon-Opt cell.
+fn measure_stages(cell: &HotpathCell, instructions_per_core: u64, reps: u32) -> StageBreakdown {
     let (decode, _) = measure_decode(instructions_per_core, reps);
     let walk = measure_walk(instructions_per_core, reps);
-    let total = scalar.ns_per_access;
+    let total = cell.ns_per_access;
     StageBreakdown {
         decode_ns_per_access: decode,
         walk_ns_per_access: walk,
@@ -319,59 +265,7 @@ fn measure_stages(scalar: &HotpathCell, instructions_per_core: u64, reps: u32) -
     }
 }
 
-/// Re-measures the Chameleon-Opt batched cell with the parallel batch
-/// fill sharded over each thread count, and records whether batched mode
-/// earns default status on this host (it must beat the scalar cell at
-/// some probed count to).
-fn measure_batched_fill(
-    scalar_ns: f64,
-    instructions_per_core: u64,
-    reps: u32,
-    threads: &[usize],
-) -> BatchedFillProbe {
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut ns = Vec::with_capacity(threads.len());
-    for &t in threads {
-        let best = (0..reps.max(1))
-            .map(|_| {
-                let mut system = build_cell(
-                    Architecture::ChameleonOpt,
-                    instructions_per_core,
-                    StepMode::Batched,
-                );
-                system.set_fill_threads(t);
-                let streams = spawn_streams(&mut system, instructions_per_core);
-                system.prefault_all().expect("prefault");
-                system.reset_measurement();
-                let started = Instant::now();
-                let report = system.run(streams);
-                let elapsed_ns = started.elapsed().as_nanos() as f64;
-                let accesses: u64 = report.run.cores.iter().map(|c| c.mem_ops).sum();
-                elapsed_ns / accesses.max(1) as f64
-            })
-            .fold(f64::INFINITY, f64::min);
-        ns.push(best);
-    }
-    let batched_best = ns.iter().copied().fold(f64::INFINITY, f64::min);
-    let earns_default = batched_best < scalar_ns;
-    BatchedFillProbe {
-        fill_threads: threads.to_vec(),
-        ns_per_access: ns,
-        default_mode: if earns_default { "batched" } else { "scalar" }.to_owned(),
-        note: format!(
-            "host has {host_cpus} CPU(s); batched best {batched_best:.1} ns/access vs \
-             scalar {scalar_ns:.1} — {}",
-            if earns_default {
-                "batched wins, promote it"
-            } else {
-                "sharded fill cannot beat the scalar spine here, scalar stays default"
-            }
-        ),
-    }
-}
-
-/// The `--check` drift gate: measure the Chameleon-Opt batched cell
-/// fresh and compare against the committed report. Returns an error
+/// The `--check` drift gate: measure the Chameleon-Opt cell fresh and compare against the committed report. Returns an error
 /// message when the committed numbers no longer describe this tree.
 fn check_drift(path: &str, instructions_per_core: u64, reps: u32) -> Result<(), String> {
     let data = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
@@ -387,23 +281,18 @@ fn check_drift(path: &str, instructions_per_core: u64, reps: u32) -> Result<(), 
     let reference = committed
         .cells
         .iter()
-        .find(|c| c.arch == "Chameleon-Opt" && c.mode == "batched")
-        .ok_or_else(|| format!("{path}: no Chameleon-Opt batched cell"))?;
-    let fresh = measure(
-        Architecture::ChameleonOpt,
-        instructions_per_core,
-        reps,
-        StepMode::Batched,
-    );
+        .find(|c| c.arch == "Chameleon-Opt")
+        .ok_or_else(|| format!("{path}: no Chameleon-Opt cell"))?;
+    let fresh = measure(Architecture::ChameleonOpt, instructions_per_core, reps);
     let limit = reference.ns_per_access * (1.0 + DRIFT_TOLERANCE);
     println!(
-        "[check] Chameleon-Opt batched: fresh {:.1} ns/access vs committed {:.1} \
+        "[check] Chameleon-Opt: fresh {:.1} ns/access vs committed {:.1} \
          (limit {:.1})",
         fresh.ns_per_access, reference.ns_per_access, limit
     );
     if fresh.ns_per_access > limit {
         return Err(format!(
-            "hot-path regression: fresh Chameleon-Opt batched ns/access {:.1} exceeds \
+            "hot-path regression: fresh Chameleon-Opt ns/access {:.1} exceeds \
              committed {:.1} by more than {:.0}%",
             fresh.ns_per_access,
             reference.ns_per_access,
@@ -413,44 +302,11 @@ fn check_drift(path: &str, instructions_per_core: u64, reps: u32) -> Result<(), 
     Ok(())
 }
 
-/// The `--verify` bit-identity smoke: the same cell must serialise to
-/// the same `SystemReport` JSON under both step modes.
-fn verify_bit_identity(instructions_per_core: u64) -> Result<(), String> {
-    let run = |mode: StepMode| {
-        let mut system = build_cell(Architecture::ChameleonOpt, instructions_per_core, mode);
-        let streams = system
-            .spawn_rate_workload("mcf", instructions_per_core, 1)
-            .expect("mcf is a Table II app");
-        system.prefault_all().expect("prefault");
-        system.reset_measurement();
-        let report = system.run(streams);
-        serde_json::to_string(&report).expect("reports serialise")
-    };
-    let scalar = run(StepMode::Scalar);
-    let batched = run(StepMode::Batched);
-    if scalar == batched {
-        println!(
-            "[verify] scalar and batched reports identical ({} bytes, {} instr/core)",
-            scalar.len(),
-            instructions_per_core
-        );
-        Ok(())
-    } else {
-        Err(format!(
-            "scalar and batched SystemReports diverged ({} vs {} bytes) — the batched \
-             spine broke bit-identity",
-            scalar.len(),
-            batched.len()
-        ))
-    }
-}
-
 fn main() {
     let mut instructions_per_core: u64 = 2_000_000;
     let mut reps: u32 = 3;
     let mut out = "BENCH_hotpath.json".to_owned();
     let mut check: Option<String> = None;
-    let mut verify = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -464,18 +320,10 @@ fn main() {
             }
             "--out" => out = args.next().expect("--out takes a path"),
             "--check" => check = Some(args.next().expect("--check takes a path")),
-            "--verify" => verify = true,
             other => panic!("unknown argument {other:?}"),
         }
     }
 
-    if verify {
-        if let Err(msg) = verify_bit_identity(instructions_per_core) {
-            eprintln!("[verify] FAILED: {msg}");
-            std::process::exit(1);
-        }
-        return;
-    }
     if let Some(path) = check {
         if let Err(msg) = check_drift(&path, instructions_per_core, reps) {
             eprintln!("[check] FAILED: {msg}");
@@ -492,58 +340,42 @@ fn main() {
         Architecture::FlatSmall,
     ];
     println!(
-        "[hotpath] {} instr/core, fixed workload mcf, {} architectures x 2 modes, best of {}",
+        "[hotpath] {} instr/core, fixed workload mcf, {} architectures, best of {}",
         instructions_per_core,
         archs.len(),
         reps
     );
-    let mut cells = Vec::new();
-    let mut opt_scalar_ns = None;
-    for arch in archs {
-        let scalar = measure(arch, instructions_per_core, reps, StepMode::Scalar);
-        let mut batched = measure(arch, instructions_per_core, reps, StepMode::Batched);
-        batched.speedup = Some(scalar.ns_per_access / batched.ns_per_access.max(1e-12));
-        println!(
-            "  {:<14} scalar {:>7.1} ns/access   batched {:>7.1} ns/access   {:>5.2}x  ({} accesses)",
-            scalar.arch,
-            scalar.ns_per_access,
-            batched.ns_per_access,
-            batched.speedup.unwrap_or_default(),
-            batched.accesses
-        );
-        if arch == Architecture::ChameleonOpt {
-            opt_scalar_ns = Some(scalar.ns_per_access);
-        }
-        cells.push(scalar);
-        cells.push(batched);
-    }
-    let opt_scalar = cells
+    let cells: Vec<HotpathCell> = archs
+        .into_iter()
+        .map(|arch| {
+            let cell = measure(arch, instructions_per_core, reps);
+            println!(
+                "  {:<14} {:>7.1} ns/access  ({} accesses)",
+                cell.arch, cell.ns_per_access, cell.accesses
+            );
+            cell
+        })
+        .collect();
+    let opt = cells
         .iter()
-        .find(|c| c.arch == "Chameleon-Opt" && c.mode == "scalar")
-        .expect("Chameleon-Opt scalar cell measured above");
-    let stages = measure_stages(opt_scalar, instructions_per_core, reps);
+        .find(|c| c.arch == "Chameleon-Opt")
+        .expect("Chameleon-Opt cell measured above");
+    let stages = measure_stages(opt, instructions_per_core, reps);
     println!(
-        "  stages (Chameleon-Opt scalar): decode {:.1} + walk {:.1} + translate/glue {:.1} \
+        "  stages (Chameleon-Opt): decode {:.1} + walk {:.1} + translate/glue {:.1} \
          = {:.1} ns/access",
         stages.decode_ns_per_access,
         stages.walk_ns_per_access,
         stages.translate_glue_ns_per_access,
         stages.total_ns_per_access
     );
-    let batched_fill = measure_batched_fill(
-        opt_scalar_ns.expect("Chameleon-Opt is in the arch list"),
-        instructions_per_core,
-        reps,
-        &[1, 4],
-    );
-    println!("  batched fill: {}", batched_fill.note);
     let report = HotpathReport {
         schema_version: HOTPATH_SCHEMA_VERSION,
+        host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
         instructions_per_core,
         app: "mcf".to_owned(),
         cells,
         stages,
-        batched_fill,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialise report");
     std::fs::write(&out, json).expect("write report");

@@ -1,8 +1,8 @@
 //! Golden-schema test for the committed `BENCH_hotpath.json`: the perf
 //! trajectory is only useful if every commit's numbers are comparable,
 //! so the committed report must keep the shape `bench_hotpath` writes —
-//! schema version, per-mode cells, and a batched Chameleon-Opt cell with
-//! a recorded speedup (the drift gate's reference point).
+//! schema version, the measuring host's CPU count, per-architecture
+//! cells, and a Chameleon-Opt cell (the drift gate's reference point).
 
 use serde::Value;
 
@@ -24,38 +24,26 @@ fn field<'a>(v: &'a Value, name: &str) -> &'a Value {
 }
 
 #[test]
-fn committed_hotpath_report_matches_v3_schema() {
+fn committed_hotpath_report_matches_v4_schema() {
     let report = committed_report();
     assert_eq!(
         field(&report, "schema_version").as_u64(),
-        Some(3),
-        "BENCH_hotpath.json must be regenerated at schema v3"
+        Some(4),
+        "BENCH_hotpath.json must be regenerated at schema v4"
+    );
+    assert!(
+        field(&report, "host_cpus").as_u64().unwrap_or(0) > 0,
+        "the report must name the measuring host's CPU count"
     );
     let Value::Array(cells) = field(&report, "cells") else {
         panic!("cells must be an array");
     };
     assert!(!cells.is_empty(), "committed report has no cells");
     for cell in cells {
-        let mode = field(cell, "mode").as_str().expect("mode is a string");
-        assert!(
-            mode == "scalar" || mode == "batched",
-            "unknown step mode {mode:?}"
-        );
         let ns = field(cell, "ns_per_access")
             .as_f64()
             .expect("ns_per_access");
         assert!(ns > 0.0, "ns_per_access must be positive");
-        let speedup = field(cell, "speedup");
-        match mode {
-            "batched" => assert!(
-                speedup.as_f64().unwrap_or(0.0) > 0.0,
-                "batched cells record their speedup"
-            ),
-            _ => assert!(
-                matches!(speedup, Value::Null),
-                "scalar cells carry no speedup"
-            ),
-        }
     }
 }
 
@@ -87,52 +75,15 @@ fn committed_report_carries_stage_breakdown() {
 }
 
 #[test]
-fn committed_report_carries_batched_fill_probe() {
-    let report = committed_report();
-    let probe = field(&report, "batched_fill");
-    let Value::Array(threads) = field(probe, "fill_threads") else {
-        panic!("fill_threads must be an array");
-    };
-    let Value::Array(ns) = field(probe, "ns_per_access") else {
-        panic!("ns_per_access must be an array");
-    };
-    assert!(!threads.is_empty(), "probe must cover some thread counts");
-    assert_eq!(
-        threads.len(),
-        ns.len(),
-        "one measurement per probed thread count"
-    );
-    assert!(
-        threads.iter().any(|t| t.as_u64() == Some(1)),
-        "the single-threaded reference point must be probed"
-    );
-    for v in ns {
-        assert!(v.as_f64().unwrap_or(0.0) > 0.0, "measurements are positive");
-    }
-    let mode = field(probe, "default_mode").as_str().expect("default_mode");
-    assert!(
-        mode == "scalar" || mode == "batched",
-        "default_mode must name a StepMode, got {mode:?}"
-    );
-    assert!(
-        !field(probe, "note").as_str().expect("note").is_empty(),
-        "the probe must record its honest verdict"
-    );
-}
-
-#[test]
-fn committed_report_covers_chameleon_opt_in_both_modes() {
+fn committed_report_covers_chameleon_opt() {
     let report = committed_report();
     let Value::Array(cells) = field(&report, "cells") else {
         panic!("cells must be an array");
     };
-    for want in ["scalar", "batched"] {
-        assert!(
-            cells
-                .iter()
-                .any(|c| field(c, "arch").as_str() == Some("Chameleon-Opt")
-                    && field(c, "mode").as_str() == Some(want)),
-            "missing Chameleon-Opt {want} cell — the drift gate needs it"
-        );
-    }
+    assert!(
+        cells
+            .iter()
+            .any(|c| field(c, "arch").as_str() == Some("Chameleon-Opt")),
+        "missing Chameleon-Opt cell — the drift gate needs it"
+    );
 }

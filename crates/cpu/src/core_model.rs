@@ -190,7 +190,7 @@ impl Core {
     /// local clock.
     // lint: hot-path
     #[inline]
-    pub fn step_compute(&mut self, n: u32) -> Cycle {
+    fn step_compute(&mut self, n: u32) -> Cycle {
         self.retire_window(n as u64);
         self.clock += n as Cycle;
         self.report.instructions += n as u64;
@@ -199,13 +199,11 @@ impl Core {
 
     /// Executes one memory op; `access` receives the core id and the
     /// issue cycle and returns the memory system's reply. This is the
-    /// timing model [`Core::step`] uses for loads and stores, exposed so
-    /// the batched driver can route the access through
-    /// [`crate::BatchMemory::access_batched`] with identical scheduling.
-    /// Returns the new local clock.
+    /// timing model [`Core::step`] uses for loads and stores. Returns the
+    /// new local clock.
     // lint: hot-path
     #[inline]
-    pub fn step_mem_with(&mut self, access: impl FnOnce(usize, u64) -> Reply) -> Cycle {
+    fn step_mem_with(&mut self, access: impl FnOnce(usize, u64) -> Reply) -> Cycle {
         self.retire_window(1);
         // Respect the MLP bound.
         if self.outstanding.len() == self.cfg.mlp {

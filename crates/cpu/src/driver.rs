@@ -2,9 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::batch::{BatchMemory, OpKind, RefBatch, BATCH_OPS};
 use crate::core_model::{Core, CoreConfig, CoreReport};
-use crate::shard::fill_batches;
 use crate::{InstructionStream, MemorySystem};
 
 /// Aggregate results of one multi-programmed run.
@@ -136,116 +134,6 @@ impl MultiCore {
         }
     }
 
-    /// Runs every stream to exhaustion through the batched engine:
-    /// per-core [`RefBatch`] buffers are pre-decoded (in parallel across
-    /// up to `fill_threads` host threads) and replayed through the
-    /// *exact* scalar interleaving — the same min-local-clock core
-    /// selection, the same 32-op quantum, the same per-op timing — so
-    /// the report is bit-identical to [`MultiCore::run`] for any batch
-    /// size and thread count. The memory system sees each refilled batch
-    /// up front via [`BatchMemory::begin_batch`] and can amortise
-    /// translation over it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of streams differs from the number of cores.
-    pub fn run_batched<S: InstructionStream + Send, M: BatchMemory + ?Sized>(
-        &mut self,
-        mut streams: Vec<S>,
-        mem: &mut M,
-        fill_threads: usize,
-    ) -> RunReport {
-        assert_eq!(
-            streams.len(),
-            self.cores.len(),
-            "one stream per core required"
-        );
-        let n = self.cores.len();
-        let mut batches: Vec<RefBatch> =
-            (0..n).map(|_| RefBatch::with_capacity(BATCH_OPS)).collect();
-        let mut live: Vec<bool> = vec![true; n];
-        let mut need: Vec<bool> = vec![true; n];
-        let mut live_count = n;
-
-        // Initial fill: all cores at once (the parallel fill's best case).
-        fill_batches(&mut streams, &mut batches, &need, fill_threads);
-        for core in 0..n {
-            need[core] = false;
-            if batches[core].is_empty() {
-                self.cores[core].drain();
-                live[core] = false;
-                live_count -= 1;
-            } else {
-                mem.begin_batch(core, &batches[core]);
-            }
-        }
-
-        while live_count > 0 {
-            // Pick the live core with the smallest local clock — the
-            // scalar driver's schedule, verbatim.
-            let (idx, _) = self
-                .cores
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| live[*i])
-                .min_by_key(|(_, c)| c.clock())
-                // INVARIANT: the loop guard keeps at least one core live here.
-                .expect("live_count > 0");
-            // Step a small quantum to amortise the selection cost.
-            for _ in 0..32 {
-                let Some((kind, payload, mem_idx)) = batches[idx].take_next() else {
-                    if batches[idx].ended() {
-                        // The stream ran out mid-fill: the core is done,
-                        // exactly where the scalar driver would see `None`.
-                        self.cores[idx].drain();
-                        live[idx] = false;
-                        live_count -= 1;
-                        break;
-                    }
-                    // Refill this core — and opportunistically any other
-                    // live core that drained at the same moment, so
-                    // simultaneous refills shard across the pool. The
-                    // refill set is a pure function of simulation state,
-                    // never of host timing.
-                    for core in 0..n {
-                        need[core] =
-                            live[core] && batches[core].is_empty() && !batches[core].ended();
-                    }
-                    fill_batches(&mut streams, &mut batches, &need, fill_threads);
-                    for core in 0..n {
-                        if need[core] {
-                            need[core] = false;
-                            if !batches[core].is_empty() {
-                                mem.begin_batch(core, &batches[core]);
-                            }
-                        }
-                    }
-                    if batches[idx].is_empty() {
-                        self.cores[idx].drain();
-                        live[idx] = false;
-                        live_count -= 1;
-                    }
-                    break;
-                };
-                match kind {
-                    OpKind::Compute => {
-                        self.cores[idx].step_compute(payload as u32);
-                    }
-                    OpKind::Load | OpKind::Store => {
-                        let write = kind == OpKind::Store;
-                        self.cores[idx].step_mem_with(|id, now| {
-                            mem.access_batched(id, mem_idx, payload, write, now)
-                        });
-                    }
-                }
-            }
-        }
-
-        RunReport {
-            cores: self.cores.iter().map(|c| *c.report()).collect(),
-        }
-    }
-
     /// Access to a core (e.g. to impose fault stalls from the memory
     /// system between ops).
     pub fn core_mut(&mut self, idx: usize) -> &mut Core {
@@ -304,78 +192,6 @@ mod tests {
         assert_eq!(report.cores[0].instructions, 100);
         assert_eq!(report.cores[1].instructions, 10_000);
         assert_eq!(report.makespan(), 10_000);
-    }
-
-    /// A memory whose replies depend on access history and order, so any
-    /// divergence between the scalar and batched schedules shows up.
-    struct Varying {
-        count: u64,
-    }
-    impl MemorySystem for Varying {
-        fn access(&mut self, core: usize, addr: u64, _write: bool, now: u64) -> Reply {
-            self.count += 1;
-            Reply {
-                latency: 1 + (addr ^ now ^ self.count ^ core as u64) % 400,
-                fault_stall: if self.count.is_multiple_of(1013) {
-                    5000
-                } else {
-                    0
-                },
-            }
-        }
-    }
-    impl crate::BatchMemory for Varying {}
-
-    struct MixedStream {
-        state: u64,
-        remaining: u64,
-    }
-    impl InstructionStream for MixedStream {
-        fn next_op(&mut self) -> Option<Op> {
-            if self.remaining == 0 {
-                return None;
-            }
-            self.remaining -= 1;
-            self.state = self
-                .state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            Some(match self.state >> 61 {
-                0..=3 => Op::Compute((self.state >> 32) as u32 % 7 + 1),
-                4..=5 => Op::Load(self.state % (1 << 20)),
-                _ => Op::Store(self.state % (1 << 20)),
-            })
-        }
-    }
-
-    #[test]
-    fn batched_run_is_bit_identical_to_scalar() {
-        let mk = || -> Vec<MixedStream> {
-            // Unequal lengths so cores die at different times, including
-            // mid-quantum; one length crosses several batch refills.
-            [30_000u64, 9_001, 17, 25_000]
-                .iter()
-                .enumerate()
-                .map(|(i, &len)| MixedStream {
-                    state: 0xABCD + i as u64,
-                    remaining: len,
-                })
-                .collect()
-        };
-        for threads in [1usize, 4] {
-            let scalar = {
-                let mut mc = MultiCore::new(4, CoreConfig::default());
-                mc.run(mk(), &mut Varying { count: 0 })
-            };
-            let batched = {
-                let mut mc = MultiCore::new(4, CoreConfig::default());
-                mc.run_batched(mk(), &mut Varying { count: 0 }, threads)
-            };
-            assert_eq!(
-                scalar.cores, batched.cores,
-                "batched({threads} threads) diverged from scalar"
-            );
-        }
     }
 
     #[test]

@@ -43,12 +43,9 @@
 //! assert!(report.cores[0].ipc() > 0.1);
 //! ```
 
-mod batch;
 mod core_model;
 mod driver;
-mod shard;
 
-pub use batch::{fill_by_next_op, group_sorted_runs, BatchMemory, OpKind, RefBatch, BATCH_OPS};
 pub use core_model::{Core, CoreConfig, CoreReport};
 pub use driver::{MultiCore, RunReport};
 
@@ -67,15 +64,6 @@ pub enum Op {
 pub trait InstructionStream {
     /// The next operation, or `None` when the stream is exhausted.
     fn next_op(&mut self) -> Option<Op>;
-
-    /// Appends up to `max_ops` ops to `batch`, marking it ended if the
-    /// stream is exhausted first. The default pulls through
-    /// [`InstructionStream::next_op`]; overrides must emit the *same op
-    /// sequence* (batching is a decode optimisation, not a semantic
-    /// channel) — the workloads proptests compare both paths directly.
-    fn fill_batch(&mut self, batch: &mut RefBatch, max_ops: usize) {
-        fill_by_next_op(self, batch, max_ops);
-    }
 }
 
 /// A mutable borrow is itself a stream, so drivers that time-slice
@@ -84,10 +72,6 @@ pub trait InstructionStream {
 impl<S: InstructionStream + ?Sized> InstructionStream for &mut S {
     fn next_op(&mut self) -> Option<Op> {
         (**self).next_op()
-    }
-
-    fn fill_batch(&mut self, batch: &mut RefBatch, max_ops: usize) {
-        (**self).fill_batch(batch, max_ops);
     }
 }
 

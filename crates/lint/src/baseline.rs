@@ -9,7 +9,7 @@
 //! * **Allowlist** (`crates/lint/allowlist.txt`): sanctioned
 //!   determinism-rule uses — wall-clock in `sweep`/`bench` progress and
 //!   measurement code, scoped thread pools in the deterministic-merge
-//!   modules (the cpu crate's sharded batch fill, the sweep engine) — one
+//!   modules (the sweep engine, the scenario grid) — one
 //!   line per `rule<TAB-or-space>path<TAB-or-space>token` (token `*`
 //!   matches any). Entries apply in every determinism scope, so a strict
 //!   crate can sanction a single use without loosening the whole crate.
@@ -26,7 +26,7 @@ pub struct AllowEntry {
     /// Rule name (kebab-case, e.g. `determinism`, `determinism-taint`).
     pub rule: String,
     /// Workspace-relative file path, optionally fn-scoped
-    /// (`crates/cpu/src/batch/shard.rs#fill_shards`). Graph rules match
+    /// (`crates/sweep/src/engine.rs#SweepEngine::run`). Graph rules match
     /// either form; the local rules match the bare file path.
     pub path: String,
     /// Token the entry sanctions, or `*` for any token in the scope.

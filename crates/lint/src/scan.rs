@@ -23,8 +23,8 @@ pub const HOT_PATH_BANNED: &[&str] = &[
 /// Wall-clock, ambient-randomness, and host-threading tokens banned in
 /// simulation crates (a simulated decision seeded from real time is
 /// unreproducible, and ad-hoc thread pools order results by host
-/// scheduling). Sanctioned uses — the sharded batch fill, the sweep
-/// worker pool — carry explicit `allowlist.txt` entries instead of a
+/// scheduling). Sanctioned uses — the sweep worker pool, the scenario
+/// grid's pool — carry explicit `allowlist.txt` entries instead of a
 /// scope-wide exemption.
 pub const DET_BANNED: &[&str] = &[
     "std::time",

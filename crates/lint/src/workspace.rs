@@ -226,7 +226,7 @@ pub fn scan_workspace(root: &Path, allowlist: &[AllowEntry]) -> io::Result<Repor
         for f in file_findings {
             // Allowlist entries name an exact (rule, file, token), so they
             // apply in every determinism scope: strict crates sanction
-            // individual uses (the sharded batch fill's `thread::scope`)
+            // individual uses (the sweep engine's `thread::scope`)
             // without loosening the whole crate.
             if f.rule == Rule::Determinism && allowlist.iter().any(|a| a.matches(&f)) {
                 report.allowlisted += 1;

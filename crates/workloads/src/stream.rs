@@ -1,6 +1,6 @@
 //! Turning an [`AppSpec`] into a deterministic instruction stream.
 
-use chameleon_cpu::{InstructionStream, Op, RefBatch};
+use chameleon_cpu::{InstructionStream, Op};
 use chameleon_simkit::rng::DeterministicRng;
 
 use crate::decode::OpMixGates;
@@ -241,57 +241,6 @@ impl InstructionStream for AppStream {
         self.instructions_left -= gap;
         Some(Op::Compute(gap as u32))
     }
-
-    /// [`InstructionStream::next_op`] inlined over the whole batch: the
-    /// gap/mem pair is pushed in one iteration instead of round-tripping
-    /// the memory op through the `pending` slot and a second virtual
-    /// call. Op-for-op identical to the default decoder — proptested
-    /// against [`chameleon_cpu::fill_by_next_op`] below.
-    // lint: hot-path
-    fn fill_batch(&mut self, batch: &mut RefBatch, max_ops: usize) {
-        let mut left = max_ops;
-        if left > 0 {
-            if let Some(op) = self.pending.take() {
-                if self.instructions_left == 0 {
-                    batch.mark_ended();
-                    return;
-                }
-                self.instructions_left -= 1;
-                batch.push_op(op);
-                left -= 1;
-            }
-        }
-        while left > 0 {
-            if self.instructions_left == 0 {
-                batch.mark_ended();
-                return;
-            }
-            self.gap_acc += self.gap_per_mem;
-            let gap = (self.gap_acc as u64).min(self.instructions_left.saturating_sub(1));
-            self.gap_acc -= gap as f64;
-            let mem = self.next_mem_op();
-            if gap == 0 {
-                self.instructions_left -= 1;
-                batch.push_op(mem);
-                left -= 1;
-                continue;
-            }
-            self.instructions_left -= gap;
-            batch.push_compute(gap as u32);
-            left -= 1;
-            if left == 0 {
-                // Batch boundary splits the pair: park the memory op
-                // exactly where the scalar decoder would.
-                self.pending = Some(mem);
-                return;
-            }
-            // `gap <= instructions_left - 1` above, so at least one
-            // instruction remains for the memory op itself.
-            self.instructions_left -= 1;
-            batch.push_op(mem);
-            left -= 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -414,59 +363,5 @@ mod tests {
     fn tiny_footprint_rejected() {
         let sp = AppSpec::by_name("miniGhost").unwrap().scaled(1 << 20);
         AppStream::new(&sp, 1000, 0);
-    }
-
-    /// Drains a stream through `fill_batch` into a flat op list, using
-    /// `cap`-sized batches.
-    fn drain_batched(mut s: AppStream, cap: usize) -> Vec<Op> {
-        let mut b = RefBatch::with_capacity(cap);
-        let mut ops = Vec::new();
-        loop {
-            b.clear();
-            s.fill_batch(&mut b, cap);
-            while let Some((kind, payload, _)) = b.take_next() {
-                ops.push(match kind {
-                    chameleon_cpu::OpKind::Compute => Op::Compute(payload as u32),
-                    chameleon_cpu::OpKind::Load => Op::Load(payload),
-                    chameleon_cpu::OpKind::Store => Op::Store(payload),
-                });
-            }
-            if b.ended() {
-                return ops;
-            }
-        }
-    }
-
-    #[test]
-    fn fill_batch_specialisation_matches_default_decoder() {
-        for app in ["mcf", "miniFE", "stream"] {
-            let sp = AppSpec::by_name(app).unwrap().scaled(64);
-            let scalar: Vec<Op> = {
-                let mut s = AppStream::new(&sp, 30_000, 9);
-                std::iter::from_fn(|| s.next_op()).collect()
-            };
-            assert_eq!(drain_batched(AppStream::new(&sp, 30_000, 9), 257), scalar);
-        }
-    }
-
-    proptest::proptest! {
-        /// The specialised decoder emits the exact op sequence of the
-        /// reference decoder for any budget, seed, and batch capacity —
-        /// including capacities that split a gap/mem pair at every
-        /// possible phase.
-        #[test]
-        fn fill_batch_equivalent_for_any_cut(
-            instructions in 1u64..5_000,
-            seed in 0u64..u64::MAX,
-            cap in 1usize..64,
-        ) {
-            let sp = AppSpec::by_name("mcf").unwrap().scaled(64);
-            let scalar: Vec<Op> = {
-                let mut s = AppStream::new(&sp, instructions, seed);
-                std::iter::from_fn(|| s.next_op()).collect()
-            };
-            let batched = drain_batched(AppStream::new(&sp, instructions, seed), cap);
-            proptest::prop_assert_eq!(batched, scalar);
-        }
     }
 }

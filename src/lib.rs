@@ -39,7 +39,7 @@ mod system;
 
 pub use arch::Architecture;
 pub use params::ScaledParams;
-pub use system::{StepMode, System, SystemReport};
+pub use system::{System, SystemReport};
 
 pub use chameleon_cache as cache;
 pub use chameleon_core as core_policies;

@@ -3,7 +3,7 @@
 
 use chameleon_cache::{CacheStats, Hierarchy, HitLevel, PrefetchBuf, WritebackBuf};
 use chameleon_core::policy::{HmaPolicy, ModeDistribution};
-use chameleon_cpu::{BatchMemory, MemorySystem, MultiCore, RefBatch, Reply, RunReport};
+use chameleon_cpu::{MemorySystem, MultiCore, Reply, RunReport};
 use chameleon_os::guidance::{GuidanceEngine, GuidanceEpochReport};
 use chameleon_os::numa::{AutoNuma, EpochReport};
 use chameleon_os::page_table::PAGE_SIZE;
@@ -59,70 +59,6 @@ pub struct SystemReport {
 /// bits index the slot directly, like a direct-mapped TLB).
 const MEMO_SLOTS: usize = 4096;
 
-/// How [`System::run`] steps its cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StepMode {
-    /// One stream op at a time ([`MultiCore::run`]). The default: on a
-    /// single-CPU host the batched spine's buffer round-trip costs ~10
-    /// ns/reference that its translation plan cannot win back, because
-    /// the generation-keyed memo already makes resident translation
-    /// nearly free (measured decomposition in DESIGN.md §16).
-    #[default]
-    Scalar,
-    /// Pre-decoded [`RefBatch`]es replayed through the scalar schedule,
-    /// with a per-batch translation plan ([`MultiCore::run_batched`]).
-    /// Bit-identical to [`StepMode::Scalar`] by construction — enforced
-    /// across the architecture registry by `tests/hotpath_invariance.rs`.
-    /// Its decode stage shards across host threads
-    /// ([`System::set_fill_threads`]), the lever that pays off on
-    /// multi-core hosts.
-    Batched,
-}
-
-/// One core's translation plan over its current [`RefBatch`]: the batched
-/// spine's software pipeline stage. Built once per refill from
-/// side-effect-free probes ([`OsKernel::peek_translate`] plus the memo),
-/// then consulted per access with a single generation check.
-///
-/// The builder groups memory ops into runs of *consecutive identical
-/// VPNs* and translates once per run. It deliberately does **not** sort
-/// the runs into segment-group order first: that variant was implemented
-/// and measured ~33 ns/reference slower — the `sort_unstable` was 40% of
-/// the whole batched run's CPU time, while the probes it amortised are
-/// already near-free memo hits (see DESIGN.md §16 for the numbers).
-struct BatchPlan {
-    /// Physical address per memory op (plan-indexed). `u64::MAX` marks an
-    /// op whose page was not resident at plan time — it falls back to the
-    /// full scalar translate-and-touch path.
-    paddrs: Vec<u64>,
-    /// Kernel mapping generation the plan was built at; `u64::MAX` means
-    /// invalid. Any translation-retiring event moves the kernel's
-    /// generation and thereby disowns every outstanding plan.
-    generation: u64,
-}
-
-impl Default for BatchPlan {
-    fn default() -> Self {
-        Self {
-            paddrs: Vec::new(),
-            generation: u64::MAX,
-        }
-    }
-}
-
-/// Default host-thread count for the batched spine's parallel decode:
-/// `CHAMELEON_FILL_THREADS` when set to a positive integer, otherwise 1
-/// (inline serial). The thread count is bit-invisible (enforced by the
-/// hot-path invariance suite), so this is a pure host-tuning knob — CI
-/// exercises the batch-mode smoke at both 1 and 4.
-fn fill_threads_from_env() -> usize {
-    std::env::var("CHAMELEON_FILL_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
-}
-
 /// A complete simulated machine for one architecture.
 ///
 /// See the crate-level docs for a usage example.
@@ -150,12 +86,6 @@ pub struct System {
     memo_frames: Vec<u64>,
     memo_gen: u64,
     memo_enabled: bool,
-    /// Per-core translation plans for the batched spine (empty + invalid
-    /// until [`BatchMemory::begin_batch`] builds them).
-    plans: Vec<BatchPlan>,
-    step_mode: StepMode,
-    /// Host threads for the parallel batch decode (1 = inline serial).
-    fill_threads: usize,
     /// Whether the fused L1/L2 fast-path walk may short-circuit the full
     /// hierarchy walk (on by default; invisible either way).
     fast_path_enabled: bool,
@@ -163,17 +93,30 @@ pub struct System {
 
 impl System {
     /// Builds a system of the given architecture.
+    ///
+    /// # Panics
+    ///
+    /// Panics if group-aware placement is requested for a visible-stacked
+    /// architecture whose off-chip:stacked ratio exceeds 254: a segment
+    /// group's slot count (ratio + 1) must fit the ledger's `u8`.
     pub fn new(arch: Architecture, params: &ScaledParams) -> Self {
         let group_placement = (params.group_aware_placement
             && arch.visibility() == chameleon_os::Visibility::Both)
             .then(|| {
                 let hma = &params.hma;
+                let ratio = hma.offchip.capacity.bytes() / hma.stacked.capacity.bytes();
                 chameleon_os::ledger::LedgerConfig {
                     segment_bytes: hma.segment.bytes(),
                     stacked_segments: hma.stacked.capacity.bytes() / hma.segment.bytes(),
                     stacked_bytes: hma.stacked.capacity.bytes(),
-                    slots_per_group: (hma.offchip.capacity.bytes() / hma.stacked.capacity.bytes()
-                        + 1) as u8,
+                    slots_per_group: u8::try_from(ratio + 1).unwrap_or_else(|_| {
+                        // INVARIANT: a documented precondition (see `# Panics`);
+                        // a wrapped slot count would corrupt every placement.
+                        panic!(
+                            "group-aware placement needs an off-chip:stacked ratio of at \
+                             most 254, got {ratio}"
+                        )
+                    }),
                 }
             });
         let os_cfg = OsConfig {
@@ -212,9 +155,6 @@ impl System {
             memo_frames: vec![0; params.cores * MEMO_SLOTS],
             memo_gen: 0,
             memo_enabled: true,
-            plans: (0..params.cores).map(|_| BatchPlan::default()).collect(),
-            step_mode: StepMode::default(),
-            fill_threads: fill_threads_from_env(),
             fast_path_enabled: true,
         }
     }
@@ -228,24 +168,6 @@ impl System {
     /// both paths.
     pub fn set_fast_path_enabled(&mut self, enabled: bool) {
         self.fast_path_enabled = enabled;
-    }
-
-    /// Selects how [`System::run`] steps its cores (scalar by default;
-    /// both modes produce bit-identical reports).
-    pub fn set_step_mode(&mut self, mode: StepMode) {
-        self.step_mode = mode;
-    }
-
-    /// Sets the host-thread count for the batched spine's parallel
-    /// decode stage (1 = inline serial; the default). Any value yields
-    /// bit-identical reports — the shard merge is deterministic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn set_fill_threads(&mut self, threads: usize) {
-        assert!(threads > 0, "at least one fill thread required");
-        self.fill_threads = threads;
     }
 
     /// Enables or disables the per-core translation memo (on by default).
@@ -500,9 +422,6 @@ impl System {
         self.memo_tags[start..start + MEMO_SLOTS]
             .iter_mut()
             .for_each(|t| *t = u64::MAX);
-        // A rebinding also orphans the core's translation plan: plans are
-        // keyed by the pid bound when they were built.
-        self.plans[core].generation = u64::MAX;
     }
 
     /// Names the workload in reports (scenario drivers compose their own
@@ -565,18 +484,11 @@ impl System {
         self.report(run)
     }
 
-    /// Drives one set of streams to completion in the configured
-    /// [`StepMode`] without closing out the report (warm-up runs reuse
-    /// this).
+    /// Drives one set of streams to completion without closing out the
+    /// report (warm-up runs reuse this).
     fn run_cores(&mut self, streams: Vec<AppStream>) -> RunReport {
         let mut cores = MultiCore::new(self.params.cores, self.params.core);
-        match self.step_mode {
-            StepMode::Scalar => cores.run(streams, self),
-            StepMode::Batched => {
-                let threads = self.fill_threads;
-                cores.run_batched(streams, self, threads)
-            }
-        }
+        cores.run(streams, self)
     }
 
     /// The paper's measurement protocol (Section VI-A): allocate the full
@@ -718,9 +630,7 @@ impl MemorySystem for System {
 
 impl System {
     /// The post-translation half of an access: hierarchy walk, memory
-    /// timing, epoch bookkeeping, writeback and prefetch drains. Shared
-    /// verbatim by the scalar and batched spines — translation is the
-    /// only thing the batch plan short-circuits.
+    /// timing, epoch bookkeeping, writeback and prefetch drains.
     // lint: hot-path
     #[inline]
     fn finish_access(
@@ -804,104 +714,6 @@ impl System {
     }
 }
 
-impl BatchMemory for System {
-    /// Builds `core`'s translation plan over the freshly filled batch —
-    /// the software pipeline's translate stage. Every probe here is
-    /// side-effect free (the memo and [`OsKernel::peek_translate`]
-    /// reproduce the resident-touch outcome without touching kernel
-    /// state), so building a plan is invisible to the simulation; pages
-    /// that are not resident at plan time stay `u64::MAX` and take the
-    /// full scalar fault path at access time.
-    // lint: hot-path
-    fn begin_batch(&mut self, core: usize, batch: &RefBatch) {
-        // Detach the plan so the builder can probe `self` freely.
-        let mut plan = std::mem::take(&mut self.plans[core]);
-        plan.generation = u64::MAX;
-        if self.pids.len() <= core {
-            // No process bound: every access would panic in translate
-            // anyway; leave the plan invalid.
-            self.plans[core] = plan;
-            return;
-        }
-        if self.memo_enabled {
-            // Sync the memo generation now so the probes below are valid
-            // (the scalar path does this lazily per access; flushing is
-            // invisible either way).
-            let gen = self.os.mapping_generation();
-            if gen != self.memo_gen {
-                self.memo_gen = gen;
-                self.memo_tags.iter_mut().for_each(|t| *t = u64::MAX);
-            }
-        }
-
-        // One linear pass, translating once per run of consecutive
-        // identical VPNs: a repeated VPN reuses the previous frame, a new
-        // VPN probes the memo and falls back to the side-effect-free page
-        // walk. Probe results are written back into the memo — invisible,
-        // because a memo fill is exactly what the scalar path's first
-        // resident touch of the page would have done.
-        plan.paddrs.clear();
-        plan.paddrs.reserve(batch.mem_refs() as usize);
-        let pid = self.pids[core];
-        let mut prev_vpn = u64::MAX;
-        let mut prev_frame = u64::MAX;
-        for (_, addr, _) in batch.mem_ops() {
-            let vpn = addr / PAGE_SIZE;
-            if vpn != prev_vpn {
-                prev_vpn = vpn;
-                let slot = core * MEMO_SLOTS + (vpn as usize & (MEMO_SLOTS - 1));
-                prev_frame = if self.memo_enabled && self.memo_tags[slot] == vpn {
-                    self.memo_frames[slot]
-                } else {
-                    match self.os.peek_translate(pid, vpn * PAGE_SIZE) {
-                        Some(frame) => {
-                            if self.memo_enabled {
-                                self.memo_tags[slot] = vpn;
-                                self.memo_frames[slot] = frame;
-                            }
-                            frame
-                        }
-                        None => u64::MAX,
-                    }
-                };
-            }
-            plan.paddrs.push(if prev_frame == u64::MAX {
-                u64::MAX
-            } else {
-                prev_frame + addr % PAGE_SIZE
-            });
-        }
-        plan.generation = self.os.mapping_generation();
-        self.plans[core] = plan;
-    }
-
-    // lint: hot-path
-    #[inline]
-    fn access_batched(
-        &mut self,
-        core: usize,
-        mem_idx: u32,
-        addr: u64,
-        write: bool,
-        now: u64,
-    ) -> Reply {
-        // One generation compare decides whether the plan still speaks
-        // for the kernel; any translation-retiring event since plan time
-        // (swap-out, exit, migration) disowns it and the op replays the
-        // scalar path.
-        let plan = &self.plans[core];
-        if plan.generation == self.os.mapping_generation() {
-            let paddr = plan.paddrs[mem_idx as usize];
-            if paddr != u64::MAX {
-                // Plan hit ≡ memo hit ≡ resident touch: paddr known, no
-                // fault, zero stall, no kernel side effects.
-                return self.finish_access(core, paddr, write, now, 0);
-            }
-        }
-        self.access(core, addr, write, now)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -913,6 +725,15 @@ mod tests {
         s.prefault_all().unwrap();
         s.reset_measurement();
         s.run(streams)
+    }
+
+    #[test]
+    #[should_panic(expected = "ratio of at most 254, got 383")]
+    fn group_placement_rejects_ratio_beyond_u8_slots() {
+        // 384 slots per group would wrap to 128 in a `u8`.
+        let mut params = ScaledParams::laptop().with_ratio(383);
+        params.group_aware_placement = true;
+        let _ = System::new(Architecture::ChameleonOpt, &params);
     }
 
     #[test]

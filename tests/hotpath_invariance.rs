@@ -1,5 +1,5 @@
-//! The hot-path optimisations are pure: the translation memo, the
-//! batched step mode, and its parallel decode must each produce a
+//! The hot-path optimisations are pure: the translation memo, the fused
+//! L1/L2 fast path and the table-driven decoders must each produce a
 //! bit-identical [`chameleon::SystemReport`] — same IPC, same hit rates,
 //! same swap counts, same epoch timeline, same event trace. These tests
 //! enforce that mechanically across *every* registered architecture
@@ -8,23 +8,18 @@
 //! observe (or cause) a behavioural difference fails loudly rather than
 //! skewing figures.
 
-use chameleon::{Architecture, ScaledParams, StepMode, System};
+use chameleon::{Architecture, ScaledParams, System};
 
-/// Runs one tiny measured cell in the given hot-path configuration,
-/// including the fused-walk and table-decode switches.
+/// Runs one tiny measured cell in the given hot-path configuration.
 fn run_cell_tuned(
     arch: Architecture,
     memo: bool,
-    mode: StepMode,
-    fill_threads: usize,
     fast_path: bool,
     table_decode: bool,
 ) -> chameleon::SystemReport {
     let params = ScaledParams::tiny();
     let mut s = System::new(arch, &params);
     s.set_memo_enabled(memo);
-    s.set_step_mode(mode);
-    s.set_fill_threads(fill_threads);
     s.set_fast_path_enabled(fast_path);
     let mut streams = s.spawn_rate_workload("mcf", 30_000, 11).unwrap();
     for stream in &mut streams {
@@ -35,21 +30,10 @@ fn run_cell_tuned(
     s.run(streams)
 }
 
-/// Runs one tiny measured cell in the given hot-path configuration
-/// (fused walk and decode tables at their defaults: enabled).
-fn run_cell_with(
-    arch: Architecture,
-    memo: bool,
-    mode: StepMode,
-    fill_threads: usize,
-) -> chameleon::SystemReport {
-    run_cell_tuned(arch, memo, mode, fill_threads, true, true)
-}
-
-/// Runs one tiny measured cell with the memo forced on or off (scalar
-/// stepping: the memo tests predate batching and pin its baseline).
+/// Runs one tiny measured cell with the memo forced on or off (fused
+/// walk and decode tables at their defaults: enabled).
 fn run_cell(arch: Architecture, memo: bool) -> chameleon::SystemReport {
-    run_cell_with(arch, memo, StepMode::Scalar, 1)
+    run_cell_tuned(arch, memo, true, true)
 }
 
 /// Serialised form of a report: the full observable outcome, including
@@ -57,6 +41,25 @@ fn run_cell(arch: Architecture, memo: bool) -> chameleon::SystemReport {
 /// in a Display impl.
 fn canonical(report: &chameleon::SystemReport) -> String {
     serde_json::to_string(report).expect("reports serialise")
+}
+
+/// Runs `cell` with the memo and the fast path in every on/off
+/// combination, asserts each report matches the default (both on)
+/// byte for byte, and returns the default report.
+fn assert_memo_and_fast_path_invisible(
+    what: &str,
+    cell: impl Fn(bool, bool) -> chameleon::SystemReport,
+) -> chameleon::SystemReport {
+    let baseline = cell(true, true);
+    let expected = canonical(&baseline);
+    for (memo, fast) in [(false, true), (true, false), (false, false)] {
+        assert_eq!(
+            expected,
+            canonical(&cell(memo, fast)),
+            "memo={memo}, fast_path={fast} diverged {what}"
+        );
+    }
+    baseline
 }
 
 /// Every registered architecture, not a hand-maintained list: adding a
@@ -75,150 +78,87 @@ fn memo_invisible_for_every_registered_architecture() {
     }
 }
 
-/// The batched spine's oracle: for every registered architecture
-/// (including the guided online-profiler tier), batch mode — memo on,
-/// memo off, and with the parallel decode sharded over four threads —
-/// reproduces the scalar report byte for byte.
-#[test]
-fn batch_mode_bit_identical_for_every_registered_architecture() {
-    for arch in Architecture::all() {
-        let scalar = canonical(&run_cell_with(arch, true, StepMode::Scalar, 1));
-        for (memo, threads) in [(true, 1), (false, 1), (true, 4)] {
-            let batched = run_cell_with(arch, memo, StepMode::Batched, threads);
-            assert_eq!(
-                scalar,
-                canonical(&batched),
-                "{arch:?}: batched step (memo={memo}, threads={threads}) \
-                 diverged from scalar"
-            );
-        }
-    }
-}
-
 /// The fused L1/L2 fast path and the table-driven decoders are pure
 /// host-side optimisations: for every registered architecture, disabling
-/// either (or both) must reproduce the default report byte for byte — in
-/// scalar mode, and with the fast path off under the batched spine too,
-/// so neither switch can hide behind the other's code path.
+/// either (or both) must reproduce the default report byte for byte —
+/// with the memo on and off, so together with the test above the whole
+/// memo × fast path × table decode cube is covered and no switch can
+/// hide behind another's code path.
 #[test]
 fn fast_path_and_decode_tables_invisible_for_every_registered_architecture() {
     for arch in Architecture::all() {
-        let baseline = canonical(&run_cell_tuned(arch, true, StepMode::Scalar, 1, true, true));
-        for (fast, table) in [(false, true), (true, false), (false, false)] {
-            assert_eq!(
-                baseline,
-                canonical(&run_cell_tuned(
-                    arch,
-                    true,
-                    StepMode::Scalar,
-                    1,
-                    fast,
-                    table
-                )),
-                "{arch:?}: scalar (fast_path={fast}, table_decode={table}) \
-                 diverged from the default hot path"
-            );
+        let baseline = canonical(&run_cell_tuned(arch, true, true, true));
+        for memo in [true, false] {
+            for (fast, table) in [(false, true), (true, false), (false, false)] {
+                assert_eq!(
+                    baseline,
+                    canonical(&run_cell_tuned(arch, memo, fast, table)),
+                    "{arch:?}: memo={memo}, fast_path={fast}, table_decode={table} \
+                     diverged from the default hot path"
+                );
+            }
         }
-        assert_eq!(
-            baseline,
-            canonical(&run_cell_tuned(
-                arch,
-                true,
-                StepMode::Batched,
-                1,
-                false,
-                false
-            )),
-            "{arch:?}: batched with both optimisations off diverged"
-        );
-    }
-}
-
-/// Decode parallelism is pure throughput: any thread count yields the
-/// same bytes (the shard merge is deterministic, and the refill set is a
-/// function of simulation state, never host timing).
-#[test]
-fn fill_thread_count_is_invisible() {
-    let one = canonical(&run_cell_with(
-        Architecture::ChameleonOpt,
-        true,
-        StepMode::Batched,
-        1,
-    ));
-    for threads in [2, 3, 8] {
-        let n = run_cell_with(Architecture::ChameleonOpt, true, StepMode::Batched, threads);
-        assert_eq!(one, canonical(&n), "{threads} fill threads diverged");
     }
 }
 
 /// The memo must also be invisible when mappings churn mid-run: an
 /// AutoNUMA system migrates pages every epoch, exercising the
-/// generation-flush path continuously. Batch mode rides along: epoch
-/// migrations disown outstanding translation plans mid-batch, forcing
-/// the plan-miss fallback.
+/// generation-flush path continuously. The fast path rides along:
+/// migrations move frames under lines the fused walk may be serving.
 #[test]
 fn memo_invisible_under_numa_migration() {
-    let run = |memo: bool, mode: StepMode| {
+    assert_memo_and_fast_path_invisible("under NUMA migration", |memo, fast_path| {
         let params = ScaledParams::tiny();
         let mut s = System::new(Architecture::AutoNuma { threshold_pct: 90 }, &params);
         s.set_memo_enabled(memo);
-        s.set_step_mode(mode);
+        s.set_fast_path_enabled(fast_path);
         s.set_epoch_accesses(500);
         let streams = s.spawn_rate_workload("stream", 60_000, 3).unwrap();
         s.prefault_all().unwrap();
         s.reset_measurement();
         s.run(streams)
-    };
-    let baseline = canonical(&run(true, StepMode::Scalar));
-    assert_eq!(baseline, canonical(&run(false, StepMode::Scalar)));
-    assert_eq!(baseline, canonical(&run(true, StepMode::Batched)));
-    assert_eq!(baseline, canonical(&run(false, StepMode::Batched)));
+    });
 }
 
 /// Same invariance under swap pressure: an undersized flat memory pages
-/// against the SSD, so translations are retired (and the memo flushed,
-/// and batch translation plans disowned) throughout the measured run —
-/// the plan-miss fallback path runs constantly, and demand faults fire
-/// from inside batched accesses.
+/// against the SSD, so translations are retired (and the memo flushed)
+/// throughout the measured run, and demand faults fire on both the
+/// memo-hit and memo-miss paths.
 #[test]
 fn memo_invisible_under_swap_pressure() {
-    let run = |memo: bool, mode: StepMode| {
+    let baseline = assert_memo_and_fast_path_invisible("under swap pressure", |memo, fast_path| {
         let mut params = ScaledParams::tiny();
         params.hma.offchip.capacity = chameleon::simkit::mem::ByteSize::mib(16);
         params.footprint_scale = 64;
         let mut s = System::new(Architecture::FlatSmall, &params);
         s.set_memo_enabled(memo);
-        s.set_step_mode(mode);
+        s.set_fast_path_enabled(fast_path);
         let streams = s.spawn_rate_workload("stream", 60_000, 5).unwrap();
         s.prefault_all().unwrap();
         s.reset_measurement();
         s.run(streams)
-    };
-    let a = run(true, StepMode::Scalar);
-    assert!(a.major_faults > 0, "cell must actually swap to be a test");
-    let baseline = canonical(&a);
-    assert_eq!(baseline, canonical(&run(false, StepMode::Scalar)));
-    assert_eq!(baseline, canonical(&run(true, StepMode::Batched)));
-    assert_eq!(baseline, canonical(&run(false, StepMode::Batched)));
+    });
+    assert!(
+        baseline.major_faults > 0,
+        "cell must actually swap to be a test"
+    );
 }
 
-/// Batch invariance for a multi-programmed mix: cores retire at very
-/// different rates, so batch refills interleave unevenly and the
-/// min-clock schedule is exercised across asymmetric streams.
+/// Invariance for a multi-programmed mix: cores run different
+/// applications and retire at very different rates, so the min-clock
+/// schedule interleaves asymmetric streams and each core's memo slots
+/// see a different footprint.
 #[test]
-fn batch_mode_bit_identical_for_mixed_workloads() {
-    let run = |mode: StepMode| {
+fn memo_and_fast_path_invisible_for_mixed_workloads() {
+    assert_memo_and_fast_path_invisible("on the mcf+miniFE mix", |memo, fast_path| {
         let params = ScaledParams::tiny();
         let mut s = System::new(Architecture::ChameleonOpt, &params);
-        s.set_step_mode(mode);
+        s.set_memo_enabled(memo);
+        s.set_fast_path_enabled(fast_path);
         let mix = chameleon::workloads::WorkloadMix::pair("mcf", "miniFE", params.cores);
         let streams = s.spawn_mix(&mix, 30_000, 7).unwrap();
         s.prefault_all().unwrap();
         s.reset_measurement();
         s.run(streams)
-    };
-    assert_eq!(
-        canonical(&run(StepMode::Scalar)),
-        canonical(&run(StepMode::Batched))
-    );
+    });
 }
