@@ -10,7 +10,7 @@
 //!   run per-reference).
 //! * **determinism taint** — nondeterministic sources the local rule
 //!   cannot flag (leaves in non-strict crates, or uses sanctioned by a
-//!   v1 `determinism` allowlist entry) are tainted and propagated
+//!   local `determinism` allowlist entry) are tainted and propagated
 //!   backwards; a strict-crate fn whose call edge crosses into the
 //!   tainted region gets a `determinism-taint` finding. The allowlist
 //!   sanctions individual *edges* (`file.rs#Fn token`), and a sanctioned
@@ -60,7 +60,7 @@ pub struct GraphOutcome {
 /// Runs every graph pass over the parsed workspace.
 pub fn analyze_graph(files: &[ParsedFile], allowlist: &[AllowEntry]) -> GraphOutcome {
     let g = Graph::build(files);
-    let invariants: Vec<BTreeSet<usize>> = files.iter().map(invariant_lines).collect();
+    let invariants: Vec<BTreeSet<usize>> = files.iter().map(|f| invariant_lines(&f.toks)).collect();
     let facts: Vec<Facts> = g
         .nodes
         .iter()
@@ -87,11 +87,11 @@ pub fn analyze_graph(files: &[ParsedFile], allowlist: &[AllowEntry]) -> GraphOut
 }
 
 /// Lines carrying (or spanned by) an `INVARIANT:` comment; a fact on
-/// such a line or up to three lines below one is justified, mirroring
-/// the local panic-policy rule.
-fn invariant_lines(pf: &ParsedFile) -> BTreeSet<usize> {
+/// such a line or up to three lines below one is [`justified`]. The
+/// local panic-policy rule and the graph rules share this set.
+pub(crate) fn invariant_lines(toks: &[Tok]) -> BTreeSet<usize> {
     let mut lines = BTreeSet::new();
-    for t in &pf.toks {
+    for t in toks {
         if t.kind == TokKind::Comment && t.text.contains("INVARIANT:") {
             let span = t.text.matches('\n').count();
             for l in t.line..=t.line + span {
@@ -102,13 +102,14 @@ fn invariant_lines(pf: &ParsedFile) -> BTreeSet<usize> {
     lines
 }
 
-fn justified(inv: &BTreeSet<usize>, line: usize) -> bool {
+pub(crate) fn justified(inv: &BTreeSet<usize>, line: usize) -> bool {
     (line.saturating_sub(3)..=line).any(|l| inv.contains(&l))
 }
 
-/// Extracts leaf facts from one fn body. Token patterns mirror the v1
-/// line lists ([`crate::scan::HOT_PATH_BANNED`], [`crate::scan::DET_BANNED`])
-/// so the transitive rules never contradict the local ones.
+/// Extracts leaf facts from one token range (a fn body, or a file's
+/// non-test code). These are the workspace's only allocation and
+/// nondeterminism token lists: the local rules in [`crate::local`] read
+/// the same facts, so local and transitive findings never disagree.
 pub fn extract_facts(toks: &[Tok], body: Range<usize>, inv: &BTreeSet<usize>) -> Facts {
     let mut f = Facts::default();
     let tok_at = |i: usize| -> Option<&Tok> {
@@ -398,20 +399,20 @@ fn taint_pass(
     let n = g.nodes.len();
     // A nondet fact is a *taint source* iff the local determinism rule
     // does not already hard-fail it: the fn lives outside the strict
-    // crates, or the use carries a v1 `determinism` allowlist entry.
+    // crates, or the use carries a local `determinism` allowlist entry.
     let source_tok: Vec<Option<&str>> = (0..n)
         .map(|id| {
             let node = &g.nodes[id];
             let pf = &files[node.file_idx];
             facts[id].nondet.iter().find_map(|(tok, _)| {
-                let visible_to_v1 = pf.det == DetScope::Strict
+                let caught_locally = pf.det == DetScope::Strict
                     && matches!(pf.target, TargetKind::Lib | TargetKind::Bin)
                     && !allowlist.iter().any(|a| {
                         a.rule == "determinism"
                             && a.path == node.file
                             && (a.token == "*" || a.token == *tok)
                     });
-                (!visible_to_v1 && pf.det != DetScope::Off).then_some(tok.as_str())
+                (!caught_locally && pf.det != DetScope::Off).then_some(tok.as_str())
             })
         })
         .collect();

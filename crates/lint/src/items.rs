@@ -75,6 +75,10 @@ pub struct FileItems {
     pub uses: Vec<(String, Vec<String>)>,
     /// Trait names declared in this file.
     pub traits: Vec<String>,
+    /// Token spans of the outermost `#[cfg(test)]` / `#[test]` items,
+    /// from the attribute's `#` through the item's last token, in
+    /// source order. The local rules skip these spans.
+    pub test_spans: Vec<std::ops::Range<usize>>,
 }
 
 /// Parses one file's tokens into items.
@@ -107,6 +111,8 @@ impl Parser<'_> {
     ) {
         let mut pending_hot = false;
         let mut pending_test = false;
+        // Start of the first test attribute on the pending item.
+        let mut test_attr: Option<usize> = None;
 
         while i < end {
             let t = &self.toks[i];
@@ -119,7 +125,8 @@ impl Parser<'_> {
                 }
                 TokKind::Punct if t.is_punct('#') => {
                     // Attribute: #[...] or #![...]. Inspect for cfg(test)
-                    // / test, then skip the bracket tree.
+                    // / test, then skip the bracket tree. `cfg(not(test))`
+                    // and `cfg_attr(test, …)` are production attributes.
                     let mut j = i + 1;
                     if self.toks.get(j).is_some_and(|t| t.is_punct('!')) {
                         j += 1;
@@ -130,8 +137,9 @@ impl Parser<'_> {
                             .iter()
                             .map(|t| t.text.as_str())
                             .collect();
-                        if (body.contains(&"cfg") && body.contains(&"test")) || body == ["test"] {
+                        if body == ["cfg", "(", "test", ")"] || body == ["test"] {
                             pending_test = true;
+                            test_attr.get_or_insert(i);
                         }
                         i = close + 1;
                     } else {
@@ -228,6 +236,13 @@ impl Parser<'_> {
                 }
                 _ => {
                     i += 1;
+                }
+            }
+            if !pending_test {
+                if let Some(start) = test_attr.take() {
+                    if !in_test {
+                        self.out.test_spans.push(start..i);
+                    }
                 }
             }
         }
@@ -634,8 +649,11 @@ impl Parser<'_> {
     }
 
     /// Skips a non-fn item: to the next `;` at depth 0 or past a matched
-    /// `{}` tree, whichever comes first.
+    /// `{}` tree, whichever comes first. After an `=` (a `const` or
+    /// `static` initializer) `<` is an operator, not generics: `1 << 53`
+    /// must not swallow the rest of the file.
     fn skip_item(&self, mut i: usize, end: usize) -> usize {
+        let mut in_expr = false;
         while i < end {
             let t = &self.toks[i];
             if t.is_punct(';') {
@@ -648,10 +666,16 @@ impl Parser<'_> {
                 i = self.match_tree(i, '(', ')', end) + 1;
                 continue;
             }
-            if t.is_punct('<') {
+            if t.is_punct('[') {
+                // `[u8; 4]` array types: the `;` is not the item's end.
+                i = self.match_tree(i, '[', ']', end) + 1;
+                continue;
+            }
+            if t.is_punct('<') && !in_expr {
                 i = self.skip_generics(i, end);
                 continue;
             }
+            in_expr |= t.is_punct('=');
             i += 1;
         }
         end
@@ -722,6 +746,25 @@ mod tests {
         assert!(!items.fns[0].in_test);
         assert!(items.fns[1].in_test);
         assert_eq!(items.fns[1].modules, vec!["tests"]);
+        // One span for the whole module, from `#` to its closing brace.
+        let toks = tokenize("fn lib() {}\n#[cfg(test)]\nmod tests { fn t() {} }\nfn after() {}\n");
+        let spans = parse_items(&toks).test_spans;
+        assert_eq!(spans.len(), 1);
+        assert!(toks[spans[0].start].is_punct('#'));
+        assert!(toks[spans[0].end - 1].is_punct('}'));
+        assert!(toks[spans[0].end + 1].is_ident("after"));
+    }
+
+    #[test]
+    fn cfg_not_test_is_production_code() {
+        let items = parse(
+            "#[cfg(not(test))]\nfn prod() { x.unwrap(); }\n\
+             #[cfg_attr(test, derive(Debug))]\nstruct S;\n\
+             #[test]\nfn t() {}\n",
+        );
+        assert!(!items.fns[0].in_test);
+        assert!(items.fns[1].in_test);
+        assert_eq!(items.test_spans.len(), 1);
     }
 
     #[test]
@@ -774,6 +817,14 @@ mod tests {
     fn bodyless_trait_sigs_have_empty_bodies() {
         let items = parse("trait T { fn sig(&self) -> u64; }\n");
         assert!(items.fns[0].body.is_empty());
+    }
+
+    #[test]
+    fn shifts_in_const_initializers_are_not_generics() {
+        let items =
+            parse("const FULL: u64 = 1 << 53;\nconst T: [u8; 2] = [1, 2];\nfn after() {}\n");
+        assert_eq!(items.fns.len(), 1);
+        assert_eq!(items.fns[0].name, "after");
     }
 
     #[test]

@@ -22,31 +22,32 @@
 //! | `unsafe-forbid` | every crate root carries `#![forbid(unsafe_code)]`|
 //!
 //! The pass is deliberately dependency-free (the build has no crates.io
-//! access): a line-oriented scanner with comment/string stripping and
-//! brace-depth tracking rather than a `syn` AST walk. That trades a
-//! little precision for zero dependencies and sub-second runtime; the
-//! fixture tests in `tests/` pin the edge cases the approximation must
-//! still get right (raw strings, nested block comments, `#[cfg(test)]`
-//! modules, multi-line signatures).
+//! access): one small tokenizer ([`tok`]) and an item recognizer
+//! ([`items`]) rather than a `syn` AST walk. Every rule, local and
+//! call-graph, reads the same token stream. That trades a little
+//! precision for zero dependencies and sub-second runtime; the fixture
+//! tests in `tests/` pin the edge cases the approximation must still get
+//! right (raw strings, nested block comments, `#[cfg(test)]` modules,
+//! multi-line signatures).
 
 mod baseline;
 mod flow;
 pub mod graph;
 pub mod items;
+mod local;
 mod metrics;
 mod sarif;
-mod scan;
-mod source;
 pub mod tok;
 mod workspace;
 
 pub use baseline::{apply_baseline, load_allowlist, load_baseline, write_baseline, AllowEntry};
+pub use local::{has_unsafe_forbid, scan_file};
 pub use sarif::to_sarif;
-pub use scan::{has_unsafe_forbid, scan_file, DET_BANNED, HOT_PATH_BANNED};
 pub use workspace::{classify, scan_workspace, workspace_root_from, Report};
 
-/// The enforced rule families. The first four are the v1 local (line
-/// token) rules; the rest ride on the workspace call graph.
+/// The enforced rule families. The first four are local token rules
+/// that judge one file at a time; the rest ride on the workspace call
+/// graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// Allocation/formatting tokens inside `// lint: hot-path` bodies.
@@ -93,9 +94,9 @@ impl Rule {
     /// baseline entries die loudly instead of masking new findings.
     pub fn version(self) -> u32 {
         match self {
-            // The v1 local rules are at semantics version 2: same token
-            // lists, but keys gained the version tag itself.
-            Rule::HotPathAlloc | Rule::Determinism | Rule::PanicPolicy | Rule::UnsafeForbid => 2,
+            // Version 3: the local rules match tokens, not line text, and
+            // their key context is the line's token text.
+            Rule::HotPathAlloc | Rule::Determinism | Rule::PanicPolicy | Rule::UnsafeForbid => 3,
             Rule::HotPathTransitive
             | Rule::DeterminismTaint
             | Rule::HotPathRecursion
@@ -166,8 +167,9 @@ pub struct Finding {
     pub message: String,
     /// Line-number-independent identity used by the baseline ratchet:
     /// `rule@vN|file|token|context`. For local rules the context is the
-    /// normalized code line; for graph rules it is the enclosing fn's
-    /// scope (`Type::name`), which survives any edit that keeps the fn.
+    /// line's non-comment token text; for graph rules it is the
+    /// enclosing fn's scope (`Type::name`), which survives any edit that
+    /// keeps the fn.
     pub key: String,
     /// Call chain from the root to the offending fn (graph rules only;
     /// empty for local rules). Entries are fn FQNs.
@@ -175,9 +177,9 @@ pub struct Finding {
 }
 
 impl Finding {
-    /// Builds a local (line-token) finding, deriving the baseline key
-    /// from the normalized source line so the key survives unrelated
-    /// edits above it.
+    /// Builds a local-rule finding, deriving the baseline key from the
+    /// line's token text (`code`, whitespace-normalized) so the key
+    /// survives unrelated edits above it.
     pub fn new(
         rule: Rule,
         file: &str,

@@ -1,18 +1,20 @@
-//! A small Rust tokenizer for the call-graph passes.
+//! The linter's Rust tokenizer: every rule, local and call-graph,
+//! reads its output.
 //!
-//! The line-oriented sanitizer in [`crate::source`] is enough for the
-//! local token rules, but call-graph construction needs real tokens:
-//! identifiers with positions, punctuation, and comments as first-class
-//! tokens (the `// lint: hot-path` and `// INVARIANT:` annotations live
-//! there). The tokenizer handles the full literal zoo — strings with
-//! escapes (including the `\<newline>` continuation, which the v1
-//! sanitizer mis-skipped), raw strings with any number of `#` guards,
-//! byte and C strings, char literals vs lifetimes, numbers with type
-//! suffixes — and nested block comments.
+//! Rules need real tokens: identifiers with positions, punctuation, and
+//! comments as first-class tokens (the `// lint: hot-path` and
+//! `// INVARIANT:` annotations live there). The tokenizer handles the
+//! full literal zoo — strings with escapes (including the
+//! `\<newline>` continuation), raw strings with any number of `#`
+//! guards, byte and C strings, char literals vs lifetimes, numbers with
+//! type suffixes — and nested block comments. Literal contents never
+//! leak out as identifiers, so a banned token inside a string or a
+//! comment cannot fire.
 //!
 //! It does **not** attempt to be a full lexer: compound operators come
 //! out as single-char puncts (`::` is two adjacent `:` tokens) because
-//! the item parser only ever needs adjacency, never operator identity.
+//! the rules and the item parser only ever need adjacency, never
+//! operator identity.
 
 /// Token kinds the parser distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -306,6 +308,14 @@ mod tests {
         assert_eq!(toks[0].line, 1);
         let bar = toks.iter().find(|t| t.is_ident("bar")).unwrap();
         assert_eq!(bar.line, 2);
+
+        // A multi-line block comment is one token on its first line;
+        // the lines it spans still count.
+        let toks = tokenize("a();\n/* one\n .unwrap()\n two */\nb();\n");
+        let comment = toks.iter().find(|t| t.kind == TokKind::Comment).unwrap();
+        assert_eq!(comment.line, 2);
+        assert!(!toks.iter().any(|t| t.is_ident("unwrap")));
+        assert_eq!(toks.iter().find(|t| t.is_ident("b")).unwrap().line, 5);
     }
 
     #[test]
@@ -339,6 +349,10 @@ mod tests {
 
     #[test]
     fn lifetimes_vs_char_literals() {
+        // Escaped chars (`'\''`, `'\n'`) close where they should.
+        let src = "let q = '\\''; let n = '\\n'; z.call();";
+        assert_eq!(idents(src), vec!["let", "q", "let", "n", "z", "call"]);
+
         let toks = tokenize("fn f<'a>(x: &'a str) { let c = 'x'; }");
         assert!(toks
             .iter()
@@ -351,7 +365,14 @@ mod tests {
 
     #[test]
     fn comments_are_tokens_with_bodies() {
-        let toks = tokenize("// lint: hot-path\nfn f() {}\n/* block /* nested */ done */\n");
+        let toks = tokenize(
+            "// lint: hot-path\nfn f() {}\n/* block /* nested */ done */\n\
+             /// Calls `foo.unwrap()` on bad days.\nfn g() {} // call .unwrap() here\n",
+        );
+        assert!(!toks.iter().any(|t| t.is_ident("unwrap")));
+        assert!(toks
+            .iter()
+            .any(|t| t.kind == TokKind::Comment && t.text.contains("foo.unwrap()") && t.line == 4));
         assert!(toks
             .iter()
             .any(|t| t.kind == TokKind::Comment && t.text.trim() == "lint: hot-path"));
@@ -374,12 +395,16 @@ mod tests {
     fn string_contents_never_become_idents() {
         // Banned-token scans only look at Ident tokens; string bodies
         // must stay inside single Lit tokens.
-        let toks = tokenize("f(b\"panic!\", c\"unwrap\", r##\"vec![]\"##);");
+        let toks = tokenize("f(b\"panic!\", c\"unwrap\", r##\"vec![]\"##, b\".unwrap()\");");
         for t in &toks {
             if t.kind == TokKind::Ident {
                 assert_eq!(t.text, "f");
             }
         }
+        // Escaped quotes do not end a string; the byte raw string's
+        // shorter `"##` guard does not end it either.
+        let src = r####"let s = "a \" .unwrap() \" b"; x.foo(br###"vec![ "## panic!"###);"####;
+        assert_eq!(idents(src), vec!["let", "s", "x", "foo"]);
         assert!(toks
             .iter()
             .any(|t| t.kind == TokKind::Lit && t.text.contains("panic")));

@@ -14,8 +14,8 @@ use crate::baseline::AllowEntry;
 use crate::flow::analyze_graph;
 use crate::graph::ParsedFile;
 use crate::items::parse_items;
+use crate::local::check_file;
 use crate::metrics::dead_metric_pass;
-use crate::scan::{has_unsafe_forbid, scan_file};
 use crate::tok::tokenize;
 use crate::{DetScope, FileContext, Finding, Rule, TargetKind};
 
@@ -135,10 +135,11 @@ pub fn classify(rel_path: &str) -> Option<FileContext> {
     })
 }
 
-/// Scans the whole workspace: every `.rs` file of the root package and
-/// the `crates/*` members, plus the per-crate-root `unsafe-forbid`
-/// check. Determinism findings in [`DetScope::Allowlisted`] crates that
-/// match an allowlist entry are counted but suppressed.
+/// Scans the whole workspace: the local rules over every `.rs` file of
+/// the root package and the `crates/*` members, then the graph rules
+/// over the library and binary files. Determinism findings in
+/// [`DetScope::Allowlisted`] crates that match an allowlist entry are
+/// counted but suppressed.
 pub fn scan_workspace(root: &Path, allowlist: &[AllowEntry]) -> io::Result<Report> {
     let mut report = Report::default();
 
@@ -187,14 +188,19 @@ pub fn scan_workspace(root: &Path, allowlist: &[AllowEntry]) -> io::Result<Repor
         let text = fs::read_to_string(path)?;
         report.files_scanned += 1;
 
+        // Tokenize and parse once: the local rules and the graph share
+        // the result.
+        let toks = tokenize(&text);
+        let items = parse_items(&toks);
+        let mut file_findings = Vec::new();
+        check_file(&ctx, &toks, &items, &mut file_findings);
+
         if matches!(ctx.target, TargetKind::Lib | TargetKind::Bin) {
             let crate_name = rel
                 .strip_prefix("crates/")
                 .and_then(|r| r.split('/').next())
                 .unwrap_or("")
                 .to_string();
-            let toks = tokenize(&text);
-            let items = parse_items(&toks);
             parsed.push(ParsedFile {
                 rel_path: rel.clone(),
                 crate_name,
@@ -203,24 +209,6 @@ pub fn scan_workspace(root: &Path, allowlist: &[AllowEntry]) -> io::Result<Repor
                 toks,
                 items,
             });
-        }
-
-        let mut file_findings = Vec::new();
-        scan_file(&ctx, &text, &mut file_findings);
-
-        // Crate roots must forbid unsafe code.
-        if rel.ends_with("src/lib.rs")
-            && (rel == "src/lib.rs" || rel.matches('/').count() == 3)
-            && !has_unsafe_forbid(&text)
-        {
-            file_findings.push(Finding::new(
-                Rule::UnsafeForbid,
-                &rel,
-                1,
-                "#![forbid(unsafe_code)]",
-                "crate-root",
-                "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
-            ));
         }
 
         for f in file_findings {

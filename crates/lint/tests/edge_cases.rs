@@ -1,6 +1,7 @@
-//! Scanner edge cases the line-oriented approximation must get right:
-//! raw strings, nested block comments, `#[cfg(test)]` modules inside a
-//! library file, and multi-line function signatures.
+//! Edge cases the token rules must get right: raw strings, nested
+//! block comments, `#[cfg(test)]` modules inside a library file (and
+//! `#[cfg(not(test))]` items, which are production code), and
+//! multi-line function signatures.
 
 use chameleon_lint::{classify, scan_file, Finding, Rule};
 
@@ -38,4 +39,12 @@ fn multi_line_signature_still_attaches_hot_path() {
     assert_eq!(findings[0].token, "vec![");
     // The un-annotated `cold` function's `.collect()` must not fire.
     assert!(findings.iter().all(|f| f.token != ".collect()"));
+}
+
+#[test]
+fn cfg_not_test_items_are_production_code() {
+    let findings = scan_fixture("cfg_not_test.rs");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, Rule::PanicPolicy);
+    assert_eq!(findings[0].token, ".unwrap()");
 }

@@ -2,10 +2,11 @@
 //! through [`scan_workspace`] over the `fixtures/graph_workspace` mini
 //! workspace: a facade hot root whose violations live two crates away.
 //!
-//! Also holds the cross-version guards: the differential test pinning
-//! v2 to a superset of the frozen v1 findings, the versioned-baseline
-//! key rejection, and the whole-workspace runtime budget.
+//! Also holds the cross-version guards: the oracle pinning the local
+//! rules to exactly the frozen v1 findings, the versioned-baseline key
+//! rejection, and the whole-workspace runtime budget.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -17,10 +18,10 @@ fn fixture_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/graph_workspace")
 }
 
-/// Sanctions the fixture sweep crate's wall clock for the v1 local rule
+/// Sanctions the fixture sweep crate's wall clock for the local rule
 /// (mirroring the real workspace's per-use entries) so the graph rules
 /// are the only findings left.
-fn v1_allowlist() -> Vec<AllowEntry> {
+fn local_allowlist() -> Vec<AllowEntry> {
     vec![AllowEntry {
         rule: "determinism".to_string(),
         path: "crates/sweep/src/lib.rs".to_string(),
@@ -34,7 +35,7 @@ fn by_rule(findings: &[Finding], rule: Rule) -> Vec<&Finding> {
 
 #[test]
 fn graph_covers_every_fixture_crate() {
-    let report = scan_workspace(&fixture_root(), &v1_allowlist()).expect("scan succeeds");
+    let report = scan_workspace(&fixture_root(), &local_allowlist()).expect("scan succeeds");
     assert!(report.graph_nodes >= 8, "graph lost fns: {report:?}");
     assert!(report.graph_edges >= 5, "graph lost edges: {report:?}");
     assert_eq!(report.hot_roots, 1);
@@ -49,7 +50,7 @@ fn graph_covers_every_fixture_crate() {
 
 #[test]
 fn transitive_alloc_two_crates_from_the_hot_root_is_found() {
-    let report = scan_workspace(&fixture_root(), &v1_allowlist()).expect("scan succeeds");
+    let report = scan_workspace(&fixture_root(), &local_allowlist()).expect("scan succeeds");
     let hits = by_rule(&report.findings, Rule::HotPathTransitive);
     assert_eq!(hits.len(), 1, "{:#?}", report.findings);
     let f = hits[0];
@@ -72,7 +73,7 @@ fn transitive_alloc_two_crates_from_the_hot_root_is_found() {
 
 #[test]
 fn recursion_reachable_from_the_hot_root_is_found() {
-    let report = scan_workspace(&fixture_root(), &v1_allowlist()).expect("scan succeeds");
+    let report = scan_workspace(&fixture_root(), &local_allowlist()).expect("scan succeeds");
     let hits = by_rule(&report.findings, Rule::HotPathRecursion);
     assert_eq!(hits.len(), 1, "{:#?}", report.findings);
     assert_eq!(hits[0].token, "recursion");
@@ -81,7 +82,7 @@ fn recursion_reachable_from_the_hot_root_is_found() {
 
 #[test]
 fn lossy_address_cast_is_found() {
-    let report = scan_workspace(&fixture_root(), &v1_allowlist()).expect("scan succeeds");
+    let report = scan_workspace(&fixture_root(), &local_allowlist()).expect("scan succeeds");
     let hits = by_rule(&report.findings, Rule::LossyCast);
     assert_eq!(hits.len(), 1, "{:#?}", report.findings);
     assert_eq!(hits[0].file, "crates/core/src/lib.rs");
@@ -89,12 +90,12 @@ fn lossy_address_cast_is_found() {
 
 #[test]
 fn wall_clock_taint_crosses_into_the_strict_crate() {
-    let report = scan_workspace(&fixture_root(), &v1_allowlist()).expect("scan succeeds");
+    let report = scan_workspace(&fixture_root(), &local_allowlist()).expect("scan succeeds");
     let hits = by_rule(&report.findings, Rule::DeterminismTaint);
     assert_eq!(hits.len(), 1, "{:#?}", report.findings);
     let f = hits[0];
     // The finding lands on the strict-crate caller, not the sweep leaf:
-    // exactly what v1's per-file scan could never tie together.
+    // exactly what a per-file scan could never tie together.
     assert_eq!(f.file, "crates/core/src/lib.rs");
     assert_eq!(f.token, "std::time");
     assert!(f.message.contains("timestamp"), "{f:?}");
@@ -102,13 +103,13 @@ fn wall_clock_taint_crosses_into_the_strict_crate() {
 
 #[test]
 fn fn_scoped_edge_sanction_silences_the_taint_finding() {
-    let mut allow = v1_allowlist();
+    let mut allow = local_allowlist();
     allow.push(AllowEntry {
         rule: "determinism-taint".to_string(),
         path: "crates/core/src/lib.rs#timestamp".to_string(),
         token: "std::time".to_string(),
     });
-    let base = scan_workspace(&fixture_root(), &v1_allowlist()).expect("scan succeeds");
+    let base = scan_workspace(&fixture_root(), &local_allowlist()).expect("scan succeeds");
     let report = scan_workspace(&fixture_root(), &allow).expect("scan succeeds");
     assert!(by_rule(&report.findings, Rule::DeterminismTaint).is_empty());
     assert!(report.allowlisted > base.allowlisted);
@@ -116,7 +117,7 @@ fn fn_scoped_edge_sanction_silences_the_taint_finding() {
 
 #[test]
 fn dead_metric_fires_in_both_directions() {
-    let report = scan_workspace(&fixture_root(), &v1_allowlist()).expect("scan succeeds");
+    let report = scan_workspace(&fixture_root(), &local_allowlist()).expect("scan succeeds");
     let hits = by_rule(&report.findings, Rule::DeadMetric);
     let tokens: Vec<&str> = hits.iter().map(|f| f.token.as_str()).collect();
     // Published but absent from the golden.
@@ -128,36 +129,45 @@ fn dead_metric_fires_in_both_directions() {
     assert_eq!(hits.len(), 2);
 }
 
-/// Differential guard: v2 must report a superset of the frozen v1
-/// findings over the per-rule fixture files. The frozen triples were
-/// captured from the pre-graph linter (`fixtures/v1_expected.txt`).
+/// Oracle: over the per-rule and edge-case fixture directories, the
+/// local rules report exactly the frozen v1 findings
+/// (`fixtures/v1_expected.txt`), compared as (fixture, rule, token)
+/// sets — nothing lost, nothing new.
 #[test]
-fn v2_is_a_superset_of_frozen_v1_findings() {
-    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let frozen =
-        std::fs::read_to_string(manifest.join("fixtures/v1_expected.txt")).expect("frozen list");
-    for line in frozen.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
+fn local_rules_reproduce_frozen_v1_findings_exactly() {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
+    let frozen = std::fs::read_to_string(fixtures.join("v1_expected.txt")).expect("frozen list");
+    let expected: BTreeSet<String> = frozen
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(str::to_string)
+        .collect();
+
+    let ctx = classify("crates/core/src/fixture.rs").expect("lib context");
+    let mut actual = BTreeSet::new();
+    for dir in [
+        "determinism",
+        "edge_cases",
+        "hot_path_alloc",
+        "panic_policy",
+        "unsafe_forbid",
+    ] {
+        for entry in std::fs::read_dir(fixtures.join(dir)).expect("fixture dir") {
+            let path = entry.expect("dir entry").path();
+            let text = std::fs::read_to_string(&path).expect("fixture exists");
+            let mut findings = Vec::new();
+            scan_file(&ctx, &text, &mut findings);
+            let name = path.file_name().expect("file name").to_string_lossy();
+            for f in findings {
+                actual.insert(format!("{dir}/{name}|{}|{}", f.rule.name(), f.token));
+            }
         }
-        let mut parts = line.split('|');
-        let (Some(rel), Some(rule), Some(token)) = (parts.next(), parts.next(), parts.next())
-        else {
-            panic!("malformed frozen line: {line}");
-        };
-        let text =
-            std::fs::read_to_string(manifest.join("fixtures").join(rel)).expect("fixture exists");
-        let ctx = classify("crates/core/src/fixture.rs").expect("lib context");
-        let mut findings = Vec::new();
-        scan_file(&ctx, &text, &mut findings);
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.rule.name() == rule && f.token == token),
-            "v2 lost the v1 finding {rule}|{token} on {rel}:\n{findings:#?}"
-        );
     }
+    assert_eq!(
+        actual, expected,
+        "local rules diverged from the frozen v1 findings"
+    );
 }
 
 /// Baseline keys without a rule version must be rejected loudly.

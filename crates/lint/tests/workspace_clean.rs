@@ -44,3 +44,28 @@ fn workspace_has_no_new_or_stale_findings() {
     );
     assert!(stale.is_empty(), "stale baseline entries: {stale:#?}");
 }
+
+/// Lines the linter's own source (`crates/lint/src/*.rs`) may span. The
+/// linter guards the simulator's contracts; it must not outgrow them.
+const LINT_SRC_LINE_BUDGET: usize = 4_450;
+
+#[test]
+fn lint_source_stays_inside_its_line_budget() {
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let total: usize = std::fs::read_dir(&src)
+        .expect("lint src dir")
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+        .map(|p| {
+            std::fs::read_to_string(&p)
+                .expect("lint source reads")
+                .lines()
+                .count()
+        })
+        .sum();
+    assert!(
+        total <= LINT_SRC_LINE_BUDGET,
+        "crates/lint/src is {total} lines, over its {LINT_SRC_LINE_BUDGET}-line budget: \
+         delete code, or justify raising LINT_SRC_LINE_BUDGET in CHANGES.md"
+    );
+}
