@@ -125,7 +125,9 @@ fn main() {
 
     banner("Ablation: capacity ratio at fixed stacked bandwidth");
     for ratio in [3u64, 5, 7] {
-        let mut params = ScaledParams::laptop().with_ratio(ratio);
+        let mut params = ScaledParams::laptop()
+            .with_ratio(ratio)
+            .expect("the laptop total splits at this ratio");
         params.instructions_per_core = harness.params().instructions_per_core;
         params.hma.stacked.capacity = ByteSize::bytes_exact(params.hma.stacked.capacity.bytes());
         let rs = run(&params, Architecture::ChameleonOpt, &apps);

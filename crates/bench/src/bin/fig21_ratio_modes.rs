@@ -17,7 +17,9 @@ fn main() {
     let mut table: Vec<Vec<f64>> = Vec::new();
     let mut cols = Vec::new();
     for ratio in [3u64, 5, 7] {
-        let params = ScaledParams::laptop().with_ratio(ratio);
+        let params = ScaledParams::laptop()
+            .with_ratio(ratio)
+            .expect("the laptop total splits at this ratio");
         let mut p = params;
         p.instructions_per_core = harness.params().instructions_per_core;
         harness.set_params(p);

@@ -22,7 +22,9 @@ fn main() {
     banner("Figure 23: normalised IPC at 1:3 and 1:7 capacity ratios");
     let mut dump = Vec::new();
     for ratio in [3u64, 7] {
-        let mut params = ScaledParams::laptop().with_ratio(ratio);
+        let mut params = ScaledParams::laptop()
+            .with_ratio(ratio)
+            .expect("the laptop total splits at this ratio");
         params.instructions_per_core = harness.params().instructions_per_core;
         harness.set_params(params);
         let reports = harness.run_matrix(&archs, &apps);

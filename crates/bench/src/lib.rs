@@ -28,7 +28,6 @@ pub use chameleon_sweep::RunScale;
 pub struct Harness {
     params: ScaledParams,
     out_dir: PathBuf,
-    scale: RunScale,
 }
 
 impl Default for Harness {
@@ -49,11 +48,7 @@ impl Harness {
         );
         // INVARIANT: harness setup; an uncreatable results dir is fatal by design.
         std::fs::create_dir_all(&out_dir).expect("create results directory");
-        Self {
-            params,
-            out_dir,
-            scale,
-        }
+        Self { params, out_dir }
     }
 
     /// The system parameters used for runs.
@@ -64,11 +59,6 @@ impl Harness {
     /// Replaces the system parameters (ratio sweeps).
     pub fn set_params(&mut self, params: ScaledParams) {
         self.params = params;
-    }
-
-    /// The selected run scale.
-    pub fn scale(&self) -> RunScale {
-        self.scale
     }
 
     /// The Table II application names in the paper's (alphabetical)

@@ -60,7 +60,6 @@ pub struct Hierarchy {
     l1_latency: u32,
     l2_latency: u32,
     l3_latency: u32,
-    instructions: Vec<u64>,
     prefetchers: Option<Vec<StridePrefetcher>>,
 }
 
@@ -82,7 +81,6 @@ impl Hierarchy {
             l1_latency,
             l2_latency,
             l3_latency,
-            instructions: vec![0; cores],
             prefetchers: None,
         }
     }
@@ -114,11 +112,6 @@ impl Hierarchy {
     /// Number of cores the hierarchy serves.
     pub fn cores(&self) -> usize {
         self.l1.len()
-    }
-
-    /// Records `n` retired instructions for MPKI accounting.
-    pub fn retire_instructions(&mut self, core: usize, n: u64) {
-        self.instructions[core] += n;
     }
 
     /// Performs one reference from `core` for the line containing `addr`.
@@ -273,18 +266,6 @@ impl Hierarchy {
         }
     }
 
-    /// LLC misses per kilo-instruction for one core, using the
-    /// instructions recorded via [`Self::retire_instructions`].
-    ///
-    /// Note: the L3 is shared, so per-core MPKI uses the global L3 miss
-    /// count scaled by the core's share of L3 accesses — callers that need
-    /// exact per-core MPKI should run cores in isolation (as the Table II
-    /// characterisation harness does).
-    pub fn llc_mpki_global(&self) -> f64 {
-        let instr: u64 = self.instructions.iter().sum();
-        self.l3.stats().mpki(instr)
-    }
-
     /// The shared L3 cache (stats access).
     pub fn l3(&self) -> &SetAssocCache {
         &self.l3
@@ -309,7 +290,6 @@ impl Hierarchy {
             c.reset_stats();
         }
         self.l3.reset_stats();
-        self.instructions.iter_mut().for_each(|i| *i = 0);
     }
 }
 
@@ -352,16 +332,6 @@ mod tests {
             wrote_back += out.memory_writebacks.len();
         }
         assert!(wrote_back > 0, "expected dirty L3 victims");
-    }
-
-    #[test]
-    fn mpki_accounting() {
-        let mut h = Hierarchy::table1(1);
-        h.retire_instructions(0, 1000);
-        for i in 0..10u64 {
-            h.access(0, i * 4096, false);
-        }
-        assert!((h.llc_mpki_global() - 10.0).abs() < 1e-12);
     }
 
     #[test]

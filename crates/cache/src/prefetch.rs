@@ -71,7 +71,6 @@ struct RptEntry {
 pub struct StridePrefetcher {
     cfg: PrefetchConfig,
     table: Vec<RptEntry>,
-    issued: u64,
 }
 
 impl StridePrefetcher {
@@ -95,13 +94,7 @@ impl StridePrefetcher {
         Self {
             table: vec![RptEntry::default(); cfg.table_entries],
             cfg,
-            issued: 0,
         }
-    }
-
-    /// Total prefetch addresses emitted.
-    pub fn issued(&self) -> u64 {
-        self.issued
     }
 
     /// Observes a demand access and returns prefetch candidate addresses
@@ -146,7 +139,6 @@ impl StridePrefetcher {
         }
         e.stride = stride;
         e.last_addr = addr;
-        self.issued += out.len() as u64;
         out
     }
 }
@@ -164,7 +156,6 @@ mod tests {
         assert_eq!(burst, vec![1192, 1256, 1320, 1384]);
         // Steady state: one line ahead per access.
         assert_eq!(p.observe(1192), vec![1448]);
-        assert_eq!(p.issued(), 5);
     }
 
     #[test]

@@ -93,10 +93,6 @@ impl Line {
     fn set_rrpv(&mut self, v: u8) {
         self.key = (self.key & !Self::RRPV_MASK) | u64::from(v.min(3)) << Self::RRPV_SHIFT;
     }
-
-    fn clear_valid(&mut self) {
-        self.key &= !Self::VALID;
-    }
 }
 
 /// One set-associative cache level.
@@ -112,7 +108,6 @@ impl Line {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    cfg: CacheConfig,
     /// All lines, flattened set-major (`set * ways + way`): one
     /// contiguous allocation instead of a `Vec` per set, so a lookup is
     /// one dependent load, not two.
@@ -168,7 +163,6 @@ impl SetAssocCache {
                 ((1u128 << 64) / sets as u128) as u64
             },
             line_shift,
-            cfg,
             clock: 0,
             policy,
             rng_state: 0x9E37_79B9_7F4A_7C15,
@@ -179,11 +173,6 @@ impl SetAssocCache {
     /// The replacement policy in use.
     pub fn policy(&self) -> ReplacementPolicy {
         self.policy
-    }
-
-    /// The cache's configuration.
-    pub fn config(&self) -> &CacheConfig {
-        &self.cfg
     }
 
     /// Accumulated statistics.
@@ -460,22 +449,6 @@ impl SetAssocCache {
             .any(|l| l.matches(tag))
     }
 
-    /// Drops `addr`'s line if present, returning its line address if it was
-    /// dirty (the caller must write it back).
-    pub fn invalidate(&mut self, addr: u64) -> Option<u64> {
-        let (set_idx, tag) = self.locate(addr);
-        let shift = self.line_shift;
-        let set = &mut self.lines[set_idx * self.ways..][..self.ways];
-        for line in set.iter_mut() {
-            if line.matches(tag) {
-                let dirty = line.dirty();
-                line.clear_valid();
-                return dirty.then(|| tag << shift);
-            }
-        }
-        None
-    }
-
     /// Marks `addr` present without counting an access (used to warm up).
     pub fn touch(&mut self, addr: u64) {
         self.clock += 1;
@@ -571,17 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_returns_dirty_address() {
-        let mut c = tiny();
-        c.access(0x40, AccessKind::Write);
-        assert_eq!(c.invalidate(0x40), Some(0x40));
-        assert!(!c.probe(0x40));
-        assert_eq!(c.invalidate(0x40), None, "already gone");
-        c.access(0x40, AccessKind::Read);
-        assert_eq!(c.invalidate(0x40), None, "clean line");
-    }
-
-    #[test]
     fn touch_warms_without_stats() {
         let mut c = tiny();
         c.touch(0);
@@ -614,7 +576,7 @@ mod tests {
     #[test]
     fn reciprocal_set_index_matches_modulo() {
         let c = SetAssocCache::new(CacheConfig::table1_l3());
-        let sets = c.config().sets() as u64;
+        let sets = c.num_sets as u64;
         assert!(!sets.is_power_of_two(), "test needs the reciprocal path");
         // Dense low lines, a stride that never revisits a set in-order,
         // and the extremes of the address space.

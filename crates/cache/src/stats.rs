@@ -61,15 +61,6 @@ impl CacheStats {
         self.evictions.merge(&other.evictions);
         self.writebacks.merge(&other.writebacks);
     }
-
-    /// Misses per kilo-instruction given a retired-instruction count.
-    pub fn mpki(&self, instructions: u64) -> f64 {
-        if instructions == 0 {
-            0.0
-        } else {
-            self.misses.value() as f64 * 1000.0 / instructions as f64
-        }
-    }
 }
 
 impl MetricSource for CacheStats {
@@ -97,16 +88,6 @@ mod tests {
         assert_eq!(s.hits.value(), 1);
         assert_eq!(s.misses.value(), 1);
         assert_eq!(s.hit_rate(), 0.5);
-    }
-
-    #[test]
-    fn mpki_math() {
-        let mut s = CacheStats::default();
-        for _ in 0..30 {
-            s.record(AccessKind::Read, false);
-        }
-        assert!((s.mpki(1000) - 30.0).abs() < 1e-12);
-        assert_eq!(s.mpki(0), 0.0);
     }
 
     #[test]

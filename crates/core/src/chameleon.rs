@@ -123,11 +123,6 @@ impl ChameleonPolicy {
     pub fn srrt(&self) -> &crate::SegmentGroupTable {
         &self.machine.table
     }
-
-    /// The segment geometry in use.
-    pub fn geometry(&self) -> &crate::SegmentGeometry {
-        &self.machine.geom
-    }
 }
 
 delegate_policy!(ChameleonPolicy);
@@ -147,11 +142,6 @@ impl PolymorphicPolicy {
         Self {
             machine: RemapMachine::new(cfg, Flavor::Polymorphic, "Polymorphic"),
         }
-    }
-
-    /// Read access to the SRRT (diagnostics, tests, mode census).
-    pub fn srrt(&self) -> &crate::SegmentGroupTable {
-        &self.machine.table
     }
 }
 

@@ -162,11 +162,6 @@ impl ChFlexPolicy {
         }
     }
 
-    /// Read access to the consistent-hash ring.
-    pub fn ring(&self) -> &HashRing {
-        &self.ring
-    }
-
     /// Frames currently serving as cache.
     pub fn active_frames(&self) -> u64 {
         self.active.iter().filter(|&&a| a).count() as u64

@@ -68,22 +68,25 @@ impl HmaConfig {
     /// A scaled configuration with an explicit stacked:off-chip ratio
     /// (Figures 21/23 use 1:3 and 1:7 at constant total capacity).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `total` does not divide evenly by `ratio + 1`.
-    pub fn scaled_with_ratio(total: ByteSize, ratio: u64) -> Self {
-        let parts = ratio + 1;
-        assert!(
-            total.bytes().is_multiple_of(parts),
-            "total {total} does not divide into {parts} parts"
-        );
+    /// Returns an error if `ratio` is zero (no off-chip memory) or
+    /// `total` does not divide evenly into `ratio + 1` parts.
+    pub fn scaled_with_ratio(total: ByteSize, ratio: u64) -> Result<Self, String> {
+        if ratio == 0 {
+            return Err("ratio must be at least 1 (1:0 leaves no off-chip memory)".to_owned());
+        }
+        let parts = ratio.saturating_add(1);
+        if !total.bytes().is_multiple_of(parts) {
+            return Err(format!("total {total} does not divide into {parts} parts"));
+        }
         let stacked = ByteSize::bytes_exact(total.bytes() / parts);
         let offchip = ByteSize::bytes_exact(total.bytes() - stacked.bytes());
-        Self {
+        Ok(Self {
             stacked: DramConfig::stacked_scaled(stacked),
             offchip: DramConfig::offchip_scaled(offchip),
             ..Self::table1()
-        }
+        })
     }
 
     /// CAMEO-style variant: 64-byte segments.
@@ -119,11 +122,15 @@ mod tests {
 
     #[test]
     fn ratio_configs() {
-        let c3 = HmaConfig::scaled_with_ratio(ByteSize::mib(384), 3);
+        let c3 = HmaConfig::scaled_with_ratio(ByteSize::mib(384), 3).unwrap();
         assert_eq!(c3.stacked.capacity, ByteSize::mib(96));
         assert_eq!(c3.offchip.capacity, ByteSize::mib(288));
-        let c7 = HmaConfig::scaled_with_ratio(ByteSize::mib(384), 7);
+        let c7 = HmaConfig::scaled_with_ratio(ByteSize::mib(384), 7).unwrap();
         assert_eq!(c7.stacked.capacity, ByteSize::mib(48));
+        // 384 MiB does not split into five parts, and 1:0 has no off-chip
+        // memory at all.
+        assert!(HmaConfig::scaled_with_ratio(ByteSize::mib(384), 4).is_err());
+        assert!(HmaConfig::scaled_with_ratio(ByteSize::mib(384), 0).is_err());
     }
 
     #[test]

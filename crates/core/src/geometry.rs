@@ -93,11 +93,6 @@ impl SegmentGeometry {
         self.stacked_segments
     }
 
-    /// Off-chip : stacked capacity ratio (segments per group minus one).
-    pub fn ratio(&self) -> u64 {
-        self.ratio
-    }
-
     /// Slots per group, including the stacked slot.
     pub fn slots_per_group(&self) -> u8 {
         (self.ratio + 1) as u8
@@ -197,7 +192,7 @@ mod tests {
     fn basic_shape() {
         let g = geo();
         assert_eq!(g.groups(), 4);
-        assert_eq!(g.ratio(), 5);
+        assert_eq!(g.ratio, 5);
         assert_eq!(g.slots_per_group(), 6);
         assert_eq!(g.total_bytes(), 48 << 10);
     }
@@ -240,7 +235,7 @@ mod tests {
         // running configuration).
         let g = SegmentGeometry::new(ByteSize::gib(4), ByteSize::gib(20), ByteSize::kib(2));
         assert_eq!(g.groups(), 2 << 20);
-        assert_eq!(g.ratio(), 5);
+        assert_eq!(g.ratio, 5);
     }
 
     #[test]

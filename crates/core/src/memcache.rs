@@ -88,11 +88,6 @@ impl MemCachePolicy {
         self.sets
     }
 
-    /// The hot-filter threshold in use.
-    pub fn threshold(&self) -> u16 {
-        self.threshold
-    }
-
     /// Device-relative stacked base address of a frame.
     fn frame_addr(&self, frame_idx: usize) -> u64 {
         frame_idx as u64 * self.page_bytes
@@ -275,7 +270,7 @@ mod tests {
     #[test]
     fn cold_pages_stay_flat() {
         let mut mc = MemCachePolicy::new(cfg());
-        for i in 0..u64::from(mc.threshold() - 1) {
+        for i in 0..u64::from(mc.threshold - 1) {
             mc.access(off(0), false, i * 10_000_000);
         }
         assert_eq!(mc.stats().fills.value(), 0);
@@ -285,7 +280,7 @@ mod tests {
     #[test]
     fn hot_page_gets_cached_then_hits() {
         let mut mc = MemCachePolicy::new(cfg());
-        let n = u64::from(mc.threshold());
+        let n = u64::from(mc.threshold);
         for i in 0..n {
             mc.access(off(0), false, i * 10_000_000);
         }
@@ -297,7 +292,7 @@ mod tests {
     #[test]
     fn dirty_eviction_writes_back() {
         let mut mc = MemCachePolicy::new(cfg());
-        let n = u64::from(mc.threshold());
+        let n = u64::from(mc.threshold);
         let stride = 2048 * mc.sets(); // same set, different page
         let mut now = 0;
         // Heat page 0 to residency, dirty it.
@@ -316,7 +311,7 @@ mod tests {
         // The evicted page restarts with hysteresis: it needs only
         // threshold/2 more touches to come back.
         let before = mc.stats().fills.value();
-        for _ in 0..u64::from(mc.threshold() / 2).max(1) {
+        for _ in 0..u64::from(mc.threshold / 2).max(1) {
             now += 10_000_000;
             mc.access(off(0), false, now);
         }
@@ -326,7 +321,7 @@ mod tests {
     #[test]
     fn residency_counts_whole_pages() {
         let mut mc = MemCachePolicy::new(cfg());
-        let n = u64::from(mc.threshold());
+        let n = u64::from(mc.threshold);
         for i in 0..n {
             mc.access(off(0), false, i * 10_000_000);
         }

@@ -46,12 +46,6 @@ impl PomPolicy {
         }
     }
 
-    /// SRRT metadata footprint in bytes (Section VII discusses the 2KB
-    /// vs 64B trade-off).
-    pub fn metadata_bytes(&self) -> u64 {
-        self.machine.table.metadata_bytes()
-    }
-
     /// Read access to the SRRT (diagnostics, tests, mode census).
     pub fn srrt(&self) -> &crate::SegmentGroupTable {
         &self.machine.table
@@ -143,7 +137,7 @@ mod tests {
         let cameo = PomPolicy::new_cameo(cfg());
         assert_eq!(cameo.name(), "CAMEO");
         assert!(
-            cameo.metadata_bytes() > 16 * pom.metadata_bytes(),
+            cameo.srrt().metadata_bytes() > 16 * pom.srrt().metadata_bytes(),
             "64B segments need ~32x the SRRT entries of 2KB segments"
         );
     }

@@ -139,11 +139,6 @@ impl SrrtEntry {
         (0..self.slots).find(|&l| l != except && !self.is_allocated(l))
     }
 
-    /// Number of allocated segments.
-    pub fn allocated_count(&self) -> u8 {
-        self.abv.count_ones() as u8
-    }
-
     /// Current mode.
     pub fn mode(&self) -> Mode {
         self.mode
@@ -214,11 +209,6 @@ impl SrrtEntry {
     /// hardware-encoded entry).
     pub fn set_counter(&mut self, value: u16) {
         self.count = value;
-    }
-
-    /// Cycle until which the group's segments are in transit.
-    pub fn busy_until(&self) -> Cycle {
-        self.busy_until
     }
 
     /// Whether a bulk transfer is still in flight at `now` (no new swap
@@ -390,7 +380,7 @@ mod tests {
         e.set_allocated(2, true);
         assert!(e.is_allocated(0));
         assert!(!e.is_allocated(1));
-        assert_eq!(e.allocated_count(), 2);
+        assert!(e.is_allocated(2));
         assert_eq!(e.free_logical_except(1), None);
         assert_eq!(e.free_logical_except(0), Some(1));
         e.set_allocated(1, true);
@@ -451,7 +441,6 @@ mod tests {
         let mut e = SrrtEntry::new(6);
         e.set_transit(1, None, 100);
         e.set_transit(2, Some(3), 50);
-        assert_eq!(e.busy_until(), 100);
         assert!(e.is_busy(99));
         assert!(!e.is_busy(100));
     }

@@ -168,16 +168,6 @@ impl UnisonPolicy {
         self.sets
     }
 
-    /// Cache associativity.
-    pub fn ways(&self) -> usize {
-        self.ways
-    }
-
-    /// Read access to the footprint predictor.
-    pub fn predictor(&self) -> &FootprintPredictor {
-        &self.predictor
-    }
-
     /// Structural invariant of every resident page: `dirty ⊆ touched ⊆
     /// fetched ⊆ full page`, and invalid frames carry no state bits.
     /// The conformance/property suites call this after arbitrary drives.

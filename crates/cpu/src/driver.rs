@@ -20,14 +20,6 @@ impl RunReport {
         chameleon_simkit::stats::geometric_mean(&ipcs)
     }
 
-    /// Mean pipeline utilisation across cores.
-    pub fn mean_utilization(&self) -> f64 {
-        if self.cores.is_empty() {
-            return 0.0;
-        }
-        self.cores.iter().map(|c| c.utilization()).sum::<f64>() / self.cores.len() as f64
-    }
-
     /// Mean Running-state fraction across cores (Figure 5's secondary
     /// axis: time not spent waiting for the SSD).
     pub fn mean_running_utilization(&self) -> f64 {
@@ -149,7 +141,10 @@ mod tests {
     struct FixedLatency(u64);
     impl MemorySystem for FixedLatency {
         fn access(&mut self, _core: usize, _addr: u64, _write: bool, _now: u64) -> Reply {
-            Reply::hit(self.0)
+            Reply {
+                latency: self.0,
+                fault_stall: 0,
+            }
         }
     }
 

@@ -24,7 +24,7 @@
 //! struct Flat;
 //! impl MemorySystem for Flat {
 //!     fn access(&mut self, _core: usize, _addr: u64, _write: bool, _now: u64) -> Reply {
-//!         Reply::hit(200)
+//!         Reply { latency: 200, fault_stall: 0 }
 //!     }
 //! }
 //!
@@ -85,16 +85,6 @@ pub struct Reply {
     /// (the task sits in the uninterruptible "D" state) and is attributed
     /// to fault time in the core report.
     pub fault_stall: u64,
-}
-
-impl Reply {
-    /// A fault-free reply with the given latency.
-    pub fn hit(latency: u64) -> Self {
-        Self {
-            latency,
-            fault_stall: 0,
-        }
-    }
 }
 
 /// Everything behind the core: address translation, caches, memory.

@@ -6,7 +6,10 @@ use proptest::prelude::*;
 struct FixedLatency(u64);
 impl MemorySystem for FixedLatency {
     fn access(&mut self, _core: usize, _addr: u64, _write: bool, _now: u64) -> Reply {
-        Reply::hit(self.0)
+        Reply {
+            latency: self.0,
+            fault_stall: 0,
+        }
     }
 }
 

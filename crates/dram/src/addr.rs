@@ -128,13 +128,14 @@ mod tests {
     fn fields_within_bounds() {
         let cfg = DramConfig::offchip_20gb();
         let d = AddrDecoder::new(&cfg);
+        let rows_per_bank = cfg.capacity.bytes() / cfg.total_banks() as u64 / cfg.row_bytes.bytes();
         for i in 0..10_000u64 {
             let a = d.decode(i * 7919 * 4096);
             assert!(a.channel < cfg.channels);
             assert!(a.rank < cfg.ranks_per_channel);
             assert!(a.bank < cfg.banks_per_rank);
             assert!(
-                a.row < cfg.rows_per_bank() * cfg.channels as u64 * 2,
+                a.row < rows_per_bank * cfg.channels as u64 * 2,
                 "row {}",
                 a.row
             );

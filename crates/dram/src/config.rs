@@ -117,22 +117,6 @@ impl DramConfig {
         self.channels * self.ranks_per_channel * self.banks_per_rank
     }
 
-    /// Rows per bank implied by the geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacity is not divisible by the bank geometry.
-    pub fn rows_per_bank(&self) -> u64 {
-        let per_bank = self.capacity.bytes() / self.total_banks() as u64;
-        assert!(
-            per_bank.is_multiple_of(self.row_bytes.bytes()),
-            "capacity {} not divisible into rows of {}",
-            self.capacity,
-            self.row_bytes
-        );
-        per_bank / self.row_bytes.bytes()
-    }
-
     /// Bytes transferred per bus clock cycle on one channel (DDR doubles
     /// the bus width's natural rate).
     pub fn bytes_per_bus_cycle(&self) -> u64 {
@@ -207,7 +191,6 @@ mod tests {
     fn geometry_math() {
         let c = DramConfig::stacked_4gb();
         assert_eq!(c.total_banks(), 32);
-        assert_eq!(c.rows_per_bank(), (4u64 << 30) / 32 / 2048);
         assert_eq!(c.bytes_per_bus_cycle(), 32);
     }
 
@@ -247,6 +230,5 @@ mod tests {
         let c = DramConfig::offchip_20gb();
         assert_eq!(c.capacity.bytes(), 20u64 << 30);
         c.validate().unwrap();
-        assert_eq!(c.rows_per_bank(), (20u64 << 30) / 32 / 2048);
     }
 }

@@ -82,11 +82,6 @@ impl EnergyCounter {
         let seconds = elapsed_cycles as f64 / (cpu_mhz * 1.0e6);
         p.background_mw * seconds
     }
-
-    /// Total energy (dynamic + background) in millijoules.
-    pub fn total_energy_mj(&self, p: &EnergyParams, elapsed_cycles: u64, cpu_mhz: f64) -> f64 {
-        self.dynamic_energy_mj(p) + Self::background_energy_mj(p, elapsed_cycles, cpu_mhz)
-    }
 }
 
 #[cfg(test)]

@@ -35,15 +35,6 @@ impl DramStats {
             self.row_hits.value() as f64 / total as f64
         }
     }
-
-    /// Achieved bandwidth in GB/s given the elapsed CPU cycles and clock.
-    pub fn achieved_bandwidth_gbps(&self, elapsed_cycles: u64, cpu_mhz: f64) -> f64 {
-        if elapsed_cycles == 0 {
-            return 0.0;
-        }
-        let seconds = elapsed_cycles as f64 / (cpu_mhz * 1.0e6);
-        self.bytes_transferred.value() as f64 / seconds / 1.0e9
-    }
 }
 
 impl MetricSource for DramStats {
@@ -79,15 +70,5 @@ mod tests {
         s.writes.add(1);
         s.row_hits.add(2);
         assert_eq!(s.row_hit_rate(), 0.5);
-    }
-
-    #[test]
-    fn bandwidth_math() {
-        let mut s = DramStats::default();
-        s.bytes_transferred.add(3_600_000_000); // 3.6 GB
-                                                // 3.6e9 cycles at 3600 MHz = 1 second.
-        let bw = s.achieved_bandwidth_gbps(3_600_000_000, 3600.0);
-        assert!((bw - 3.6).abs() < 1e-9);
-        assert_eq!(s.achieved_bandwidth_gbps(0, 3600.0), 0.0);
     }
 }

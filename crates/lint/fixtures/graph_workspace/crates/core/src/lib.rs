@@ -41,3 +41,57 @@ pub struct Registry;
 impl Registry {
     pub fn set_counter(&mut self, _name: &str, _v: u64) {}
 }
+
+/// `dead-pub`: nothing calls it.
+pub fn unused() -> u64 {
+    0
+}
+
+/// `dead-pub`: only a `#[cfg(test)]` module calls it.
+pub fn test_only() -> u64 {
+    1
+}
+
+/// Not `dead-pub`: rustc's own dead-code lint covers `pub(crate)`.
+pub(crate) fn crate_visible() -> u64 {
+    2
+}
+
+/// Not `dead-pub`: only `examples/demo.rs` calls it.
+pub fn example_only() -> u64 {
+    3
+}
+
+/// Not `dead-pub`: a trait-impl method.
+impl std::fmt::Display for Registry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "registry")
+    }
+}
+
+pub struct Ledger(u64);
+
+impl Ledger {
+    /// Not `dead-pub`: only ever passed by path, `.map(Ledger::new)`.
+    pub fn new(v: u64) -> Ledger {
+        Ledger(v)
+    }
+
+    /// Not `dead-pub`: called by path, `Ledger::total(…)`.
+    pub fn total(ledgers: &[Ledger]) -> u64 {
+        ledgers.iter().map(|l| l.0).sum()
+    }
+}
+
+pub fn ledgers(values: &[u64]) -> u64 {
+    let ledgers: Vec<Ledger> = values.iter().copied().map(Ledger::new).collect();
+    Ledger::total(&ledgers)
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn calls_test_only() {
+        assert_eq!(super::test_only(), 1);
+    }
+}

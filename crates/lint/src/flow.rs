@@ -20,8 +20,13 @@
 //!   from a hot root (`hot-path-recursion`): the per-reference spine
 //!   must have statically bounded depth.
 //!
-//! A fourth, graph-independent pass flags narrowing `as` casts applied
-//! to address-like operands (`lossy-cast`).
+//! * **dead public surface** — a bare-`pub` library fn with no caller
+//!   but itself and tests (`dead-pub`). Identifiers in the code outside
+//!   the graph (examples, benches, the perfbench harness) keep every fn
+//!   of that name alive.
+//!
+//! A graph-independent pass flags narrowing `as` casts applied to
+//! address-like operands (`lossy-cast`).
 
 use std::collections::{BTreeSet, VecDeque};
 use std::ops::Range;
@@ -57,8 +62,13 @@ pub struct GraphOutcome {
     pub crates_covered: Vec<String>,
 }
 
-/// Runs every graph pass over the parsed workspace.
-pub fn analyze_graph(files: &[ParsedFile], allowlist: &[AllowEntry]) -> GraphOutcome {
+/// Runs every graph pass over the parsed workspace. `external` holds
+/// the identifiers named by callers outside the graph (`dead-pub`).
+pub fn analyze_graph(
+    files: &[ParsedFile],
+    external: &BTreeSet<String>,
+    allowlist: &[AllowEntry],
+) -> GraphOutcome {
     let g = Graph::build(files);
     let invariants: Vec<BTreeSet<usize>> = files.iter().map(|f| invariant_lines(&f.toks)).collect();
     let facts: Vec<Facts> = g
@@ -83,6 +93,7 @@ pub fn analyze_graph(files: &[ParsedFile], allowlist: &[AllowEntry]) -> GraphOut
     hot_path_passes(&g, &facts, allowlist, &mut out);
     taint_pass(&g, files, &facts, allowlist, &mut out);
     lossy_cast_pass(&g, files, &facts, allowlist, &mut out);
+    dead_pub_pass(&g, files, external, allowlist, &mut out);
     out
 }
 
@@ -548,6 +559,55 @@ fn lossy_cast_pass(
     }
 }
 
+/// Bare-`pub` library fns outside trait impls that no non-test fn but
+/// themselves calls. A name in `external` (an example, a bench, the
+/// perfbench harness) counts as a call to every fn of that name.
+fn dead_pub_pass(
+    g: &Graph,
+    files: &[ParsedFile],
+    external: &BTreeSet<String>,
+    allowlist: &[AllowEntry],
+    out: &mut GraphOutcome,
+) {
+    let mut called = vec![false; g.nodes.len()];
+    for (id, edges) in g.edges.iter().enumerate() {
+        if !g.nodes[id].def.in_test {
+            for e in edges.iter().filter(|e| e.to != id) {
+                called[e.to] = true;
+            }
+        }
+    }
+    for (id, node) in g.nodes.iter().enumerate() {
+        let d = &node.def;
+        if !d.is_pub
+            || d.in_test
+            || called[id]
+            || files[node.file_idx].target != TargetKind::Lib
+            || d.owner.as_ref().is_some_and(|o| o.trait_name.is_some())
+            || external.contains(&d.name)
+        {
+            continue;
+        }
+        if sanctioned(allowlist, Rule::DeadPub, &node.file, &node.scope, &d.name) {
+            out.allowlisted += 1;
+            continue;
+        }
+        out.findings.push(Finding::graph(
+            Rule::DeadPub,
+            &node.file,
+            d.line,
+            &d.name,
+            scope_local(&node.scope),
+            format!(
+                "pub fn `{}` has no caller outside tests — delete it, or \
+                 allowlist it with the reason it stays",
+                node.fqn
+            ),
+            Vec::new(),
+        ));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,7 +640,7 @@ mod tests {
              fn helper() { deeper(); }\n\
              fn deeper() { let v = vec![1]; drop(v); }\n",
         )];
-        let out = analyze_graph(&files, &[]);
+        let out = analyze_graph(&files, &BTreeSet::new(), &[]);
         let f = rules(&out, Rule::HotPathTransitive);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].token, "vec![");
@@ -602,7 +662,7 @@ mod tests {
             "// lint: hot-path\nfn hot() { cold(); }\n\
              fn cold() {\n    // INVARIANT: one-time table growth, never per-reference\n    let v = vec![1];\n    drop(v);\n}\n",
         )];
-        let out = analyze_graph(&files, &[]);
+        let out = analyze_graph(&files, &BTreeSet::new(), &[]);
         assert!(rules(&out, Rule::HotPathTransitive).is_empty());
     }
 
@@ -616,7 +676,7 @@ mod tests {
              fn pong(n: u64) { ping(n); }\n\
              fn unrelated_cycle() { unrelated_cycle(); }\n",
         )];
-        let out = analyze_graph(&files, &[]);
+        let out = analyze_graph(&files, &BTreeSet::new(), &[]);
         let f = rules(&out, Rule::HotPathRecursion);
         assert_eq!(f.len(), 1, "only the hot-reachable cycle fires");
         assert!(f[0].message.contains("ping"));
@@ -642,7 +702,7 @@ mod tests {
                 },
             ]
         };
-        let out = analyze_graph(&mk(), &[]);
+        let out = analyze_graph(&mk(), &BTreeSet::new(), &[]);
         let f = rules(&out, Rule::DeterminismTaint);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].file, "crates/core/src/machine.rs");
@@ -653,7 +713,7 @@ mod tests {
             path: "crates/core/src/machine.rs#drive".to_string(),
             token: "std::time".to_string(),
         }];
-        let out = analyze_graph(&mk(), &allow);
+        let out = analyze_graph(&mk(), &BTreeSet::new(), &allow);
         assert!(rules(&out, Rule::DeterminismTaint).is_empty());
         assert_eq!(out.allowlisted, 1);
     }
@@ -667,7 +727,7 @@ mod tests {
              pub fn ok(addr: u64) -> u32 {\n    // INVARIANT: bank index fits 8 bits by construction\n    (addr >> 6) as u32\n}\n\
              pub fn fine(count: u64) -> u32 { count as u32 }\n",
         )];
-        let out = analyze_graph(&files, &[]);
+        let out = analyze_graph(&files, &BTreeSet::new(), &[]);
         let f = rules(&out, Rule::LossyCast);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].token, "as u32");
@@ -681,7 +741,7 @@ mod tests {
             "x",
             "// lint: hot-path\nfn hot() { let v = vec![1]; drop(v); }\n",
         )];
-        let out = analyze_graph(&files, &[]);
+        let out = analyze_graph(&files, &BTreeSet::new(), &[]);
         assert!(rules(&out, Rule::HotPathTransitive).is_empty());
     }
 }

@@ -172,7 +172,8 @@ fn file_module(rel_path: &str) -> Vec<String> {
 enum CallKind {
     /// `name(…)`.
     Direct,
-    /// `a::b::name(…)` — segments exclude the final name.
+    /// `a::b::name(…)`, or the fn reference `a::b::name` — segments
+    /// exclude the final name.
     Path(Vec<String>),
     /// `.name(…)` with the classified receiver.
     Method(Receiver),
@@ -223,12 +224,21 @@ fn extract_calls(toks: &[Tok], body: std::ops::Range<usize>) -> Vec<Call> {
             after = skip_generics_from(toks, after + 2, body.end);
         }
         let is_call = toks.get(after).is_some_and(|t| t.is_punct('('));
-        if !is_call || NON_CALL_KEYWORDS.contains(&t.text.as_str()) {
+        let prev = j.checked_sub(1).and_then(|p| toks.get(p));
+        let prev2 = j.checked_sub(2).and_then(|p| toks.get(p));
+        // A fn passed by path as a value (`.map(Type::f)`) is called
+        // later: a lowercase last path segment with no `(`, `::` or `!`.
+        let is_ref = !is_call
+            && prev.is_some_and(|t| t.is_punct(':'))
+            && prev2.is_some_and(|t| t.is_punct(':'))
+            && t.text.starts_with(|c: char| c.is_ascii_lowercase())
+            && !toks
+                .get(j + 1)
+                .is_some_and(|t| t.is_punct(':') || t.is_punct('!'));
+        if !(is_call || is_ref) || NON_CALL_KEYWORDS.contains(&t.text.as_str()) {
             j += 1;
             continue;
         }
-        let prev = j.checked_sub(1).and_then(|p| toks.get(p));
-        let prev2 = j.checked_sub(2).and_then(|p| toks.get(p));
         if prev.is_some_and(|t| t.is_ident("fn")) {
             // A nested `fn` definition's own name.
             j = after + 1;
@@ -241,7 +251,7 @@ fn extract_calls(toks: &[Tok], body: std::ops::Range<usize>) -> Vec<Call> {
                 line: t.line,
             }
         } else if prev.is_some_and(|t| t.is_punct(':')) && prev2.is_some_and(|t| t.is_punct(':')) {
-            let segs = path_segments_before(toks, j - 2, body.start);
+            let segs = path_segments_before(toks, j - 1, body.start);
             Call {
                 name: t.text.clone(),
                 kind: CallKind::Path(segs),

@@ -43,6 +43,9 @@ pub struct FnDef {
     /// functions (`has_self == false`) can never be the target of a
     /// `.name(…)` method call.
     pub has_self: bool,
+    /// Declared bare `pub`. `pub(crate)`/`pub(super)` do not count:
+    /// rustc's `dead_code` already covers them.
+    pub is_pub: bool,
 }
 
 /// A struct's (or enum variant's named) fields and their type names.
@@ -268,6 +271,18 @@ impl Parser<'_> {
         };
         let name = name_tok.text.clone();
         let line = self.toks[fn_idx].line;
+        // Walk back over the qualifiers (`const`, `async`, `unsafe`,
+        // `extern "C"`) to the visibility; `pub(crate)` ends in `)`.
+        let is_pub = self.toks[..fn_idx]
+            .iter()
+            .rev()
+            .find(|t| {
+                !(t.kind == TokKind::Lit
+                    || ["const", "async", "unsafe", "extern", "default"]
+                        .iter()
+                        .any(|q| t.is_ident(q)))
+            })
+            .is_some_and(|t| t.is_ident("pub"));
 
         // Scan forward for the body brace or a terminating `;`, skipping
         // balanced (), [], <> trees (generics, params, array return
@@ -320,6 +335,7 @@ impl Parser<'_> {
             is_hot,
             in_test,
             has_self,
+            is_pub,
         });
         j
     }

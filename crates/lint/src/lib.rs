@@ -41,7 +41,7 @@ pub mod tok;
 mod workspace;
 
 pub use baseline::{apply_baseline, load_allowlist, load_baseline, write_baseline, AllowEntry};
-pub use local::{has_unsafe_forbid, scan_file};
+pub use local::scan_file;
 pub use sarif::to_sarif;
 pub use workspace::{classify, scan_workspace, workspace_root_from, Report};
 
@@ -71,6 +71,8 @@ pub enum Rule {
     /// A metric published in code but absent from the golden fixture,
     /// or present in the golden but never published.
     DeadMetric,
+    /// A bare-`pub` library fn that nothing outside tests calls.
+    DeadPub,
 }
 
 impl Rule {
@@ -86,6 +88,7 @@ impl Rule {
             Rule::HotPathRecursion => "hot-path-recursion",
             Rule::LossyCast => "lossy-cast",
             Rule::DeadMetric => "dead-metric",
+            Rule::DeadPub => "dead-pub",
         }
     }
 
@@ -101,7 +104,8 @@ impl Rule {
             | Rule::DeterminismTaint
             | Rule::HotPathRecursion
             | Rule::LossyCast
-            | Rule::DeadMetric => 1,
+            | Rule::DeadMetric
+            | Rule::DeadPub => 1,
         }
     }
 

@@ -40,12 +40,6 @@ pub fn scan_file(ctx: &FileContext, text: &str, out: &mut Vec<Finding>) {
     check_file(ctx, &toks, &parse_items(&toks), out);
 }
 
-/// Whether a crate-root source text carries `#![forbid(unsafe_code)]`
-/// outside comments and literals.
-pub fn has_unsafe_forbid(text: &str) -> bool {
-    forbids_unsafe(&tokenize(text))
-}
-
 fn forbids_unsafe(toks: &[Tok]) -> bool {
     let code: Vec<&str> = toks
         .iter()

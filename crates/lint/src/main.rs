@@ -60,7 +60,8 @@ fn parse_args() -> Result<Args, String> {
                      Local rules:  hot-path-alloc, determinism, panic-policy,\n\
                     \x20              unsafe-forbid\n\
                      Graph rules:  hot-path-transitive, determinism-taint,\n\
-                    \x20              hot-path-recursion, lossy-cast, dead-metric\n\n\
+                    \x20              hot-path-recursion, lossy-cast, dead-metric,\n\
+                    \x20              dead-pub\n\n\
                      --sarif PATH   also write a SARIF 2.1.0 report\n\
                      --check-all    run cargo fmt --check and cargo clippy first\n\
                      (see DESIGN.md sections 13 and 18)."

@@ -19,6 +19,7 @@ const ALL_RULES: &[Rule] = &[
     Rule::HotPathRecursion,
     Rule::LossyCast,
     Rule::DeadMetric,
+    Rule::DeadPub,
 ];
 
 /// Renders findings as a SARIF 2.1.0 document. `new` holds the keys of

@@ -5,7 +5,10 @@
 //! crates.io dependencies would otherwise be dragged into every rule by
 //! the `members = ["crates/*", "vendor/*"]` glob), `target/`, and the
 //! linter's own `fixtures/` (which contain violations on purpose).
+//! The `perfbench/` harness is not a workspace member: its sources are
+//! read for the identifiers they name, never linted.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -16,7 +19,7 @@ use crate::graph::ParsedFile;
 use crate::items::parse_items;
 use crate::local::check_file;
 use crate::metrics::dead_metric_pass;
-use crate::tok::tokenize;
+use crate::tok::{tokenize, Tok, TokKind};
 use crate::{DetScope, FileContext, Finding, Rule, TargetKind};
 
 /// Golden fixture the dead-metric rule cross-references.
@@ -175,6 +178,17 @@ pub fn scan_workspace(root: &Path, allowlist: &[AllowEntry]) -> io::Result<Repor
     // and benches stay out so name-fallback resolution can never route a
     // production call through a test helper.
     let mut parsed: Vec<ParsedFile> = Vec::new();
+    // Identifiers named by the callers outside the graph: examples,
+    // benches and the perfbench harness (`dead-pub` keeps their names).
+    let mut external: BTreeSet<String> = BTreeSet::new();
+    let perfbench = root.join("perfbench/src");
+    if perfbench.is_dir() {
+        let mut harness = Vec::new();
+        collect_rs(&perfbench, &mut harness)?;
+        for path in harness {
+            add_idents(&tokenize(&fs::read_to_string(path)?), &mut external);
+        }
+    }
 
     for path in &files {
         let rel = path
@@ -194,6 +208,9 @@ pub fn scan_workspace(root: &Path, allowlist: &[AllowEntry]) -> io::Result<Repor
         let items = parse_items(&toks);
         let mut file_findings = Vec::new();
         check_file(&ctx, &toks, &items, &mut file_findings);
+        if matches!(ctx.target, TargetKind::Example | TargetKind::Bench) {
+            add_idents(&toks, &mut external);
+        }
 
         if matches!(ctx.target, TargetKind::Lib | TargetKind::Bin) {
             let crate_name = rel
@@ -224,8 +241,9 @@ pub fn scan_workspace(root: &Path, allowlist: &[AllowEntry]) -> io::Result<Repor
         }
     }
 
-    // Graph passes: transitive purity, taint, recursion, lossy casts.
-    let outcome = analyze_graph(&parsed, allowlist);
+    // Graph passes: transitive purity, taint, recursion, lossy casts,
+    // dead public surface.
+    let outcome = analyze_graph(&parsed, &external, allowlist);
     report.graph_nodes = outcome.nodes;
     report.graph_edges = outcome.edges;
     report.hot_roots = outcome.hot_roots;
@@ -247,6 +265,12 @@ pub fn scan_workspace(root: &Path, allowlist: &[AllowEntry]) -> io::Result<Repor
         .findings
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(report)
+}
+
+fn add_idents(toks: &[Tok], out: &mut BTreeSet<String>) {
+    for t in toks.iter().filter(|t| t.kind == TokKind::Ident) {
+        out.insert(t.text.clone());
+    }
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {

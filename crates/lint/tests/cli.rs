@@ -7,9 +7,10 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
 
-const CLEAN_LIB: &str = "#![forbid(unsafe_code)]\npub fn ok() -> u32 { 1 }\n";
-const DIRTY_LIB: &str =
-    "#![forbid(unsafe_code)]\npub fn bad(x: Option<u32>) -> u32 { x.unwrap() }\n";
+// Private fns: a `pub` one that nothing calls is itself a `dead-pub`
+// finding.
+const CLEAN_LIB: &str = "#![forbid(unsafe_code)]\nfn ok() -> u32 { 1 }\n";
+const DIRTY_LIB: &str = "#![forbid(unsafe_code)]\nfn bad(x: Option<u32>) -> u32 { x.unwrap() }\n";
 
 struct MiniWorkspace {
     root: PathBuf,

@@ -2,7 +2,7 @@
 //! produce findings and a `pass.rs` that must stay clean. Fixtures are
 //! scanned as if they were library files of a strict-determinism crate.
 
-use chameleon_lint::{classify, has_unsafe_forbid, scan_file, Finding, Rule};
+use chameleon_lint::{classify, scan_file, Finding, Rule};
 
 fn read_fixture(rel: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -107,6 +107,12 @@ fn panic_policy_exempts_non_library_targets() {
 
 #[test]
 fn unsafe_forbid_fixtures() {
-    assert!(!has_unsafe_forbid(&read_fixture("unsafe_forbid/fail.rs")));
-    assert!(has_unsafe_forbid(&read_fixture("unsafe_forbid/pass.rs")));
+    let ctx = classify("crates/core/src/lib.rs").expect("crate root context");
+    let forbids = |rel: &str| {
+        let mut out = Vec::new();
+        scan_file(&ctx, &read_fixture(rel), &mut out);
+        out.iter().all(|f| f.rule != Rule::UnsafeForbid)
+    };
+    assert!(!forbids("unsafe_forbid/fail.rs"));
+    assert!(forbids("unsafe_forbid/pass.rs"));
 }

@@ -129,6 +129,38 @@ fn dead_metric_fires_in_both_directions() {
     assert_eq!(hits.len(), 2);
 }
 
+#[test]
+fn dead_pub_reports_exactly_the_pub_fns_only_tests_call() {
+    let report = scan_workspace(&fixture_root(), &local_allowlist()).expect("scan succeeds");
+    let dead: BTreeSet<&str> = by_rule(&report.findings, Rule::DeadPub)
+        .iter()
+        .map(|f| f.token.as_str())
+        .collect();
+    // Quiet: a `pub(crate)` fn, a trait-impl method, a fn only passed as
+    // `.map(Ledger::new)`, one only called as `Ledger::total(…)`, and one
+    // only named in `examples/`.
+    assert_eq!(
+        dead,
+        BTreeSet::from(["unused", "test_only"]),
+        "{:#?}",
+        report.findings
+    );
+
+    let mut allow = local_allowlist();
+    allow.push(AllowEntry {
+        rule: "dead-pub".to_string(),
+        path: "crates/core/src/lib.rs".to_string(),
+        token: "unused".to_string(),
+    });
+    let sanctioned = scan_workspace(&fixture_root(), &allow).expect("scan succeeds");
+    let left: Vec<&str> = by_rule(&sanctioned.findings, Rule::DeadPub)
+        .iter()
+        .map(|f| f.token.as_str())
+        .collect();
+    assert_eq!(left, ["test_only"]);
+    assert_eq!(sanctioned.allowlisted, report.allowlisted + 1);
+}
+
 /// Oracle: over the per-rule and edge-case fixture directories, the
 /// local rules report exactly the frozen v1 findings
 /// (`fixtures/v1_expected.txt`), compared as (fixture, rule, token)

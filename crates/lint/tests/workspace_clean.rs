@@ -45,9 +45,23 @@ fn workspace_has_no_new_or_stale_findings() {
     assert!(stale.is_empty(), "stale baseline entries: {stale:#?}");
 }
 
+/// Every `dead-pub` sanction names why the fn stays: (a) oracle, (b)
+/// paper claim, or (c) test entry point.
+#[test]
+fn dead_pub_allowlist_entries_name_a_reason() {
+    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(manifest.join("allowlist.txt")).expect("allowlist reads");
+    for line in text.lines().filter(|l| l.starts_with("dead-pub ")) {
+        assert!(
+            ["# (a)", "# (b)", "# (c)"].iter().any(|r| line.contains(r)),
+            "dead-pub entry without a reason: {line}"
+        );
+    }
+}
+
 /// Lines the linter's own source (`crates/lint/src/*.rs`) may span. The
 /// linter guards the simulator's contracts; it must not outgrow them.
-const LINT_SRC_LINE_BUDGET: usize = 4_450;
+const LINT_SRC_LINE_BUDGET: usize = 4_550;
 
 #[test]
 fn lint_source_stays_inside_its_line_budget() {

@@ -34,8 +34,7 @@ impl IsaHook for NullHook {
     fn isa_free(&mut self, _addr: u64, _len: u64, _now: u64) {}
 }
 
-/// A hook that records every notification; used by tests and by the
-/// Section VI-F overhead analysis.
+/// A hook that records every notification; used by tests.
 #[derive(Debug, Clone, Default)]
 pub struct RecordingHook {
     /// `(addr, len)` of each allocation, in order.
@@ -51,28 +50,6 @@ impl IsaHook for RecordingHook {
 
     fn isa_free(&mut self, addr: u64, len: u64, _now: u64) {
         self.frees.push((addr, len));
-    }
-}
-
-impl RecordingHook {
-    /// Number of per-segment `ISA-Alloc` invocations implied by the
-    /// recorded ranges for a given segment size (Algorithm 1's loop).
-    pub fn alloc_invocations(&self, segment_size: u64) -> u64 {
-        Self::invocations(&self.allocs, segment_size)
-    }
-
-    /// Number of per-segment `ISA-Free` invocations implied by the
-    /// recorded ranges (Algorithm 2's loop).
-    pub fn free_invocations(&self, segment_size: u64) -> u64 {
-        Self::invocations(&self.frees, segment_size)
-    }
-
-    fn invocations(ranges: &[(u64, u64)], segment_size: u64) -> u64 {
-        assert!(segment_size > 0, "segment size must be non-zero");
-        ranges
-            .iter()
-            .map(|&(_, len)| len.div_ceil(segment_size))
-            .sum()
     }
 }
 
@@ -94,19 +71,5 @@ mod tests {
         h.isa_free(0x1000, 4096, 0);
         assert_eq!(h.allocs, vec![(0x1000, 4096)]);
         assert_eq!(h.frees, vec![(0x1000, 4096)]);
-    }
-
-    #[test]
-    fn invocation_counts_match_paper() {
-        // A 2MB THP with 2KB segments = 1024 ISA-Alloc calls (Section IV);
-        // with 64B segments = 32768 calls.
-        let mut h = RecordingHook::default();
-        h.isa_alloc(0, 2 << 20, 0);
-        assert_eq!(h.alloc_invocations(2048), 1024);
-        assert_eq!(h.alloc_invocations(64), 32768);
-        // A 4KB page with 2KB segments = 2 calls.
-        let mut h2 = RecordingHook::default();
-        h2.isa_alloc(0, 4096, 0);
-        assert_eq!(h2.alloc_invocations(2048), 2);
     }
 }

@@ -266,11 +266,6 @@ impl OsKernel {
         &self.trace
     }
 
-    /// The swap device (telemetry).
-    pub fn ssd(&self) -> &SsdModel {
-        &self.ssd
-    }
-
     /// OS-visible free bytes on one node (zero for an invisible node).
     pub fn free_bytes(&self, node: NodeId) -> u64 {
         match node {
@@ -282,14 +277,6 @@ impl OsKernel {
     /// Total OS-visible free bytes.
     pub fn total_free_bytes(&self) -> u64 {
         self.free_bytes(NodeId::Stacked) + self.free_bytes(NodeId::Offchip)
-    }
-
-    /// Total OS-visible capacity.
-    pub fn visible_capacity(&self) -> ByteSize {
-        match self.cfg.visibility {
-            Visibility::Both => self.map.total(),
-            Visibility::OffchipOnly => self.map.offchip(),
-        }
     }
 
     /// The current translation-invalidation generation: unchanged as long
@@ -330,11 +317,6 @@ impl OsKernel {
             self.free_frame(frame, now, hook);
         }
         Ok(())
-    }
-
-    /// Whether `pid` is live.
-    pub fn is_alive(&self, pid: Pid) -> bool {
-        self.process(pid).is_ok()
     }
 
     /// Resident-set size of a process in bytes.
@@ -530,11 +512,6 @@ impl OsKernel {
     /// The OS-side group ledger, when group-aware placement is enabled.
     pub fn ledger(&self) -> Option<&GroupLedger> {
         self.ledger.as_ref()
-    }
-
-    /// The `(pid, vpn)` currently mapped at a physical page, if any.
-    pub fn reverse_lookup(&self, page_paddr: u64) -> Option<(Pid, u64)> {
-        self.reverse.get(&(page_paddr & !(PAGE_SIZE - 1))).copied()
     }
 
     fn fault_in(&mut self, pid: Pid, vaddr: u64, now: Cycle, hook: &mut dyn IsaHook) -> u64 {
@@ -871,7 +848,7 @@ mod tests {
         os.exit(pid, 0, &mut hook).unwrap();
         assert_eq!(os.total_free_bytes(), before + 16 * PAGE_SIZE);
         assert_eq!(hook.frees.len(), 16);
-        assert!(!os.is_alive(pid));
+        assert!(os.process(pid).is_err());
     }
 
     #[test]
@@ -894,7 +871,7 @@ mod tests {
         };
         let mut os = small_kernel(cfg);
         assert_eq!(os.free_bytes(NodeId::Stacked), 0);
-        assert_eq!(os.visible_capacity(), ByteSize::mib(8));
+        assert_eq!(os.total_free_bytes(), ByteSize::mib(8).bytes());
         let pid = os.spawn(ByteSize::mib(1));
         for p in 0..64 {
             let t = os

@@ -89,11 +89,6 @@ impl GroupLedger {
         }
     }
 
-    /// Free segments currently recorded for a group.
-    pub fn free_in_group(&self, group: usize) -> u8 {
-        self.free_per_group[group]
-    }
-
     /// Scores allocating the 4KB frame at `frame`: higher is better.
     /// Consuming a group's *last* free segment destroys its ability to
     /// cache, so such placements are penalised hard; otherwise groups
@@ -133,7 +128,7 @@ mod tests {
     fn starts_fully_free() {
         let l = ledger();
         assert_eq!(l.cache_capable_fraction(), 1.0);
-        assert_eq!(l.free_in_group(0), 6);
+        assert_eq!(l.free_per_group[0], 6);
     }
 
     #[test]
@@ -142,10 +137,10 @@ mod tests {
         // A 4KB page in the stacked range covers segments 0 and 1 ->
         // groups 0 and 1.
         l.on_alloc(0, 4096);
-        assert_eq!(l.free_in_group(0), 5);
-        assert_eq!(l.free_in_group(1), 5);
+        assert_eq!(l.free_per_group[0], 5);
+        assert_eq!(l.free_per_group[1], 5);
         l.on_free(0, 4096);
-        assert_eq!(l.free_in_group(0), 6);
+        assert_eq!(l.free_per_group[0], 6);
     }
 
     #[test]
@@ -154,8 +149,8 @@ mod tests {
         // Off-chip segment j=9 -> group 1.
         let addr = 8 * 2048 + 9 * 2048;
         l.on_alloc(addr, 2048);
-        assert_eq!(l.free_in_group(1), 5);
-        assert_eq!(l.free_in_group(0), 6);
+        assert_eq!(l.free_per_group[1], 5);
+        assert_eq!(l.free_per_group[0], 6);
     }
 
     #[test]
@@ -167,7 +162,7 @@ mod tests {
             let addr = 8 * 2048 + (k * 8) * 2048; // off-chip segments j=0,8,16,24,32 -> group 0
             l.on_alloc(addr, 2048);
         }
-        assert_eq!(l.free_in_group(0), 1);
+        assert_eq!(l.free_per_group[0], 1);
         // Frame covering group 0's stacked segment 0 (and group 1's).
         let bad = l.score_frame(0);
         // Frame entirely within fresh groups 4 and 5.
@@ -187,7 +182,7 @@ mod tests {
             };
             l.on_alloc(addr, 2048);
         }
-        assert_eq!(l.free_in_group(0), 0);
+        assert_eq!(l.free_per_group[0], 0);
         assert!((l.cache_capable_fraction() - 7.0 / 8.0).abs() < 1e-12);
     }
 }

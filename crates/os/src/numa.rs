@@ -173,14 +173,6 @@ impl AutoNuma {
     pub fn reports(&self) -> &[EpochReport] {
         &self.reports
     }
-
-    /// Cumulative stacked hit rate across all closed epochs.
-    pub fn cumulative_hit_rate(&self) -> f64 {
-        if self.reports.is_empty() {
-            return 0.0;
-        }
-        self.reports.iter().map(|r| r.stacked_hit_rate).sum::<f64>() / self.reports.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -295,15 +287,15 @@ mod tests {
     }
 
     #[test]
-    fn cumulative_hit_rate_averages_epochs() {
+    fn epoch_reports_record_each_epochs_hit_rate() {
         let mut os = kernel_slow_first();
         let mut numa = AutoNuma::new(AutoNumaConfig::default());
         numa.record_access(0, NodeId::Stacked);
         numa.end_epoch(&mut os, &mut NullHook, 0);
         numa.record_access(1 << 22, NodeId::Offchip);
         numa.end_epoch(&mut os, &mut NullHook, 0);
-        assert!((numa.cumulative_hit_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(numa.reports().len(), 2);
+        let rates: Vec<f64> = numa.reports().iter().map(|r| r.stacked_hit_rate).collect();
+        assert_eq!(rates, [1.0, 0.0]);
     }
 
     #[test]

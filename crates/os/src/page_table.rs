@@ -142,17 +142,6 @@ impl PageTable {
     pub fn resident_pages(&self) -> usize {
         self.resident
     }
-
-    /// Iterates `(vpn, frame)` for resident pages in VPN order.
-    pub fn resident_iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(|(vpn, s)| match s {
-                PageState::Resident { frame } => Some((vpn as u64, *frame)),
-                _ => None,
-            })
-    }
 }
 
 #[cfg(test)]
@@ -228,16 +217,6 @@ mod tests {
         t.swap_out(0x1000);
         assert_eq!(t.unmap(0x1000), None);
         assert_eq!(t.state(0x1000), PageState::Untouched);
-    }
-
-    #[test]
-    fn resident_iter_lists_mappings() {
-        let mut t = PageTable::new();
-        t.map(0, 0xA000);
-        t.map(8192, 0xB000);
-        let mut pairs: Vec<_> = t.resident_iter().collect();
-        pairs.sort_unstable();
-        assert_eq!(pairs, vec![(0, 0xA000), (2, 0xB000)]);
     }
 
     #[test]

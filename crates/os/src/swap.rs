@@ -64,11 +64,6 @@ impl SsdModel {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &SsdConfig {
-        &self.cfg
-    }
-
     /// A synchronous page read (major fault): returns the stall the
     /// faulting task observes, including any device queueing.
     pub fn read_page(&mut self, now: Cycle) -> Cycle {
@@ -84,11 +79,6 @@ impl SsdModel {
         self.writes.inc();
         let start = now.max(self.next_free);
         self.next_free = start + self.cfg.service_interval;
-    }
-
-    /// Cycle at which the device next becomes free (tests/telemetry).
-    pub fn busy_until(&self) -> Cycle {
-        self.next_free
     }
 }
 

@@ -6,9 +6,7 @@
 //!
 //! * [`Cycle`] arithmetic and clock-domain conversion ([`ClockDomain`]),
 //! * a deterministic, seedable random source ([`rng::DeterministicRng`]),
-//! * an ordered event queue ([`events::EventQueue`]),
-//! * statistics primitives ([`stats::Counter`], [`stats::RunningStat`],
-//!   [`stats::Histogram`], [`stats::Ratio`]),
+//! * statistics primitives ([`stats::Counter`], [`stats::RunningStat`]),
 //! * the metrics registry and event trace ([`metrics::Registry`],
 //!   [`metrics::EventTrace`]) that experiment runners export from,
 //! * byte-size helpers ([`mem::ByteSize`]).
@@ -29,13 +27,11 @@
 //! assert_eq!(lat.count(), 1);
 //! ```
 
-pub mod events;
 pub mod hash;
 pub mod mem;
 pub mod metrics;
 pub mod rng;
 pub mod stats;
-pub mod timeline;
 
 /// A point in simulated time, measured in cycles of some clock domain.
 ///

@@ -1,6 +1,6 @@
-//! The metrics subsystem: a registry of named counters, gauges, and
-//! histograms with per-epoch snapshots, plus a bounded event trace for
-//! discrete simulation events.
+//! The metrics subsystem: a registry of named counters and gauges with
+//! per-epoch snapshots, plus a bounded event trace for discrete
+//! simulation events.
 //!
 //! Every component keeps its own cheap stats struct on the hot path
 //! ([`crate::stats`]); a [`MetricSource`] implementation *publishes* those
@@ -34,11 +34,10 @@
 //! # Example
 //!
 //! ```
-//! use chameleon_simkit::metrics::{EventKind, Registry};
+//! use chameleon_simkit::metrics::Registry;
 //!
 //! let mut reg = Registry::new(1024);
 //! reg.set_counter("hma.swaps", 2);
-//! reg.record_event(100, EventKind::Swap, 7);
 //! reg.end_epoch(100);
 //! reg.set_counter("hma.swaps", 5);
 //! reg.end_epoch(200);
@@ -50,7 +49,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::stats::{Counter, Histogram, RunningStat};
+use crate::stats::{Counter, RunningStat};
 use crate::Cycle;
 
 /// Version of the [`MetricsExport`] JSON schema. Bump on any breaking
@@ -211,19 +210,6 @@ impl Snapshot {
             // amortized off the per-access hot path.
             .collect()
     }
-
-    /// Applies a delta on top of this snapshot's counters, producing the
-    /// later snapshot (gauges are carried over unchanged).
-    ///
-    /// `later == earlier.plus(&later.delta(&earlier))` whenever counters
-    /// are monotone — the round-trip the property tests pin down.
-    pub fn plus(&self, delta: &BTreeMap<String, u64>) -> Snapshot {
-        let mut out = self.clone();
-        for (name, &d) in delta {
-            *out.counters.entry(name.clone()).or_insert(0) += d;
-        }
-        out
-    }
 }
 
 /// Counter activity between two consecutive epoch boundaries.
@@ -249,7 +235,8 @@ pub struct MetricsExport {
     pub counters: BTreeMap<String, u64>,
     /// Final gauge readings.
     pub gauges: BTreeMap<String, f64>,
-    /// Final histograms as `(bucket_floor, count)` pairs.
+    /// Always empty: nothing records histograms. Kept so the export
+    /// schema (and the golden fixture) stay unchanged.
     pub histograms: BTreeMap<String, Vec<(u64, u64)>>,
     /// Per-epoch counter deltas, oldest first.
     pub epochs: Vec<EpochRecord>,
@@ -275,14 +262,13 @@ impl Default for MetricsExport {
 
 /// The central metrics registry.
 ///
-/// Owns named counters/gauges/histograms, the epoch timeline, and an
+/// Owns named counters and gauges, the epoch timeline, and an
 /// [`EventTrace`]. See the module docs for the naming convention and the
 /// epoch model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Registry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
     epochs: Vec<EpochRecord>,
     /// Counter values at the last epoch boundary.
     epoch_base: Snapshot,
@@ -306,7 +292,6 @@ impl Registry {
         Self {
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
-            histograms: BTreeMap::new(),
             epochs: Vec::new(),
             epoch_base: Snapshot::default(),
             trace: EventTrace::new(trace_capacity),
@@ -333,11 +318,6 @@ impl Registry {
         self.gauges.insert(name.to_owned(), value);
     }
 
-    /// Current gauge reading (zero if never set).
-    pub fn gauge(&self, name: &str) -> f64 {
-        self.gauges.get(name).copied().unwrap_or(0.0)
-    }
-
     /// Publishes a [`RunningStat`] as `<name>.mean/.min/.max` gauges plus
     /// a `<name>.count` counter.
     pub fn set_stat(&mut self, name: &str, s: &RunningStat) {
@@ -345,29 +325,6 @@ impl Registry {
         self.set_gauge(&format!("{name}.min"), s.min());
         self.set_gauge(&format!("{name}.max"), s.max());
         self.set_counter(&format!("{name}.count"), s.count());
-    }
-
-    /// Records one sample into a named histogram.
-    pub fn observe(&mut self, name: &str, value: u64) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_default()
-            .record(value);
-    }
-
-    /// Replaces a named histogram with a copy of `h`.
-    pub fn set_histogram(&mut self, name: &str, h: &Histogram) {
-        self.histograms.insert(name.to_owned(), h.clone());
-    }
-
-    /// A named histogram, if any samples were recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Records a discrete event into the trace.
-    pub fn record_event(&mut self, at: Cycle, kind: EventKind, subject: u64) {
-        self.trace.push(at, kind, subject);
     }
 
     /// Merges externally collected events (e.g. a component's own trace)
@@ -408,22 +365,13 @@ impl Registry {
         self.epochs.last().expect("epoch just pushed")
     }
 
-    /// The closed epochs, oldest first.
-    pub fn epochs(&self) -> &[EpochRecord] {
-        &self.epochs
-    }
-
     /// Exports everything as a stable, serialisable structure.
     pub fn export(&self) -> MetricsExport {
         MetricsExport {
             schema_version: SCHEMA_VERSION,
             counters: self.counters.clone(),
             gauges: self.gauges.clone(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(name, h)| (name.clone(), h.iter().collect()))
-                .collect(),
+            histograms: BTreeMap::new(),
             epochs: self.epochs.clone(),
             events_dropped: self.trace.dropped(),
             events: self.trace.iter().copied().collect(),
@@ -448,7 +396,7 @@ mod tests {
         reg.set_counter("a.x", 5); // overwrite, not accumulate
         reg.set_gauge("a.g", 0.5);
         assert_eq!(reg.counter("a.x"), 5);
-        assert_eq!(reg.gauge("a.g"), 0.5);
+        assert_eq!(reg.export().gauges["a.g"], 0.5);
         assert_eq!(reg.counter("missing"), 0);
     }
 
@@ -460,7 +408,7 @@ mod tests {
         reg.set_counter("c", 25);
         reg.set_counter("d", 4);
         reg.end_epoch(200);
-        let epochs = reg.epochs();
+        let epochs = reg.export().epochs;
         assert_eq!(epochs.len(), 2);
         assert_eq!(epochs[0].deltas["c"], 10);
         assert_eq!(epochs[1].deltas["c"], 15);
@@ -491,27 +439,18 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_delta_plus_round_trip() {
-        let mut reg = Registry::new(8);
-        reg.set_counter("x", 7);
-        let before = reg.snapshot();
-        reg.set_counter("x", 12);
-        reg.set_counter("y", 3);
-        let after = reg.snapshot();
-        let delta = after.delta(&before);
-        assert_eq!(before.plus(&delta).counters, after.counters);
-    }
-
-    #[test]
     fn export_has_stable_schema() {
         let mut reg = Registry::new(4);
         reg.set_counter("c", 1);
-        reg.observe("h", 5);
-        reg.record_event(9, EventKind::IsaAlloc, 2);
+        reg.absorb_events(&[TraceEvent {
+            at: 9,
+            kind: EventKind::IsaAlloc,
+            subject: 2,
+        }]);
         reg.end_epoch(10);
         let export = reg.export();
         assert_eq!(export.schema_version, SCHEMA_VERSION);
-        assert_eq!(export.histograms["h"], vec![(4, 1)]);
+        assert!(export.histograms.is_empty());
         assert_eq!(export.events.len(), 1);
         assert_eq!(export.epochs.len(), 1);
     }
@@ -520,11 +459,15 @@ mod tests {
     fn reset_clears_everything_but_keeps_capacity() {
         let mut reg = Registry::new(2);
         reg.set_counter("c", 1);
-        reg.record_event(1, EventKind::Swap, 0);
+        reg.absorb_events(&[TraceEvent {
+            at: 1,
+            kind: EventKind::Swap,
+            subject: 0,
+        }]);
         reg.end_epoch(5);
         reg.reset();
         assert_eq!(reg.counter("c"), 0);
-        assert!(reg.epochs().is_empty());
+        assert!(reg.export().epochs.is_empty());
         assert!(reg.trace().is_empty());
         assert_eq!(reg.trace().capacity(), 2);
     }
@@ -536,9 +479,10 @@ mod tests {
         s.record(4.0);
         let mut reg = Registry::new(1);
         reg.set_stat("lat", &s);
-        assert_eq!(reg.gauge("lat.mean"), 3.0);
-        assert_eq!(reg.gauge("lat.min"), 2.0);
-        assert_eq!(reg.gauge("lat.max"), 4.0);
+        let gauges = reg.export().gauges;
+        assert_eq!(gauges["lat.mean"], 3.0);
+        assert_eq!(gauges["lat.min"], 2.0);
+        assert_eq!(gauges["lat.max"], 4.0);
         assert_eq!(reg.counter("lat.count"), 2);
     }
 }

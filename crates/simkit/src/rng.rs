@@ -8,7 +8,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// A small, fast, seedable RNG with convenience helpers for the patterns
-/// the simulator needs (zipf-like skew, bounded ranges, Bernoulli draws).
+/// the simulator needs (bounded draws, Bernoulli draws).
 ///
 /// # Example
 ///
@@ -31,13 +31,6 @@ impl DeterministicRng {
         }
     }
 
-    /// Derives an independent child RNG; useful to give each core or each
-    /// application its own stream while staying reproducible.
-    pub fn fork(&mut self, salt: u64) -> Self {
-        let s = self.inner.gen::<u64>() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        Self::seed(s)
-    }
-
     /// Uniform value in `[0, bound)`.
     ///
     /// # Panics
@@ -46,16 +39,6 @@ impl DeterministicRng {
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below() requires a positive bound");
         self.inner.gen_range(0..bound)
-    }
-
-    /// Uniform value in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi`.
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "range() requires lo < hi ({lo} >= {hi})");
-        self.inner.gen_range(lo..hi)
     }
 
     /// Bernoulli draw: `true` with probability `p`.
@@ -107,25 +90,6 @@ impl DeterministicRng {
     pub fn unit(&mut self) -> f64 {
         self.inner.gen::<f64>()
     }
-
-    /// A hot/cold skewed index: with probability `hot_prob` returns an index
-    /// in the first `hot_n` slots, otherwise anywhere in `[0, n)`.
-    ///
-    /// This is the simulator's cheap stand-in for zipf-distributed page
-    /// popularity: a small hot set absorbs most references.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `hot_n > n`.
-    pub fn skewed_index(&mut self, n: u64, hot_n: u64, hot_prob: f64) -> u64 {
-        assert!(n > 0, "skewed_index requires n > 0");
-        assert!(hot_n <= n, "hot set cannot exceed total ({hot_n} > {n})");
-        if hot_n > 0 && self.chance(hot_prob) {
-            self.below(hot_n)
-        } else {
-            self.below(n)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -142,16 +106,6 @@ mod tests {
     }
 
     #[test]
-    fn forked_streams_diverge() {
-        let mut root = DeterministicRng::seed(1);
-        let mut a = root.fork(0);
-        let mut b = root.fork(1);
-        let av: Vec<u64> = (0..16).map(|_| a.below(u64::MAX)).collect();
-        let bv: Vec<u64> = (0..16).map(|_| b.below(u64::MAX)).collect();
-        assert_ne!(av, bv);
-    }
-
-    #[test]
     fn below_respects_bound() {
         let mut r = DeterministicRng::seed(3);
         for _ in 0..1000 {
@@ -160,34 +114,10 @@ mod tests {
     }
 
     #[test]
-    fn range_respects_bounds() {
-        let mut r = DeterministicRng::seed(5);
-        for _ in 0..1000 {
-            let v = r.range(10, 20);
-            assert!((10..20).contains(&v));
-        }
-    }
-
-    #[test]
     fn chance_extremes() {
         let mut r = DeterministicRng::seed(9);
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
-    }
-
-    #[test]
-    fn skewed_index_hits_hot_set() {
-        let mut r = DeterministicRng::seed(11);
-        let mut hot = 0;
-        let trials = 10_000;
-        for _ in 0..trials {
-            if r.skewed_index(1000, 100, 0.9) < 100 {
-                hot += 1;
-            }
-        }
-        // 90% directed + ~1% incidental; allow slack.
-        let frac = hot as f64 / trials as f64;
-        assert!(frac > 0.85 && frac < 0.95, "hot fraction {frac}");
     }
 
     #[test]

@@ -52,65 +52,7 @@ impl std::fmt::Display for Counter {
     }
 }
 
-/// A hit/total ratio, e.g. a cache hit rate.
-///
-/// # Example
-///
-/// ```
-/// use chameleon_simkit::stats::Ratio;
-/// let mut r = Ratio::new();
-/// r.record(true);
-/// r.record(false);
-/// r.record(true);
-/// assert!((r.rate() - 2.0 / 3.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Ratio {
-    hits: u64,
-    total: u64,
-}
-
-impl Ratio {
-    /// Creates an empty ratio (rate reported as 0).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one observation; `hit` selects the numerator.
-    pub fn record(&mut self, hit: bool) {
-        self.total += 1;
-        if hit {
-            self.hits += 1;
-        }
-    }
-
-    /// Numerator.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Denominator.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Hit fraction in `[0, 1]`; zero when nothing has been recorded.
-    pub fn rate(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.total as f64
-        }
-    }
-
-    /// Merges another ratio into this one.
-    pub fn merge(&mut self, other: &Ratio) {
-        self.hits += other.hits;
-        self.total += other.total;
-    }
-}
-
-/// Streaming mean/variance/min/max over `f64` samples (Welford's method).
+/// Streaming mean/min/max over `f64` samples.
 ///
 /// # Example
 ///
@@ -127,7 +69,6 @@ impl Ratio {
 pub struct RunningStat {
     count: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
     sum: f64,
@@ -139,7 +80,6 @@ impl RunningStat {
         Self {
             count: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
             sum: 0.0,
@@ -152,7 +92,6 @@ impl RunningStat {
         self.sum += x;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -176,20 +115,6 @@ impl RunningStat {
         self.sum
     }
 
-    /// Population variance; zero when fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample; zero when empty.
     pub fn min(&self) -> f64 {
         if self.count == 0 {
@@ -206,86 +131,6 @@ impl RunningStat {
         } else {
             self.max
         }
-    }
-}
-
-/// A power-of-two bucketed histogram for latency-like quantities.
-///
-/// Bucket `i` counts samples in `[2^i, 2^(i+1))`; bucket 0 also holds zero.
-///
-/// # Example
-///
-/// ```
-/// use chameleon_simkit::stats::Histogram;
-/// let mut h = Histogram::new();
-/// h.record(5);
-/// h.record(6);
-/// h.record(700);
-/// assert_eq!(h.count(), 3);
-/// assert_eq!(h.bucket_count(2), 2); // 4..8
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a sample.
-    pub fn record(&mut self, value: u64) {
-        let idx = if value == 0 {
-            0
-        } else {
-            63 - value.leading_zeros() as usize
-        };
-        if self.buckets.len() <= idx {
-            self.buckets.resize(idx + 1, 0);
-        }
-        self.buckets[idx] += 1;
-        self.count += 1;
-    }
-
-    /// Total number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Number of samples in bucket `i` (range `[2^i, 2^(i+1))`).
-    pub fn bucket_count(&self, i: usize) -> u64 {
-        self.buckets.get(i).copied().unwrap_or(0)
-    }
-
-    /// Iterator over `(bucket_floor, count)` pairs for non-empty buckets.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (1u64 << i, c))
-    }
-
-    /// Approximate quantile using bucket floors (`q` in `[0,1]`).
-    ///
-    /// Returns 0 for an empty histogram.
-    pub fn quantile(&self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return 1u64 << i;
-            }
-        }
-        1u64 << (self.buckets.len().saturating_sub(1))
     }
 }
 
@@ -336,31 +181,12 @@ mod tests {
     }
 
     #[test]
-    fn ratio_empty_is_zero() {
-        assert_eq!(Ratio::new().rate(), 0.0);
-    }
-
-    #[test]
-    fn ratio_merge() {
-        let mut a = Ratio::new();
-        a.record(true);
-        let mut b = Ratio::new();
-        b.record(false);
-        b.record(false);
-        a.merge(&b);
-        assert_eq!(a.hits(), 1);
-        assert_eq!(a.total(), 3);
-    }
-
-    #[test]
-    fn running_stat_mean_variance() {
+    fn running_stat_mean_min_max_sum() {
         let mut s = RunningStat::new();
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             s.record(x);
         }
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
         assert_eq!(s.sum(), 40.0);
@@ -372,35 +198,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let mut h = Histogram::new();
-        h.record(0);
-        h.record(1);
-        h.record(2);
-        h.record(3);
-        h.record(1024);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.bucket_count(0), 2); // 0 and 1
-        assert_eq!(h.bucket_count(1), 2); // 2 and 3
-        assert_eq!(h.bucket_count(10), 1); // 1024
-        let pairs: Vec<_> = h.iter().collect();
-        assert_eq!(pairs, vec![(1, 2), (2, 2), (1024, 1)]);
-    }
-
-    #[test]
-    fn histogram_quantile() {
-        let mut h = Histogram::new();
-        for _ in 0..99 {
-            h.record(4);
-        }
-        h.record(1 << 20);
-        assert_eq!(h.quantile(0.5), 4);
-        assert_eq!(h.quantile(1.0), 1 << 20);
-        assert_eq!(Histogram::new().quantile(0.5), 0);
     }
 
     #[test]

@@ -151,6 +151,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
+    let jobs = match grid.jobs() {
+        Ok(jobs) => jobs,
+        Err(e) => {
+            eprintln!("sweeprunner: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     let out_dir =
         PathBuf::from(std::env::var("CHAMELEON_RESULTS").unwrap_or_else(|_| "results".to_owned()));
@@ -168,7 +175,6 @@ fn main() -> ExitCode {
         engine = engine.with_workers(jobs);
     }
 
-    let jobs = grid.jobs();
     println!(
         "[sweeprunner] {} apps x {} archs x {} ratio(s) = {} cells, {} instr/core, seed {}",
         grid.apps.len(),

@@ -8,6 +8,7 @@
 //! finished first — so a 16-worker run serialises bit-identically to a
 //! 1-worker run.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -51,7 +52,8 @@ pub struct SweepOutcome {
     pub reports: Vec<SystemReport>,
     /// Cells satisfied from the store without running.
     pub cached: usize,
-    /// Cells actually simulated this run.
+    /// Distinct cells actually simulated this run: jobs that repeat an
+    /// earlier job's key share its simulation.
     pub ran: usize,
 }
 
@@ -129,7 +131,8 @@ impl SweepEngine {
     }
 
     /// Runs every job, reusing stored cells, and returns reports in job
-    /// order.
+    /// order. Each distinct [`Job::key`] is simulated (and stored) once;
+    /// repeats get a copy of its report.
     ///
     /// # Errors
     ///
@@ -138,15 +141,25 @@ impl SweepEngine {
     pub fn run(&self, jobs: &[Job]) -> Result<SweepOutcome, SweepError> {
         let mut slots: Vec<Option<SystemReport>> = Vec::with_capacity(jobs.len());
         let mut pending: Vec<usize> = Vec::new();
+        // (repeat, first): a job whose key an earlier pending job has.
+        let mut repeats: Vec<(usize, usize)> = Vec::new();
+        let mut first_by_key: BTreeMap<u64, usize> = BTreeMap::new();
         for (i, job) in jobs.iter().enumerate() {
             let hit = self.store.as_ref().and_then(|s| s.load(job));
             if hit.is_none() {
-                pending.push(i);
+                let key = job.key().0;
+                match first_by_key.get(&key) {
+                    Some(&first) => repeats.push((i, first)),
+                    None => {
+                        first_by_key.insert(key, i);
+                        pending.push(i);
+                    }
+                }
             }
             slots.push(hit);
         }
-        let cached = jobs.len() - pending.len();
-        let progress = Progress::new(jobs.len(), cached, self.progress);
+        let cached = jobs.len() - pending.len() - repeats.len();
+        let progress = Progress::new(cached + pending.len(), cached, self.progress);
 
         let workers = self
             .workers
@@ -202,9 +215,13 @@ impl SweepEngine {
                     .collect(),
             ));
         }
-        let reports = slots
+        let mut slots = slots
             .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        for &(repeat, first) in &repeats {
+            slots[repeat] = slots[first].clone();
+        }
+        let reports = slots
             .into_iter()
             // INVARIANT: the failures branch above returned early.
             .map(|r| r.expect("no failures means every slot is filled"))
@@ -278,6 +295,25 @@ mod tests {
         assert_eq!(fails.len(), 1);
         assert!(fails[0].0.contains("doom"));
         assert!(fails[0].1.contains("doom"), "cause names the bad app");
+    }
+
+    #[test]
+    fn repeated_jobs_simulate_and_store_once() {
+        let dir = std::env::temp_dir().join(format!("chameleon-sweep-dup-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let job = tiny_jobs().remove(0);
+        let out = SweepEngine::new()
+            .with_workers(2)
+            .with_store(Store::open(&dir).unwrap())
+            .quiet()
+            .run(&[job.clone(), job])
+            .unwrap();
+        assert_eq!(out.ran, 1);
+        assert_eq!(out.cached, 0);
+        let json = |r: &SystemReport| serde_json::to_string(r).unwrap();
+        assert_eq!(json(&out.reports[0]), json(&out.reports[1]));
+        assert_eq!(Store::open(&dir).unwrap().len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

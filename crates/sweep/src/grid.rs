@@ -42,14 +42,24 @@ impl GridSpec {
     }
 
     /// Expands the grid to jobs.
-    pub fn jobs(&self) -> Vec<Job> {
+    ///
+    /// # Errors
+    ///
+    /// Returns `bad ratio …` for a ratio the base params cannot split
+    /// (see [`ScaledParams::with_ratio`]).
+    pub fn jobs(&self) -> Result<Vec<Job>, String> {
         let param_sets: Vec<ScaledParams> = if self.ratios.is_empty() {
             vec![self.params.clone()]
         } else {
             self.ratios
                 .iter()
-                .map(|&r| self.params.clone().with_ratio(r))
-                .collect()
+                .map(|&r| {
+                    self.params
+                        .clone()
+                        .with_ratio(r)
+                        .map_err(|e| format!("bad ratio {r}: {e}"))
+                })
+                .collect::<Result<_, _>>()?
         };
         let mut jobs = Vec::with_capacity(self.cells());
         for params in &param_sets {
@@ -59,7 +69,7 @@ impl GridSpec {
                 }
             }
         }
-        jobs
+        Ok(jobs)
     }
 }
 
@@ -76,7 +86,7 @@ mod tests {
         );
         g.ratios = vec![3, 7];
         assert_eq!(g.cells(), 8);
-        let jobs = g.jobs();
+        let jobs = g.jobs().unwrap();
         assert_eq!(jobs.len(), 8);
         // First block: ratio 3, mcf row.
         assert_eq!(jobs[0].app, "mcf");
@@ -97,8 +107,23 @@ mod tests {
             vec!["mcf".to_owned()],
             vec![Architecture::Pom],
         );
-        let jobs = g.jobs();
+        let jobs = g.jobs().unwrap();
         assert_eq!(jobs.len(), 1);
         assert_eq!(jobs[0].params, ScaledParams::tiny());
+    }
+
+    #[test]
+    fn unsplittable_ratios_are_errors_not_panics() {
+        let mut g = GridSpec::new(
+            ScaledParams::laptop(),
+            vec!["mcf".to_owned()],
+            vec![Architecture::Pom],
+        );
+        // 384 MiB splits into 4 parts but not 5; 1:0 has no off-chip memory.
+        for bad in [4, 0] {
+            g.ratios = vec![3, bad];
+            let err = g.jobs().unwrap_err();
+            assert!(err.starts_with(&format!("bad ratio {bad}:")), "{err}");
+        }
     }
 }

@@ -147,7 +147,7 @@ mod tests {
         let mut by_budget = b.clone();
         by_budget.instructions = 20_000;
         let mut by_ratio = b.clone();
-        by_ratio.params = by_ratio.params.with_ratio(3);
+        by_ratio.params = by_ratio.params.with_ratio(3).unwrap();
         let mut by_cores = b.clone();
         by_cores.params.cores = 3;
         let mut by_timing = b.clone();

@@ -9,7 +9,7 @@
 //! mismatched file is treated as a miss and recomputed.
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use chameleon::SystemReport;
 use chameleon_simkit::metrics::SCHEMA_VERSION;
@@ -54,11 +54,6 @@ impl Store {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
         Ok(Self { root })
-    }
-
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     /// The file a key is stored under.
@@ -158,7 +153,7 @@ mod tests {
             serde_json::to_string(&report).unwrap(),
             "store round-trip must preserve the report exactly"
         );
-        let _ = std::fs::remove_dir_all(store.root());
+        let _ = std::fs::remove_dir_all(&store.root);
     }
 
     #[test]
@@ -169,7 +164,7 @@ mod tests {
         let path = store.save(&job, &report).unwrap();
         std::fs::write(&path, "{ not json").unwrap();
         assert!(store.load(&job).is_none(), "corrupt file must miss");
-        let _ = std::fs::remove_dir_all(store.root());
+        let _ = std::fs::remove_dir_all(&store.root);
     }
 
     #[test]
@@ -184,6 +179,6 @@ mod tests {
         other.seed = 8;
         std::fs::copy(store.path_for(job.key()), store.path_for(other.key())).unwrap();
         assert!(store.load(&other).is_none(), "embedded key must match");
-        let _ = std::fs::remove_dir_all(store.root());
+        let _ = std::fs::remove_dir_all(&store.root);
     }
 }

@@ -17,10 +17,15 @@ fn small_grid() -> Vec<Job> {
         vec![Architecture::Pom, Architecture::ChameleonOpt],
     )
     .jobs()
+    .expect("the base ratio needs no split")
+}
+
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("chameleon-sweep-it-{}-{tag}", std::process::id()))
 }
 
 fn scratch_store(tag: &str) -> Store {
-    let dir = std::env::temp_dir().join(format!("chameleon-sweep-it-{}-{tag}", std::process::id()));
+    let dir = scratch_dir(tag);
     let _ = std::fs::remove_dir_all(&dir);
     Store::open(dir).expect("scratch store")
 }
@@ -102,7 +107,7 @@ fn interrupted_sweep_resumes_from_the_store() {
         .expect("warm sweep");
     assert_eq!(warm.cached, jobs.len());
     assert_eq!(warm.ran, 0);
-    let _ = std::fs::remove_dir_all(store.root());
+    let _ = std::fs::remove_dir_all(scratch_dir("resume"));
 }
 
 #[test]
@@ -136,7 +141,7 @@ fn corrupt_store_cell_is_recomputed_not_crashed_on() {
 
     // The recomputed cell was re-stored and now hits again.
     assert!(store.load(&jobs[1]).is_some());
-    let _ = std::fs::remove_dir_all(store.root());
+    let _ = std::fs::remove_dir_all(scratch_dir("corrupt"));
 }
 
 #[test]
@@ -150,10 +155,10 @@ fn store_key_invalidates_on_any_parameter_change() {
 
     // Same cell, one DRAM-geometry knob changed: different key, miss.
     let mut changed = job.clone();
-    changed.params = changed.params.with_ratio(3);
+    changed.params = changed.params.with_ratio(3).unwrap();
     assert_ne!(job.key(), changed.key());
     assert!(store.load(&changed).is_none());
     // The original still hits.
     assert!(store.load(&job).is_some());
-    let _ = std::fs::remove_dir_all(store.root());
+    let _ = std::fs::remove_dir_all(scratch_dir("invalidate"));
 }

@@ -184,12 +184,6 @@ impl AppSpec {
         s
     }
 
-    /// Whether the paper classes this app as memory-intensive (the ones
-    /// that benefit from Chameleon; Section VI-C).
-    pub fn is_memory_intensive(&self) -> bool {
-        self.llc_mpki >= 2.0
-    }
-
     /// A copy with phase churn enabled (hot/medium regions drift every
     /// `mem_ops` memory references).
     pub fn with_phases(mut self, mem_ops: u64) -> AppSpec {
@@ -295,13 +289,6 @@ mod tests {
         assert!(per * 12 <= a.workload_footprint.bytes());
         assert!(per * 12 + 12 * 4096 > a.workload_footprint.bytes());
         assert_eq!(per % 4096, 0);
-    }
-
-    #[test]
-    fn intensity_classification() {
-        assert!(AppSpec::by_name("mcf").unwrap().is_memory_intensive());
-        assert!(!AppSpec::by_name("miniGhost").unwrap().is_memory_intensive());
-        assert!(!AppSpec::by_name("comd").unwrap().is_memory_intensive());
     }
 
     #[test]

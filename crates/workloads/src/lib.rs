@@ -31,7 +31,6 @@
 
 mod app;
 pub mod decode;
-pub mod mix;
 pub mod schedule;
 mod stream;
 pub mod synth;
@@ -39,6 +38,5 @@ pub mod trace;
 
 pub use app::{AppSpec, Suite};
 pub use decode::{Bernoulli, ZipfTable};
-pub use mix::WorkloadMix;
 pub use stream::AppStream;
 pub use synth::{LoopConfig, LoopStream, ZipfConfig, ZipfStream};

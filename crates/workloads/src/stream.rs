@@ -119,11 +119,6 @@ impl AppStream {
         }
     }
 
-    /// Total per-copy footprint in bytes.
-    pub fn footprint_bytes(&self) -> u64 {
-        self.footprint_lines * 64
-    }
-
     /// Selects the decoder: `true` (the default) uses the precomputed
     /// integer op-mix gates, `false` the legacy float Bernoulli draws.
     /// Both emit the identical op sequence — the switch exists so the

@@ -184,11 +184,6 @@ impl ZipfStream {
         }
     }
 
-    /// Total footprint in bytes.
-    pub fn footprint_bytes(&self) -> u64 {
-        self.lines * LINE
-    }
-
     /// Selects the decoder: `true` (the default) draws ranks from the
     /// precomputed table, `false` from the legacy float CDF inversion.
     /// Both emit the identical op sequence — the switch exists so the
@@ -283,11 +278,6 @@ impl LoopStream {
         }
     }
 
-    /// Total footprint in bytes.
-    pub fn footprint_bytes(&self) -> u64 {
-        self.lines * LINE
-    }
-
     /// Selects the decoder: `true` (the default) advances the scan
     /// cursor with a conditional subtract and gates stores through the
     /// integer threshold; `false` is the legacy modulo + float path.
@@ -351,7 +341,7 @@ mod tests {
     fn zipf_emits_exact_budget_and_stays_in_footprint() {
         let cfg = ZipfConfig::default();
         let s = ZipfStream::new(&cfg, 50_000, 1);
-        let fp = s.footprint_bytes();
+        let fp = s.lines * LINE;
         let (instr, addrs) = drain(s);
         assert_eq!(instr, 50_000);
         assert!(!addrs.is_empty());
@@ -362,7 +352,7 @@ mod tests {
     fn loop_emits_exact_budget_and_stays_in_footprint() {
         let cfg = LoopConfig::default();
         let s = LoopStream::new(&cfg, 50_000, 2);
-        let fp = s.footprint_bytes();
+        let fp = s.lines * LINE;
         let (instr, addrs) = drain(s);
         assert_eq!(instr, 50_000);
         assert!(addrs.iter().all(|&a| a < fp));

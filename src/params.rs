@@ -95,20 +95,15 @@ impl ScaledParams {
     /// Changes the stacked:off-chip ratio keeping total capacity constant
     /// (Figures 21/23: 1:3 and 1:7).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the total capacity does not divide by `ratio + 1`.
-    pub fn with_ratio(mut self, ratio: u64) -> Self {
-        let total = self.hma.total_capacity();
-        let cfg = HmaConfig::scaled_with_ratio(total, ratio);
+    /// Returns an error if `ratio` is zero or the total capacity does not
+    /// divide into `ratio + 1` parts.
+    pub fn with_ratio(mut self, ratio: u64) -> Result<Self, String> {
+        let cfg = HmaConfig::scaled_with_ratio(self.hma.total_capacity(), ratio)?;
         self.hma.stacked = cfg.stacked;
         self.hma.offchip = cfg.offchip;
-        self
-    }
-
-    /// Total OS-visible capacity when both devices are part of memory.
-    pub fn total_capacity(&self) -> ByteSize {
-        self.hma.total_capacity()
+        Ok(self)
     }
 }
 
@@ -130,18 +125,21 @@ mod tests {
 
     #[test]
     fn ratio_override() {
-        let p = ScaledParams::laptop().with_ratio(3);
+        let p = ScaledParams::laptop().with_ratio(3).unwrap();
         assert_eq!(
             p.hma.offchip.capacity.bytes() / p.hma.stacked.capacity.bytes(),
             3
         );
-        assert_eq!(p.total_capacity(), ScaledParams::laptop().total_capacity());
+        assert_eq!(
+            p.hma.total_capacity(),
+            ScaledParams::laptop().hma.total_capacity()
+        );
     }
 
     #[test]
     fn tiny_is_small() {
         let p = ScaledParams::tiny();
         assert_eq!(p.cores, 2);
-        assert!(p.total_capacity().bytes() < ByteSize::mib(128).bytes());
+        assert!(p.hma.total_capacity().bytes() < ByteSize::mib(128).bytes());
     }
 }

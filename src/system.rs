@@ -4,14 +4,14 @@
 use chameleon_cache::{CacheStats, Hierarchy, HitLevel, PrefetchBuf, WritebackBuf};
 use chameleon_core::policy::{HmaPolicy, ModeDistribution};
 use chameleon_cpu::{MemorySystem, MultiCore, Reply, RunReport};
-use chameleon_os::guidance::{GuidanceEngine, GuidanceEpochReport};
+use chameleon_os::guidance::GuidanceEngine;
 use chameleon_os::numa::{AutoNuma, EpochReport};
 use chameleon_os::page_table::PAGE_SIZE;
 use chameleon_os::{OsConfig, OsError, OsKernel, Pid};
 use chameleon_simkit::mem::ByteSize;
 use chameleon_simkit::metrics::{MetricSource, MetricsExport, Registry, TraceEvent};
 use chameleon_simkit::Cycle;
-use chameleon_workloads::{AppSpec, AppStream, WorkloadMix};
+use chameleon_workloads::{AppSpec, AppStream};
 use serde::{Deserialize, Serialize};
 
 use crate::{Architecture, ScaledParams};
@@ -180,11 +180,6 @@ impl System {
         self.memo_tags.iter_mut().for_each(|t| *t = u64::MAX);
     }
 
-    /// The architecture being simulated.
-    pub fn architecture(&self) -> Architecture {
-        self.arch
-    }
-
     /// The OS kernel (free-space telemetry, fault counters).
     pub fn os(&self) -> &OsKernel {
         &self.os
@@ -281,12 +276,6 @@ impl System {
         self.autonuma.as_ref().map(|n| n.reports()).unwrap_or(&[])
     }
 
-    /// Guidance-tier epoch reports, when the architecture runs the online
-    /// profiler ([`Architecture::Guided`]).
-    pub fn guidance_reports(&self) -> &[GuidanceEpochReport] {
-        self.guidance.as_ref().map(|g| g.reports()).unwrap_or(&[])
-    }
-
     /// The guidance engine itself (per-tenant profiles), when present.
     pub fn guidance(&self) -> Option<&GuidanceEngine> {
         self.guidance.as_ref()
@@ -318,42 +307,6 @@ impl System {
     ) -> Result<Vec<AppStream>, String> {
         let spec = AppSpec::parse(app)?.scaled(self.params.footprint_scale);
         Ok(self.spawn_rate_workload_spec(&spec, instructions_per_core, seed))
-    }
-
-    /// Spawns a multi-programmed mix: one (possibly different) application
-    /// per core (`chameleon_workloads::WorkloadMix`). The mix must cover
-    /// exactly the system's core count; footprints are scaled by the
-    /// system's footprint scale.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error string when the mix's core count mismatches.
-    pub fn spawn_mix(
-        &mut self,
-        mix: &WorkloadMix,
-        instructions_per_core: u64,
-        seed: u64,
-    ) -> Result<Vec<AppStream>, String> {
-        if mix.cores() != self.params.cores {
-            return Err(format!(
-                "mix covers {} cores but the system has {}",
-                mix.cores(),
-                self.params.cores
-            ));
-        }
-        let scaled = mix.scaled(self.params.footprint_scale);
-        self.workload = scaled.name.clone();
-        let mut streams = Vec::with_capacity(self.params.cores);
-        for (core, spec) in scaled.apps.iter().enumerate() {
-            let pid = self.os.spawn(spec.per_copy_footprint());
-            self.pids.push(pid);
-            streams.push(AppStream::new(
-                spec,
-                instructions_per_core,
-                seed.wrapping_mul(0x9E37_79B9).wrapping_add(core as u64),
-            ));
-        }
-        Ok(streams)
     }
 
     /// Like [`System::spawn_rate_workload`] but with an explicit,
@@ -731,7 +684,7 @@ mod tests {
     #[should_panic(expected = "ratio of at most 254, got 383")]
     fn group_placement_rejects_ratio_beyond_u8_slots() {
         // 384 slots per group would wrap to 128 in a `u8`.
-        let mut params = ScaledParams::laptop().with_ratio(383);
+        let mut params = ScaledParams::laptop().with_ratio(383).unwrap();
         params.group_aware_placement = true;
         let _ = System::new(Architecture::ChameleonOpt, &params);
     }
@@ -791,7 +744,7 @@ mod tests {
         s.reset_measurement();
         let r = s.run(streams);
         assert!(
-            !s.guidance_reports().is_empty(),
+            s.guidance().is_some_and(|g| !g.reports().is_empty()),
             "long runs must close at least one guidance epoch"
         );
         let samples = r.metrics.counters.get("guidance.samples");
@@ -848,29 +801,6 @@ mod tests {
             mpki_on < mpki_off,
             "prefetching should convert misses to L3 hits ({mpki_on} vs {mpki_off})"
         );
-    }
-
-    #[test]
-    fn mixed_workload_runs() {
-        let params = ScaledParams::tiny();
-        let mut s = System::new(Architecture::ChameleonOpt, &params);
-        let mix = chameleon_workloads::WorkloadMix::pair("mcf", "miniFE", params.cores);
-        let streams = s.spawn_mix(&mix, 20_000, 3).unwrap();
-        s.prefault_all().unwrap();
-        s.reset_measurement();
-        let r = s.run(streams);
-        assert_eq!(r.workload, "mix:mcf+miniFE");
-        assert!(r.run.geomean_ipc() > 0.0);
-        // The quiet app's core should retire faster than mcf's.
-        assert!(r.run.cores[1].ipc() > r.run.cores[0].ipc());
-    }
-
-    #[test]
-    fn mix_core_count_must_match() {
-        let params = ScaledParams::tiny();
-        let mut s = System::new(Architecture::Pom, &params);
-        let mix = chameleon_workloads::WorkloadMix::rate("mcf", params.cores + 1);
-        assert!(s.spawn_mix(&mix, 1000, 0).is_err());
     }
 
     #[test]

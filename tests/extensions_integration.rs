@@ -1,6 +1,6 @@
 //! Integration tests for the features beyond the paper's core evaluation:
 //! the §VI-G placement ledger, the buffer cache (§V-D3), the stride
-//! prefetcher, trace replay, workload mixes and the energy counters.
+//! prefetcher, trace replay and the energy counters.
 
 use chameleon::cpu::MultiCore;
 use chameleon::dram::{EnergyParams, MemOp};
@@ -9,7 +9,7 @@ use chameleon::os::isa::RecordingHook;
 use chameleon::os::{MemoryMap, OsConfig, OsKernel};
 use chameleon::simkit::mem::ByteSize;
 use chameleon::workloads::trace::{record, Trace};
-use chameleon::workloads::{AppSpec, AppStream, WorkloadMix};
+use chameleon::workloads::{AppSpec, AppStream};
 use chameleon::{Architecture, ScaledParams, System};
 
 #[test]
@@ -108,16 +108,6 @@ fn trace_replay_reproduces_generated_run_exactly() {
     };
 
     assert_eq!(run_generated, run_replayed, "replay is cycle-exact");
-}
-
-#[test]
-fn workload_mix_spawns_heterogeneous_footprints() {
-    let params = ScaledParams::tiny();
-    let mix = WorkloadMix::pair("mcf", "miniGhost", params.cores).scaled(params.footprint_scale);
-    assert_ne!(
-        mix.apps[0].per_copy_footprint(),
-        mix.apps[1].per_copy_footprint()
-    );
 }
 
 #[test]

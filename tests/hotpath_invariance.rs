@@ -143,22 +143,3 @@ fn memo_invisible_under_swap_pressure() {
         "cell must actually swap to be a test"
     );
 }
-
-/// Invariance for a multi-programmed mix: cores run different
-/// applications and retire at very different rates, so the min-clock
-/// schedule interleaves asymmetric streams and each core's memo slots
-/// see a different footprint.
-#[test]
-fn memo_and_fast_path_invisible_for_mixed_workloads() {
-    assert_memo_and_fast_path_invisible("on the mcf+miniFE mix", |memo, fast_path| {
-        let params = ScaledParams::tiny();
-        let mut s = System::new(Architecture::ChameleonOpt, &params);
-        s.set_memo_enabled(memo);
-        s.set_fast_path_enabled(fast_path);
-        let mix = chameleon::workloads::WorkloadMix::pair("mcf", "miniFE", params.cores);
-        let streams = s.spawn_mix(&mix, 30_000, 7).unwrap();
-        s.prefault_all().unwrap();
-        s.reset_measurement();
-        s.run(streams)
-    });
-}
