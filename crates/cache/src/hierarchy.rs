@@ -225,8 +225,7 @@ impl Hierarchy {
     /// bit-identical to what the full walk would have produced, and the
     /// walk is guaranteed to have emitted no writebacks and no prefetch
     /// candidates (both only arise beyond the L2). Enforced by a
-    /// differential proptest (`fused_walk_differential.rs`) and the
-    /// system-level invariance suite.
+    /// differential proptest (`fused_walk_differential.rs`).
     // lint: hot-path
     #[inline]
     pub fn fast_access(

@@ -3,7 +3,7 @@
 use chameleon_simkit::Cycle;
 use serde::{Deserialize, Serialize};
 
-use crate::{MemorySystem, Op, Reply};
+use crate::{MemorySystem, Op};
 
 /// Core microarchitecture parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -168,33 +168,16 @@ impl Core {
     /// Executes one operation. Returns the new local clock.
     // lint: hot-path
     pub fn step<M: MemorySystem + ?Sized>(&mut self, op: Op, mem: &mut M) -> Cycle {
-        match op {
-            Op::Compute(n) => self.step_compute(n),
-            Op::Load(addr) | Op::Store(addr) => {
-                let write = matches!(op, Op::Store(_));
-                self.step_mem_with(|id, now| mem.access(id, addr, write, now))
+        let (addr, write) = match op {
+            Op::Compute(n) => {
+                self.retire_window(n as u64);
+                self.clock += n as Cycle;
+                self.report.instructions += n as u64;
+                return self.clock;
             }
-        }
-    }
-
-    /// Executes one compute op of `n` instructions. Returns the new
-    /// local clock.
-    // lint: hot-path
-    #[inline]
-    fn step_compute(&mut self, n: u32) -> Cycle {
-        self.retire_window(n as u64);
-        self.clock += n as Cycle;
-        self.report.instructions += n as u64;
-        self.clock
-    }
-
-    /// Executes one memory op; `access` receives the core id and the
-    /// issue cycle and returns the memory system's reply. This is the
-    /// timing model [`Core::step`] uses for loads and stores. Returns the
-    /// new local clock.
-    // lint: hot-path
-    #[inline]
-    fn step_mem_with(&mut self, access: impl FnOnce(usize, u64) -> Reply) -> Cycle {
+            Op::Load(addr) => (addr, false),
+            Op::Store(addr) => (addr, true),
+        };
         self.retire_window(1);
         // Respect the MLP bound.
         if self.outstanding.len() == self.cfg.mlp {
@@ -205,7 +188,7 @@ impl Core {
         self.clock += 1; // issue slot
         self.report.instructions += 1;
         self.report.mem_ops += 1;
-        let reply = access(self.id, self.clock);
+        let reply = mem.access(self.id, addr, write, self.clock);
         if reply.fault_stall > 0 {
             // A page fault blocks the whole core: wait out any
             // outstanding accesses, then serve the fault.

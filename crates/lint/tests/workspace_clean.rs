@@ -59,6 +59,35 @@ fn dead_pub_allowlist_entries_name_a_reason() {
     }
 }
 
+/// Every fn-named `dead-pub` sanction points at a fn that still exists:
+/// its file is present and declares `pub fn <name>`. A sanction left
+/// behind by a deleted fn would otherwise go unnoticed.
+#[test]
+fn dead_pub_allowlist_entries_name_a_live_fn() {
+    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let root = manifest
+        .parent()
+        .and_then(|p| p.parent())
+        .expect("crates/lint sits two levels below the workspace root");
+    let allowlist = load_allowlist(&manifest.join("allowlist.txt")).expect("allowlist parses");
+    for entry in allowlist
+        .iter()
+        .filter(|e| e.rule == "dead-pub" && e.token != "*")
+    {
+        let text = std::fs::read_to_string(root.join(&entry.path))
+            .unwrap_or_else(|e| panic!("dead-pub entry names a missing file {}: {e}", entry.path));
+        let decl = format!("pub fn {}", entry.token);
+        let declared = text
+            .match_indices(&decl)
+            .any(|(i, _)| matches!(text[i + decl.len()..].chars().next(), Some('(' | '<')));
+        assert!(
+            declared,
+            "dead-pub entry names no `{decl}` in {}",
+            entry.path
+        );
+    }
+}
+
 /// Lines the linter's own source (`crates/lint/src/*.rs`) may span. The
 /// linter guards the simulator's contracts; it must not outgrow them.
 const LINT_SRC_LINE_BUDGET: usize = 4_550;

@@ -1,27 +1,27 @@
 //! Precomputed decode tables for the generators' hot paths.
 //!
 //! The address synthesisers ([`crate::AppStream`], [`crate::ZipfStream`],
-//! [`crate::LoopStream`]) historically decided every memory op with
-//! floating-point arithmetic: Bernoulli draws compared a converted f64
-//! against a probability, and Zipf ranks inverted a power-law CDF with
-//! two `powf` calls per draw. This module precomputes that work into
+//! [`crate::LoopStream`]) decide every memory op from one RNG draw. The
+//! reference decoders are floating-point: a Bernoulli draw compares the
+//! draw's `f64` against a probability (`rng.unit() < p`), and
+//! a Zipf rank inverts a power-law CDF with a `powf` per draw
+//! (`ZipfTable::rank_of_m`). This module precomputes that work into
 //! integer tables built once per stream:
 //!
 //! * [`Bernoulli`] — the probability collapses to a 53-bit integer
 //!   threshold ([`DeterministicRng::chance_threshold`]), so each draw is
 //!   one RNG step and one integer compare. Exact by construction: the
-//!   threshold counts precisely the accepting draws of the legacy
-//!   float compare.
+//!   threshold counts precisely the accepting draws of the float
+//!   compare.
 //! * [`ZipfTable`] — the first [`ZipfTable::HEAD_RANKS`] ranks (which
 //!   absorb most of the u-measure at realistic skews) get exact draw
-//!   boundaries, found by bracketed bisection *of the legacy formula
+//!   boundaries, found by bracketed bisection *of the float formula
 //!   itself*, so a head draw is a guide-table index plus a short scan —
-//!   no `powf`. Tail draws fall back to the unchanged legacy formula.
+//!   no `powf`. Tail draws evaluate the float formula.
 //!
-//! Every table replays the legacy decoder *draw-for-draw*: same RNG
-//! consumption, same outputs. The streams keep the legacy path alive
-//! behind a switch, and differential proptests
-//! (`tests/decode_differential.rs`) assert address-for-address equality.
+//! Every table replays its float reference *draw-for-draw*: same RNG
+//! consumption, same outputs. The proptests below check each table
+//! against its reference over arbitrary parameters and draws.
 
 use chameleon_simkit::rng::DeterministicRng;
 
@@ -29,8 +29,8 @@ use chameleon_simkit::rng::DeterministicRng;
 /// of one raw draw, so `[0, 1)` has exactly `2^53` representable draws.
 const FULL: u64 = 1 << 53;
 
-/// An integer-threshold Bernoulli gate: the table form of
-/// [`DeterministicRng::chance`]. One RNG step per draw, identical accept
+/// An integer-threshold Bernoulli gate: the table form of the float
+/// draw `rng.unit() < p`. One RNG step per draw, identical accept
 /// set (see [`DeterministicRng::chance_threshold`] for the exactness
 /// argument).
 #[derive(Debug, Clone, Copy)]
@@ -51,7 +51,7 @@ impl Bernoulli {
     }
 
     /// `true` with the configured probability; draw-for-draw identical
-    /// to `rng.chance(p)`.
+    /// to `rng.unit() < p`.
     // lint: hot-path
     #[inline]
     pub fn draw(&self, rng: &mut DeterministicRng) -> bool {
@@ -77,7 +77,7 @@ pub struct OpMixGates {
 /// Exact decode table for [`crate::ZipfStream`]'s bounded power-law rank
 /// draw.
 ///
-/// The legacy draw maps one RNG step `m ∈ [0, 2^53)` through
+/// The reference draw (`rank_of_m`) maps one RNG step `m ∈ [0, 2^53)` through
 /// `u = min(m·2⁻⁵³, 1−10⁻¹²)` and the inverse CDF
 /// `x(u) = ((nᵉ−1)·u + 1)^(1/e)` (or `n^u` at `s ≈ 1`), then truncates
 /// and clamps to a rank. Every step of that pipeline is monotone
@@ -86,23 +86,23 @@ pub struct OpMixGates {
 /// the map is fully described by its interval boundaries.
 ///
 /// The table stores the boundaries of the first [`Self::HEAD_RANKS`]
-/// ranks. Each boundary is found by bisecting the *legacy* rank function
+/// ranks. Each boundary is found by bisecting the reference rank function
 /// over `m` — the table is exact by construction, not by re-deriving the
 /// math — bracketed around an analytic first guess so the build costs a
 /// handful of `powf` calls per rank. A coarse guide array (buckets of
 /// `2^`[`Self::GUIDE_SHIFT`] draws) turns a head decode into one guide
 /// load plus a short boundary scan. Draws past the last head boundary
-/// take the legacy formula unchanged.
+/// take the reference formula.
 #[derive(Debug, Clone)]
 pub struct ZipfTable {
     lines: u64,
-    /// Whether the legacy `s ≈ 1` branch applies (same predicate).
+    /// Whether the `s ≈ 1` (`n^u`) branch applies.
     skew_is_one: bool,
     n: f64,
     /// `1 − skew` (general branch only).
     e: f64,
     inv_e: f64,
-    /// `n^e − 1`, the legacy formula's per-draw constant.
+    /// `n^e − 1`, the float formula's per-draw constant.
     c: f64,
     /// `bounds[r]` = smallest draw `m` whose rank exceeds `r`.
     bounds: Vec<u64>,
@@ -121,8 +121,7 @@ impl ZipfTable {
     /// Guide bucket width (`2^42` draws ⇒ at most 2049 buckets).
     const GUIDE_SHIFT: u32 = 42;
 
-    /// Builds the table for a footprint of `lines` lines and skew `skew`
-    /// — the exact parameters the legacy draw uses.
+    /// Builds the table for a footprint of `lines` lines and skew `skew`.
     ///
     /// # Panics
     ///
@@ -172,9 +171,10 @@ impl ZipfTable {
         t
     }
 
-    /// The legacy rank pipeline for draw `m` — bit-identical to
-    /// [`crate::ZipfStream`]'s float path (`n^e` is a constant, so
-    /// caching it as [`Self::c`] reproduces the per-draw value exactly).
+    /// The float reference rank for draw `m` (the high 53 bits of one
+    /// raw draw): `u = m·2⁻⁵³`, which is [`DeterministicRng::unit`] of
+    /// the same draw, clamped below 1 and pushed through the inverse CDF.
+    /// The table's tail path and the oracle its proptests check against.
     fn rank_of_m(&self, m: u64) -> u64 {
         let u = ((m as f64) * (1.0 / FULL as f64)).clamp(0.0, 1.0 - 1e-12);
         let x = if self.skew_is_one {
@@ -187,7 +187,7 @@ impl ZipfTable {
 
     /// Smallest `m >= lo` with `rank_of_m(m) > r`, or [`FULL`] if none:
     /// an analytic guess, a doubling bracket, then bisection — every
-    /// probe evaluates the legacy formula, so the result is exact.
+    /// probe evaluates the reference formula, so the result is exact.
     fn boundary(&self, r: u64, lo_hint: u64) -> u64 {
         if self.rank_of_m(FULL - 1) <= r {
             return FULL;
@@ -248,8 +248,8 @@ impl ZipfTable {
         hi
     }
 
-    /// Decodes one raw RNG draw (`rng.raw()`) to a rank, draw-for-draw
-    /// identical to the legacy float pipeline.
+    /// Decodes one raw RNG draw (`rng.raw()`) to a rank, identical to
+    /// `rank_of_m(raw >> 11)`.
     // lint: hot-path
     #[inline]
     pub fn rank(&self, raw: u64) -> u64 {
@@ -270,15 +270,73 @@ impl ZipfTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn bernoulli_replays_chance() {
-        for p in [0.0, 0.25706, 0.3, 0.8367, 1.0] {
+    /// Probabilities at the edges, on the 2⁻⁵³ draw grid (where an
+    /// off-by-one threshold would show), decimal, and tiny.
+    fn any_probability() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(1.0),
+            any::<u64>().prop_map(|raw| (raw >> 11) as f64 / FULL as f64),
+            (0u32..10_001).prop_map(|k| f64::from(k) / 10_000.0),
+            (1i32..1075).prop_map(|k| 2f64.powi(-k)),
+        ]
+    }
+
+    /// Skews that exercise every branch of the rank formula: uniform,
+    /// moderate, the `|s - 1| < 1e-9` log branch (exactly and from both
+    /// sides), YCSB-style 0.99, and strongly concentrated.
+    fn any_skew() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(0.5),
+            Just(0.99),
+            Just(1.0),
+            Just(1.0 - 5e-10),
+            Just(1.0 + 5e-10),
+            Just(1.2),
+            Just(1.8),
+            (1u32..200).prop_map(|m| f64::from(m) / 100.0),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The integer gate accepts exactly the draws the float compare
+        /// accepts, one generator step each.
+        #[test]
+        fn bernoulli_replays_the_float_draw(p in any_probability(), seed in any::<u64>()) {
             let gate = Bernoulli::new(p);
-            let mut a = DeterministicRng::seed(77);
-            let mut b = DeterministicRng::seed(77);
-            for _ in 0..20_000 {
-                assert_eq!(gate.draw(&mut a), b.chance(p), "p={p}");
+            let mut a = DeterministicRng::seed(seed);
+            let mut b = DeterministicRng::seed(seed);
+            for i in 0..512 {
+                prop_assert_eq!(gate.draw(&mut a), b.unit() < p, "p={} draw {}", p, i);
+            }
+        }
+
+        /// The head table plus tail fallback decodes every draw to the
+        /// float reference's rank: at, just below and just above every
+        /// head boundary, and at random draws.
+        #[test]
+        fn zipf_table_rank_matches_the_float_reference(
+            skew in any_skew(),
+            lines in prop_oneof![1u64..64, 64u64..(1 << 26)],
+            seed in any::<u64>(),
+        ) {
+            let t = ZipfTable::new(lines, skew);
+            for &b in &t.bounds {
+                for m in [b.saturating_sub(1), b, b + 1].into_iter().filter(|&m| m < FULL) {
+                    prop_assert_eq!(t.rank(m << 11), t.rank_of_m(m), "skew {} draw {}", skew, m);
+                }
+            }
+            let mut rng = DeterministicRng::seed(seed);
+            for _ in 0..2048 {
+                let raw = rng.raw();
+                let r = t.rank(raw);
+                prop_assert!(r < lines);
+                prop_assert_eq!(r, t.rank_of_m(raw >> 11), "skew {}", skew);
             }
         }
     }
@@ -295,37 +353,11 @@ mod tests {
     }
 
     #[test]
-    fn table_rank_matches_legacy_at_boundaries_and_random_draws() {
-        for skew in [0.0, 0.7, 0.99, 1.0, 1.3] {
-            let t = ZipfTable::new(64 << 10, skew);
-            // Exactly at, just below, and just above every head boundary.
-            for &b in &t.bounds {
-                for m in [b.saturating_sub(1), b, (b + 1).min(FULL - 1)] {
-                    assert_eq!(t.rank(m << 11), t.rank_of_m(m), "skew {skew} draw {m}");
-                }
-            }
-            // Random draws across the whole range.
-            let mut rng = DeterministicRng::seed(5);
-            for _ in 0..50_000 {
-                let raw = rng.raw();
-                assert_eq!(t.rank(raw), t.rank_of_m(raw >> 11), "skew {skew}");
-            }
-        }
-    }
-
-    #[test]
     fn tiny_footprint_covers_every_rank_in_table() {
         // lines < HEAD_RANKS: the table covers the whole draw space and
         // the fallback is never needed.
         let t = ZipfTable::new(64, 0.99);
         assert_eq!(t.head_limit, FULL);
-        let mut rng = DeterministicRng::seed(6);
-        for _ in 0..20_000 {
-            let raw = rng.raw();
-            let r = t.rank(raw);
-            assert!(r < 64);
-            assert_eq!(r, t.rank_of_m(raw >> 11));
-        }
     }
 
     #[test]

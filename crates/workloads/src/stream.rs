@@ -28,8 +28,6 @@ pub struct AppStream {
     hot_lines: u64,
     /// Line index where the hot set starts (randomised per copy).
     hot_base: u64,
-    stream_fraction: f64,
-    write_fraction: f64,
     /// Compute instructions inserted per memory operation (fractional,
     /// carried in an accumulator).
     gap_per_mem: f64,
@@ -43,7 +41,6 @@ pub struct AppStream {
     medium_lines: u64,
     medium_cursor: u64,
     medium_run_left: u32,
-    medium_share: f64,
     /// Phase churn: memory ops until the hot/medium regions drift.
     phase_mem_ops: u64,
     phase_countdown: u64,
@@ -54,9 +51,6 @@ pub struct AppStream {
     /// Precomputed Table-II op-mix gates (integer thresholds replaying
     /// the float Bernoulli draws exactly).
     gates: OpMixGates,
-    /// `false` routes the per-op draws through the legacy float decoder
-    /// — the differential-test oracle ([`Self::set_table_decode`]).
-    table_decode: bool,
 }
 
 impl AppStream {
@@ -97,8 +91,6 @@ impl AppStream {
             footprint_lines,
             hot_lines,
             hot_base,
-            stream_fraction: spec.stream_fraction,
-            write_fraction: spec.write_fraction,
             gap_per_mem,
             gap_acc: 0.0,
             cursor,
@@ -108,49 +100,12 @@ impl AppStream {
             medium_lines,
             medium_cursor: 0,
             medium_run_left: 0,
-            medium_share: spec.medium_share,
             phase_mem_ops: spec.phase_mem_ops,
             phase_countdown: spec.phase_mem_ops,
             instructions_left: instructions,
             rng,
             pending: None,
             gates: spec.op_gates(),
-            table_decode: true,
-        }
-    }
-
-    /// Selects the decoder: `true` (the default) uses the precomputed
-    /// integer op-mix gates, `false` the legacy float Bernoulli draws.
-    /// Both emit the identical op sequence — the switch exists so the
-    /// differential proptests can compare them.
-    pub fn set_table_decode(&mut self, enabled: bool) {
-        self.table_decode = enabled;
-    }
-
-    #[inline]
-    fn draw_stream(&mut self) -> bool {
-        if self.table_decode {
-            self.gates.stream.draw(&mut self.rng)
-        } else {
-            self.rng.chance(self.stream_fraction)
-        }
-    }
-
-    #[inline]
-    fn draw_medium(&mut self) -> bool {
-        if self.table_decode {
-            self.gates.medium.draw(&mut self.rng)
-        } else {
-            self.rng.chance(self.medium_share)
-        }
-    }
-
-    #[inline]
-    fn draw_write(&mut self) -> bool {
-        if self.table_decode {
-            self.gates.write.draw(&mut self.rng)
-        } else {
-            self.rng.chance(self.write_fraction)
         }
     }
 
@@ -170,8 +125,8 @@ impl AppStream {
                 );
             }
         }
-        let addr = if self.draw_stream() {
-            if self.draw_medium() {
+        let addr = if self.gates.stream.draw(&mut self.rng) {
+            if self.gates.medium.draw(&mut self.rng) {
                 // Medium working set: short sequential runs revisiting a
                 // bounded, reused region.
                 if self.medium_run_left == 0 {
@@ -203,7 +158,7 @@ impl AppStream {
         } else {
             (self.hot_base + self.rng.below(self.hot_lines)) * 64
         };
-        if self.draw_write() {
+        if self.gates.write.draw(&mut self.rng) {
             Op::Store(addr)
         } else {
             Op::Load(addr)

@@ -150,16 +150,11 @@ fn footprint_lines(footprint: ByteSize) -> u64 {
 #[derive(Debug)]
 pub struct ZipfStream {
     lines: u64,
-    skew: f64,
-    write_fraction: f64,
     pacer: Pacer,
     rng: DeterministicRng,
     /// Precomputed head-boundary rank table (see [`crate::decode`]).
     table: ZipfTable,
     write_gate: Bernoulli,
-    /// `false` routes draws through the legacy float decoder — the
-    /// differential-test oracle ([`Self::set_table_decode`]).
-    table_decode: bool,
 }
 
 impl ZipfStream {
@@ -174,45 +169,15 @@ impl ZipfStream {
         let lines = footprint_lines(cfg.footprint);
         Self {
             lines,
-            skew: cfg.skew,
-            write_fraction: cfg.write_fraction,
             pacer: Pacer::new(cfg.mem_per_kilo, instructions),
             rng: DeterministicRng::seed(seed ^ 0x51BF_CAFE),
             table: ZipfTable::new(lines, cfg.skew),
             write_gate: Bernoulli::new(cfg.write_fraction),
-            table_decode: true,
         }
     }
 
-    /// Selects the decoder: `true` (the default) draws ranks from the
-    /// precomputed table, `false` from the legacy float CDF inversion.
-    /// Both emit the identical op sequence — the switch exists so the
-    /// differential proptests can compare them.
-    pub fn set_table_decode(&mut self, enabled: bool) {
-        self.table_decode = enabled;
-    }
-
-    /// Draws a rank in `[0, lines)` with `1/r^skew` falloff — the legacy
-    /// float path, kept verbatim as the differential-test oracle.
-    fn rank_legacy(&mut self) -> u64 {
-        let n = self.lines as f64;
-        let u = self.rng.unit().clamp(0.0, 1.0 - 1e-12);
-        let x = if (self.skew - 1.0).abs() < 1e-9 {
-            // s ≈ 1: CDF ∝ ln(x), so x = n^u.
-            n.powf(u)
-        } else {
-            let e = 1.0 - self.skew;
-            ((n.powf(e) - 1.0) * u + 1.0).powf(1.0 / e)
-        };
-        (x as u64).clamp(1, self.lines) - 1
-    }
-
     fn next_mem_op(&mut self) -> Op {
-        let rank = if self.table_decode {
-            self.table.rank(self.rng.raw())
-        } else {
-            self.rank_legacy()
-        };
+        let rank = self.table.rank(self.rng.raw());
         // SCATTER is prime and larger than any realistic line count, so
         // it is coprime with `lines` and the mapping is a permutation.
         let line = if self.lines < SCATTER {
@@ -221,12 +186,7 @@ impl ZipfStream {
             rank
         };
         let addr = line * LINE;
-        let is_write = if self.table_decode {
-            self.write_gate.draw(&mut self.rng)
-        } else {
-            self.rng.chance(self.write_fraction)
-        };
-        if is_write {
+        if self.write_gate.draw(&mut self.rng) {
             Op::Store(addr)
         } else {
             Op::Load(addr)
@@ -247,13 +207,9 @@ pub struct LoopStream {
     lines: u64,
     stride: u64,
     cursor: u64,
-    write_fraction: f64,
     pacer: Pacer,
     rng: DeterministicRng,
     write_gate: Bernoulli,
-    /// `false` routes draws through the legacy float decoder — the
-    /// differential-test oracle ([`Self::set_table_decode`]).
-    table_decode: bool,
 }
 
 impl LoopStream {
@@ -270,40 +226,22 @@ impl LoopStream {
             lines,
             stride: (cfg.stride_lines.max(1) as u64).min(lines),
             cursor,
-            write_fraction: cfg.write_fraction,
             pacer: Pacer::new(cfg.mem_per_kilo, instructions),
             rng,
             write_gate: Bernoulli::new(cfg.write_fraction),
-            table_decode: true,
         }
-    }
-
-    /// Selects the decoder: `true` (the default) advances the scan
-    /// cursor with a conditional subtract and gates stores through the
-    /// integer threshold; `false` is the legacy modulo + float path.
-    /// Both emit the identical op sequence.
-    pub fn set_table_decode(&mut self, enabled: bool) {
-        self.table_decode = enabled;
     }
 
     fn next_mem_op(&mut self) -> Op {
         let addr = self.cursor * LINE;
-        let is_write;
-        if self.table_decode {
-            // `stride <= lines` and `cursor < lines`, so the sum is below
-            // `2 * lines` and one conditional subtract replaces the
-            // hardware divide — exactly.
-            let mut next = self.cursor + self.stride;
-            if next >= self.lines {
-                next -= self.lines;
-            }
-            self.cursor = next;
-            is_write = self.write_gate.draw(&mut self.rng);
-        } else {
-            self.cursor = (self.cursor + self.stride) % self.lines;
-            is_write = self.rng.chance(self.write_fraction);
+        // `stride <= lines` and `cursor < lines`, so the sum is below
+        // `2 * lines` and one conditional subtract replaces the modulo.
+        let mut next = self.cursor + self.stride;
+        if next >= self.lines {
+            next -= self.lines;
         }
-        if is_write {
+        self.cursor = next;
+        if self.write_gate.draw(&mut self.rng) {
             Op::Store(addr)
         } else {
             Op::Load(addr)
@@ -321,6 +259,7 @@ impl InstructionStream for LoopStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn drain(mut s: impl InstructionStream) -> (u64, Vec<u64>) {
         let mut instr = 0u64;
@@ -382,20 +321,31 @@ mod tests {
         );
     }
 
-    #[test]
-    fn loop_is_strided_and_wraps() {
-        let cfg = LoopConfig {
-            footprint: ByteSize::kib(64),
-            stride_lines: 4,
-            mem_per_kilo: 1000,
-            write_fraction: 0.0,
-        };
-        let (_, addrs) = drain(LoopStream::new(&cfg, 5_000, 4));
-        let lines = 64 * 1024 / 64;
-        for pair in addrs.windows(2) {
-            let cur = pair[0] / 64;
-            let next = pair[1] / 64;
-            assert_eq!(next, (cur + 4) % lines, "stride walk with wraparound");
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The conditional-subtract wrap is the modulo walk: every
+        /// address is the previous one plus the stride (clamped to the
+        /// footprint), modulo the footprint.
+        #[test]
+        fn loop_walk_is_the_modulo_reference(
+            pages in 1u64..64,
+            stride in 1u32..512,
+            seed in any::<u64>(),
+        ) {
+            let cfg = LoopConfig {
+                footprint: ByteSize::kib(4 * pages),
+                stride_lines: stride,
+                mem_per_kilo: 1000,
+                write_fraction: 0.5,
+            };
+            let lines = pages * 4096 / LINE;
+            let stride = u64::from(stride).min(lines);
+            let (_, addrs) = drain(LoopStream::new(&cfg, 2_000, seed));
+            prop_assert!(addrs[0] / LINE < lines);
+            for pair in addrs.windows(2) {
+                prop_assert_eq!(pair[1] / LINE, (pair[0] / LINE + stride) % lines);
+            }
         }
     }
 

@@ -68,9 +68,9 @@ impl Architecture {
     }
 
     /// Every registered architecture, with a representative AutoNUMA
-    /// threshold standing in for the parameterised variant. Cross-scheme
-    /// suites (conformance, hot-path invariance) iterate this registry so
-    /// a newly added scheme is covered without editing each test.
+    /// threshold standing in for the parameterised variant. The
+    /// cross-scheme conformance battery iterates this registry so a newly
+    /// added scheme is covered without editing each test.
     pub fn all() -> Vec<Architecture> {
         vec![
             Architecture::FlatSmall,

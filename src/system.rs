@@ -81,14 +81,12 @@ pub struct System {
     /// kernel side effects. The whole memo is flushed whenever the
     /// kernel's mapping generation moves (any translation-retiring event:
     /// swap-out, release, exit, migration), so it can never serve a stale
-    /// frame. Laid out core-major: `core * MEMO_SLOTS + (vpn & mask)`.
+    /// frame; debug builds check every hit against
+    /// [`OsKernel::peek_translate`]. Laid out core-major:
+    /// `core * MEMO_SLOTS + (vpn & mask)`.
     memo_tags: Vec<u64>,
     memo_frames: Vec<u64>,
     memo_gen: u64,
-    memo_enabled: bool,
-    /// Whether the fused L1/L2 fast-path walk may short-circuit the full
-    /// hierarchy walk (on by default; invisible either way).
-    fast_path_enabled: bool,
 }
 
 impl System {
@@ -154,30 +152,7 @@ impl System {
             memo_tags: vec![u64::MAX; params.cores * MEMO_SLOTS],
             memo_frames: vec![0; params.cores * MEMO_SLOTS],
             memo_gen: 0,
-            memo_enabled: true,
-            fast_path_enabled: true,
         }
-    }
-
-    /// Enables or disables the fused L1/L2 fast-path walk
-    /// ([`Hierarchy::fast_access`]; on by default).
-    ///
-    /// Like the memo, the fast path is an invisible optimisation —
-    /// reports are bit-identical either way (enforced by the hot-path
-    /// invariance tests); the switch exists so those tests can compare
-    /// both paths.
-    pub fn set_fast_path_enabled(&mut self, enabled: bool) {
-        self.fast_path_enabled = enabled;
-    }
-
-    /// Enables or disables the per-core translation memo (on by default).
-    ///
-    /// The memo is an invisible optimisation — reports are bit-identical
-    /// either way (enforced by the hot-path invariance tests); the switch
-    /// exists so those tests can compare both paths.
-    pub fn set_memo_enabled(&mut self, enabled: bool) {
-        self.memo_enabled = enabled;
-        self.memo_tags.iter_mut().for_each(|t| *t = u64::MAX);
     }
 
     /// The OS kernel (free-space telemetry, fault counters).
@@ -318,17 +293,30 @@ impl System {
         seed: u64,
     ) -> Vec<AppStream> {
         self.workload = spec.name.clone();
-        let mut streams = Vec::with_capacity(self.params.cores);
-        for core in 0..self.params.cores {
+        for _ in 0..self.params.cores {
             let pid = self.os.spawn(spec.per_copy_footprint());
             self.pids.push(pid);
-            streams.push(AppStream::new(
-                spec,
-                instructions_per_core,
-                seed.wrapping_mul(0x9E37_79B9).wrapping_add(core as u64),
-            ));
         }
-        streams
+        self.rate_streams(spec, instructions_per_core, seed)
+    }
+
+    /// One stream of `spec` per core, each seeded from `seed` and its
+    /// core index.
+    fn rate_streams(
+        &self,
+        spec: &AppSpec,
+        instructions_per_core: u64,
+        seed: u64,
+    ) -> Vec<AppStream> {
+        (0..self.params.cores)
+            .map(|core| {
+                AppStream::new(
+                    spec,
+                    instructions_per_core,
+                    seed.wrapping_mul(0x9E37_79B9).wrapping_add(core as u64),
+                )
+            })
+            .collect()
     }
 
     /// Spawns a bare process with the given footprint for scenario-driven
@@ -453,40 +441,22 @@ impl System {
     ///
     /// Returns an error string for an unknown application.
     pub fn run_paper_protocol(&mut self, app: &str, seed: u64) -> Result<SystemReport, String> {
+        let spec = AppSpec::parse(app)?.scaled(self.params.footprint_scale);
         // Low-intensity applications run proportionally more instructions
         // so their DRAM-touch counts are comparable (the paper's
         // 500M-instruction windows give every application ample training
         // traffic). Compute instructions are batched, so this costs
         // little simulation time.
-        let spec0 = AppSpec::parse(app)?;
-        let boost = (24.0 / spec0.llc_mpki).clamp(1.0, 8.0);
+        let boost = (24.0 / spec.llc_mpki).clamp(1.0, 8.0);
         let measure = (self.params.instructions_per_core as f64 * boost) as u64;
         let warmup = (measure / 2).max(1);
-        let streams = self.spawn_rate_workload(app, warmup, seed)?;
+        let streams = self.spawn_rate_workload_spec(&spec, warmup, seed);
         self.prefault_all().map_err(|e| e.to_string())?;
         // Warm-up: same seed, so the same hot/medium regions are touched.
         let _ = self.run_cores(streams);
         self.reset_measurement();
-        let streams = self.respawn_streams(app, measure, seed)?;
+        let streams = self.rate_streams(&spec, measure, seed);
         Ok(self.run(streams))
-    }
-
-    fn respawn_streams(
-        &mut self,
-        app: &str,
-        instructions_per_core: u64,
-        seed: u64,
-    ) -> Result<Vec<AppStream>, String> {
-        let spec = AppSpec::parse(app)?.scaled(self.params.footprint_scale);
-        Ok((0..self.params.cores)
-            .map(|core| {
-                AppStream::new(
-                    &spec,
-                    instructions_per_core,
-                    seed.wrapping_mul(0x9E37_79B9).wrapping_add(core as u64),
-                )
-            })
-            .collect())
     }
 
     fn report(&mut self, run: RunReport) -> SystemReport {
@@ -535,37 +505,25 @@ impl MemorySystem for System {
         // Translate. The memo short-circuits the kernel for the resident
         // fast path: a hit reproduces the resident-touch outcome exactly
         // (paddr, no fault, zero stall — the kernel records nothing on a
-        // resident touch), so simulated behaviour is unchanged.
+        // resident touch), so simulated behaviour is unchanged. Debug
+        // builds check every hit against the page table.
         let vpn = vaddr / PAGE_SIZE;
         let slot = core * MEMO_SLOTS + (vpn as usize & (MEMO_SLOTS - 1));
-        let mut fault_stall = 0;
-        let paddr;
-        if self.memo_enabled {
-            let gen = self.os.mapping_generation();
-            if gen != self.memo_gen {
-                // A translation was retired somewhere since the last
-                // reference; drop everything.
-                self.memo_gen = gen;
-                self.memo_tags.iter_mut().for_each(|t| *t = u64::MAX);
-            }
-            if self.memo_tags[slot] == vpn {
-                paddr = self.memo_frames[slot] + vaddr % PAGE_SIZE;
-            } else {
-                let pid = self.pids[core];
-                let touch = self
-                    .os
-                    .touch(pid, vaddr, write, now, self.policy.as_mut())
-                    // INVARIANT: streams wrap addresses modulo the footprint.
-                    .expect("streams stay within their process footprint");
-                paddr = touch.paddr;
-                fault_stall = touch.stall;
-                // The touch itself may have evicted a page to make room;
-                // only cache the fresh translation if no mapping died.
-                if self.os.mapping_generation() == self.memo_gen {
-                    self.memo_tags[slot] = vpn;
-                    self.memo_frames[slot] = paddr - vaddr % PAGE_SIZE;
-                }
-            }
+        let gen = self.os.mapping_generation();
+        if gen != self.memo_gen {
+            // A translation was retired somewhere since the last
+            // reference; drop everything.
+            self.memo_gen = gen;
+            self.memo_tags.iter_mut().for_each(|t| *t = u64::MAX);
+        }
+        let (paddr, fault_stall) = if self.memo_tags[slot] == vpn {
+            let paddr = self.memo_frames[slot] + vaddr % PAGE_SIZE;
+            debug_assert_eq!(
+                self.os.peek_translate(self.pids[core], vaddr),
+                Some(paddr),
+                "translation memo served a stale frame"
+            );
+            (paddr, 0)
         } else {
             let pid = self.pids[core];
             let touch = self
@@ -573,39 +531,25 @@ impl MemorySystem for System {
                 .touch(pid, vaddr, write, now, self.policy.as_mut())
                 // INVARIANT: streams wrap addresses modulo the footprint.
                 .expect("streams stay within their process footprint");
-            paddr = touch.paddr;
-            fault_stall = touch.stall;
-        }
+            // The touch itself may have evicted a page to make room;
+            // only cache the fresh translation if no mapping died.
+            if self.os.mapping_generation() == self.memo_gen {
+                self.memo_tags[slot] = vpn;
+                self.memo_frames[slot] = touch.paddr - vaddr % PAGE_SIZE;
+            }
+            (touch.paddr, touch.stall)
+        };
 
-        self.finish_access(core, paddr, write, now, fault_stall)
-    }
-}
-
-impl System {
-    /// The post-translation half of an access: hierarchy walk, memory
-    /// timing, epoch bookkeeping, writeback and prefetch drains.
-    // lint: hot-path
-    #[inline]
-    fn finish_access(
-        &mut self,
-        core: usize,
-        paddr: u64,
-        write: bool,
-        now: u64,
-        fault_stall: u64,
-    ) -> Reply {
         // Fused fast path: a clean L1/L2 SRAM hit has no writebacks, no
         // prefetches, no policy access and no epoch bookkeeping — the
         // reply is fully determined by the SRAM latency. `fast_access`
         // either commits a walk bit-identical to `access_into` or leaves
         // the hierarchy untouched for the full walk below.
-        if self.fast_path_enabled {
-            if let Some((_, sram_latency)) = self.hierarchy.fast_access(core, paddr, write) {
-                return Reply {
-                    latency: sram_latency as u64,
-                    fault_stall,
-                };
-            }
+        if let Some((_, sram_latency)) = self.hierarchy.fast_access(core, paddr, write) {
+            return Reply {
+                latency: sram_latency as u64,
+                fault_stall,
+            };
         }
         let mut memory_writebacks = WritebackBuf::new();
         let mut prefetches = PrefetchBuf::new();
@@ -753,26 +697,44 @@ mod tests {
 
     #[test]
     fn bind_core_flushes_stale_translations() {
-        // Two processes time-share core 0; every access must translate
-        // through the pid bound at the time, memo on or off.
-        let run = |memo: bool| {
-            let params = ScaledParams::tiny();
-            let mut s = System::new(Architecture::ChameleonOpt, &params);
-            s.set_memo_enabled(memo);
-            let a = s.spawn_process(chameleon_simkit::mem::ByteSize::kib(64));
-            let b = s.spawn_process(chameleon_simkit::mem::ByteSize::kib(64));
-            let mut replies = Vec::new();
-            for slice in 0..4 {
-                let pid = if slice % 2 == 0 { a } else { b };
-                s.bind_core(0, pid);
-                for i in 0..32u64 {
-                    let r = s.access(0, i * 4096 % (64 * 1024), false, slice * 10_000 + i);
-                    replies.push((r.latency, r.fault_stall));
+        // Two processes time-share core 0, each touching all 16 of its
+        // pages twice per slice. Each process faults its pages in during
+        // its first slice only. Without the bind-time flush, the memo
+        // would serve `a`'s frames to `b`, and `b`'s first slice would
+        // not fault.
+        let params = ScaledParams::tiny();
+        let mut s = System::new(Architecture::ChameleonOpt, &params);
+        let a = s.spawn_process(ByteSize::kib(64));
+        let b = s.spawn_process(ByteSize::kib(64));
+        let mut faults = [0u32; 4];
+        for (slice, count) in faults.iter_mut().enumerate() {
+            s.bind_core(0, if slice % 2 == 0 { a } else { b });
+            for i in 0..32u64 {
+                let now = slice as u64 * 10_000 + i;
+                if s.access(0, i * PAGE_SIZE % (64 * 1024), false, now)
+                    .fault_stall
+                    > 0
+                {
+                    *count += 1;
                 }
             }
-            replies
-        };
-        assert_eq!(run(true), run(false), "memo must be invisible");
+        }
+        assert_eq!(faults, [16, 16, 0, 0]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale frame")]
+    fn memo_hit_is_checked_against_the_page_table() {
+        let params = ScaledParams::tiny();
+        let mut s = System::new(Architecture::ChameleonOpt, &params);
+        let pid = s.spawn_process(ByteSize::kib(64));
+        s.bind_core(0, pid);
+        // Fault page 0 in, which memoises it in core 0's slot 0; then
+        // corrupt that slot and hit it.
+        s.access(0, 0, false, 0);
+        s.memo_frames[0] += PAGE_SIZE;
+        s.access(0, 0, false, 1);
     }
 
     #[test]

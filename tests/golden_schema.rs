@@ -1,7 +1,9 @@
-//! Golden-schema test: the committed `results/fixtures/` report must keep
-//! deserialising, and the JSON shape a fresh run produces must match the
-//! fixture's shape key-for-key. A drift failure prints the exact keys
-//! that appeared or vanished.
+//! Golden-report tests: the committed `results/fixtures/` report must keep
+//! deserialising, the JSON shape a fresh run produces must match the
+//! fixture's shape key-for-key, and the fresh report must equal the
+//! fixture byte for byte. A shape failure prints the exact keys that
+//! appeared or vanished; a byte failure means the simulated results
+//! changed.
 
 use chameleon::{Architecture, ScaledParams, System, SystemReport};
 use chameleon_simkit::metrics::SCHEMA_VERSION;
@@ -93,4 +95,31 @@ fn report_shape_matches_golden_fixture() {
         Some(u64::from(SCHEMA_VERSION)),
         "bump the fixture after a schema-version change"
     );
+}
+
+/// Pins simulated results across commits: a host-side optimisation must
+/// leave the report unchanged down to the last byte. Regenerate the
+/// fixture only for an intended change to simulated results.
+#[test]
+fn report_matches_golden_fixture_byte_for_byte() {
+    let golden = std::fs::read_to_string(fixture_path()).expect("committed fixture present");
+    let fresh = serde_json::to_string_pretty(&fresh_report()).expect("report serialises") + "\n";
+    if fresh != golden {
+        let line = fresh
+            .lines()
+            .zip(golden.lines())
+            .take_while(|(a, b)| a == b)
+            .count();
+        panic!(
+            "fresh report differs from the golden fixture ({} vs {} bytes), first at line {}:\n  \
+             fresh:  {:?}\n  golden: {:?}\n  \
+             (if the change to simulated results is intended, regenerate with \
+             `cargo run --release --example metrics_dump`)",
+            fresh.len(),
+            golden.len(),
+            line + 1,
+            fresh.lines().nth(line),
+            golden.lines().nth(line),
+        );
+    }
 }

@@ -13,9 +13,9 @@
 //! * **Metrics schema** — each scheme publishes the full `hma.*` counter
 //!   family (scheme-specific counters included, at zero when unused), the
 //!   residency gauges, and the device/OS prefixes.
-//! * **Bit-identical replay** — the translation memo and the sweep
-//!   engine's worker count are pure optimisations: toggling either must
-//!   reproduce byte-identical reports.
+//! * **Bit-identical replay** — the sweep engine's worker count is a
+//!   pure optimisation: serial and parallel sweeps must serialise
+//!   byte-identically.
 //!
 //! Lint cleanliness (no findings beyond the checked-in baseline) is
 //! checked by `crates/lint/tests/workspace_clean.rs`.
@@ -44,10 +44,9 @@ struct Conservation {
 
 /// Runs one tiny measured cell and returns the report plus the policy's
 /// conservation counters.
-fn run_cell(arch: Architecture, memo: bool) -> (SystemReport, Conservation) {
+fn run_cell(arch: Architecture) -> (SystemReport, Conservation) {
     let params = ScaledParams::tiny();
     let mut s = System::new(arch, &params);
-    s.set_memo_enabled(memo);
     s.set_epoch_accesses(EPOCH_ACCESSES);
     let streams = s.spawn_rate_workload("mcf", INSTRUCTIONS, 7).unwrap();
     s.prefault_all().unwrap();
@@ -93,7 +92,7 @@ const REQUIRED_HMA_COUNTERS: [&str; 16] = [
 #[test]
 fn access_conservation_holds_for_every_architecture() {
     for arch in Architecture::all() {
-        let (report, c) = run_cell(arch, true);
+        let (report, c) = run_cell(arch);
         assert!(c.demand > 0, "{arch:?}: cell issued no memory references");
         assert_eq!(
             c.latency_samples, c.demand,
@@ -152,7 +151,7 @@ fn residency_stays_within_capacity_every_epoch() {
 #[test]
 fn metrics_schema_is_complete_for_every_architecture() {
     for arch in Architecture::all() {
-        let (report, _) = run_cell(arch, true);
+        let (report, _) = run_cell(arch);
         let m = &report.metrics;
         assert_eq!(
             m.schema_version,
@@ -182,22 +181,9 @@ fn metrics_schema_is_complete_for_every_architecture() {
         }
         // The registry mirrors the legacy report fields exactly.
         assert_eq!(m.counters["hma.demand_accesses"], {
-            let (_, c) = run_cell(arch, true);
+            let (_, c) = run_cell(arch);
             c.demand
         });
-    }
-}
-
-#[test]
-fn memo_replay_is_bit_identical_for_every_architecture() {
-    for arch in Architecture::all() {
-        let (with_memo, _) = run_cell(arch, true);
-        let (without, _) = run_cell(arch, false);
-        assert_eq!(
-            canonical(&with_memo),
-            canonical(&without),
-            "{arch:?}: translation memo changed the simulated outcome"
-        );
     }
 }
 

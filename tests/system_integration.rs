@@ -103,3 +103,39 @@ fn isa_notifications_flow_for_managed_architectures() {
         "prefault must raise ISA-Alloc"
     );
 }
+
+/// AutoNUMA migrates pages every epoch, so the kernel retires
+/// translations throughout the measured run and the translation memo
+/// flushes continuously. In debug builds every memo hit is checked
+/// against the page table, so this cell exercises that flush path.
+#[test]
+fn autonuma_migration_cell_runs_with_live_translation_check() {
+    let params = ScaledParams::tiny();
+    let mut s = System::new(Architecture::AutoNuma { threshold_pct: 90 }, &params);
+    s.set_epoch_accesses(500);
+    let streams = s.spawn_rate_workload("stream", 60_000, 3).unwrap();
+    s.prefault_all().unwrap();
+    s.reset_measurement();
+    let r = s.run(streams);
+    assert!(
+        r.metrics.counters["os.migrations"] > 0,
+        "cell must actually migrate to be a test"
+    );
+}
+
+/// An undersized flat memory pages against the SSD, so translations are
+/// retired throughout the measured run and demand faults fire on both
+/// the memo-hit and memo-miss paths, with the debug translation check
+/// live on every hit.
+#[test]
+fn swap_pressure_cell_runs_with_live_translation_check() {
+    let mut params = ScaledParams::tiny();
+    params.hma.offchip.capacity = chameleon::simkit::mem::ByteSize::mib(16);
+    params.footprint_scale = 64;
+    let mut s = System::new(Architecture::FlatSmall, &params);
+    let streams = s.spawn_rate_workload("stream", 60_000, 5).unwrap();
+    s.prefault_all().unwrap();
+    s.reset_measurement();
+    let r = s.run(streams);
+    assert!(r.major_faults > 0, "cell must actually swap to be a test");
+}
