@@ -9,7 +9,7 @@ use std::hint::black_box;
 use chameleon::cpu::InstructionStream;
 use chameleon::{Architecture, ScaledParams, System};
 use chameleon_cache::{AccessKind, CacheConfig, Hierarchy, SetAssocCache};
-use chameleon_core::{policy::HmaPolicy, ChameleonPolicy, HmaConfig, PomPolicy, SrrtEntry};
+use chameleon_core::{policy::HmaPolicy, Flavor, HmaConfig, RemapPolicy, SrrtEntry};
 use chameleon_dram::{DramConfig, DramModel, MemOp};
 use chameleon_os::isa::NullHook;
 use chameleon_os::{BuddyAllocator, MemoryMap, OsConfig, OsKernel};
@@ -86,7 +86,7 @@ fn bench_policy(c: &mut Criterion) {
     cfg.offchip.capacity = ByteSize::mib(40);
     let mut g = c.benchmark_group("policy");
     g.bench_function("pom_demand_access", |b| {
-        let mut p = PomPolicy::new(cfg.clone());
+        let mut p = RemapPolicy::new(cfg.clone(), Flavor::Pom);
         let mut now = 0u64;
         let mut addr = 0u64;
         b.iter(|| {
@@ -96,7 +96,7 @@ fn bench_policy(c: &mut Criterion) {
         });
     });
     g.bench_function("chameleon_opt_demand_access", |b| {
-        let mut p = ChameleonPolicy::new_opt(cfg.clone());
+        let mut p = RemapPolicy::new(cfg.clone(), Flavor::Chameleon { opt: true });
         let mut now = 0u64;
         let mut addr = 0u64;
         b.iter(|| {

@@ -5,7 +5,7 @@
 //!
 //! Paper: 242.8M swaps over 53.8 hours ≈ 1.06% of end-to-end time.
 
-use chameleon::core_policies::{policy::HmaPolicy, ChameleonPolicy, HmaConfig};
+use chameleon::core_policies::{policy::HmaPolicy, Flavor, HmaConfig, RemapPolicy};
 use chameleon::os::{MemoryMap, OsConfig, OsKernel};
 use chameleon_bench::{banner, Harness};
 use chameleon_workloads::schedule::DatacenterSchedule;
@@ -17,7 +17,7 @@ fn main() {
     let hma = HmaConfig::scaled_laptop();
     let map = MemoryMap::new(hma.stacked.capacity, hma.offchip.capacity);
     let mut os = OsKernel::new(OsConfig::default(), map);
-    let mut policy = ChameleonPolicy::new_basic(hma.clone());
+    let mut policy = RemapPolicy::new(hma.clone(), Flavor::Chameleon { opt: false });
 
     banner("Section VI-F: ISA-Alloc/ISA-Free overhead");
     // Replay the job sequence: each job allocates its footprint page by

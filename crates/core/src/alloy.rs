@@ -75,6 +75,7 @@ impl IsaHook for AlloyPolicy {
 }
 
 impl HmaPolicy for AlloyPolicy {
+    // lint: hot-path
     fn access(&mut self, paddr: u64, write: bool, now: Cycle) -> Cycle {
         assert!(
             paddr >= self.stacked_base,
@@ -166,10 +167,6 @@ impl HmaPolicy for AlloyPolicy {
 
     fn settle(&mut self) {
         self.devices = HmaDevices::new(&self.cfg);
-    }
-
-    fn name(&self) -> &str {
-        "Alloy-Cache"
     }
 
     fn devices(&self) -> &HmaDevices {

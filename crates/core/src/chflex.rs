@@ -144,10 +144,13 @@ impl ChFlexPolicy {
             "capacities must be segment-aligned"
         );
         let frames = (stacked_bytes / seg_bytes) as usize;
-        let mut ring = HashRing::new();
-        for f in 0..frames {
-            ring.add(f as u32);
-        }
+        // Every frame joins at boot: sort all points once, rather than
+        // `add` each frame, whose duplicate scan makes that quadratic.
+        let mut points: Vec<(u64, u32)> = (0..frames as u32)
+            .flat_map(|f| (0..REPLICAS).map(move |r| (HashRing::point(f, r), f)))
+            .collect();
+        points.sort_unstable();
+        let ring = HashRing { points };
         Self {
             devices: HmaDevices::new(&cfg),
             frames: vec![Frame::default(); frames],
@@ -217,6 +220,16 @@ impl ChFlexPolicy {
         }
     }
 
+    /// How many segments a `[addr, addr+len)` OS range covers: one
+    /// `ISA-Alloc`/`ISA-Free` segment notification each, counted the way
+    /// the SRRT policies count them.
+    fn covered_segments(&self, addr: u64, len: u64) -> u64 {
+        if len == 0 {
+            return 0;
+        }
+        (addr + len - 1) / self.seg_bytes - addr / self.seg_bytes + 1
+    }
+
     /// The stacked segments a `[addr, addr+len)` OS range overlaps.
     fn stacked_segments(&self, addr: u64, len: u64) -> std::ops::RangeInclusive<u64> {
         let end = (addr + len).min(self.stacked_bytes);
@@ -228,7 +241,7 @@ impl ChFlexPolicy {
 
 impl IsaHook for ChFlexPolicy {
     fn isa_alloc(&mut self, addr: u64, len: u64, now: u64) {
-        self.stats.isa_allocs.inc();
+        self.stats.isa_allocs.add(self.covered_segments(addr, len));
         if addr >= self.stacked_bytes || len == 0 {
             return; // off-chip allocations don't change cache capacity
         }
@@ -239,7 +252,7 @@ impl IsaHook for ChFlexPolicy {
     }
 
     fn isa_free(&mut self, addr: u64, len: u64, now: u64) {
-        self.stats.isa_frees.inc();
+        self.stats.isa_frees.add(self.covered_segments(addr, len));
         if len == 0 {
             return;
         }
@@ -397,10 +410,6 @@ impl HmaPolicy for ChFlexPolicy {
         self.devices = HmaDevices::new(&self.cfg);
     }
 
-    fn name(&self) -> &str {
-        "CH-Flex"
-    }
-
     fn devices(&self) -> &HmaDevices {
         &self.devices
     }
@@ -439,10 +448,35 @@ mod tests {
     const OFF_BASE: u64 = 2 << 20;
 
     #[test]
+    fn isa_counters_count_segments_like_the_srrt_policies() {
+        let mut flex = ChFlexPolicy::new(cfg());
+        let mut srrt = crate::RemapPolicy::new(cfg(), crate::Flavor::Chameleon { opt: false });
+        // A stacked 4 KiB page, an off-chip one, and a 2 MiB huge page.
+        for (addr, len) in [(0, 4096), (OFF_BASE, 4096), (OFF_BASE, 2 << 20)] {
+            flex.isa_alloc(addr, len, 0);
+            srrt.isa_alloc(addr, len, 0);
+            flex.isa_free(addr, len, 0);
+            srrt.isa_free(addr, len, 0);
+        }
+        let segments = 2 + 2 + 1024;
+        assert_eq!(srrt.stats().isa_allocs.value(), segments);
+        assert_eq!(flex.stats().isa_allocs.value(), segments);
+        assert_eq!(
+            flex.stats().isa_frees.value(),
+            srrt.stats().isa_frees.value()
+        );
+    }
+
+    #[test]
     fn boot_state_is_all_cache() {
         let ch = ChFlexPolicy::new(cfg());
         assert_eq!(ch.active_frames(), 1024);
         assert_eq!(ch.mode_distribution().cache_fraction(), 1.0);
+        let mut ring = HashRing::new();
+        for f in 0..1024 {
+            ring.add(f);
+        }
+        assert_eq!(ch.ring.points, ring.points, "boot ring = every frame added");
     }
 
     #[test]

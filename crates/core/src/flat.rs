@@ -30,7 +30,6 @@ pub struct FlatPolicy {
     cfg: HmaConfig,
     devices: HmaDevices,
     stats: HmaStats,
-    name: String,
 }
 
 impl FlatPolicy {
@@ -38,11 +37,9 @@ impl FlatPolicy {
     /// bytes (e.g. the 20GB and 24GB baselines of Figure 18).
     pub fn new(mut cfg: HmaConfig, capacity: ByteSize) -> Self {
         cfg.offchip.capacity = capacity;
-        let name = format!("Flat-{capacity}");
         Self {
             devices: HmaDevices::new(&cfg),
             stats: HmaStats::default(),
-            name,
             cfg,
         }
     }
@@ -81,10 +78,6 @@ impl HmaPolicy for FlatPolicy {
 
     fn settle(&mut self) {
         self.devices = HmaDevices::new(&self.cfg);
-    }
-
-    fn name(&self) -> &str {
-        &self.name
     }
 
     fn devices(&self) -> &HmaDevices {
@@ -217,10 +210,6 @@ impl HmaPolicy for StaticNumaPolicy {
         self.devices = HmaDevices::new(&self.cfg);
     }
 
-    fn name(&self) -> &str {
-        "Static-NUMA"
-    }
-
     fn devices(&self) -> &HmaDevices {
         &self.devices
     }
@@ -249,7 +238,6 @@ mod tests {
         assert_eq!(p.devices().stacked.stats().reads.value(), 1);
         assert_eq!(p.devices().offchip.stats().writes.value(), 1);
         assert_eq!(p.stats().stacked_hits.value(), 1);
-        assert_eq!(p.name(), "Static-NUMA");
     }
 
     #[test]
@@ -281,9 +269,9 @@ mod tests {
     }
 
     #[test]
-    fn name_reflects_capacity() {
+    fn capacity_sizes_the_offchip_device() {
         let f = FlatPolicy::new(HmaConfig::scaled_laptop(), ByteSize::mib(384));
-        assert_eq!(f.name(), "Flat-384.0MiB");
+        assert_eq!(f.cfg.offchip.capacity, ByteSize::mib(384));
     }
 
     #[test]

@@ -7,18 +7,21 @@
 //! * [`policy::HmaPolicy`] — the interface every heterogeneous-memory
 //!   architecture implements: service a demand access, receive
 //!   `ISA-Alloc`/`ISA-Free` notifications from the OS, report statistics.
-//! * [`PomPolicy`] — the hardware-managed Part-of-Memory baseline
-//!   (Sim et al., MICRO'14): segment-restricted remapping with a
-//!   competing-counter swap policy. With 64-byte segments it doubles as a
-//!   CAMEO-style organisation.
-//! * [`ChameleonPolicy`] — the paper's contribution, in both flavours:
-//!   basic Chameleon (stacked free space becomes cache) and Chameleon-Opt
-//!   (proactive remapping converts *any* free space into stacked cache
-//!   space).
+//! * [`RemapPolicy`] — one segment-restricted remapping table (SRRT)
+//!   and swap datapath, in the [`Flavor`] of each architecture built on
+//!   it:
+//!   - [`Flavor::Pom`] — the hardware-managed Part-of-Memory baseline
+//!     (Sim et al., MICRO'14) with a competing-counter swap policy; over
+//!     [`HmaConfig::with_cameo_segments`] (64-byte segments) it is the
+//!     CAMEO-style organisation;
+//!   - [`Flavor::Chameleon`] — the paper's contribution: basic Chameleon
+//!     (stacked free space becomes cache) and Chameleon-Opt (proactive
+//!     remapping converts *any* free space into stacked cache space);
+//!   - [`Flavor::Polymorphic`] — the Polymorphic-Memory patent baseline
+//!     (Figure 22): free stacked space as cache, but no hot-data
+//!     swapping.
 //! * [`AlloyPolicy`] — the latency-optimised direct-mapped DRAM cache
 //!   (Qureshi & Loh).
-//! * [`PolymorphicPolicy`] — the Polymorphic-Memory patent baseline
-//!   (Figure 22): free stacked space as cache, but no hot-data swapping.
 //! * [`UnisonPolicy`] — Unison-Cache (Jevdjic et al.): page-granularity
 //!   DRAM cache with footprint prediction and a tag buffer.
 //! * [`MemCachePolicy`] — hot-filtered hybrid (after Bakhshalipour et
@@ -31,11 +34,11 @@
 //! # Example
 //!
 //! ```
-//! use chameleon_core::{ChameleonPolicy, HmaConfig, policy::HmaPolicy};
+//! use chameleon_core::{policy::HmaPolicy, Flavor, HmaConfig, RemapPolicy};
 //! use chameleon_os::isa::IsaHook;
 //!
 //! let cfg = HmaConfig::scaled_laptop();
-//! let mut hma = ChameleonPolicy::new_opt(cfg.clone());
+//! let mut hma = RemapPolicy::new(cfg.clone(), Flavor::Chameleon { opt: true });
 //! // The OS allocates the first two segments...
 //! hma.isa_alloc(0, cfg.segment.bytes() * 2, 0);
 //! // ...and the CPU reads from the first one.
@@ -44,23 +47,20 @@
 //! ```
 
 mod alloy;
-mod chameleon;
 mod chflex;
 mod config;
 mod devices;
 pub mod encoding;
 mod flat;
 mod geometry;
-mod machine;
 mod memcache;
 pub mod policy;
-mod pom;
+mod remap;
 mod srrt;
 mod stats;
 mod unison;
 
 pub use alloy::AlloyPolicy;
-pub use chameleon::ChameleonPolicy;
 pub use chflex::{ChFlexPolicy, HashRing};
 pub use config::HmaConfig;
 pub use devices::HmaDevices;
@@ -68,9 +68,7 @@ pub use flat::{FlatPolicy, StaticNumaPolicy};
 pub use geometry::{SegLoc, SegmentGeometry};
 pub use memcache::MemCachePolicy;
 pub use policy::{HmaPolicy, ModeDistribution};
-pub use pom::PomPolicy;
+pub use remap::{Flavor, RemapPolicy};
 pub use srrt::{Mode, SegmentGroupTable, SrrtEntry, MAX_SLOTS};
 pub use stats::HmaStats;
 pub use unison::{FootprintPredictor, UnisonPolicy};
-
-pub use chameleon::PolymorphicPolicy;

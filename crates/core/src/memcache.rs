@@ -229,10 +229,6 @@ impl HmaPolicy for MemCachePolicy {
         self.devices = HmaDevices::new(&self.cfg);
     }
 
-    fn name(&self) -> &str {
-        "MemCache"
-    }
-
     fn devices(&self) -> &HmaDevices {
         &self.devices
     }

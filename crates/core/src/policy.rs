@@ -54,9 +54,6 @@ pub trait HmaPolicy: IsaHook {
     /// pollute timed measurement. Remapping/cache contents are preserved.
     fn settle(&mut self);
 
-    /// Architecture name for reports.
-    fn name(&self) -> &str;
-
     /// The DRAM devices (bandwidth/row-buffer statistics).
     fn devices(&self) -> &HmaDevices;
 

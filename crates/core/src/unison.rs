@@ -370,10 +370,6 @@ impl HmaPolicy for UnisonPolicy {
         self.devices = HmaDevices::new(&self.cfg);
     }
 
-    fn name(&self) -> &str {
-        "Unison-Cache"
-    }
-
     fn devices(&self) -> &HmaDevices {
         &self.devices
     }

@@ -5,8 +5,8 @@
 //! paper's hardware relies on.
 
 use chameleon_core::{
-    encoding, policy::HmaPolicy, ChameleonPolicy, FootprintPredictor, HashRing, HmaConfig, Mode,
-    PomPolicy, SegmentGeometry, SrrtEntry, UnisonPolicy,
+    encoding, policy::HmaPolicy, Flavor, FootprintPredictor, HashRing, HmaConfig, Mode,
+    RemapPolicy, SegmentGeometry, SrrtEntry, UnisonPolicy,
 };
 use chameleon_os::isa::IsaHook;
 use chameleon_simkit::mem::ByteSize;
@@ -43,7 +43,7 @@ fn op_strategy() -> impl Strategy<Value = OpKind> {
 /// Drives a policy with a random op sequence, keeping a software model of
 /// which segments are allocated so accesses only target live segments
 /// (like a real OS).
-fn drive(policy: &mut ChameleonPolicy, ops: &[OpKind]) {
+fn drive(policy: &mut RemapPolicy, ops: &[OpKind]) {
     let geo = geometry();
     let mut allocated = std::collections::HashSet::new();
     let mut now = 0u64;
@@ -77,7 +77,7 @@ proptest! {
     /// segment is free.
     #[test]
     fn basic_chameleon_invariants(ops in prop::collection::vec(op_strategy(), 1..200)) {
-        let mut p = ChameleonPolicy::new_basic(cfg());
+        let mut p = RemapPolicy::new(cfg(), Flavor::Chameleon { opt: false });
         drive(&mut p, &ops);
         for g in 0..64u64 {
             let e = p.srrt().entry(g);
@@ -106,7 +106,7 @@ proptest! {
     /// always backed by a free segment.
     #[test]
     fn opt_chameleon_invariants(ops in prop::collection::vec(op_strategy(), 1..200)) {
-        let mut p = ChameleonPolicy::new_opt(cfg());
+        let mut p = RemapPolicy::new(cfg(), Flavor::Chameleon { opt: true });
         drive(&mut p, &ops);
         for g in 0..64u64 {
             let e = p.srrt().entry(g);
@@ -132,7 +132,7 @@ proptest! {
     /// every group in PoM mode with an intact permutation.
     #[test]
     fn pom_is_free_space_agnostic(ops in prop::collection::vec(op_strategy(), 1..100)) {
-        let mut p = PomPolicy::new(cfg());
+        let mut p = RemapPolicy::new(cfg(), Flavor::Pom);
         let geo = geometry();
         let mut now = 0;
         for op in &ops {
@@ -155,7 +155,7 @@ proptest! {
     /// stacked hit counters never exceed total accesses.
     #[test]
     fn latency_and_counter_sanity(ops in prop::collection::vec(op_strategy(), 1..150)) {
-        let mut p = ChameleonPolicy::new_opt(cfg());
+        let mut p = RemapPolicy::new(cfg(), Flavor::Chameleon { opt: true });
         let geo = geometry();
         let mut allocated = std::collections::HashSet::new();
         let mut now = 0u64;

@@ -7,7 +7,7 @@
 //! cargo run --release --example datacenter_freespace
 //! ```
 
-use chameleon::core_policies::{policy::HmaPolicy, ChameleonPolicy, HmaConfig};
+use chameleon::core_policies::{policy::HmaPolicy, Flavor, HmaConfig, RemapPolicy};
 use chameleon::os::{MemoryMap, NodeId, OsConfig, OsKernel};
 use chameleon::workloads::schedule::DatacenterSchedule;
 
@@ -17,8 +17,8 @@ fn main() {
     let schedule = DatacenterSchedule::figure3().scaled(64);
     let map = MemoryMap::new(hma.stacked.capacity, hma.offchip.capacity);
     let mut os = OsKernel::new(OsConfig::default(), map);
-    let mut basic = ChameleonPolicy::new_basic(hma.clone());
-    let mut opt = ChameleonPolicy::new_opt(hma.clone());
+    let mut basic = RemapPolicy::new(hma.clone(), Flavor::Chameleon { opt: false });
+    let mut opt = RemapPolicy::new(hma.clone(), Flavor::Chameleon { opt: true });
 
     println!(
         "{:<12} {:>9} {:>10} {:>16} {:>16}",
@@ -51,7 +51,7 @@ fn main() {
         let _ = rss;
         // Rebuild opt's view cheaply: in a real co-design there is one
         // hardware instance; we reset opt to all-free to stay in sync.
-        opt = ChameleonPolicy::new_opt(hma.clone());
+        opt = RemapPolicy::new(hma.clone(), Flavor::Chameleon { opt: true });
     }
 
     println!(

@@ -2,8 +2,8 @@
 //! simulates.
 
 use chameleon_core::{
-    policy::HmaPolicy, AlloyPolicy, ChFlexPolicy, ChameleonPolicy, FlatPolicy, HmaConfig,
-    MemCachePolicy, PolymorphicPolicy, PomPolicy, StaticNumaPolicy, UnisonPolicy,
+    policy::HmaPolicy, AlloyPolicy, ChFlexPolicy, FlatPolicy, Flavor, HmaConfig, MemCachePolicy,
+    RemapPolicy, StaticNumaPolicy, UnisonPolicy,
 };
 use chameleon_os::guidance::GuidanceConfig;
 use chameleon_os::numa::AutoNumaConfig;
@@ -87,22 +87,6 @@ impl Architecture {
             Architecture::NumaFirstTouch,
             Architecture::AutoNuma { threshold_pct: 90 },
             Architecture::Guided,
-        ]
-    }
-
-    /// The hardware-managed scheme zoo: everything with an active stacked
-    /// DRAM organisation, for side-by-side sweep grids.
-    pub fn zoo() -> Vec<Architecture> {
-        vec![
-            Architecture::Alloy,
-            Architecture::Pom,
-            Architecture::Cameo,
-            Architecture::Chameleon,
-            Architecture::ChameleonOpt,
-            Architecture::Polymorphic,
-            Architecture::Unison,
-            Architecture::MemCache,
-            Architecture::ChFlex,
         ]
     }
 
@@ -237,11 +221,22 @@ impl Architecture {
                 ByteSize::bytes_exact(hma.offchip.capacity.bytes() + hma.stacked.capacity.bytes()),
             )),
             Architecture::Alloy => Box::new(AlloyPolicy::new(hma.clone())),
-            Architecture::Pom => Box::new(PomPolicy::new(hma.clone())),
-            Architecture::Cameo => Box::new(PomPolicy::new_cameo(hma.clone())),
-            Architecture::Chameleon => Box::new(ChameleonPolicy::new_basic(hma.clone())),
-            Architecture::ChameleonOpt => Box::new(ChameleonPolicy::new_opt(hma.clone())),
-            Architecture::Polymorphic => Box::new(PolymorphicPolicy::new(hma.clone())),
+            Architecture::Pom => Box::new(RemapPolicy::new(hma.clone(), Flavor::Pom)),
+            Architecture::Cameo => Box::new(RemapPolicy::new(
+                hma.clone().with_cameo_segments(),
+                Flavor::Pom,
+            )),
+            Architecture::Chameleon => Box::new(RemapPolicy::new(
+                hma.clone(),
+                Flavor::Chameleon { opt: false },
+            )),
+            Architecture::ChameleonOpt => Box::new(RemapPolicy::new(
+                hma.clone(),
+                Flavor::Chameleon { opt: true },
+            )),
+            Architecture::Polymorphic => {
+                Box::new(RemapPolicy::new(hma.clone(), Flavor::Polymorphic))
+            }
             Architecture::Unison => Box::new(UnisonPolicy::new(hma.clone())),
             Architecture::MemCache => Box::new(MemCachePolicy::new(hma.clone())),
             Architecture::ChFlex => Box::new(ChFlexPolicy::new(hma.clone())),
@@ -293,25 +288,6 @@ mod tests {
         assert_eq!(map.offchip().bytes(), (320 + 64) << 20);
         let map_small = Architecture::FlatSmall.memory_map(&hma);
         assert_eq!(map_small.offchip().bytes(), 320 << 20);
-    }
-
-    #[test]
-    fn policies_build_with_right_names() {
-        let hma = HmaConfig::scaled_laptop();
-        for (arch, name) in [
-            (Architecture::Alloy, "Alloy-Cache"),
-            (Architecture::Pom, "PoM"),
-            (Architecture::Cameo, "CAMEO"),
-            (Architecture::Chameleon, "Chameleon"),
-            (Architecture::ChameleonOpt, "Chameleon-Opt"),
-            (Architecture::Polymorphic, "Polymorphic"),
-            (Architecture::Unison, "Unison-Cache"),
-            (Architecture::MemCache, "MemCache"),
-            (Architecture::ChFlex, "CH-Flex"),
-            (Architecture::NumaFirstTouch, "Static-NUMA"),
-        ] {
-            assert_eq!(arch.build_policy(&hma).name(), name, "{arch:?}");
-        }
     }
 
     #[test]
@@ -408,11 +384,6 @@ mod tests {
             for b in &all[i + 1..] {
                 assert_ne!(a, b, "duplicate registry entry");
             }
-        }
-        // The zoo is the hardware-managed subset of the registry.
-        for z in Architecture::zoo() {
-            assert!(all.contains(&z), "{z:?} missing from all()");
-            assert!(z.autonuma().is_none());
         }
     }
 

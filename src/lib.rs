@@ -11,8 +11,10 @@
 //! * an OS model with demand paging, swap, `ISA-Alloc`/`ISA-Free`
 //!   instrumentation and NUMA policies ([`os`]),
 //! * the Chameleon/Chameleon-Opt architectures and all baselines
-//!   (PoM, Alloy Cache, CAMEO-style, Polymorphic Memory, flat DDR)
-//!   ([`core_policies`]),
+//!   ([`core_policies`]): PoM, CAMEO-style and Polymorphic Memory are
+//!   flavors of the one SRRT policy that also runs Chameleon
+//!   (`RemapPolicy`), beside Alloy Cache, Unison, MemCache, CH-Flex,
+//!   static NUMA and flat DDR,
 //! * synthetic Table II workloads ([`workloads`]).
 //!
 //! This facade crate wires them into a runnable [`System`] and re-exports

@@ -3,7 +3,7 @@
 
 use chameleon::{Architecture, ScaledParams, System, SystemReport};
 use chameleon_core::policy::HmaPolicy;
-use chameleon_core::{ChameleonPolicy, HmaConfig};
+use chameleon_core::{Flavor, HmaConfig, RemapPolicy};
 use chameleon_os::isa::IsaHook;
 use chameleon_simkit::mem::ByteSize;
 
@@ -44,7 +44,7 @@ fn epoch_cache_share(report: &SystemReport) -> f64 {
 /// reconfigure to cache mode — free capacity is never left idle.
 #[test]
 fn free_segment_gives_cache_mode_residency() {
-    let mut p = ChameleonPolicy::new_basic(small_cfg());
+    let mut p = RemapPolicy::new(small_cfg(), Flavor::Chameleon { opt: false });
     // Fill the whole address space: no free segments, all PoM.
     p.isa_alloc(0, 12 << 20, 0);
     assert_eq!(p.mode_distribution().cache_groups, 0, "fully allocated");
@@ -92,7 +92,7 @@ fn opt_cache_mode_epoch_share_at_least_basic() {
 /// writebacks, never swaps: swaps are a PoM-mode mechanism.
 #[test]
 fn cache_mode_never_swaps() {
-    let mut p = ChameleonPolicy::new_opt(small_cfg());
+    let mut p = RemapPolicy::new(small_cfg(), Flavor::Chameleon { opt: true });
     // Allocate only the off-chip range: every group keeps its stacked
     // segment free, so all groups boot — and stay — in cache mode.
     p.isa_alloc(2 << 20, 10 << 20, 0);

@@ -13,6 +13,10 @@
 //! * **Metrics schema** — each scheme publishes the full `hma.*` counter
 //!   family (scheme-specific counters included, at zero when unused), the
 //!   residency gauges, and the device/OS prefixes.
+//! * **Pinned reports** — each scheme's report from the battery cell
+//!   hashes to a committed digest, so a refactor that claims to keep
+//!   simulated results must keep every scheme's, not only the golden
+//!   fixture's Chameleon-Opt run.
 //! * **Bit-identical replay** — the sweep engine's worker count is a
 //!   pure optimisation: serial and parallel sweeps must serialise
 //!   byte-identically.
@@ -21,11 +25,12 @@
 //! checked by `crates/lint/tests/workspace_clean.rs`.
 
 use chameleon::{Architecture, ScaledParams, System, SystemReport};
+use chameleon_simkit::hash::fnv1a;
 use chameleon_sweep::{Job, SweepEngine};
 
 /// Instruction budget per core for one battery cell: enough traffic to
 /// close several metrics epochs and exercise fills/evictions at the tiny
-/// scale, small enough that 13 architectures stay test-suite friendly.
+/// scale, small enough that the whole registry stays test-suite friendly.
 const INSTRUCTIONS: u64 = 20_000;
 
 /// Epoch length in LLC misses; short so each cell closes many epochs and
@@ -67,6 +72,28 @@ fn canonical(report: &SystemReport) -> String {
     serde_json::to_string(report).expect("reports serialise")
 }
 
+/// `fnv1a(canonical(report))` of each architecture's [`run_cell`]
+/// report, keyed by its [`Architecture::label`], in
+/// [`Architecture::all`] order. Change an entry only with an intended
+/// change to that scheme's simulated results; a mismatch prints the
+/// whole fresh table to paste here.
+const REPORT_DIGESTS: [(&str, u64); 14] = [
+    ("baseline_small_DDR (no stacked DRAM)", 0x9de819d420dd4c7d),
+    ("baseline_large_DDR (no stacked DRAM)", 0xa5d0bab734daf3b9),
+    ("Alloy-Cache", 0xde67f3fe5d8fd42b),
+    ("PoM", 0x03347433efa05aab),
+    ("CAMEO", 0x26ab07b750166f45),
+    ("Chameleon", 0x910de397afca5cf7),
+    ("Chameleon-Opt", 0xcd36f868ab86cdad),
+    ("Polymorphic_memory", 0x57a17c072098cfef),
+    ("Unison-Cache", 0xfd66b7f73ef51ad9),
+    ("MemCache", 0x8a02d02c84b46950),
+    ("CH-Flex", 0x3d8d435b419013e7),
+    ("numaAware_allocator", 0xa2f17409bcbdca30),
+    ("autoNUMA_90percent", 0x5b374ad2b7b9ada2),
+    ("online_guidance", 0xeeed713b3adb3d2f),
+];
+
 /// Every `hma.` counter a policy must publish, scheme-specific ones
 /// included: an unused mechanism reports zero, it does not vanish from
 /// the schema.
@@ -91,8 +118,10 @@ const REQUIRED_HMA_COUNTERS: [&str; 16] = [
 
 #[test]
 fn access_conservation_holds_for_every_architecture() {
+    let mut digests = Vec::new();
     for arch in Architecture::all() {
         let (report, c) = run_cell(arch);
+        digests.push((arch.label(), fnv1a(canonical(&report).as_bytes())));
         assert!(c.demand > 0, "{arch:?}: cell issued no memory references");
         assert_eq!(
             c.latency_samples, c.demand,
@@ -113,6 +142,21 @@ fn access_conservation_holds_for_every_architecture() {
             report.stacked_hit_rate
         );
         assert!(report.amat > 0.0, "{arch:?}: AMAT must be positive");
+    }
+    let changed: Vec<&str> = digests
+        .iter()
+        .filter(|(name, d)| !REPORT_DIGESTS.contains(&(name.as_str(), *d)))
+        .map(|(name, _)| name.as_str())
+        .collect();
+    if !changed.is_empty() || digests.len() != REPORT_DIGESTS.len() {
+        let table: String = digests
+            .iter()
+            .map(|(name, d)| format!("    (\"{name}\", {d:#018x}),\n"))
+            .collect();
+        panic!(
+            "simulated reports changed for {changed:?}; if intended, replace \
+             REPORT_DIGESTS with:\n[\n{table}]"
+        );
     }
 }
 
@@ -191,7 +235,7 @@ fn metrics_schema_is_complete_for_every_architecture() {
 fn serial_and_parallel_sweeps_are_bit_identical() {
     let mut params = ScaledParams::tiny();
     params.instructions_per_core = 10_000;
-    let jobs: Vec<Job> = Architecture::zoo()
+    let jobs: Vec<Job> = Architecture::all()
         .into_iter()
         .map(|arch| Job::new(arch, "mcf", &params, 3))
         .collect();
