@@ -94,9 +94,11 @@ impl Hierarchy {
         self
     }
 
-    /// Installs a prefetched line into the shared L3 (no stats impact).
-    pub fn install_prefetch(&mut self, addr: u64) {
-        self.l3.touch(addr);
+    /// Installs a prefetched line into the shared L3 (counted as no
+    /// access). Returns the address of a dirty line the fill displaced;
+    /// the caller must write it back to memory.
+    pub fn install_prefetch(&mut self, addr: u64) -> Option<u64> {
+        self.l3.touch(addr)
     }
 
     /// A Table I hierarchy for `cores` cores.
@@ -351,6 +353,24 @@ mod tests {
         // Installing a prefetched line makes it an L3 hit.
         h.install_prefetch(1 << 22);
         assert_eq!(h.access(0, 1 << 22, false).level, HitLevel::L3);
+    }
+
+    #[test]
+    fn prefetch_install_writes_back_a_dirty_victim() {
+        let tiny = |name: &str, ways: u32| CacheConfig {
+            name: name.to_owned(),
+            capacity: chameleon_simkit::mem::ByteSize::bytes_exact(u64::from(ways) * 64),
+            ways,
+            line_bytes: 64,
+            latency: 1,
+        };
+        // One 2-way L3 set: a demand write leaves line 0 dirty in it.
+        let mut h = Hierarchy::new(1, tiny("L1", 1), tiny("L2", 1), tiny("L3", 2));
+        h.access(0, 0, true);
+        assert_eq!(h.install_prefetch(64), None, "fills the invalid way");
+        assert_eq!(h.install_prefetch(128), Some(0), "displaces dirty line 0");
+        assert_eq!(h.l3().stats().evictions.value(), 1);
+        assert_eq!(h.l3().stats().writebacks.value(), 1);
     }
 
     #[test]

@@ -26,7 +26,6 @@ mod config;
 mod hierarchy;
 mod inline_vec;
 mod prefetch;
-mod replacement;
 mod set_assoc;
 mod stats;
 
@@ -34,6 +33,5 @@ pub use config::CacheConfig;
 pub use hierarchy::{Hierarchy, HierarchyOutcome, HitLevel, WritebackBuf};
 pub use inline_vec::InlineVec;
 pub use prefetch::{PrefetchBuf, PrefetchConfig, StridePrefetcher, MAX_PREFETCH_DEGREE};
-pub use replacement::ReplacementPolicy;
 pub use set_assoc::{AccessKind, LookupResult, SetAssocCache};
 pub use stats::CacheStats;

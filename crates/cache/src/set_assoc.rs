@@ -1,6 +1,6 @@
 //! A set-associative, write-back/write-allocate cache with LRU replacement.
 
-use crate::{CacheConfig, CacheStats, ReplacementPolicy};
+use crate::{CacheConfig, CacheStats};
 
 /// Whether a reference reads or writes the line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -24,9 +24,9 @@ pub(crate) enum Classify {
         /// the commit needs no second set computation.
         idx: usize,
     },
-    /// Committing later could not reproduce the reference access (dirty
-    /// victim, or a mutating victim-selection policy): the caller must
-    /// take the full path against the untouched cache.
+    /// The victim is dirty, so the reference access would emit a
+    /// writeback: the caller must take the full path against the
+    /// untouched cache.
     Bail,
 }
 
@@ -44,28 +44,23 @@ pub enum LookupResult {
 }
 
 /// One way's state, packed into two words (16 bytes) so a 4-way set scan
-/// touches a single host cache line: `key = tag << 4 | rrpv << 2 |
-/// dirty << 1 | valid`. The RRPV saturates at 3, so two bits suffice.
+/// touches a single host cache line: `key = tag << 2 | dirty << 1 |
+/// valid`.
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
     key: u64,
-    /// Last-use stamp for LRU (insertion stamp for FIFO).
+    /// Last-use stamp for LRU.
     used: u64,
 }
 
 impl Line {
     const VALID: u64 = 0b1;
     const DIRTY: u64 = 0b10;
-    const RRPV_MASK: u64 = 0b1100;
-    const RRPV_SHIFT: u32 = 2;
-    const TAG_SHIFT: u32 = 4;
+    const TAG_SHIFT: u32 = 2;
 
-    fn fill(tag: u64, dirty: bool, used: u64, rrpv: u8) -> Self {
+    fn fill(tag: u64, dirty: bool, used: u64) -> Self {
         Self {
-            key: tag << Self::TAG_SHIFT
-                | u64::from(rrpv) << Self::RRPV_SHIFT
-                | u64::from(dirty) << 1
-                | Self::VALID,
+            key: tag << Self::TAG_SHIFT | u64::from(dirty) << 1 | Self::VALID,
             used,
         }
     }
@@ -84,14 +79,6 @@ impl Line {
 
     fn tag(&self) -> u64 {
         self.key >> Self::TAG_SHIFT
-    }
-
-    fn rrpv(&self) -> u8 {
-        ((self.key & Self::RRPV_MASK) >> Self::RRPV_SHIFT) as u8
-    }
-
-    fn set_rrpv(&mut self, v: u8) {
-        self.key = (self.key & !Self::RRPV_MASK) | u64::from(v.min(3)) << Self::RRPV_SHIFT;
     }
 }
 
@@ -123,9 +110,6 @@ pub struct SetAssocCache {
     set_magic: u64,
     line_shift: u32,
     clock: u64,
-    policy: ReplacementPolicy,
-    /// xorshift state for the Random policy.
-    rng_state: u64,
     stats: CacheStats,
 }
 
@@ -136,15 +120,6 @@ impl SetAssocCache {
     ///
     /// Panics if `cfg` fails [`CacheConfig::validate`].
     pub fn new(cfg: CacheConfig) -> Self {
-        Self::with_policy(cfg, ReplacementPolicy::Lru)
-    }
-
-    /// Builds an empty cache with an explicit replacement policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails [`CacheConfig::validate`].
-    pub fn with_policy(cfg: CacheConfig, policy: ReplacementPolicy) -> Self {
         let sets = cfg.sets();
         let ways = cfg.ways as usize;
         let line_shift = cfg.line_bytes.trailing_zeros();
@@ -164,15 +139,8 @@ impl SetAssocCache {
             },
             line_shift,
             clock: 0,
-            policy,
-            rng_state: 0x9E37_79B9_7F4A_7C15,
             stats: CacheStats::default(),
         }
-    }
-
-    /// The replacement policy in use.
-    pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
     }
 
     /// Accumulated statistics.
@@ -210,7 +178,7 @@ impl SetAssocCache {
     /// and the LRU victim evicted.
     ///
     /// The hit path is branchless over the set: every way's 16-byte
-    /// packed key is compared as one u64 lane (rrpv/dirty bits forced so
+    /// packed key is compared as one u64 lane (dirty bit forced so
     /// equality means valid-and-tag-matches), the per-way results fold
     /// into a bitmask, and `trailing_zeros` picks the matching way — one
     /// data-dependent branch per lookup instead of one per way. The
@@ -222,27 +190,26 @@ impl SetAssocCache {
         self.clock += 1;
         let (set_idx, tag) = self.locate(addr);
         let base = set_idx * self.ways;
-        let want = tag << Line::TAG_SHIFT | Line::RRPV_MASK | Line::DIRTY | Line::VALID;
-        let hit = match self.ways {
+        if let Some(i) = self.find(base, tag) {
+            self.commit_hit(base + i, kind);
+            return LookupResult::Hit;
+        }
+        self.miss_fill(base, tag, kind)
+    }
+
+    /// The way of the set starting at `base` that holds `tag`, if any.
+    // lint: hot-path
+    #[inline(always)]
+    fn find(&self, base: usize, tag: u64) -> Option<usize> {
+        let want = tag << Line::TAG_SHIFT | Line::DIRTY | Line::VALID;
+        match self.ways {
             4 => Self::find_hit::<4>(&self.lines[base..], want),
             8 => Self::find_hit::<8>(&self.lines[base..], want),
             16 => Self::find_hit::<16>(&self.lines[base..], want),
             _ => self.lines[base..][..self.ways]
                 .iter()
                 .position(|l| l.matches(tag)),
-        };
-        if let Some(i) = hit {
-            let line = &mut self.lines[base + i];
-            if self.policy != ReplacementPolicy::Fifo {
-                line.used = self.clock;
-            }
-            // One read-modify-write resets the RRPV and merges the dirty
-            // bit (equivalent to `set_rrpv(0)` + conditional `mark_dirty`).
-            line.key = (line.key & !Line::RRPV_MASK) | u64::from(kind == AccessKind::Write) << 1;
-            self.stats.record(kind, true);
-            return LookupResult::Hit;
         }
-        self.miss_fill(base, tag, kind)
     }
 
     /// Branchless hit scan over one `W`-way set starting at `lines[0]`.
@@ -254,7 +221,7 @@ impl SetAssocCache {
         let set: &[Line; W] = lines[..W].try_into().expect("set holds W ways");
         let mut mask = 0u32;
         for (i, l) in set.iter().enumerate() {
-            mask |= u32::from(l.key | Line::RRPV_MASK | Line::DIRTY == want) << i;
+            mask |= u32::from(l.key | Line::DIRTY == want) << i;
         }
         if mask == 0 {
             None
@@ -263,211 +230,144 @@ impl SetAssocCache {
         }
     }
 
-    /// The miss path: victim selection, eviction accounting, fill. One
-    /// fused scan finds the first invalid way and the oldest-stamped way
-    /// (the LRU/FIFO victim: strict `<` keeps the first minimum, like
-    /// `min_by_key`), so a miss costs a single pass.
+    /// The miss path: victim selection, eviction accounting, fill.
     // lint: hot-path
     fn miss_fill(&mut self, base: usize, tag: u64, kind: AccessKind) -> LookupResult {
-        let clock = self.clock;
-        let policy = self.policy;
-        let set = &mut self.lines[base..][..self.ways];
-        let mut first_invalid = usize::MAX;
-        let mut oldest_idx = 0;
-        let mut oldest_used = u64::MAX;
-        for (i, l) in set.iter().enumerate() {
-            if !l.valid() && first_invalid == usize::MAX {
-                first_invalid = i;
-            }
-            if l.used < oldest_used {
-                oldest_used = l.used;
-                oldest_idx = i;
-            }
-        }
-        // Pick an invalid way, else the policy's victim.
-        let victim_idx = if first_invalid != usize::MAX {
-            first_invalid
-        } else {
-            match policy {
-                ReplacementPolicy::Lru | ReplacementPolicy::Fifo => oldest_idx,
-                _ => {
-                    let mut rng_state = self.rng_state;
-                    let v = Self::pick_victim(set, policy, &mut rng_state);
-                    self.rng_state = rng_state;
-                    v
-                }
-            }
-        };
-        let victim = set[victim_idx];
-        let writeback = (victim.valid() && victim.dirty()).then(|| victim.tag() << self.line_shift);
-        if victim.valid() {
-            self.stats.evictions.inc();
-            if writeback.is_some() {
-                self.stats.writebacks.inc();
-            }
-        }
-        // SRRIP inserts with a long re-reference prediction.
-        set[victim_idx] = Line::fill(tag, kind == AccessKind::Write, clock, 2);
+        let idx = self.victim(base);
+        let writeback = self.evict(idx);
+        self.lines[idx] = Line::fill(tag, kind == AccessKind::Write, self.clock);
         self.stats.record(kind, false);
         LookupResult::Miss { writeback }
     }
 
-    fn pick_victim(set: &mut [Line], policy: ReplacementPolicy, rng: &mut u64) -> usize {
-        match policy {
-            // LRU and FIFO both evict the smallest stamp; they differ in
-            // whether hits refresh it.
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.used)
-                .map(|(i, _)| i)
-                // INVARIANT: ways >= 1 (CacheConfig::validate), set is non-empty.
-                .expect("associativity is non-zero"),
-            ReplacementPolicy::Random => {
-                *rng ^= *rng << 13;
-                *rng ^= *rng >> 7;
-                *rng ^= *rng << 17;
-                (*rng % set.len() as u64) as usize
+    /// The one victim rule, shared by every fill: the first invalid way
+    /// of the set starting at `base`, else the least recently used one
+    /// (strict `<` keeps the first minimum, like `min_by_key`). Returns
+    /// the absolute line index.
+    // lint: hot-path
+    #[inline(always)]
+    fn victim(&self, base: usize) -> usize {
+        let set = &self.lines[base..][..self.ways];
+        let (mut oldest, mut oldest_used) = (0, u64::MAX);
+        for (i, l) in set.iter().enumerate() {
+            if !l.valid() {
+                return base + i;
             }
-            ReplacementPolicy::Srrip => loop {
-                if let Some(i) = set.iter().position(|l| l.rrpv() >= 3) {
-                    break i;
-                }
-                for l in set.iter_mut() {
-                    l.set_rrpv(l.rrpv() + 1);
-                }
-            },
+            if l.used < oldest_used {
+                (oldest, oldest_used) = (i, l.used);
+            }
         }
+        base + oldest
+    }
+
+    /// Counts the eviction of line `idx` (if valid) and returns its
+    /// address when it is dirty and must be written back.
+    // lint: hot-path
+    #[inline(always)]
+    fn evict(&mut self, idx: usize) -> Option<u64> {
+        let line = self.lines[idx];
+        if !line.valid() {
+            return None;
+        }
+        self.stats.evictions.inc();
+        if !line.dirty() {
+            return None;
+        }
+        self.stats.writebacks.inc();
+        Some(line.tag() << self.line_shift)
+    }
+
+    /// The hit mutation shared by [`Self::access`] and [`Self::try_hit`]:
+    /// LRU stamp, dirty merge, stats.
+    // lint: hot-path
+    #[inline(always)]
+    fn commit_hit(&mut self, idx: usize, kind: AccessKind) {
+        let line = &mut self.lines[idx];
+        line.used = self.clock;
+        line.key |= u64::from(kind == AccessKind::Write) << 1;
+        self.stats.record(kind, true);
     }
 
     /// The fused fast path's hit probe: scans for `addr` exactly like
     /// [`Self::access`] and, *only on a hit*, commits the identical hit
-    /// mutation (clock advance, LRU stamp, RRPV/dirty merge, stats) in
-    /// the same pass. On a miss nothing is touched — not even the clock
-    /// — so the caller may probe other caches or fall back to the full
+    /// mutation (clock advance, LRU stamp, dirty merge, stats) in the
+    /// same pass. On a miss nothing is touched — not even the clock —
+    /// so the caller may probe other caches or fall back to the full
     /// reference walk against an unchanged cache.
     ///
     /// A hit therefore costs exactly what the reference hit path costs
-    /// (one [`Self::find_hit`] scan plus one line write), and a miss
+    /// (one [`Self::find`] scan plus one line write), and a miss
     /// costs only the scan.
     // lint: hot-path
     #[inline]
     pub(crate) fn try_hit(&mut self, addr: u64, kind: AccessKind) -> bool {
         let (set_idx, tag) = self.locate(addr);
         let base = set_idx * self.ways;
-        let want = tag << Line::TAG_SHIFT | Line::RRPV_MASK | Line::DIRTY | Line::VALID;
-        let hit = match self.ways {
-            4 => Self::find_hit::<4>(&self.lines[base..], want),
-            8 => Self::find_hit::<8>(&self.lines[base..], want),
-            16 => Self::find_hit::<16>(&self.lines[base..], want),
-            _ => self.lines[base..][..self.ways]
-                .iter()
-                .position(|l| l.matches(tag)),
-        };
-        if let Some(i) = hit {
+        if let Some(i) = self.find(base, tag) {
             // `access` advances the clock before its scan; the scan does
             // not read it, so advancing here yields the same stamp.
             self.clock += 1;
-            let line = &mut self.lines[base + i];
-            if self.policy != ReplacementPolicy::Fifo {
-                line.used = self.clock;
-            }
-            line.key = (line.key & !Line::RRPV_MASK) | u64::from(kind == AccessKind::Write) << 1;
-            self.stats.record(kind, true);
+            self.commit_hit(base + i, kind);
             true
         } else {
             false
         }
     }
 
-    /// One non-mutating victim scan for an `addr` the caller has already
-    /// established to be absent (via a failed [`Self::try_hit`]) — the
-    /// same fused first-invalid/oldest pass as [`Self::miss_fill`].
-    /// Returns [`Classify::Bail`] whenever committing later could not
-    /// reproduce [`Self::access`] exactly: a dirty victim (writeback),
-    /// or a valid-victim choice under a policy whose selection mutates
-    /// state (Random advances its RNG, SRRIP ages the set).
+    /// The victim [`Self::miss_fill`] would pick for an `addr` the caller
+    /// has already established to be absent (via a failed
+    /// [`Self::try_hit`]), found without mutating anything. Returns
+    /// [`Classify::Bail`] when that victim is dirty, since committing
+    /// later could not reproduce the writeback of [`Self::access`].
     // lint: hot-path
     #[inline]
     pub(crate) fn classify_victim(&self, addr: u64) -> Classify {
         let (set_idx, _) = self.locate(addr);
-        let base = set_idx * self.ways;
-        let set = &self.lines[base..][..self.ways];
-        let mut first_invalid = usize::MAX;
-        let mut oldest_idx = 0;
-        let mut oldest_used = u64::MAX;
-        for (i, l) in set.iter().enumerate() {
-            if !l.valid() && first_invalid == usize::MAX {
-                first_invalid = i;
-            }
-            if l.used < oldest_used {
-                oldest_used = l.used;
-                oldest_idx = i;
-            }
-        }
-        // Same victim choice as `miss_fill`: first invalid way, else the
-        // policy's pick — which only the stamp-based policies make
-        // without mutating.
-        let victim = if first_invalid != usize::MAX {
-            first_invalid
-        } else {
-            match self.policy {
-                ReplacementPolicy::Lru | ReplacementPolicy::Fifo => oldest_idx,
-                _ => return Classify::Bail,
-            }
-        };
-        let line = &set[victim];
-        if line.valid() && line.dirty() {
+        let idx = self.victim(set_idx * self.ways);
+        if self.lines[idx].dirty() {
             return Classify::Bail;
         }
-        Classify::CleanVictim { idx: base + victim }
+        Classify::CleanVictim { idx }
     }
 
     /// Commits the clean-victim fill that [`Self::classify_victim`]
     /// prepared: bit-identical to the miss half of [`Self::access`] for
-    /// a victim with no writeback (eviction accounting, SRRIP insertion
-    /// stamp, stats). `idx` is the absolute victim index from
+    /// a victim with no writeback (eviction accounting, LRU stamp,
+    /// stats). `idx` is the absolute victim index from
     /// [`Classify::CleanVictim`]; only the tag shift is recomputed.
     // lint: hot-path
     #[inline]
     pub(crate) fn commit_clean_fill(&mut self, addr: u64, idx: usize, kind: AccessKind) {
         self.clock += 1;
         let tag = addr >> self.line_shift;
-        let line = &mut self.lines[idx];
-        if line.valid() {
-            self.stats.evictions.inc();
-        }
-        *line = Line::fill(tag, kind == AccessKind::Write, self.clock, 2);
+        let writeback = self.evict(idx);
+        debug_assert!(writeback.is_none(), "classify_victim vetted a clean victim");
+        self.lines[idx] = Line::fill(tag, kind == AccessKind::Write, self.clock);
         self.stats.record(kind, false);
     }
 
     /// Whether `addr`'s line is currently present (no LRU update).
     pub fn probe(&self, addr: u64) -> bool {
         let (set_idx, tag) = self.locate(addr);
-        self.lines[set_idx * self.ways..][..self.ways]
-            .iter()
-            .any(|l| l.matches(tag))
+        self.find(set_idx * self.ways, tag).is_some()
     }
 
-    /// Marks `addr` present without counting an access (used to warm up).
-    pub fn touch(&mut self, addr: u64) {
+    /// Marks `addr` present without counting an access (a prefetch
+    /// install). A fill evicts by the same rule as a miss and counts the
+    /// eviction; returns the address of a displaced dirty line, which the
+    /// caller must write back.
+    pub fn touch(&mut self, addr: u64) -> Option<u64> {
         self.clock += 1;
         let (set_idx, tag) = self.locate(addr);
-        let clock = self.clock;
-        let set = &mut self.lines[set_idx * self.ways..][..self.ways];
-        if let Some(line) = set.iter_mut().find(|l| l.matches(tag)) {
-            line.used = clock;
-            return;
+        let base = set_idx * self.ways;
+        if let Some(i) = self.find(base, tag) {
+            self.lines[base + i].used = self.clock;
+            return None;
         }
-        let victim_idx = set.iter().position(|l| !l.valid()).unwrap_or_else(|| {
-            set.iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.used)
-                .map(|(i, _)| i)
-                // INVARIANT: ways >= 1 (CacheConfig::validate), set is non-empty.
-                .expect("associativity is non-zero")
-        });
-        set[victim_idx] = Line::fill(tag, false, clock, 2);
+        let idx = self.victim(base);
+        let writeback = self.evict(idx);
+        self.lines[idx] = Line::fill(tag, false, self.clock);
+        writeback
     }
 }
 
@@ -482,6 +382,17 @@ mod tests {
             name: "tiny".to_owned(),
             capacity: ByteSize::bytes_exact(256),
             ways: 2,
+            line_bytes: 64,
+            latency: 1,
+        })
+    }
+
+    /// One set of `ways` 64B lines: line `i` lives at `i * 64`.
+    fn one_set(ways: u32) -> SetAssocCache {
+        SetAssocCache::new(CacheConfig {
+            name: "one-set".to_owned(),
+            capacity: ByteSize::bytes_exact(u64::from(ways) * 64),
+            ways,
             line_bytes: 64,
             latency: 1,
         })
@@ -517,6 +428,96 @@ mod tests {
         assert!(c.probe(0));
         assert!(!c.probe(128));
         assert!(c.probe(256));
+
+        // 4 ways: a line hit after every other fill outlives them all.
+        let mut c = one_set(4);
+        for i in 0..4u64 {
+            c.access(i * 64, AccessKind::Read);
+        }
+        for _ in 0..10 {
+            c.access(0, AccessKind::Read);
+        }
+        c.access(4 * 64, AccessKind::Read);
+        assert!(c.probe(0), "LRU protects the reused line");
+        assert!(!c.probe(64), "the least recent line goes");
+    }
+
+    #[test]
+    fn touch_evicts_the_way_access_would() {
+        // Touching an absent line leaves the set exactly as a read miss
+        // would, and reports the same writeback; returns it.
+        let check = |c: &SetAssocCache, addr: u64| {
+            let mut touched = c.clone();
+            let writeback = touched.touch(addr);
+            let mut accessed = c.clone();
+            let LookupResult::Miss {
+                writeback: expected,
+            } = accessed.access(addr, AccessKind::Read)
+            else {
+                panic!("{addr:#x} is absent");
+            };
+            assert_eq!(writeback, expected);
+            assert_eq!(
+                format!("{:?}", touched.lines),
+                format!("{:?}", accessed.lines)
+            );
+            let (t, a) = (touched.stats(), accessed.stats());
+            assert_eq!(t.evictions.value(), a.evictions.value());
+            assert_eq!(t.writebacks.value(), a.writebacks.value());
+            assert_eq!(t.accesses(), c.stats().accesses(), "touch counts no access");
+            writeback
+        };
+        let mut c = one_set(4);
+        // Reads and writes with reuse, so LRU order differs from fill
+        // order: the first steps fill invalid ways, the last evicts.
+        for (line, kind) in [
+            (0, AccessKind::Write),
+            (1, AccessKind::Read),
+            (0, AccessKind::Read),
+            (2, AccessKind::Write),
+            (3, AccessKind::Read),
+            (1, AccessKind::Read),
+        ] {
+            check(&c, 0x1000);
+            c.access(line * 64, kind);
+        }
+        // Line 0 is now the dirty LRU line.
+        assert_eq!(check(&c, 0x1000), Some(0));
+    }
+
+    #[test]
+    fn classify_victim_matches_miss_fill_and_bails_only_on_dirty() {
+        // Checks that `classify_victim(addr)` names `miss_fill`'s way.
+        let check = |c: &SetAssocCache, addr: u64| {
+            let verdict = c.classify_victim(addr);
+            let mut filled = c.clone();
+            let LookupResult::Miss { writeback } = filled.access(addr, AccessKind::Read) else {
+                panic!("{addr:#x} is absent");
+            };
+            match verdict {
+                Classify::CleanVictim { idx } => {
+                    assert!(
+                        filled.lines[idx].matches(addr >> 6),
+                        "same way as miss_fill"
+                    );
+                    assert_eq!(writeback, None);
+                }
+                Classify::Bail => assert!(writeback.is_some(), "bail only on a dirty victim"),
+            }
+            verdict
+        };
+        let mut c = one_set(4);
+        c.access(0, AccessKind::Write);
+        c.access(64, AccessKind::Read);
+        c.access(128, AccessKind::Read);
+        // An invalid way wins over the dirty LRU line.
+        assert_eq!(check(&c, 0x1000), Classify::CleanVictim { idx: 3 });
+        c.access(192, AccessKind::Read);
+        // Full set, dirty LRU victim (line 0).
+        assert_eq!(check(&c, 0x1000), Classify::Bail);
+        // Reusing line 0 makes the clean line 1 the LRU victim.
+        c.access(0, AccessKind::Read);
+        assert_eq!(check(&c, 0x1000), Classify::CleanVictim { idx: 1 });
     }
 
     #[test]

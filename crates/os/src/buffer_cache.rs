@@ -16,8 +16,8 @@ use crate::page_table::PAGE_SIZE;
 /// A file-backed page cache owned by the kernel model.
 ///
 /// Internally it is a dedicated process whose pages are demand-allocated
-/// on file I/O and released under memory pressure (in LRU order of the
-/// backing kernel's replacement machinery).
+/// on file I/O and released under memory pressure oldest first (FIFO, the
+/// same order the backing kernel's page replacement uses).
 #[derive(Debug)]
 pub struct BufferCache {
     owner: Pid,

@@ -26,8 +26,6 @@ pub enum NodePreference {
     /// rate-mode workloads see from the Linux buddy allocator once memory
     /// churns).
     Balanced,
-    /// Only the given node; fail rather than spill.
-    Only(NodeId),
 }
 
 /// The physical address map: stacked DRAM at the bottom, off-chip above it
@@ -99,8 +97,10 @@ impl MemoryMap {
 
 /// A binary-buddy allocator over one node's physical frames.
 ///
-/// Supports allocations of power-of-two *orders* of 4KB frames: order 0 is
-/// a base page, order 9 is a 2MB transparent huge page.
+/// Supports allocations of power-of-two *orders* of 4KB frames, from a
+/// base page (order 0) up to a 2MB block (order 9). The kernel allocates
+/// base pages only; the larger orders are the split/merge units that set
+/// the order frames are handed out in.
 ///
 /// # Example
 ///
@@ -131,7 +131,7 @@ pub struct BuddyAllocator {
 
 /// Base page size: 4KB.
 pub const FRAME_SIZE: u64 = 4096;
-/// Largest supported order (2MB huge pages).
+/// Largest supported order (2MB blocks).
 pub const MAX_ORDER: u8 = 9;
 
 impl BuddyAllocator {

@@ -40,14 +40,6 @@ pub struct OsConfig {
     pub preference: NodePreference,
     /// Which nodes the OS may allocate from.
     pub visibility: Visibility,
-    /// Allocate 2MB transparent huge pages when a whole huge region is
-    /// untouched.
-    pub use_thp: bool,
-    /// Hand out frames in scrambled order, modelling the fragmented free
-    /// lists of a long-running machine (the state Figure 3 measures). The
-    /// paper's free space is scattered across segment groups for the same
-    /// reason.
-    pub scatter_allocations: bool,
     /// Group-aware placement (the paper's Section VI-G extension): the
     /// kernel mirrors the per-group ABV state and scores candidate frames
     /// so allocations avoid consuming a group's last free segment.
@@ -61,8 +53,6 @@ impl Default for OsConfig {
             minor_fault_latency: 2_000,
             preference: NodePreference::Balanced,
             visibility: Visibility::Both,
-            use_thp: false,
-            scatter_allocations: true,
             group_placement: None,
         }
     }
@@ -162,7 +152,6 @@ pub struct OsKernel {
     /// frame base -> (pid, vpn) reverse map of resident frames.
     reverse: HashMap<u64, (Pid, u64)>,
     next_pid: u32,
-    alloc_rr: u64,
     ledger: Option<GroupLedger>,
     ssd: SsdModel,
     stats: OsStats,
@@ -179,28 +168,24 @@ pub struct OsKernel {
 impl OsKernel {
     /// Builds a kernel over the given physical map.
     ///
+    /// Frames are handed out in scrambled order, modelling the fragmented
+    /// free lists of a long-running machine (the state Figure 3
+    /// measures); the paper's free space is scattered across segment
+    /// groups for the same reason.
+    ///
     /// # Panics
     ///
     /// Panics if node capacities are not 2MB-aligned (buddy requirement).
     pub fn new(cfg: OsConfig, map: MemoryMap) -> Self {
-        let scramble = |a: BuddyAllocator, seed: u64| {
-            if cfg.scatter_allocations {
-                a.with_scramble(seed)
-            } else {
-                a
-            }
-        };
         let stacked_alloc = match cfg.visibility {
-            Visibility::Both => Some(scramble(
-                BuddyAllocator::new(map.base(NodeId::Stacked), map.stacked().bytes()),
-                0x5EED_0001,
-            )),
+            Visibility::Both => Some(
+                BuddyAllocator::new(map.base(NodeId::Stacked), map.stacked().bytes())
+                    .with_scramble(0x5EED_0001),
+            ),
             Visibility::OffchipOnly => None,
         };
-        let offchip_alloc = scramble(
-            BuddyAllocator::new(map.base(NodeId::Offchip), map.offchip().bytes()),
-            0x5EED_0002,
-        );
+        let offchip_alloc = BuddyAllocator::new(map.base(NodeId::Offchip), map.offchip().bytes())
+            .with_scramble(0x5EED_0002);
         Self {
             cfg,
             map,
@@ -210,7 +195,6 @@ impl OsKernel {
             fifo: VecDeque::new(),
             reverse: HashMap::new(),
             next_pid: 1,
-            alloc_rr: 0,
             ledger: cfg.group_placement.map(GroupLedger::new),
             ssd: SsdModel::new(cfg.ssd),
             stats: OsStats::default(),
@@ -515,13 +499,6 @@ impl OsKernel {
     }
 
     fn fault_in(&mut self, pid: Pid, vaddr: u64, now: Cycle, hook: &mut dyn IsaHook) -> u64 {
-        // Try THP first when enabled and the whole huge region is
-        // untouched.
-        if self.cfg.use_thp && self.try_thp(pid, vaddr, now, hook) {
-            // INVARIANT: try_thp returned true: pid exists and vaddr is mapped.
-            let proc = self.process(pid).expect("checked by caller");
-            return proc.table.translate(vaddr).expect("THP just mapped");
-        }
         let frame = self.alloc_frame_evicting(now, hook);
         hook.isa_alloc(frame, PAGE_SIZE, now);
         if let Some(l) = &mut self.ledger {
@@ -535,45 +512,6 @@ impl OsKernel {
         self.reverse.insert(frame, (pid, vpn));
         self.fifo.push_back(frame);
         frame + vaddr % PAGE_SIZE
-    }
-
-    fn try_thp(&mut self, pid: Pid, vaddr: u64, now: Cycle, hook: &mut dyn IsaHook) -> bool {
-        const HUGE: u64 = 2 << 20;
-        let huge_base = vaddr & !(HUGE - 1);
-        {
-            // INVARIANT: touch() validated pid before taking the fault path.
-            let proc = self.process(pid).expect("checked by caller");
-            if huge_base + HUGE > proc.footprint {
-                return false;
-            }
-            let all_untouched = (0..HUGE / PAGE_SIZE).all(|i| {
-                matches!(
-                    proc.table.state(huge_base + i * PAGE_SIZE),
-                    PageState::Untouched
-                )
-            });
-            if !all_untouched {
-                return false;
-            }
-        }
-        let Some(block) = self.alloc_order(9) else {
-            return false;
-        };
-        hook.isa_alloc(block, HUGE, now);
-        if let Some(l) = &mut self.ledger {
-            l.on_alloc(block, HUGE);
-        }
-        self.stats.allocs.inc();
-        // INVARIANT: touch() validated pid before taking the fault path.
-        let proc = Self::slot_mut(&mut self.processes, pid).expect("checked by caller");
-        for i in 0..HUGE / PAGE_SIZE {
-            let va = huge_base + i * PAGE_SIZE;
-            let frame = block + i * PAGE_SIZE;
-            proc.table.map(va, frame);
-            self.reverse.insert(frame, (pid, PageTable::vpn(va)));
-            self.fifo.push_back(frame);
-        }
-        true
     }
 
     fn alloc_frame_evicting(&mut self, now: Cycle, hook: &mut dyn IsaHook) -> u64 {
@@ -592,18 +530,14 @@ impl OsKernel {
     fn alloc_frame_scored(&mut self) -> Option<u64> {
         const CANDIDATES: usize = 6;
         if self.ledger.is_none() {
-            return self.alloc_order(0);
+            return self.alloc_page();
         }
         // Candidate frames from the preferred node.
         // INVARIANT: scored allocation runs on the page-fault path only —
         // faults are rare after warm-up, so this staging Vec (≤ 6 entries)
         // is amortized off the per-access hot path.
         let mut cands = Vec::new();
-        let prefer_stacked = matches!(
-            self.cfg.preference,
-            NodePreference::FastFirst | NodePreference::Only(NodeId::Stacked)
-        );
-        let order: [NodeId; 2] = if prefer_stacked {
+        let order: [NodeId; 2] = if self.cfg.preference == NodePreference::FastFirst {
             [NodeId::Stacked, NodeId::Offchip]
         } else {
             [NodeId::Offchip, NodeId::Stacked]
@@ -620,10 +554,6 @@ impl OsKernel {
                     }
                 }
                 NodeId::Offchip => cands.extend(self.offchip_alloc.peek_candidates(want)),
-            }
-            // Under a strict Only() preference, never cross nodes.
-            if matches!(self.cfg.preference, NodePreference::Only(_)) {
-                break;
             }
         }
         // INVARIANT: the ledger was checked Some at the top of this function.
@@ -647,7 +577,7 @@ impl OsKernel {
             }
         }
         // No candidate committed: fall back to the plain path.
-        self.alloc_order(0)
+        self.alloc_page()
     }
 
     fn evict_one(&mut self, now: Cycle, hook: &mut dyn IsaHook) {
@@ -699,44 +629,24 @@ impl OsKernel {
         }
     }
 
-    fn alloc_order(&mut self, order: u8) -> Option<u64> {
-        let pref = self.cfg.preference;
-        match pref {
-            NodePreference::Only(n) => self.alloc_order_on(n, order),
-            NodePreference::FastFirst => self
-                .alloc_order_on(NodeId::Stacked, order)
-                .or_else(|| self.alloc_order_on(NodeId::Offchip, order)),
-            NodePreference::SlowFirst => self
-                .alloc_order_on(NodeId::Offchip, order)
-                .or_else(|| self.alloc_order_on(NodeId::Stacked, order)),
+    /// Allocates one page, trying nodes in the configured preference
+    /// order.
+    fn alloc_page(&mut self) -> Option<u64> {
+        let (first, second) = match self.cfg.preference {
+            NodePreference::FastFirst => (NodeId::Stacked, NodeId::Offchip),
+            NodePreference::SlowFirst => (NodeId::Offchip, NodeId::Stacked),
+            // Keep free fractions even across nodes so live data (and
+            // therefore free space) is spread uniformly over the physical
+            // address space.
             NodePreference::Balanced => {
-                // Keep free fractions even across nodes so live data (and
-                // therefore free space) is spread uniformly over the
-                // physical address space.
-                self.alloc_rr += 1;
-                let sf = self.free_fraction(NodeId::Stacked);
-                let of = self.free_fraction(NodeId::Offchip);
-                let first = if sf > of {
-                    NodeId::Stacked
+                if self.free_fraction(NodeId::Stacked) > self.free_fraction(NodeId::Offchip) {
+                    (NodeId::Stacked, NodeId::Offchip)
                 } else {
-                    NodeId::Offchip
-                };
-                let second = if sf > of {
-                    NodeId::Offchip
-                } else {
-                    NodeId::Stacked
-                };
-                self.alloc_order_on(first, order)
-                    .or_else(|| self.alloc_order_on(second, order))
+                    (NodeId::Offchip, NodeId::Stacked)
+                }
             }
-        }
-    }
-
-    fn alloc_order_on(&mut self, node: NodeId, order: u8) -> Option<u64> {
-        match node {
-            NodeId::Stacked => self.stacked_alloc.as_mut()?.alloc(order),
-            NodeId::Offchip => self.offchip_alloc.alloc(order),
-        }
+        };
+        self.alloc_on(first).or_else(|| self.alloc_on(second))
     }
 
     fn free_fraction(&self, node: NodeId) -> f64 {
@@ -966,25 +876,6 @@ mod tests {
             Err(OsError::MigrationEnomem)
         );
         assert_eq!(os.stats().migration_enomem.value(), 1);
-    }
-
-    #[test]
-    fn thp_allocates_huge_regions() {
-        let cfg = OsConfig {
-            use_thp: true,
-            ..OsConfig::default()
-        };
-        let mut os = small_kernel(cfg);
-        let mut hook = RecordingHook::default();
-        let pid = os.spawn(ByteSize::mib(4));
-        os.touch(pid, 0, false, 0, &mut hook).unwrap();
-        assert_eq!(hook.allocs, vec![(hook.allocs[0].0, 2 << 20)]);
-        // The rest of the huge region is already resident.
-        let t = os
-            .touch(pid, (2 << 20) - PAGE_SIZE, false, 0, &mut hook)
-            .unwrap();
-        assert_eq!(t.fault, None);
-        assert_eq!(os.rss(pid).unwrap(), 2 << 20);
     }
 
     #[test]

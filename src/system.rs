@@ -587,8 +587,9 @@ impl MemorySystem for System {
             self.policy.writeback(wb, issue);
         }
         // Stride-prefetch candidates: fetch from memory (off the critical
-        // path) and install in the LLC. Addresses beyond the managed
-        // physical range are dropped.
+        // path) and install in the LLC, draining any dirty line an install
+        // displaces. Addresses beyond the managed physical range are
+        // dropped.
         if !prefetches.is_empty() {
             let map = *self.os.memory_map();
             let lo = match self.os.config().visibility {
@@ -599,7 +600,9 @@ impl MemorySystem for System {
             for pf in prefetches {
                 if pf >= lo && pf < hi {
                     self.policy.access(pf, false, issue);
-                    self.hierarchy.install_prefetch(pf);
+                    if let Some(wb) = self.hierarchy.install_prefetch(pf) {
+                        self.policy.writeback(wb, issue);
+                    }
                 }
             }
         }
