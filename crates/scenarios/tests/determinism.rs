@@ -1,10 +1,50 @@
 //! The scenario determinism gate: a 1,000-job Poisson consolidation
 //! scenario must be bit-deterministic from its seed — identical per-job
 //! timelines and an identical `SystemReport` JSON across repeated runs
-//! and across grid worker counts.
+//! and across grid worker counts. Pinned digests also hold scenario
+//! reports fixed across commits.
 
 use chameleon::{Architecture, ScaledParams};
 use chameleon_scenarios::{generate_jobs, run_grid, run_scenario, ScenarioSpec};
+use chameleon_simkit::hash::fnv1a;
+
+/// `fnv1a` of the serialised [`run_scenario`] report for each
+/// `(scenario, architecture)` cell at [`ScaledParams::tiny`], seed 1.
+/// Change an entry only with an intended change to simulated results;
+/// a mismatch prints the replacement table.
+const REPORT_DIGESTS: [(&str, &str, u64); 3] = [
+    ("small", "Chameleon", 0x04032c354d9ec8e4),
+    ("small", "Chameleon-Opt", 0x4e585bf4e5c17041),
+    ("medium", "Chameleon-Opt", 0x7335e2b5cfb202ef),
+];
+
+#[test]
+fn scenario_reports_match_pinned_digests() {
+    let params = ScaledParams::tiny();
+    let cells = [
+        (ScenarioSpec::small(), Architecture::Chameleon),
+        (ScenarioSpec::small(), Architecture::ChameleonOpt),
+        (ScenarioSpec::medium(), Architecture::ChameleonOpt),
+    ];
+    let digests: Vec<(String, String, u64)> = cells
+        .iter()
+        .map(|(spec, arch)| {
+            let report = run_scenario(*arch, &params, spec, 1);
+            let json = serde_json::to_string(&report).expect("report serialises");
+            (spec.name.clone(), arch.label(), fnv1a(json.as_bytes()))
+        })
+        .collect();
+    let pinned = REPORT_DIGESTS
+        .iter()
+        .map(|&(s, a, d)| (s.to_owned(), a.to_owned(), d));
+    if !digests.iter().cloned().eq(pinned) {
+        let table: String = digests
+            .iter()
+            .map(|(s, a, d)| format!("    (\"{s}\", \"{a}\", {d:#018x}),\n"))
+            .collect();
+        panic!("scenario reports changed; if intended, replace REPORT_DIGESTS with:\n[\n{table}]");
+    }
+}
 
 #[test]
 fn thousand_job_scenario_is_bit_deterministic() {
