@@ -192,10 +192,10 @@ struct TenantAgg {
 fn admit(sys: &mut System, cell: &JobCell, params: &ScaledParams) -> (Pid, JobStream) {
     match &cell.workload {
         WorkloadKind::App { name } => {
-            // INVARIANT: ScenarioSpec::validate / the presets only carry
-            // Table II names; an invalid one is a driver bug.
+            // INVARIANT: the presets carry only Table II names; any other
+            // name is a caller error, listed under `run_scenario`'s panics.
             let spec = AppSpec::parse(name)
-                .expect("validated application name")
+                .expect("scenario applications are Table II names")
                 .scaled(params.footprint_scale);
             let pid = sys.spawn_process(spec.per_copy_footprint());
             let stream = AppStream::new(&spec, cell.instructions, cell.seed);
@@ -236,9 +236,10 @@ fn admit(sys: &mut System, cell: &JobCell, params: &ScaledParams) -> (Pid, JobSt
 ///
 /// # Panics
 ///
-/// Panics if the spec is invalid (unknown application name, sub-page
-/// synthetic footprint); call [`ScenarioSpec::by_name`] presets or
-/// validate custom specs before running.
+/// Panics if a tenant of `spec` names an application that is not in
+/// Table II, gives a Zipf or scan tenant a footprint below one page, or
+/// gives a Zipf tenant a negative or NaN skew. The
+/// [`ScenarioSpec::by_name`] presets satisfy all three.
 pub fn run_scenario(
     arch: Architecture,
     params: &ScaledParams,
@@ -445,6 +446,7 @@ pub fn run_scenario(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chameleon_simkit::mem::ByteSize;
 
     fn tiny_params() -> ScaledParams {
         ScaledParams::tiny()
@@ -507,6 +509,36 @@ mod tests {
         spec.tenants[0].jobs = 4;
         let r = run_scenario(Architecture::Pom, &tiny_params(), &spec, 5);
         assert_eq!(r.jobs.len(), 8);
+    }
+
+    /// Runs `small` with its first tenant edited into one of the specs
+    /// `run_scenario` documents as panicking.
+    fn run_with_first_tenant(workload: WorkloadKind, footprint: ByteSize) {
+        let mut spec = ScenarioSpec::small();
+        spec.tenants[0].workload = workload;
+        spec.tenants[0].footprint = footprint;
+        run_scenario(Architecture::ChameleonOpt, &tiny_params(), &spec, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "Table II")]
+    fn unknown_application_panics() {
+        let name = "doom".to_owned();
+        run_with_first_tenant(WorkloadKind::App { name }, ByteSize::mib(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "too small")]
+    fn sub_page_synthetic_footprint_panics() {
+        let scan = WorkloadKind::Scan { stride_lines: 1 };
+        run_with_first_tenant(scan, ByteSize::bytes_exact(2048));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn nan_skew_panics() {
+        let zipf = WorkloadKind::Zipf { skew: f64::NAN };
+        run_with_first_tenant(zipf, ByteSize::kib(256));
     }
 
     #[test]

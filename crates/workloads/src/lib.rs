@@ -37,6 +37,6 @@ pub mod synth;
 pub mod trace;
 
 pub use app::{AppSpec, Suite};
-pub use decode::{Bernoulli, ZipfTable};
+pub use decode::Bernoulli;
 pub use stream::AppStream;
 pub use synth::{LoopConfig, LoopStream, ZipfConfig, ZipfStream};

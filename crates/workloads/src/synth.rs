@@ -10,10 +10,14 @@ use chameleon_simkit::mem::ByteSize;
 use chameleon_simkit::rng::DeterministicRng;
 use serde::{Deserialize, Serialize};
 
-use crate::decode::{Bernoulli, ZipfTable};
+use crate::decode::Bernoulli;
 
 /// Cache-line size the generators address at.
 const LINE: u64 = 64;
+
+/// `2⁻⁵³`: scales the high 53 bits of one raw draw onto `[0, 1)`, as
+/// [`DeterministicRng::unit`] does.
+const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
 
 /// Knuth's multiplicative-hash prime, used to scatter Zipf ranks across
 /// the footprint so popularity is not spatially contiguous.
@@ -147,13 +151,23 @@ fn footprint_lines(footprint: ByteSize) -> u64 {
 /// scattered across the footprint with a multiplicative hash so hot lines
 /// are not spatially adjacent (hot *pages* still emerge, which is what
 /// the guidance profiler classifies).
+///
+/// Each draw evaluates the inverse CDF with one `powf`; construction
+/// precomputes only its per-stream constants. A scenario job makes at
+/// most a few thousand draws, too few to repay building a rank table.
 #[derive(Debug)]
 pub struct ZipfStream {
     lines: u64,
     pacer: Pacer,
     rng: DeterministicRng,
-    /// Precomputed head-boundary rank table (see [`crate::decode`]).
-    table: ZipfTable,
+    /// `lines` as a float: the CDF's upper bound `n`.
+    n: f64,
+    /// Whether the `s ≈ 1` (`n^u`) branch applies.
+    skew_is_one: bool,
+    /// `1 / e` with `e = 1 − skew` (general branch only).
+    inv_e: f64,
+    /// `nᵉ − 1` (general branch only).
+    c: f64,
     write_gate: Bernoulli,
 }
 
@@ -163,21 +177,44 @@ impl ZipfStream {
     /// # Panics
     ///
     /// Panics if the footprint is smaller than one page or the skew is
-    /// negative.
+    /// negative or NaN.
     pub fn new(cfg: &ZipfConfig, instructions: u64, seed: u64) -> Self {
         assert!(cfg.skew >= 0.0, "zipf skew must be non-negative");
         let lines = footprint_lines(cfg.footprint);
+        let n = lines as f64;
+        let e = 1.0 - cfg.skew;
         Self {
             lines,
             pacer: Pacer::new(cfg.mem_per_kilo, instructions),
             rng: DeterministicRng::seed(seed ^ 0x51BF_CAFE),
-            table: ZipfTable::new(lines, cfg.skew),
+            n,
+            skew_is_one: (cfg.skew - 1.0).abs() < 1e-9,
+            inv_e: 1.0 / e,
+            c: n.powf(e) - 1.0,
             write_gate: Bernoulli::new(cfg.write_fraction),
         }
     }
 
+    /// The rank of one raw RNG draw: `u = (raw >> 11)·2⁻⁵³` (the value
+    /// [`DeterministicRng::unit`] makes of the same draw), clamped below
+    /// 1 and pushed through the inverse CDF `x(u) = ((nᵉ−1)·u + 1)^(1/e)`
+    /// (or `n^u` at `s ≈ 1`), then truncated and clamped to a rank in
+    /// `[0, lines)`.
+    // lint: hot-path
+    #[inline]
+    fn rank(&self, raw: u64) -> u64 {
+        let u = ((raw >> 11) as f64 * UNIT).min(1.0 - 1e-12);
+        let x = if self.skew_is_one {
+            self.n.powf(u)
+        } else {
+            (self.c * u + 1.0).powf(self.inv_e)
+        };
+        (x as u64).clamp(1, self.lines) - 1
+    }
+
     fn next_mem_op(&mut self) -> Op {
-        let rank = self.table.rank(self.rng.raw());
+        let raw = self.rng.raw();
+        let rank = self.rank(raw);
         // SCATTER is prime and larger than any realistic line count, so
         // it is coprime with `lines` and the mapping is a permutation.
         let line = if self.lines < SCATTER {
@@ -321,8 +358,52 @@ mod tests {
         );
     }
 
+    /// Skews that exercise every branch of the rank formula: uniform,
+    /// moderate, the `|s - 1| < 1e-9` log branch (exactly and from both
+    /// sides), YCSB-style 0.99, and strongly concentrated.
+    fn any_skew() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(0.5),
+            Just(0.99),
+            Just(1.0),
+            Just(1.0 - 5e-10),
+            Just(1.0 + 5e-10),
+            Just(1.2),
+            Just(1.8),
+            (1u32..200).prop_map(|m| f64::from(m) / 100.0),
+        ]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The rank's contract over every skew branch and footprints up
+        /// to 2²⁶ lines: draw 0 is rank 0, every rank is below `lines`,
+        /// and the rank never decreases as the draw grows.
+        #[test]
+        fn rank_is_in_range_and_monotone_in_the_draw(
+            skew in any_skew(),
+            pages in prop_oneof![1u64..64, 64u64..(1 << 20)],
+            seed in any::<u64>(),
+        ) {
+            let cfg = ZipfConfig {
+                footprint: ByteSize::kib(4 * pages),
+                skew,
+                ..ZipfConfig::default()
+            };
+            let s = ZipfStream::new(&cfg, 0, 0);
+            prop_assert_eq!(s.rank(0), 0);
+            let mut rng = DeterministicRng::seed(seed);
+            let mut draws: Vec<u64> = (0..512).map(|_| rng.raw()).collect();
+            draws.push(u64::MAX);
+            draws.sort_unstable();
+            let ranks: Vec<u64> = draws.iter().map(|&d| s.rank(d)).collect();
+            prop_assert!(ranks[ranks.len() - 1] < s.lines, "skew {}", skew);
+            for pair in ranks.windows(2) {
+                prop_assert!(pair[0] <= pair[1], "skew {}: rank fell as the draw grew", skew);
+            }
+        }
 
         /// The conditional-subtract wrap is the modulo walk: every
         /// address is the previous one plus the stride (clamped to the
