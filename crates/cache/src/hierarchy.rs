@@ -101,16 +101,6 @@ impl Hierarchy {
         self.l3.touch(addr)
     }
 
-    /// A Table I hierarchy for `cores` cores.
-    pub fn table1(cores: usize) -> Self {
-        Self::new(
-            cores,
-            CacheConfig::table1_l1(),
-            CacheConfig::table1_l2(),
-            CacheConfig::table1_l3(),
-        )
-    }
-
     /// Number of cores the hierarchy serves.
     pub fn cores(&self) -> usize {
         self.l1.len()
@@ -298,16 +288,26 @@ impl Hierarchy {
 mod tests {
     use super::*;
 
+    /// A Table I hierarchy for `cores` cores.
+    fn table1(cores: usize) -> Hierarchy {
+        Hierarchy::new(
+            cores,
+            CacheConfig::table1_l1(),
+            CacheConfig::table1_l2(),
+            CacheConfig::table1_l3(),
+        )
+    }
+
     #[test]
     fn miss_then_l1_hit() {
-        let mut h = Hierarchy::table1(1);
+        let mut h = table1(1);
         assert_eq!(h.access(0, 0x1000, false).level, HitLevel::Memory);
         assert_eq!(h.access(0, 0x1000, false).level, HitLevel::L1);
     }
 
     #[test]
     fn latency_accumulates_down_the_hierarchy() {
-        let mut h = Hierarchy::table1(1);
+        let mut h = table1(1);
         let miss = h.access(0, 0x2000, false);
         assert_eq!(miss.sram_latency, 4 + 12 + 35);
         let hit = h.access(0, 0x2000, false);
@@ -316,7 +316,7 @@ mod tests {
 
     #[test]
     fn private_caches_do_not_share() {
-        let mut h = Hierarchy::table1(2);
+        let mut h = table1(2);
         h.access(0, 0x3000, false);
         // Core 1 misses its private L1/L2 but hits shared L3.
         assert_eq!(h.access(1, 0x3000, false).level, HitLevel::L3);
@@ -324,7 +324,7 @@ mod tests {
 
     #[test]
     fn capacity_evictions_writeback_dirty_lines() {
-        let mut h = Hierarchy::table1(1);
+        let mut h = table1(1);
         // Dirty many distinct lines far exceeding L1+L2+L3 capacity so
         // dirty L3 victims appear.
         let mut wrote_back = 0;
@@ -338,12 +338,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one core")]
     fn zero_cores_rejected() {
-        Hierarchy::table1(0);
+        table1(0);
     }
 
     #[test]
     fn prefetcher_emits_on_streaming_misses() {
-        let mut h = Hierarchy::table1(1).with_prefetcher(crate::PrefetchConfig::default());
+        let mut h = table1(1).with_prefetcher(crate::PrefetchConfig::default());
         let mut emitted = 0;
         for i in 0..16u64 {
             let out = h.access(0, (1 << 20) + i * 64, false);
@@ -375,7 +375,7 @@ mod tests {
 
     #[test]
     fn no_prefetcher_no_candidates() {
-        let mut h = Hierarchy::table1(1);
+        let mut h = table1(1);
         for i in 0..16u64 {
             assert!(h.access(0, i * 64, false).prefetches.is_empty());
         }

@@ -77,7 +77,12 @@ proptest! {
     /// hits in L1 it keeps hitting in L1 until capacity pressure.
     #[test]
     fn hierarchy_levels_consistent(addr in (0u64..(1 << 24)).prop_map(|a| a & !63)) {
-        let mut h = Hierarchy::table1(1);
+        let mut h = Hierarchy::new(
+            1,
+            CacheConfig::table1_l1(),
+            CacheConfig::table1_l2(),
+            CacheConfig::table1_l3(),
+        );
         prop_assert_eq!(h.access(0, addr, false).level, HitLevel::Memory);
         prop_assert_eq!(h.access(0, addr, false).level, HitLevel::L1);
         prop_assert_eq!(h.access(0, addr, false).level, HitLevel::L1);

@@ -18,10 +18,10 @@ pub struct PackedEntry {
     pub width: u8,
 }
 
-/// Bits needed per remapping tag for a group with `slots` slots.
+/// Bits needed per remapping tag for a group with `slots` slots (at
+/// least one, so a one-slot group still has a tag).
 pub fn tag_bits(slots: u8) -> u32 {
-    debug_assert!(slots >= 2);
-    u32::BITS - u32::leading_zeros(slots as u32 - 1)
+    u32::BITS - u32::leading_zeros(slots.max(2) as u32 - 1)
 }
 
 /// Total bits of one packed entry for a group size.

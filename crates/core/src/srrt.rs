@@ -328,17 +328,10 @@ impl SegmentGroupTable {
     }
 
     /// Metadata size in bytes of a hardware SRRT with this many groups
-    /// (paper Figure 7: tag bits per slot + ABV + mode + dirty + counter),
-    /// for the overhead discussion of Sections V and VII.
+    /// (paper Figure 7: one [`crate::encoding::entry_bits`] entry per
+    /// group), for the overhead discussion of Sections V and VII.
     pub fn metadata_bytes(&self) -> u64 {
-        let slots = self.slots as u64;
-        let tag_bits_per_slot = 64 - (slots.max(2) - 1).leading_zeros() as u64;
-        let bits = slots * tag_bits_per_slot // tags
-            + slots                          // ABV
-            + 1                              // mode
-            + 1                              // dirty
-            + 16; // shared counter
-        (bits * self.entries.len() as u64).div_ceil(8)
+        (u64::from(crate::encoding::entry_bits(self.slots)) * self.entries.len() as u64).div_ceil(8)
     }
 }
 
@@ -474,6 +467,7 @@ mod tests {
         // 4GB stacked DRAM.
         let t = SegmentGroupTable::new(2 << 20, 6);
         let bytes = t.metadata_bytes();
+        assert_eq!(bytes, (2 << 20) * 42 / 8);
         assert!(bytes < 16 << 20, "metadata {bytes} too large");
         assert!(bytes > 8 << 20);
     }

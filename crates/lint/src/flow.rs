@@ -31,7 +31,7 @@
 use std::collections::{BTreeSet, VecDeque};
 use std::ops::Range;
 
-use crate::baseline::AllowEntry;
+use crate::allowlist::AllowEntry;
 use crate::graph::{Graph, ParsedFile};
 use crate::tok::{Tok, TokKind};
 use crate::{DetScope, Finding, Rule, TargetKind};
@@ -219,11 +219,6 @@ fn sanctioned(allowlist: &[AllowEntry], rule: Rule, file: &str, scope: &str, tok
     })
 }
 
-/// Local part of an allowlist scope (`file.rs#Type::fn` → `Type::fn`).
-fn scope_local(scope: &str) -> &str {
-    scope.rsplit_once('#').map_or(scope, |(_, l)| l)
-}
-
 /// Transitive purity + recursion (both keyed on hot-root reachability).
 fn hot_path_passes(g: &Graph, facts: &[Facts], allowlist: &[AllowEntry], out: &mut GraphOutcome) {
     let n = g.nodes.len();
@@ -282,7 +277,6 @@ fn hot_path_passes(g: &Graph, facts: &[Facts], allowlist: &[AllowEntry], out: &m
                 &node.file,
                 *line,
                 tok,
-                scope_local(&node.scope),
                 format!(
                     "`{tok}` in `{}`, reachable from hot root via {}",
                     node.fqn,
@@ -318,7 +312,6 @@ fn hot_path_passes(g: &Graph, facts: &[Facts], allowlist: &[AllowEntry], out: &m
             &node.file,
             node.def.line,
             "recursion",
-            scope_local(&node.scope),
             format!(
                 "call cycle reachable from a hot root: {} (unbounded recursion on the spine)",
                 cycle.join(" -> ")
@@ -510,7 +503,6 @@ fn taint_pass(
                 &node.file,
                 e.line,
                 tok,
-                scope_local(&node.scope),
                 format!(
                     "sim code can reach `{tok}` via {} — sanction the edge \
                      (`{} {tok}`) or break the call",
@@ -542,18 +534,16 @@ fn lossy_cast_pass(
                 out.allowlisted += 1;
                 continue;
             }
-            out.findings.push(Finding::graph(
+            out.findings.push(Finding::new(
                 Rule::LossyCast,
                 &node.file,
                 *line,
                 tok,
-                scope_local(&node.scope),
                 format!(
                     "narrowing `{tok}` on an address-like value in `{}` — \
                      widen, mask explicitly, or justify with `// INVARIANT:`",
                     node.fqn
                 ),
-                Vec::new(),
             ));
         }
     }
@@ -592,18 +582,16 @@ fn dead_pub_pass(
             out.allowlisted += 1;
             continue;
         }
-        out.findings.push(Finding::graph(
+        out.findings.push(Finding::new(
             Rule::DeadPub,
             &node.file,
             d.line,
             &d.name,
-            scope_local(&node.scope),
             format!(
                 "pub fn `{}` has no caller outside tests — delete it, or \
                  allowlist it with the reason it stays",
                 node.fqn
             ),
-            Vec::new(),
         ));
     }
 }

@@ -30,7 +30,7 @@
 //! right (raw strings, nested block comments, `#[cfg(test)]` modules,
 //! multi-line signatures).
 
-mod baseline;
+mod allowlist;
 mod flow;
 pub mod graph;
 pub mod items;
@@ -40,9 +40,9 @@ mod sarif;
 pub mod tok;
 mod workspace;
 
-pub use baseline::{apply_baseline, load_allowlist, load_baseline, write_baseline, AllowEntry};
+pub use allowlist::{load_allowlist, AllowEntry};
 pub use local::scan_file;
-pub use sarif::to_sarif;
+pub use sarif::{json_str, to_sarif};
 pub use workspace::{classify, scan_workspace, workspace_root_from, Report};
 
 /// The enforced rule families. The first four are local token rules
@@ -76,7 +76,7 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// Stable kebab-case name used in output, baselines and allowlists.
+    /// Stable kebab-case name used in output and allowlists.
     pub fn name(self) -> &'static str {
         match self {
             Rule::HotPathAlloc => "hot-path-alloc",
@@ -90,28 +90,6 @@ impl Rule {
             Rule::DeadMetric => "dead-metric",
             Rule::DeadPub => "dead-pub",
         }
-    }
-
-    /// Rule semantics version, embedded in every baseline key as
-    /// `name@vN`. Bump when a rule's matching logic changes so stale
-    /// baseline entries die loudly instead of masking new findings.
-    pub fn version(self) -> u32 {
-        match self {
-            // Version 3: the local rules match tokens, not line text, and
-            // their key context is the line's token text.
-            Rule::HotPathAlloc | Rule::Determinism | Rule::PanicPolicy | Rule::UnsafeForbid => 3,
-            Rule::HotPathTransitive
-            | Rule::DeterminismTaint
-            | Rule::HotPathRecursion
-            | Rule::LossyCast
-            | Rule::DeadMetric
-            | Rule::DeadPub => 1,
-        }
-    }
-
-    /// `name@vN`, the rule field used in baseline keys.
-    pub fn versioned_name(self) -> String {
-        format!("{}@v{}", self.name(), self.version())
     }
 }
 
@@ -169,49 +147,23 @@ pub struct Finding {
     pub token: String,
     /// Human-readable description.
     pub message: String,
-    /// Line-number-independent identity used by the baseline ratchet:
-    /// `rule@vN|file|token|context`. For local rules the context is the
-    /// line's non-comment token text; for graph rules it is the
-    /// enclosing fn's scope (`Type::name`), which survives any edit that
-    /// keeps the fn.
-    pub key: String,
     /// Call chain from the root to the offending fn (graph rules only;
     /// empty for local rules). Entries are fn FQNs.
     pub blame: Vec<String>,
 }
 
 impl Finding {
-    /// Builds a local-rule finding, deriving the baseline key from the
-    /// line's token text (`code`, whitespace-normalized) so the key
-    /// survives unrelated edits above it.
-    pub fn new(
-        rule: Rule,
-        file: &str,
-        line: usize,
-        token: &str,
-        code: &str,
-        message: String,
-    ) -> Self {
-        let norm: String = code.split_whitespace().collect::<Vec<_>>().join(" ");
-        Self {
-            rule,
-            file: file.to_string(),
-            line,
-            token: token.to_string(),
-            message,
-            key: format!("{}|{}|{}|{}", rule.versioned_name(), file, token, norm),
-            blame: Vec::new(),
-        }
+    /// Builds a finding with no blame chain.
+    pub fn new(rule: Rule, file: &str, line: usize, token: &str, message: String) -> Self {
+        Self::graph(rule, file, line, token, message, Vec::new())
     }
 
-    /// Builds a call-graph finding keyed on the enclosing fn's scope
-    /// (`file#Type::name` split into its parts) rather than a code line.
+    /// Builds a finding with the call chain that reaches it.
     pub fn graph(
         rule: Rule,
         file: &str,
         line: usize,
         token: &str,
-        fn_scope: &str,
         message: String,
         blame: Vec<String>,
     ) -> Self {
@@ -221,7 +173,6 @@ impl Finding {
             line,
             token: token.to_string(),
             message,
-            key: format!("{}|{}|{}|{}", rule.versioned_name(), file, token, fn_scope),
             blame,
         }
     }

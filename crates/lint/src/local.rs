@@ -98,8 +98,7 @@ pub(crate) fn check_file(
     hits.sort_by(|a, b| (a.0, a.1, &a.2).cmp(&(b.0, b.1, &b.2)));
     hits.dedup_by(|a, b| (a.0, a.1, &a.2) == (b.0, b.1, &b.2));
     for (line, rule, tok, msg) in hits {
-        let context = line_text(toks, line);
-        out.push(Finding::new(rule, &ctx.rel_path, line, &tok, &context, msg));
+        out.push(Finding::new(rule, &ctx.rel_path, line, &tok, msg));
     }
 
     if is_crate_root(&ctx.rel_path) && !forbids_unsafe(toks) {
@@ -108,7 +107,6 @@ pub(crate) fn check_file(
             &ctx.rel_path,
             1,
             "#![forbid(unsafe_code)]",
-            "crate-root",
             "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
         ));
     }
@@ -218,17 +216,4 @@ fn hash_iteration(ct: &[(&Tok, bool)], hits: &mut Vec<Hit>) {
             hits.push((t.line, Rule::Determinism, t.text.clone(), msg));
         }
     }
-}
-
-/// The non-comment token text of one line, space-separated: the
-/// baseline-key context of a local finding.
-fn line_text(toks: &[Tok], line: usize) -> String {
-    let lo = toks.partition_point(|t| t.line < line);
-    toks[lo..]
-        .iter()
-        .take_while(|t| t.line == line)
-        .filter(|t| t.kind != TokKind::Comment)
-        .map(|t| t.text.as_str())
-        .collect::<Vec<_>>()
-        .join(" ")
 }

@@ -25,7 +25,7 @@
 use std::collections::BTreeSet;
 use std::path::Path;
 
-use crate::baseline::AllowEntry;
+use crate::allowlist::AllowEntry;
 use crate::graph::ParsedFile;
 use crate::tok::{Tok, TokKind};
 use crate::{DetScope, Finding, Rule, TargetKind};
@@ -46,7 +46,7 @@ struct PublishedName {
     fragment: bool,
     file: String,
     line: usize,
-    /// Enclosing fn scope for the baseline key.
+    /// Enclosing fn scope (`Type::name`) that fn-scoped allowlist entries match.
     scope: String,
 }
 
@@ -102,18 +102,16 @@ pub fn dead_metric_pass(
         if sanction(Rule::DeadMetric, &p.file, &scope, &p.name) {
             continue;
         }
-        findings.push(Finding::graph(
+        findings.push(Finding::new(
             Rule::DeadMetric,
             &p.file,
             p.line,
             &p.name,
-            &p.scope,
             format!(
                 "metric `{}` is published but absent from {golden_rel} — \
                  dead metric or stale golden",
                 p.name
             ),
-            Vec::new(),
         ));
     }
 
@@ -128,14 +126,12 @@ pub fn dead_metric_pass(
         if sanction(Rule::DeadMetric, golden_rel, golden_rel, k) {
             continue;
         }
-        findings.push(Finding::graph(
+        findings.push(Finding::new(
             Rule::DeadMetric,
             golden_rel,
             1,
             k,
-            "golden",
             format!("golden metric `{k}` has no publish site in the workspace"),
-            Vec::new(),
         ));
     }
 }

@@ -22,10 +22,8 @@ const ALL_RULES: &[Rule] = &[
     Rule::DeadPub,
 ];
 
-/// Renders findings as a SARIF 2.1.0 document. `new` holds the keys of
-/// findings not covered by the baseline (reported as `new`; the rest as
-/// `unchanged`).
-pub fn to_sarif(findings: &[Finding], new_keys: &[&str]) -> String {
+/// Renders findings as a SARIF 2.1.0 document.
+pub fn to_sarif(findings: &[Finding]) -> String {
     let mut out = String::from(
         "{\n  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n  \"version\": \"2.1.0\",\n  \"runs\": [\n    {\n      \"tool\": {\n        \"driver\": {\n          \"name\": \"chameleon-lint\",\n          \"informationUri\": \"https://example.invalid/chameleon\",\n          \"rules\": [\n",
     );
@@ -39,20 +37,14 @@ pub fn to_sarif(findings: &[Finding], new_keys: &[&str]) -> String {
     }
     out.push_str("          ]\n        }\n      },\n      \"results\": [\n");
     for (i, f) in findings.iter().enumerate() {
-        let state = if new_keys.contains(&f.key.as_str()) {
-            "new"
-        } else {
-            "unchanged"
-        };
         let mut message = f.message.clone();
         if !f.blame.is_empty() {
             message.push_str(&format!(" [blame: {}]", f.blame.join(" -> ")));
         }
         out.push_str(&format!(
-            "        {{\"ruleId\": {}, \"level\": \"error\", \"baselineState\": \"{state}\", \"message\": {{\"text\": {}}}, \"partialFingerprints\": {{\"chameleonLintKey\": {}}}, \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": {}}}, \"region\": {{\"startLine\": {}}}}}}}]}}{}\n",
+            "        {{\"ruleId\": {}, \"level\": \"error\", \"message\": {{\"text\": {}}}, \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": {}}}, \"region\": {{\"startLine\": {}}}}}}}]}}{}\n",
             json_str(f.rule.name()),
             json_str(&message),
-            json_str(&f.key),
             json_str(&f.file),
             f.line.max(1),
             if i + 1 < findings.len() { "," } else { "" }
@@ -75,7 +67,9 @@ fn camel(kebab: &str) -> String {
         .collect()
 }
 
-fn json_str(s: &str) -> String {
+/// Minimal JSON string escaping, shared with the CLI's `--json` output
+/// (the linter is dependency-free by design, so no serde here).
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -98,29 +92,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sarif_has_rules_results_and_baseline_state() {
+    fn sarif_has_rules_results_and_blame() {
         let f = Finding::graph(
             Rule::HotPathTransitive,
             "crates/x/src/lib.rs",
             7,
             "vec![",
-            "helper",
             "alloc reachable from hot root".to_string(),
             vec!["a".to_string(), "b".to_string()],
         );
-        let old = Finding::new(
+        let g = Finding::new(
             Rule::PanicPolicy,
             "src/lib.rs",
             3,
             ".unwrap()",
-            "x.unwrap()",
             "unjustified unwrap".to_string(),
         );
-        let sarif = to_sarif(&[f.clone(), old], &[f.key.as_str()]);
+        let sarif = to_sarif(&[f, g]);
         assert!(sarif.contains("\"version\": \"2.1.0\""));
         assert!(sarif.contains("\"ruleId\": \"hot-path-transitive\""));
-        assert!(sarif.contains("\"baselineState\": \"new\""));
-        assert!(sarif.contains("\"baselineState\": \"unchanged\""));
+        assert!(sarif.contains("\"ruleId\": \"panic-policy\""));
+        assert!(!sarif.contains("baselineState"));
         assert!(sarif.contains("\"startLine\": 7"));
         assert!(sarif.contains("[blame: a -> b]"));
     }

@@ -13,7 +13,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::baseline::AllowEntry;
+use crate::allowlist::AllowEntry;
 use crate::flow::analyze_graph;
 use crate::graph::ParsedFile;
 use crate::items::parse_items;

@@ -1,7 +1,6 @@
 //! End-to-end CLI test against a throwaway mini-workspace: seeded
-//! violations exit non-zero, `--write-baseline` ratchets them, fixing
-//! the code turns the entry stale (which also fails), and a clean tree
-//! exits zero.
+//! violations exit non-zero, a clean tree exits zero, and a bad flag is
+//! a usage error.
 
 use std::fs;
 use std::path::PathBuf;
@@ -51,10 +50,6 @@ impl MiniWorkspace {
         text.push_str(&String::from_utf8_lossy(&out.stderr));
         (out.status.code().expect("exit code"), text)
     }
-
-    fn baseline(&self) -> PathBuf {
-        self.root.join("crates/lint/baseline.txt")
-    }
 }
 
 impl Drop for MiniWorkspace {
@@ -64,34 +59,20 @@ impl Drop for MiniWorkspace {
 }
 
 #[test]
-fn seeded_violation_fails_then_baseline_ratchets() {
-    let ws = MiniWorkspace::new("ratchet");
+fn seeded_violation_fails_and_the_fixed_tree_passes() {
+    let ws = MiniWorkspace::new("seeded");
     ws.write_lib(DIRTY_LIB);
 
-    // Seeded violation: non-zero exit, JSON names the rule.
+    // Seeded violation: exit 1, and the JSON names the rule.
     let (code, out) = ws.run(&["--json"]);
     assert_eq!(code, 1, "{out}");
-    assert!(out.contains("\"panic-policy\""), "{out}");
-    assert!(out.contains("\"new\": true"), "{out}");
+    assert!(out.contains("\"rule\": \"panic-policy\""), "{out}");
 
-    // Ratchet it into a baseline; the same tree is now clean.
-    fs::create_dir_all(ws.root.join("crates/lint")).expect("baseline dir");
-    let (code, out) = ws.run(&["--write-baseline"]);
-    assert_eq!(code, 0, "{out}");
-    assert!(ws.baseline().is_file());
-    let (code, out) = ws.run(&[]);
-    assert_eq!(code, 0, "{out}");
-    assert!(out.contains("1 baselined"), "{out}");
-
-    // Fixing the code strands the baseline entry: stale entries fail
-    // until removed, so the baseline can only shrink.
+    // Fixing the code leaves no finding: exit 0.
     ws.write_lib(CLEAN_LIB);
     let (code, out) = ws.run(&[]);
-    assert_eq!(code, 1, "{out}");
-    assert!(out.contains("stale baseline"), "{out}");
-    fs::remove_file(ws.baseline()).expect("drop baseline");
-    let (code, out) = ws.run(&[]);
     assert_eq!(code, 0, "{out}");
+    assert!(out.contains("0 finding(s)"), "{out}");
 }
 
 #[test]

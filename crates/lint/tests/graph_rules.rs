@@ -3,16 +3,14 @@
 //! workspace: a facade hot root whose violations live two crates away.
 //!
 //! Also holds the cross-version guards: the oracle pinning the local
-//! rules to exactly the frozen v1 findings, the versioned-baseline key
-//! rejection, and the whole-workspace runtime budget.
+//! rules to exactly the frozen v1 findings, and the whole-workspace
+//! runtime budget.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use chameleon_lint::{
-    classify, load_baseline, scan_file, scan_workspace, AllowEntry, Finding, Rule,
-};
+use chameleon_lint::{classify, scan_file, scan_workspace, AllowEntry, Finding, Rule};
 
 fn fixture_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/graph_workspace")
@@ -68,7 +66,7 @@ fn transitive_alloc_two_crates_from_the_hot_root_is_found() {
     );
     // `justified` is on the same hot chain but its vec! carries an
     // INVARIANT comment — it must not appear.
-    assert!(hits.iter().all(|f| !f.key.contains("justified")));
+    assert!(hits.iter().all(|f| !f.message.contains("justified")));
 }
 
 #[test]
@@ -77,7 +75,7 @@ fn recursion_reachable_from_the_hot_root_is_found() {
     let hits = by_rule(&report.findings, Rule::HotPathRecursion);
     assert_eq!(hits.len(), 1, "{:#?}", report.findings);
     assert_eq!(hits[0].token, "recursion");
-    assert!(hits[0].key.contains("walk"), "{:?}", hits[0]);
+    assert!(hits[0].message.contains("walk"), "{:?}", hits[0]);
 }
 
 #[test]
@@ -200,28 +198,6 @@ fn local_rules_reproduce_frozen_v1_findings_exactly() {
         actual, expected,
         "local rules diverged from the frozen v1 findings"
     );
-}
-
-/// Baseline keys without a rule version must be rejected loudly.
-#[test]
-fn unversioned_baseline_keys_are_rejected() {
-    let dir = std::env::temp_dir().join(format!("chameleon-lint-basekeys-{}", std::process::id()));
-    // INVARIANT: test scratch dir under temp_dir; failure fails the test.
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let path = dir.join("baseline.txt");
-    std::fs::write(
-        &path,
-        "# comment\npanic-policy|src/lib.rs|.unwrap()|x.unwrap()\n",
-    )
-    .expect("write baseline");
-    let err = load_baseline(&path).expect_err("unversioned key must fail");
-    assert!(err.to_string().contains("unversioned key"), "{err}");
-
-    std::fs::write(&path, "panic-policy@v2|src/lib.rs|.unwrap()|x.unwrap()\n")
-        .expect("write baseline");
-    let keys = load_baseline(&path).expect("versioned keys load");
-    assert_eq!(keys.len(), 1);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The whole-workspace scan (graph passes included) must stay inside

@@ -1,12 +1,12 @@
-//! The real workspace must be clean: no findings beyond the checked-in
-//! baseline, and no stale baseline entries. This is the same check CI
-//! runs through the binary, kept here so plain `cargo test` catches a
+//! The real workspace must be clean: no findings beyond what the
+//! checked-in allowlist sanctions. This is the same check CI runs
+//! through the binary, kept here so plain `cargo test` catches a
 //! violation without a separate step.
 
-use chameleon_lint::{apply_baseline, load_allowlist, load_baseline, scan_workspace};
+use chameleon_lint::{load_allowlist, scan_workspace};
 
 #[test]
-fn workspace_has_no_new_or_stale_findings() {
+fn workspace_has_no_findings() {
     let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let root = manifest
         .parent()
@@ -35,14 +35,11 @@ fn workspace_has_no_new_or_stale_findings() {
     }
     assert!(report.graph_nodes > 500, "graph lost fns: {report:?}");
     assert!(report.hot_roots > 0, "no hot-path roots found");
-    let baseline = load_baseline(&manifest.join("baseline.txt")).expect("baseline loads");
-    let (new, _baselined, stale) = apply_baseline(&report.findings, &baseline);
     assert!(
-        new.is_empty(),
-        "new lint findings (annotate or fix them):\n{:#?}",
-        new
+        report.findings.is_empty(),
+        "lint findings (fix them, or allowlist them with a reason):\n{:#?}",
+        report.findings
     );
-    assert!(stale.is_empty(), "stale baseline entries: {stale:#?}");
 }
 
 /// Every `dead-pub` sanction names why the fn stays: (a) oracle, (b)
@@ -90,7 +87,7 @@ fn dead_pub_allowlist_entries_name_a_live_fn() {
 
 /// Lines the linter's own source (`crates/lint/src/*.rs`) may span. The
 /// linter guards the simulator's contracts; it must not outgrow them.
-const LINT_SRC_LINE_BUDGET: usize = 4_550;
+const LINT_SRC_LINE_BUDGET: usize = 4_350;
 
 #[test]
 fn lint_source_stays_inside_its_line_budget() {

@@ -154,10 +154,14 @@ impl Architecture {
             }
         }
         if let Some(rest) = wanted.strip_prefix("autonuma") {
-            let digits: String = rest.chars().filter(|c| c.is_ascii_digit()).collect();
-            if let Ok(pct) = digits.parse::<u8>() {
-                if (1..=100).contains(&pct) {
-                    return Ok(Architecture::AutoNuma { threshold_pct: pct });
+            // Digits only, optionally followed by `percent` (the label's
+            // spelling): `autonuma-8o` is an error, not AutoNUMA 8%.
+            let digits = rest.strip_suffix("percent").unwrap_or(rest);
+            if digits.bytes().all(|b| b.is_ascii_digit()) {
+                if let Ok(pct) = digits.parse::<u8>() {
+                    if (1..=100).contains(&pct) {
+                        return Ok(Architecture::AutoNuma { threshold_pct: pct });
+                    }
                 }
             }
             return Err(format!(
@@ -347,6 +351,15 @@ mod tests {
             Architecture::MemCache
         );
         assert!(Architecture::parse("autonuma-200").is_err());
+        for bad in [
+            "autonuma-8o",
+            "autonuma-7x0",
+            "autonuma-",
+            "autonuma-percent",
+        ] {
+            let err = Architecture::parse(bad).unwrap_err();
+            assert!(err.contains("bad AutoNUMA spec"), "{bad}: {err}");
+        }
     }
 
     #[test]
@@ -360,6 +373,12 @@ mod tests {
         }
         for (canonical, arch) in Architecture::CANONICAL {
             assert_eq!(Architecture::parse(canonical).unwrap(), arch);
+        }
+        for pct in 1..=100u8 {
+            assert_eq!(
+                Architecture::parse(&format!("autonuma-{pct}")).unwrap(),
+                Architecture::AutoNuma { threshold_pct: pct }
+            );
         }
     }
 

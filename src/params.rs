@@ -53,26 +53,14 @@ impl ScaledParams {
             core: CoreConfig::default(),
             hma: HmaConfig::scaled_laptop(),
             footprint_scale: 64,
-            l1: CacheConfig {
-                name: "L1D".to_owned(),
-                capacity: ByteSize::kib(32),
-                ways: 4,
-                line_bytes: 64,
-                latency: 4,
-            },
+            l1: CacheConfig::table1_l1(),
             l2: CacheConfig {
-                name: "L2".to_owned(),
                 capacity: ByteSize::kib(64),
-                ways: 8,
-                line_bytes: 64,
-                latency: 12,
+                ..CacheConfig::table1_l2()
             },
             l3: CacheConfig {
-                name: "L3".to_owned(),
                 capacity: ByteSize::kib(256),
-                ways: 16,
-                line_bytes: 64,
-                latency: 35,
+                ..CacheConfig::table1_l3()
             },
             instructions_per_core: 2_000_000,
             group_aware_placement: false,
