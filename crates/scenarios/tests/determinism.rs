@@ -12,10 +12,14 @@ use chameleon_simkit::hash::fnv1a;
 /// `(scenario, architecture)` cell at [`ScaledParams::tiny`], seed 1.
 /// Change an entry only with an intended change to simulated results;
 /// a mismatch prints the replacement table.
-const REPORT_DIGESTS: [(&str, &str, u64); 3] = [
+/// The CH-Flex cells are the only pinned runs whose process exits reach
+/// its ring-growing `activate` and its off-chip `isa_free`.
+const REPORT_DIGESTS: [(&str, &str, u64); 5] = [
     ("small", "Chameleon", 0x04032c354d9ec8e4),
     ("small", "Chameleon-Opt", 0x4e585bf4e5c17041),
     ("medium", "Chameleon-Opt", 0x7335e2b5cfb202ef),
+    ("small", "CH-Flex", 0x1c0c2065ee1374e8),
+    ("medium", "CH-Flex", 0xf877313c1d57e85d),
 ];
 
 #[test]
@@ -25,6 +29,8 @@ fn scenario_reports_match_pinned_digests() {
         (ScenarioSpec::small(), Architecture::Chameleon),
         (ScenarioSpec::small(), Architecture::ChameleonOpt),
         (ScenarioSpec::medium(), Architecture::ChameleonOpt),
+        (ScenarioSpec::small(), Architecture::ChFlex),
+        (ScenarioSpec::medium(), Architecture::ChFlex),
     ];
     let digests: Vec<(String, String, u64)> = cells
         .iter()
