@@ -146,11 +146,15 @@ pub struct OsKernel {
     /// from 1); an exited process leaves a `None` slot so pids stay
     /// stable. Indexing replaces the old per-touch `HashMap` lookup.
     processes: Vec<Option<Process>>,
-    /// FIFO of resident pages for replacement, validated lazily against
-    /// `reverse` (stale entries are skipped).
-    fifo: VecDeque<u64>,
-    /// frame base -> (pid, vpn) reverse map of resident frames.
-    reverse: HashMap<u64, (Pid, u64)>,
+    /// FIFO of resident pages for replacement as `(frame, stamp)`,
+    /// validated lazily against `reverse`: an entry whose stamp is not
+    /// its frame's current one (freed, migrated, or freed and mapped
+    /// again since) is stale and skipped.
+    fifo: VecDeque<(u64, u64)>,
+    /// frame base -> (pid, vpn, stamp) reverse map of resident frames.
+    reverse: HashMap<u64, (Pid, u64, u64)>,
+    /// Stamp of the next FIFO entry.
+    next_stamp: u64,
     next_pid: u32,
     ledger: Option<GroupLedger>,
     ssd: SsdModel,
@@ -194,6 +198,7 @@ impl OsKernel {
             processes: Vec::new(),
             fifo: VecDeque::new(),
             reverse: HashMap::new(),
+            next_stamp: 0,
             next_pid: 1,
             ledger: cfg.group_placement.map(GroupLedger::new),
             ssd: SsdModel::new(cfg.ssd),
@@ -414,7 +419,7 @@ impl OsKernel {
         hook: &mut dyn IsaHook,
     ) -> Result<u64, OsError> {
         let frame_base = page_paddr & !(PAGE_SIZE - 1);
-        let &(pid, vpn) = self
+        let &(pid, vpn, _) = self
             .reverse
             .get(&frame_base)
             .ok_or(OsError::NotMapped(page_paddr))?;
@@ -436,8 +441,7 @@ impl OsKernel {
         let proc = self.process_mut(pid).expect("reverse map is consistent");
         proc.table.map(vpn * PAGE_SIZE, new_frame);
         self.reverse.remove(&frame_base);
-        self.reverse.insert(new_frame, (pid, vpn));
-        self.fifo.push_back(new_frame);
+        self.make_resident(new_frame, pid, vpn);
         self.free_frame(frame_base, now, hook);
         self.stats.migrations.inc();
         Ok(new_frame)
@@ -508,10 +512,17 @@ impl OsKernel {
         // INVARIANT: touch() validated pid before taking the fault path.
         let proc = self.process_mut(pid).expect("checked by caller");
         proc.table.map(vaddr, frame);
-        let vpn = PageTable::vpn(vaddr);
-        self.reverse.insert(frame, (pid, vpn));
-        self.fifo.push_back(frame);
+        self.make_resident(frame, pid, PageTable::vpn(vaddr));
         frame + vaddr % PAGE_SIZE
+    }
+
+    /// Records `frame` as holding `(pid, vpn)` and queues it, newest, for
+    /// replacement.
+    fn make_resident(&mut self, frame: u64, pid: Pid, vpn: u64) {
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        self.reverse.insert(frame, (pid, vpn, stamp));
+        self.fifo.push_back((frame, stamp));
     }
 
     fn alloc_frame_evicting(&mut self, now: Cycle, hook: &mut dyn IsaHook) -> u64 {
@@ -582,13 +593,13 @@ impl OsKernel {
 
     fn evict_one(&mut self, now: Cycle, hook: &mut dyn IsaHook) {
         loop {
-            let frame = self
+            let (frame, stamp) = self
                 .fifo
                 .pop_front()
                 // INVARIANT: allocation can only fail while pages are resident.
                 .expect("nothing resident but allocation failed");
-            let Some(&(pid, vpn)) = self.reverse.get(&frame) else {
-                continue; // stale entry (freed or migrated)
+            let Some(&(pid, vpn, _)) = self.reverse.get(&frame).filter(|e| e.2 == stamp) else {
+                continue; // stale entry (freed, migrated or mapped again)
             };
             self.reverse.remove(&frame);
             self.mapping_generation += 1;
@@ -955,6 +966,37 @@ mod tests {
         }
         assert!(os.stats().swap_outs.value() > 0);
         assert!(os.mapping_generation() > g0, "swap-outs must invalidate");
+    }
+
+    #[test]
+    fn fifo_skips_entries_of_frames_freed_and_mapped_again() {
+        let cfg = OsConfig {
+            visibility: Visibility::OffchipOnly,
+            ..OsConfig::default()
+        };
+        let mut os = OsKernel::new(cfg, MemoryMap::new(ByteSize::mib(2), ByteSize::mib(2)));
+        let pages = 256;
+        let touch_all = |os: &mut OsKernel, pid: Pid, n: u64| {
+            for p in 0..n {
+                os.touch(pid, p * PAGE_SIZE, false, 0, &mut NullHook)
+                    .unwrap();
+            }
+        };
+        let a1 = os.spawn(ByteSize::mib(1));
+        let a2 = os.spawn(ByteSize::mib(1));
+        touch_all(&mut os, a1, pages);
+        touch_all(&mut os, a2, pages);
+        os.exit(a1, 0, &mut NullHook).unwrap();
+        // b reuses a1's frames, then faults once more with memory full.
+        let b = os.spawn(ByteSize::mib(2));
+        touch_all(&mut os, b, pages + 1);
+        assert_eq!(os.stats().swap_outs.value(), 1);
+        // a1's queue entries are stale: the oldest live page, a2's first,
+        // is the victim, and every page b just faulted in stays resident.
+        assert_eq!(os.peek_translate(a2, 0), None);
+        for p in 0..=pages {
+            assert!(os.peek_translate(b, p * PAGE_SIZE).is_some(), "b vpn {p}");
+        }
     }
 
     #[test]
