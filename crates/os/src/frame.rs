@@ -117,11 +117,13 @@ impl MemoryMap {
 pub struct BuddyAllocator {
     base: u64,
     len: u64,
-    /// Free blocks per order, stored as addresses. Kept sorted-ish is not
-    /// required; buddies are matched via a hash set.
+    /// Free blocks per order, stored as addresses in hand-out order. An
+    /// entry whose block is no longer free (merged away or taken by
+    /// `alloc_exact_page`) stays behind and is skipped lazily.
     free_lists: Vec<Vec<u64>>,
-    /// Membership mirror of `free_lists` for O(1) buddy lookup.
-    free_set: std::collections::HashSet<(u8, u64)>,
+    /// The authoritative free set: bit `i` of `free_bits[order]` is set
+    /// iff the `i`-th block of that order is free.
+    free_bits: Vec<Vec<u64>>,
     free_bytes: u64,
     /// When set, blocks are handed out in pseudo-random order (xorshift
     /// state), modelling the scattered free lists of a long-running,
@@ -153,7 +155,9 @@ impl BuddyAllocator {
             base,
             len,
             free_lists: vec![Vec::new(); MAX_ORDER as usize + 1],
-            free_set: std::collections::HashSet::new(),
+            free_bits: (0..=MAX_ORDER)
+                .map(|o| vec![0; (len / (FRAME_SIZE << o)).div_ceil(64) as usize])
+                .collect(),
             free_bytes: 0,
             scramble: None,
         };
@@ -173,9 +177,32 @@ impl BuddyAllocator {
         self
     }
 
+    /// The word index and bit mask of block `addr` of `order` in
+    /// `free_bits[order]`.
+    fn bit(&self, order: u8, addr: u64) -> (usize, u64) {
+        let block = (addr - self.base) / (FRAME_SIZE << order);
+        ((block / 64) as usize, 1 << (block % 64))
+    }
+
+    fn is_free(&self, order: u8, addr: u64) -> bool {
+        let (word, mask) = self.bit(order, addr);
+        self.free_bits[order as usize][word] & mask != 0
+    }
+
     fn insert_free(&mut self, order: u8, addr: u64) {
         self.free_lists[order as usize].push(addr);
-        self.free_set.insert((order, addr));
+        let (word, mask) = self.bit(order, addr);
+        self.free_bits[order as usize][word] |= mask;
+    }
+
+    /// Takes the block out of the free set; `false` if it was not free.
+    /// Its list entry is left behind and skipped lazily by `take_free`.
+    fn remove_specific(&mut self, order: u8, addr: u64) -> bool {
+        let (word, mask) = self.bit(order, addr);
+        let bits = &mut self.free_bits[order as usize][word];
+        let was_free = *bits & mask != 0;
+        *bits &= !mask;
+        was_free
     }
 
     fn take_free(&mut self, order: u8) -> Option<u64> {
@@ -198,15 +225,10 @@ impl BuddyAllocator {
                 // INVARIANT: the split loop above refilled this order's list.
                 .expect("checked non-empty");
             // Entries are lazily invalidated when merged away.
-            if self.free_set.remove(&(order, addr)) {
+            if self.remove_specific(order, addr) {
                 return Some(addr);
             }
         }
-    }
-
-    fn remove_specific(&mut self, order: u8, addr: u64) -> bool {
-        // The vec entry is left behind and skipped lazily by take_free.
-        self.free_set.remove(&(order, addr))
     }
 
     /// Allocates a block of `2^order` frames, returning its base address.
@@ -259,7 +281,7 @@ impl BuddyAllocator {
         for o in order..=MAX_ORDER {
             let enclosing = self.base + ((addr - self.base) & !((FRAME_SIZE << o) - 1));
             assert!(
-                !self.free_set.contains(&(o, enclosing)),
+                !self.is_free(o, enclosing),
                 "double free of {addr:#x} order {order} (covered by free block {enclosing:#x} order {o})"
             );
         }
@@ -295,11 +317,11 @@ impl BuddyAllocator {
             st
         });
         'orders: for o in (0..=MAX_ORDER).rev() {
-            let list = self.free_lists[o as usize].clone();
+            let list = &self.free_lists[o as usize];
             let start = salt.unwrap_or(0) as usize;
             for k in 0..list.len() {
                 let addr = list[(start + k) % list.len()];
-                if !self.free_set.contains(&(o, addr)) {
+                if !self.is_free(o, addr) {
                     continue; // stale entry
                 }
                 if out.contains(&addr) {
@@ -330,7 +352,7 @@ impl BuddyAllocator {
         let mut found = None;
         for o in 0..=MAX_ORDER {
             let enclosing = self.base + ((addr - self.base) & !((FRAME_SIZE << o) - 1));
-            if self.free_set.contains(&(o, enclosing)) {
+            if self.is_free(o, enclosing) {
                 found = Some((o, enclosing));
                 break;
             }

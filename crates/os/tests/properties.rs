@@ -5,6 +5,7 @@ use chameleon_os::page_table::{PageState, PageTable};
 use chameleon_os::{BuddyAllocator, MemoryMap, OsConfig, OsKernel};
 use chameleon_simkit::mem::ByteSize;
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// One operation against a page table, for the dense-vs-HashMap
 /// differential test below.
@@ -25,6 +26,150 @@ fn table_op() -> impl Strategy<Value = TableOp> {
         4 | 5 => TableOp::SwapOut { vpn },
         6 => TableOp::Unmap { vpn },
         _ => TableOp::Clear,
+    })
+}
+
+/// The buddy allocator as it was with a `HashSet` free set: the reference
+/// the bitmap free set is checked against. It hands out blocks by the
+/// same free lists and scramble, so addresses must agree exactly.
+struct HashSetBuddy {
+    base: u64,
+    free_lists: Vec<Vec<u64>>,
+    free_set: HashSet<(u8, u64)>,
+    free_bytes: u64,
+    scramble: u64,
+}
+
+impl HashSetBuddy {
+    const FRAME: u64 = 4096;
+    const MAX_ORDER: u8 = 9;
+
+    fn new(base: u64, len: u64, seed: u64) -> Self {
+        let mut b = Self {
+            base,
+            free_lists: vec![Vec::new(); Self::MAX_ORDER as usize + 1],
+            free_set: HashSet::new(),
+            free_bytes: len,
+            scramble: seed | 1,
+        };
+        let block = Self::FRAME << Self::MAX_ORDER;
+        for addr in (base..base + len).step_by(block as usize) {
+            b.insert_free(Self::MAX_ORDER, addr);
+        }
+        b
+    }
+
+    fn insert_free(&mut self, order: u8, addr: u64) {
+        self.free_lists[order as usize].push(addr);
+        self.free_set.insert((order, addr));
+    }
+
+    fn xorshift(&mut self) -> u64 {
+        self.scramble ^= self.scramble << 13;
+        self.scramble ^= self.scramble >> 7;
+        self.scramble ^= self.scramble << 17;
+        self.scramble
+    }
+
+    fn take_free(&mut self, order: u8) -> Option<u64> {
+        while !self.free_lists[order as usize].is_empty() {
+            let state = self.xorshift();
+            let list = &mut self.free_lists[order as usize];
+            let i = (state % list.len() as u64) as usize;
+            let last = list.len() - 1;
+            list.swap(i, last);
+            let addr = list.pop().unwrap();
+            if self.free_set.remove(&(order, addr)) {
+                return Some(addr);
+            }
+        }
+        None
+    }
+
+    fn alloc(&mut self, order: u8) -> Option<u64> {
+        let (mut o, addr) =
+            (order..=Self::MAX_ORDER).find_map(|o| Some((o, self.take_free(o)?)))?;
+        while o > order {
+            o -= 1;
+            self.insert_free(o, addr + (Self::FRAME << o));
+        }
+        self.free_bytes -= Self::FRAME << order;
+        Some(addr)
+    }
+
+    fn free(&mut self, mut addr: u64, mut order: u8) {
+        self.free_bytes += Self::FRAME << order;
+        while order < Self::MAX_ORDER {
+            let buddy = self.base + ((addr - self.base) ^ (Self::FRAME << order));
+            if !self.free_set.remove(&(order, buddy)) {
+                break;
+            }
+            addr = addr.min(buddy);
+            order += 1;
+        }
+        self.insert_free(order, addr);
+    }
+
+    fn peek_candidates(&mut self, n: usize) -> Vec<u64> {
+        let start = self.xorshift() as usize;
+        let mut out = Vec::new();
+        for o in (0..=Self::MAX_ORDER).rev() {
+            let list = &self.free_lists[o as usize];
+            for k in 0..list.len() {
+                let addr = list[(start + k) % list.len()];
+                if out.len() < n && self.free_set.contains(&(o, addr)) && !out.contains(&addr) {
+                    out.push(addr);
+                }
+            }
+        }
+        out
+    }
+
+    fn alloc_exact_page(&mut self, addr: u64) -> bool {
+        let Some((order, block)) = (0..=Self::MAX_ORDER)
+            .map(|o| {
+                (
+                    o,
+                    self.base + ((addr - self.base) & !((Self::FRAME << o) - 1)),
+                )
+            })
+            .find(|e| self.free_set.contains(e))
+        else {
+            return false;
+        };
+        self.free_set.remove(&(order, block));
+        let (mut o, mut base) = (order, block);
+        while o > 0 {
+            o -= 1;
+            let half = Self::FRAME << o;
+            if addr < base + half {
+                self.insert_free(o, base + half);
+            } else {
+                self.insert_free(o, base);
+                base += half;
+            }
+        }
+        self.free_bytes -= Self::FRAME;
+        true
+    }
+}
+
+/// One operation of the buddy differential test.
+#[derive(Debug, Clone)]
+enum BuddyOp {
+    Alloc(u8),
+    /// Frees the live block at this index (modulo the live count).
+    Free(usize),
+    AllocExactPage(u64),
+    Peek(usize),
+}
+
+fn buddy_op() -> impl Strategy<Value = BuddyOp> {
+    (0u8..11, any::<u64>()).prop_map(|(kind, x)| match kind {
+        0..=3 => BuddyOp::Alloc((x % 10) as u8),
+        4..=7 => BuddyOp::Free(x as usize),
+        8 | 9 => BuddyOp::AllocExactPage(x % 2048),
+        _ => BuddyOp::Peek(1 + (x % 7) as usize),
     })
 }
 
@@ -58,6 +203,46 @@ proptest! {
             }
             let live_bytes: u64 = live.iter().map(|&(_, o)| 4096u64 << o).sum();
             prop_assert_eq!(b.free_bytes(), total - live_bytes, "conservation");
+        }
+    }
+
+    /// The bitmap free set is a drop-in for the `HashSet` one: under any
+    /// alloc/free/exact-page/peek sequence the allocator hands out the
+    /// same addresses, peeks the same candidates and keeps the same
+    /// free byte count as the reference.
+    #[test]
+    fn buddy_matches_the_hash_set_reference(
+        ops in prop::collection::vec(buddy_op(), 1..400),
+        base_blocks in 0u64..4,
+    ) {
+        let (base, len, seed) = (base_blocks << 21, 8 << 20, 0x5EED);
+        let mut b = BuddyAllocator::new(base, len).with_scramble(seed);
+        let mut r = HashSetBuddy::new(base, len, seed);
+        let mut live: Vec<(u64, u8)> = Vec::new();
+        for op in ops {
+            match op {
+                BuddyOp::Alloc(order) => {
+                    let got = b.alloc(order);
+                    prop_assert_eq!(got, r.alloc(order));
+                    live.extend(got.map(|a| (a, order)));
+                }
+                BuddyOp::Free(i) if !live.is_empty() => {
+                    let (addr, order) = live.swap_remove(i % live.len());
+                    b.free(addr, order);
+                    r.free(addr, order);
+                }
+                BuddyOp::Free(_) => {}
+                BuddyOp::AllocExactPage(page) => {
+                    let addr = base + page * 4096;
+                    let got = b.alloc_exact_page(addr);
+                    prop_assert_eq!(got, r.alloc_exact_page(addr));
+                    if got {
+                        live.push((addr, 0));
+                    }
+                }
+                BuddyOp::Peek(n) => prop_assert_eq!(b.peek_candidates(n), r.peek_candidates(n)),
+            }
+            prop_assert_eq!(b.free_bytes(), r.free_bytes);
         }
     }
 
