@@ -101,11 +101,6 @@ impl Hierarchy {
         self.l3.touch(addr)
     }
 
-    /// Number of cores the hierarchy serves.
-    pub fn cores(&self) -> usize {
-        self.l1.len()
-    }
-
     /// Performs one reference from `core` for the line containing `addr`.
     ///
     /// # Panics

@@ -205,10 +205,9 @@ pub struct ChFlexPolicy {
     cfg: HmaConfig,
     devices: HmaDevices,
     frames: Vec<Frame>,
-    /// OS allocation state of each stacked segment.
-    allocated: Vec<bool>,
     /// The cache frames: a frame is a member iff its stacked segment is
-    /// OS-free. A valid frame is always its own key's owner.
+    /// OS-free, so a stacked segment is allocated iff its frame is not a
+    /// member. A valid frame is always its own key's owner.
     ring: HashRing,
     seg_bytes: u64,
     stacked_bytes: u64,
@@ -231,7 +230,6 @@ impl ChFlexPolicy {
         Self {
             devices: HmaDevices::new(&cfg),
             frames: vec![Frame::default(); frames],
-            allocated: vec![false; frames],
             // Every frame joins at boot.
             ring: HashRing::with_frames(frames as u32),
             seg_bytes,
@@ -331,7 +329,6 @@ impl IsaHook for ChFlexPolicy {
             return; // off-chip allocations don't change cache capacity
         }
         for seg in self.stacked_segments(addr, len) {
-            self.allocated[seg as usize] = true;
             self.deactivate(seg as u32, now);
         }
     }
@@ -359,7 +356,6 @@ impl IsaHook for ChFlexPolicy {
             return;
         }
         for seg in self.stacked_segments(addr, len) {
-            self.allocated[seg as usize] = false;
             self.activate(seg as u32, now);
         }
     }
@@ -379,8 +375,10 @@ impl HmaPolicy for ChFlexPolicy {
             // Stacked range: plain OS memory (when allocated) at stacked
             // speed; accesses to freed segments are stale SRAM-hierarchy
             // traffic serviced without touching live data.
-            let seg = (paddr / self.seg_bytes) as usize;
-            if self.allocated[seg] {
+            // INVARIANT: paddr is in the stacked range, so its segment
+            // index is a frame index, which fits u32.
+            let seg = (paddr / self.seg_bytes) as u32;
+            if !self.ring.contains(seg) {
                 let data = self.devices.stacked.access(paddr, 64, op, now);
                 self.stats.stacked_hits.inc();
                 self.stats.stacked_latency.record(data.latency as f64);
@@ -460,8 +458,10 @@ impl HmaPolicy for ChFlexPolicy {
         );
         self.stats.llc_writebacks.inc();
         if paddr < self.stacked_bytes {
-            let seg = (paddr / self.seg_bytes) as usize;
-            if self.allocated[seg] {
+            // INVARIANT: paddr is in the stacked range, so its segment
+            // index is a frame index, which fits u32.
+            let seg = (paddr / self.seg_bytes) as u32;
+            if !self.ring.contains(seg) {
                 self.devices.stacked.access(paddr, 64, MemOp::Write, now);
             } else {
                 self.stats.stale_accesses.inc();
@@ -513,12 +513,12 @@ impl HmaPolicy for ChFlexPolicy {
     }
 
     fn stacked_residency(&self) -> (u64, u64) {
-        // An allocated stacked segment holds OS memory; an active frame
-        // holds data only while a cached copy is valid. A segment is
-        // never both (allocation deactivates the frame), so the sum is
-        // bounded by capacity.
+        // An allocated stacked segment (a frame off the ring) holds OS
+        // memory; an active frame holds data only while a cached copy is
+        // valid. A segment is never both (allocation deactivates the
+        // frame), so the sum is bounded by capacity.
         let cached = self.frames.iter().filter(|f| f.valid).count() as u64;
-        let memory = self.allocated.iter().filter(|&&a| a).count() as u64;
+        let memory = self.frames.len() as u64 - self.active_frames();
         ((cached + memory) * self.seg_bytes, self.stacked_bytes)
     }
 }

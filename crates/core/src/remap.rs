@@ -114,7 +114,7 @@ impl RemapPolicy {
             table,
             devices,
             stats: HmaStats::default(),
-            trace: EventTrace::new(Registry::DEFAULT_TRACE_CAPACITY),
+            trace: EventTrace::new(Registry::TRACE_CAPACITY),
             flavor,
         }
     }

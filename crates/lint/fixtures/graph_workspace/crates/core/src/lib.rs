@@ -83,6 +83,24 @@ impl Ledger {
     }
 }
 
+/// Machine shape, built and read by `examples/demo.rs`.
+pub struct Shape {
+    pub cores: usize,
+    pub sockets: usize,
+}
+
+impl Shape {
+    /// `dead-pub`: the example only reads the field of the same name.
+    pub fn cores(&self) -> usize {
+        self.cores
+    }
+
+    /// Not `dead-pub`: the example calls it, `shape.sockets()`.
+    pub fn sockets(&self) -> usize {
+        self.sockets
+    }
+}
+
 pub fn ledgers(values: &[u64]) -> u64 {
     let ledgers: Vec<Ledger> = values.iter().copied().map(Ledger::new).collect();
     Ledger::total(&ledgers)

@@ -1,5 +1,6 @@
 //! Drives the fixture facade. The linter never builds it: it reads the
-//! names an example uses, which keep those pub fns off `dead-pub`.
+//! names an example calls or names by path, which keep those pub fns off
+//! `dead-pub`; a field read of the same name does not.
 
 fn main() {
     let mut sys = graph_fixture::System {
@@ -10,4 +11,9 @@ fn main() {
     chameleon_core::publish(&mut chameleon_core::Registry);
     let _ = chameleon_core::ledgers(&[1, 2]);
     let _ = chameleon_core::example_only();
+    let shape = chameleon_core::Shape {
+        cores: 2,
+        sockets: 1,
+    };
+    let _ = shape.cores + shape.sockets();
 }

@@ -21,9 +21,9 @@
 //!   must have statically bounded depth.
 //!
 //! * **dead public surface** — a bare-`pub` library fn with no caller
-//!   but itself and tests (`dead-pub`). Identifiers in the code outside
-//!   the graph (examples, benches, the perfbench harness) keep every fn
-//!   of that name alive.
+//!   but itself and tests (`dead-pub`). A name the code outside the
+//!   graph (examples, benches, the perfbench harness) calls or names by
+//!   path keeps every fn of that name alive.
 //!
 //! A graph-independent pass flags narrowing `as` casts applied to
 //! address-like operands (`lossy-cast`).
@@ -63,7 +63,7 @@ pub struct GraphOutcome {
 }
 
 /// Runs every graph pass over the parsed workspace. `external` holds
-/// the identifiers named by callers outside the graph (`dead-pub`).
+/// the names called by code outside the graph (`dead-pub`).
 pub fn analyze_graph(
     files: &[ParsedFile],
     external: &BTreeSet<String>,

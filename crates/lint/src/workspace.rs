@@ -178,15 +178,15 @@ pub fn scan_workspace(root: &Path, allowlist: &[AllowEntry]) -> io::Result<Repor
     // and benches stay out so name-fallback resolution can never route a
     // production call through a test helper.
     let mut parsed: Vec<ParsedFile> = Vec::new();
-    // Identifiers named by the callers outside the graph: examples,
-    // benches and the perfbench harness (`dead-pub` keeps their names).
+    // Names called by the code outside the graph: examples, benches and
+    // the perfbench harness (`dead-pub` keeps the fns they name).
     let mut external: BTreeSet<String> = BTreeSet::new();
     let perfbench = root.join("perfbench/src");
     if perfbench.is_dir() {
         let mut harness = Vec::new();
         collect_rs(&perfbench, &mut harness)?;
         for path in harness {
-            add_idents(&tokenize(&fs::read_to_string(path)?), &mut external);
+            add_called_names(&tokenize(&fs::read_to_string(path)?), &mut external);
         }
     }
 
@@ -209,7 +209,7 @@ pub fn scan_workspace(root: &Path, allowlist: &[AllowEntry]) -> io::Result<Repor
         let mut file_findings = Vec::new();
         check_file(&ctx, &toks, &items, &mut file_findings);
         if matches!(ctx.target, TargetKind::Example | TargetKind::Bench) {
-            add_idents(&toks, &mut external);
+            add_called_names(&toks, &mut external);
         }
 
         if matches!(ctx.target, TargetKind::Lib | TargetKind::Bin) {
@@ -267,9 +267,19 @@ pub fn scan_workspace(root: &Path, allowlist: &[AllowEntry]) -> io::Result<Repor
     Ok(report)
 }
 
-fn add_idents(toks: &[Tok], out: &mut BTreeSet<String>) {
-    for t in toks.iter().filter(|t| t.kind == TokKind::Ident) {
-        out.insert(t.text.clone());
+/// Adds the identifiers `toks` names in call or path position: `name(`,
+/// `name::<` or `::name`. A field read `x.name` is not a call, so it
+/// keeps no fn of that name alive.
+fn add_called_names(toks: &[Tok], out: &mut BTreeSet<String>) {
+    let code: Vec<&Tok> = toks.iter().filter(|t| t.kind != TokKind::Comment).collect();
+    let punct = |i: usize, c: char| code.get(i).is_some_and(|t| t.is_punct(c));
+    for (i, t) in code.iter().enumerate() {
+        let called = punct(i + 1, '(')
+            || (punct(i + 1, ':') && punct(i + 2, ':') && punct(i + 3, '<'))
+            || (i >= 2 && punct(i - 2, ':') && punct(i - 1, ':'));
+        if t.kind == TokKind::Ident && called {
+            out.insert(t.text.clone());
+        }
     }
 }
 

@@ -100,14 +100,17 @@ impl MemoryMap {
 /// Supports allocations of power-of-two *orders* of 4KB frames, from a
 /// base page (order 0) up to a 2MB block (order 9). The kernel allocates
 /// base pages only; the larger orders are the split/merge units that set
-/// the order frames are handed out in.
+/// the order frames are handed out in. Blocks are handed out in a
+/// pseudo-random order drawn from a seed, modelling the scattered free
+/// lists of a long-running, churned system rather than a freshly booted
+/// one.
 ///
 /// # Example
 ///
 /// ```
 /// use chameleon_os::BuddyAllocator;
 ///
-/// let mut b = BuddyAllocator::new(0, 1 << 21); // one 2MB chunk
+/// let mut b = BuddyAllocator::new(0, 1 << 21, 7); // one 2MB chunk, seed 7
 /// let huge = b.alloc(9).unwrap();
 /// assert!(b.alloc(0).is_none(), "fully used");
 /// b.free(huge, 9);
@@ -125,10 +128,8 @@ pub struct BuddyAllocator {
     /// iff the `i`-th block of that order is free.
     free_bits: Vec<Vec<u64>>,
     free_bytes: u64,
-    /// When set, blocks are handed out in pseudo-random order (xorshift
-    /// state), modelling the scattered free lists of a long-running,
-    /// churned system rather than a freshly booted one.
-    scramble: Option<u64>,
+    /// The xorshift state that picks the hand-out order.
+    scramble: u64,
 }
 
 /// Base page size: 4KB.
@@ -137,13 +138,14 @@ pub const FRAME_SIZE: u64 = 4096;
 pub const MAX_ORDER: u8 = 9;
 
 impl BuddyAllocator {
-    /// Builds an allocator over `[base, base + len)`.
+    /// Builds an allocator over `[base, base + len)` whose hand-out order
+    /// is drawn from `seed`.
     ///
     /// # Panics
     ///
     /// Panics if `base` or `len` is not 2MB-aligned (so the region tiles
     /// exactly into max-order blocks) or `len` is zero.
-    pub fn new(base: u64, len: u64) -> Self {
+    pub fn new(base: u64, len: u64, seed: u64) -> Self {
         let block = FRAME_SIZE << MAX_ORDER;
         assert!(len > 0, "empty allocator region");
         assert!(base.is_multiple_of(block), "base must be 2MB-aligned");
@@ -159,7 +161,7 @@ impl BuddyAllocator {
                 .map(|o| vec![0; (len / (FRAME_SIZE << o)).div_ceil(64) as usize])
                 .collect(),
             free_bytes: 0,
-            scramble: None,
+            scramble: seed | 1,
         };
         let mut addr = base;
         while addr < base + len {
@@ -170,11 +172,12 @@ impl BuddyAllocator {
         a
     }
 
-    /// Enables scrambled hand-out order with the given seed (see the
-    /// `scramble` field); returns `self` for builder-style use.
-    pub fn with_scramble(mut self, seed: u64) -> Self {
-        self.scramble = Some(seed | 1);
-        self
+    /// Advances the xorshift64 state and returns it.
+    fn next_random(&mut self) -> u64 {
+        self.scramble ^= self.scramble << 13;
+        self.scramble ^= self.scramble >> 7;
+        self.scramble ^= self.scramble << 17;
+        self.scramble
     }
 
     /// The word index and bit mask of block `addr` of `order` in
@@ -207,22 +210,18 @@ impl BuddyAllocator {
 
     fn take_free(&mut self, order: u8) -> Option<u64> {
         loop {
-            let list = &mut self.free_lists[order as usize];
-            if list.is_empty() {
+            if self.free_lists[order as usize].is_empty() {
                 return None;
             }
-            if let Some(state) = self.scramble.as_mut() {
-                // xorshift64: pick a pseudo-random live entry.
-                *state ^= *state << 13;
-                *state ^= *state >> 7;
-                *state ^= *state << 17;
-                let i = (*state % list.len() as u64) as usize;
-                let last = list.len() - 1;
-                list.swap(i, last);
-            }
-            let addr = self.free_lists[order as usize]
+            // Pick a pseudo-random entry.
+            let state = self.next_random();
+            let list = &mut self.free_lists[order as usize];
+            let i = (state % list.len() as u64) as usize;
+            let last = list.len() - 1;
+            list.swap(i, last);
+            let addr = list
                 .pop()
-                // INVARIANT: the split loop above refilled this order's list.
+                // INVARIANT: the list was checked non-empty above.
                 .expect("checked non-empty");
             // Entries are lazily invalidated when merged away.
             if self.remove_specific(order, addr) {
@@ -309,16 +308,9 @@ impl BuddyAllocator {
     pub fn peek_candidates(&mut self, n: usize) -> Vec<u64> {
         let mut out = Vec::with_capacity(n);
         // Advance the scramble state so repeated peeks vary.
-        let salt = self.scramble.map(|mut st| {
-            st ^= st << 13;
-            st ^= st >> 7;
-            st ^= st << 17;
-            self.scramble = Some(st);
-            st
-        });
+        let start = self.next_random() as usize;
         'orders: for o in (0..=MAX_ORDER).rev() {
             let list = &self.free_lists[o as usize];
-            let start = salt.unwrap_or(0) as usize;
             for k in 0..list.len() {
                 let addr = list[(start + k) % list.len()];
                 if !self.is_free(o, addr) {
@@ -413,7 +405,7 @@ mod tests {
 
     #[test]
     fn alloc_free_roundtrip() {
-        let mut b = BuddyAllocator::new(0, 4 << 20);
+        let mut b = BuddyAllocator::new(0, 4 << 20, 1);
         assert_eq!(b.free_bytes(), 4 << 20);
         let a = b.alloc(0).unwrap();
         assert_eq!(b.free_bytes(), (4 << 20) - 4096);
@@ -423,7 +415,7 @@ mod tests {
 
     #[test]
     fn exhaustion_returns_none() {
-        let mut b = BuddyAllocator::new(0, 2 << 20);
+        let mut b = BuddyAllocator::new(0, 2 << 20, 1);
         let mut got = Vec::new();
         while let Some(a) = b.alloc(0) {
             got.push(a);
@@ -438,7 +430,7 @@ mod tests {
 
     #[test]
     fn split_and_merge_restores_huge_block() {
-        let mut b = BuddyAllocator::new(0, 2 << 20);
+        let mut b = BuddyAllocator::new(0, 2 << 20, 1);
         let frames: Vec<u64> = (0..512).map(|_| b.alloc(0).unwrap()).collect();
         assert!(b.alloc(9).is_none());
         for f in frames {
@@ -450,7 +442,7 @@ mod tests {
 
     #[test]
     fn huge_and_small_coexist() {
-        let mut b = BuddyAllocator::new(0, 8 << 20);
+        let mut b = BuddyAllocator::new(0, 8 << 20, 1);
         let h = b.alloc(9).unwrap();
         let s = b.alloc(0).unwrap();
         assert!(
@@ -465,14 +457,14 @@ mod tests {
     #[test]
     fn non_zero_base() {
         let base = 64 << 20;
-        let mut b = BuddyAllocator::new(base, 2 << 20);
+        let mut b = BuddyAllocator::new(base, 2 << 20, 1);
         let a = b.alloc(9).unwrap();
         assert_eq!(a, base);
     }
 
     #[test]
     fn peek_candidates_span_distinct_blocks() {
-        let mut b = BuddyAllocator::new(0, 16 << 20).with_scramble(7);
+        let mut b = BuddyAllocator::new(0, 16 << 20, 7);
         let cands = b.peek_candidates(4);
         assert_eq!(cands.len(), 4);
         let blocks: std::collections::HashSet<u64> = cands.iter().map(|f| f >> 21).collect();
@@ -482,7 +474,7 @@ mod tests {
 
     #[test]
     fn alloc_exact_page_splits_correctly() {
-        let mut b = BuddyAllocator::new(0, 2 << 20);
+        let mut b = BuddyAllocator::new(0, 2 << 20, 1);
         let target = 17 * 4096;
         assert!(b.alloc_exact_page(target));
         assert_eq!(b.free_bytes(), (2 << 20) - 4096);
@@ -504,7 +496,7 @@ mod tests {
 
     #[test]
     fn alloc_exact_page_fails_when_taken() {
-        let mut b = BuddyAllocator::new(0, 2 << 20);
+        let mut b = BuddyAllocator::new(0, 2 << 20, 1);
         assert!(b.alloc_exact_page(0));
         assert!(!b.alloc_exact_page(0), "already allocated");
     }
@@ -512,7 +504,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "double free")]
     fn double_free_detected() {
-        let mut b = BuddyAllocator::new(0, 2 << 20);
+        let mut b = BuddyAllocator::new(0, 2 << 20, 1);
         let a = b.alloc(0).unwrap();
         b.free(a, 0);
         b.free(a, 0);
@@ -521,6 +513,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "2MB-aligned")]
     fn misaligned_base_rejected() {
-        BuddyAllocator::new(4096, 2 << 20);
+        BuddyAllocator::new(4096, 2 << 20, 1);
     }
 }

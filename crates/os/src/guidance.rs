@@ -4,7 +4,7 @@
 //! Models the software tier of Olson et al., *Online Application Guidance
 //! for Heterogeneous Memory Systems*: instead of the kernel's own
 //! AutoNUMA heuristic (remote/local ratio, promote-only), a user-level
-//! profiler samples one in `sample_period` DRAM-bound accesses, ranks
+//! profiler samples one in `SAMPLE_PERIOD` DRAM-bound accesses, ranks
 //! off-chip pages by sampled heat, and each epoch issues *two-way*
 //! placement hints — promote the hottest off-chip pages into the stacked
 //! node and demote stacked pages that have gone cold, keeping promotion
@@ -21,33 +21,17 @@ use crate::isa::IsaHook;
 use crate::kernel::{OsKernel, Pid, PlacementHint};
 use crate::page_table::PAGE_SIZE;
 
-/// Guidance-tier tuning parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GuidanceConfig {
-    /// Sample one in this many DRAM-bound accesses (1 = every access).
-    pub sample_period: u64,
-    /// Sampled accesses per epoch for an off-chip page to classify hot.
-    pub hot_threshold: u32,
-    /// Maximum pages promoted per epoch.
-    pub max_promotions_per_epoch: usize,
-    /// Epochs a tracked stacked page may go unsampled before it
-    /// classifies cold and is demoted.
-    pub cold_epochs: u32,
-    /// Maximum pages demoted per epoch.
-    pub max_demotions_per_epoch: usize,
-}
-
-impl Default for GuidanceConfig {
-    fn default() -> Self {
-        Self {
-            sample_period: 4,
-            hot_threshold: 2,
-            max_promotions_per_epoch: 2048,
-            cold_epochs: 2,
-            max_demotions_per_epoch: 2048,
-        }
-    }
-}
+/// Sample one in this many DRAM-bound accesses (1 would be every access).
+const SAMPLE_PERIOD: u64 = 4;
+/// Sampled accesses per epoch for an off-chip page to classify hot.
+const HOT_THRESHOLD: u32 = 2;
+/// Maximum pages promoted per epoch.
+const MAX_PROMOTIONS_PER_EPOCH: usize = 2048;
+/// Epochs a tracked stacked page may go unsampled before it classifies
+/// cold and is demoted.
+const COLD_EPOCHS: u32 = 2;
+/// Maximum pages demoted per epoch.
+const MAX_DEMOTIONS_PER_EPOCH: usize = 2048;
 
 /// Per-tenant profile accumulated over the whole run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -81,9 +65,8 @@ pub struct GuidanceEpochReport {
 /// [`GuidanceEngine::record_access`]; the driver closes an epoch with
 /// [`GuidanceEngine::end_epoch`], which applies placement hints through
 /// the kernel's [`OsKernel::apply_hints`] API.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct GuidanceEngine {
-    cfg: GuidanceConfig,
     /// Modular sampling counter (deterministic; no RNG).
     tick: u64,
     /// Sampled heat per off-chip page this epoch, with the owning tenant.
@@ -101,40 +84,15 @@ pub struct GuidanceEngine {
     promoted_total: u64,
     demoted_total: u64,
     enomem_total: u64,
-    reports: Vec<GuidanceEpochReport>,
 }
 
 impl GuidanceEngine {
-    /// Creates a guidance engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample_period` or `hot_threshold` is zero.
-    pub fn new(cfg: GuidanceConfig) -> Self {
-        assert!(cfg.sample_period > 0, "sample period must be non-zero");
-        assert!(cfg.hot_threshold > 0, "hot threshold must be non-zero");
-        Self {
-            cfg,
-            tick: 0,
-            offchip_heat: BTreeMap::new(),
-            stacked_seen: BTreeMap::new(),
-            tracked: BTreeMap::new(),
-            tenants: BTreeMap::new(),
-            sampled_this_epoch: 0,
-            samples_total: 0,
-            promoted_total: 0,
-            demoted_total: 0,
-            enomem_total: 0,
-            reports: Vec::new(),
-        }
-    }
-
     /// Records one DRAM-bound access by tenant `pid` at physical address
-    /// `paddr`. Only one in `sample_period` calls is actually sampled —
+    /// `paddr`. Only one in `SAMPLE_PERIOD` calls is actually sampled —
     /// the profiler's overhead model.
     pub fn record_access(&mut self, pid: Pid, paddr: u64, node: NodeId) {
         self.tick += 1;
-        if !self.tick.is_multiple_of(self.cfg.sample_period) {
+        if !self.tick.is_multiple_of(SAMPLE_PERIOD) {
             return;
         }
         self.sampled_this_epoch += 1;
@@ -180,24 +138,24 @@ impl GuidanceEngine {
         let mut cold: Vec<(u64, u32)> = self
             .tracked
             .iter()
-            .filter(|&(_, &idle)| idle >= self.cfg.cold_epochs)
+            .filter(|&(_, &idle)| idle >= COLD_EPOCHS)
             .map(|(&p, &idle)| (p, idle))
             // INVARIANT: end_epoch runs once per guidance epoch, not per
             // access — candidate staging here is amortized off the hot path.
             .collect();
         cold.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        cold.truncate(self.cfg.max_demotions_per_epoch);
+        cold.truncate(MAX_DEMOTIONS_PER_EPOCH);
 
         // Hot promotions: hottest first, ties by address.
         let mut hot: Vec<(u64, u32, Pid)> = self
             .offchip_heat
             .iter()
-            .filter(|&(_, &(c, _))| c >= self.cfg.hot_threshold)
+            .filter(|&(_, &(c, _))| c >= HOT_THRESHOLD)
             .map(|(&p, &(c, pid))| (p, c, pid))
             // INVARIANT: once-per-epoch staging, amortized off the hot path.
             .collect();
         hot.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        hot.truncate(self.cfg.max_promotions_per_epoch);
+        hot.truncate(MAX_PROMOTIONS_PER_EPOCH);
 
         let hints: Vec<PlacementHint> = cold
             .iter()
@@ -250,16 +208,10 @@ impl GuidanceEngine {
         self.promoted_total += outcome.promoted;
         self.demoted_total += outcome.demoted;
         self.enomem_total += outcome.enomem;
-        self.reports.push(report);
         self.offchip_heat.clear();
         self.stacked_seen.clear();
         self.sampled_this_epoch = 0;
         report
-    }
-
-    /// All epoch reports so far.
-    pub fn reports(&self) -> &[GuidanceEpochReport] {
-        &self.reports
     }
 
     /// Per-tenant profiles accumulated over the run.
@@ -311,25 +263,25 @@ mod tests {
         )
     }
 
-    fn every_access() -> GuidanceConfig {
-        GuidanceConfig {
-            sample_period: 1,
-            ..GuidanceConfig::default()
+    /// Records `SAMPLE_PERIOD * n` consecutive accesses to `paddr`, so
+    /// the page gets exactly `n` samples.
+    fn record_samples(g: &mut GuidanceEngine, pid: Pid, paddr: u64, node: NodeId, n: u64) {
+        for _ in 0..SAMPLE_PERIOD * n {
+            g.record_access(pid, paddr, node);
         }
     }
 
     #[test]
     fn promotes_hot_offchip_pages() {
         let mut os = kernel_slow_first();
-        let mut g = GuidanceEngine::new(every_access());
+        let mut g = GuidanceEngine::default();
         let pid = os.spawn(ByteSize::mib(1));
         for p in 0..8u64 {
             let t = os
                 .touch(pid, p * PAGE_SIZE, false, 0, &mut NullHook)
                 .unwrap();
-            for _ in 0..4 {
-                g.record_access(pid, t.paddr, os.memory_map().node_of(t.paddr));
-            }
+            let node = os.memory_map().node_of(t.paddr);
+            record_samples(&mut g, pid, t.paddr, node, 4);
         }
         let report = g.end_epoch(&mut os, &mut NullHook, 0);
         assert_eq!(report.hot_pages, 8);
@@ -346,22 +298,19 @@ mod tests {
     #[test]
     fn demotes_pages_gone_cold() {
         let mut os = kernel_slow_first();
-        let mut g = GuidanceEngine::new(GuidanceConfig {
-            sample_period: 1,
-            cold_epochs: 2,
-            ..GuidanceConfig::default()
-        });
+        let mut g = GuidanceEngine::default();
         let pid = os.spawn(ByteSize::mib(1));
         let t = os.touch(pid, 0, false, 0, &mut NullHook).unwrap();
-        g.record_access(pid, t.paddr, NodeId::Offchip);
-        g.record_access(pid, t.paddr, NodeId::Offchip);
+        record_samples(&mut g, pid, t.paddr, NodeId::Offchip, 2);
         let r = g.end_epoch(&mut os, &mut NullHook, 0);
         assert_eq!(r.promoted, 1);
-        // Two silent epochs: the page ages out and is demoted.
-        let r = g.end_epoch(&mut os, &mut NullHook, 1);
-        assert_eq!(r.demoted, 0, "not cold yet");
-        let r = g.end_epoch(&mut os, &mut NullHook, 2);
-        assert_eq!(r.demoted, 1, "cold after {} epochs", 2);
+        // COLD_EPOCHS silent epochs: the page ages out and is demoted.
+        for now in 1..u64::from(COLD_EPOCHS) {
+            let r = g.end_epoch(&mut os, &mut NullHook, now);
+            assert_eq!(r.demoted, 0, "not cold yet after {now} epochs");
+        }
+        let r = g.end_epoch(&mut os, &mut NullHook, COLD_EPOCHS.into());
+        assert_eq!(r.demoted, 1, "cold after {COLD_EPOCHS} epochs");
         let pa = os.peek_translate(pid, 0).unwrap();
         assert_eq!(os.memory_map().node_of(pa), NodeId::Offchip);
         assert_eq!(g.tracked_pages(), 0);
@@ -370,48 +319,34 @@ mod tests {
     #[test]
     fn sampling_period_thins_observations() {
         let mut os = kernel_slow_first();
-        let mut g = GuidanceEngine::new(GuidanceConfig {
-            sample_period: 4,
-            ..GuidanceConfig::default()
-        });
+        let mut g = GuidanceEngine::default();
         let pid = os.spawn(ByteSize::mib(1));
-        for i in 0..100 {
+        for i in 0..25 * SAMPLE_PERIOD {
             g.record_access(pid, (i % 10) * PAGE_SIZE, NodeId::Offchip);
         }
         let r = g.end_epoch(&mut os, &mut NullHook, 0);
-        assert_eq!(r.sampled, 25, "one in four sampled");
+        assert_eq!(r.sampled, 25, "one in SAMPLE_PERIOD sampled");
         assert_eq!(g.samples_total(), 25);
     }
 
     #[test]
     fn enomem_counted_when_stacked_full() {
         let mut os = kernel_slow_first();
-        let mut g = GuidanceEngine::new(GuidanceConfig {
-            sample_period: 1,
-            max_promotions_per_epoch: usize::MAX,
-            ..GuidanceConfig::default()
-        });
-        // 4 MiB of hot pages cannot fit the 2 MiB stacked node.
+        let mut g = GuidanceEngine::default();
+        // 4 MiB of hot pages cannot fit the 2 MiB stacked node; the 1,024
+        // pages are within MAX_PROMOTIONS_PER_EPOCH, so only the node's
+        // capacity stops the promotions.
         let pid = os.spawn(ByteSize::mib(4));
         for p in 0..(4 << 20) / PAGE_SIZE {
             let t = os
                 .touch(pid, p * PAGE_SIZE, false, 0, &mut NullHook)
                 .unwrap();
-            g.record_access(pid, t.paddr, os.memory_map().node_of(t.paddr));
-            g.record_access(pid, t.paddr, os.memory_map().node_of(t.paddr));
+            let node = os.memory_map().node_of(t.paddr);
+            record_samples(&mut g, pid, t.paddr, node, 2);
         }
         let r = g.end_epoch(&mut os, &mut NullHook, 0);
         assert!(r.enomem > 0, "stacked node must fill");
         assert_eq!(r.promoted, (2 << 20) / PAGE_SIZE);
         assert_eq!(g.enomem_total(), r.enomem);
-    }
-
-    #[test]
-    #[should_panic(expected = "sample period")]
-    fn zero_sample_period_rejected() {
-        GuidanceEngine::new(GuidanceConfig {
-            sample_period: 0,
-            ..GuidanceConfig::default()
-        });
     }
 }

@@ -12,7 +12,7 @@ use crate::isa::IsaHook;
 use crate::ledger::{GroupLedger, LedgerConfig};
 use crate::page_table::{PageState, PageTable, PAGE_SIZE};
 use crate::stats::OsStats;
-use crate::swap::{SsdConfig, SsdModel};
+use crate::swap::SsdModel;
 
 /// A process identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -28,14 +28,14 @@ pub enum Visibility {
     OffchipOnly,
 }
 
+/// Stall for a minor (first-touch) fault. Major faults are charged by
+/// the swap device ([`SsdModel`]: Table I's 100K-cycle page reads plus
+/// queueing under thrashing).
+const MINOR_FAULT_LATENCY: Cycle = 2_000;
+
 /// Kernel configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OsConfig {
-    /// The swap device (Table I: 100K-cycle page reads); queueing under
-    /// thrashing is modelled by [`crate::swap::SsdModel`].
-    pub ssd: SsdConfig,
-    /// Stall for a minor (first-touch) fault.
-    pub minor_fault_latency: Cycle,
     /// Node selection policy for new allocations.
     pub preference: NodePreference,
     /// Which nodes the OS may allocate from.
@@ -49,8 +49,6 @@ pub struct OsConfig {
 impl Default for OsConfig {
     fn default() -> Self {
         Self {
-            ssd: SsdConfig::default(),
-            minor_fault_latency: 2_000,
             preference: NodePreference::Balanced,
             visibility: Visibility::Both,
             group_placement: None,
@@ -182,14 +180,18 @@ impl OsKernel {
     /// Panics if node capacities are not 2MB-aligned (buddy requirement).
     pub fn new(cfg: OsConfig, map: MemoryMap) -> Self {
         let stacked_alloc = match cfg.visibility {
-            Visibility::Both => Some(
-                BuddyAllocator::new(map.base(NodeId::Stacked), map.stacked().bytes())
-                    .with_scramble(0x5EED_0001),
-            ),
+            Visibility::Both => Some(BuddyAllocator::new(
+                map.base(NodeId::Stacked),
+                map.stacked().bytes(),
+                0x5EED_0001,
+            )),
             Visibility::OffchipOnly => None,
         };
-        let offchip_alloc = BuddyAllocator::new(map.base(NodeId::Offchip), map.offchip().bytes())
-            .with_scramble(0x5EED_0002);
+        let offchip_alloc = BuddyAllocator::new(
+            map.base(NodeId::Offchip),
+            map.offchip().bytes(),
+            0x5EED_0002,
+        );
         Self {
             cfg,
             map,
@@ -201,9 +203,9 @@ impl OsKernel {
             next_stamp: 0,
             next_pid: 1,
             ledger: cfg.group_placement.map(GroupLedger::new),
-            ssd: SsdModel::new(cfg.ssd),
+            ssd: SsdModel::default(),
             stats: OsStats::default(),
-            trace: EventTrace::new(Registry::DEFAULT_TRACE_CAPACITY),
+            trace: EventTrace::new(Registry::TRACE_CAPACITY),
             mapping_generation: 0,
         }
     }
@@ -247,7 +249,7 @@ impl OsKernel {
     pub fn reset_stats(&mut self) {
         self.stats = OsStats::default();
         self.trace.clear();
-        self.ssd = SsdModel::new(self.cfg.ssd);
+        self.ssd = SsdModel::default();
     }
 
     /// The fault-event trace for the metrics timeline.
@@ -353,13 +355,11 @@ impl OsKernel {
                 self.stats.minor_faults.inc();
                 self.trace
                     .push(now, EventKind::MinorFault, PageTable::vpn(vaddr));
-                self.stats
-                    .fault_stall_cycles
-                    .add(self.cfg.minor_fault_latency);
+                self.stats.fault_stall_cycles.add(MINOR_FAULT_LATENCY);
                 Ok(TouchOutcome {
                     paddr,
                     fault: Some(FaultKind::Minor),
-                    stall: self.cfg.minor_fault_latency,
+                    stall: MINOR_FAULT_LATENCY,
                 })
             }
             PageState::SwappedOut => {
@@ -1004,9 +1004,6 @@ mod tests {
         let mut os = small_kernel(OsConfig::default());
         let pid = os.spawn(ByteSize::mib(1));
         os.touch(pid, 0, false, 0, &mut NullHook).unwrap();
-        assert_eq!(
-            os.stats().fault_stall_cycles.value(),
-            os.config().minor_fault_latency
-        );
+        assert_eq!(os.stats().fault_stall_cycles.value(), MINOR_FAULT_LATENCY);
     }
 }

@@ -20,26 +20,10 @@ use crate::isa::IsaHook;
 use crate::kernel::OsKernel;
 use crate::page_table::PAGE_SIZE;
 
-/// AutoNUMA tuning parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AutoNumaConfig {
-    /// `numa_period_threshold` (0.7 / 0.8 / 0.9 in Figure 2b).
-    pub threshold: f64,
-    /// Maximum pages migrated per epoch (the scan batch size).
-    pub max_migrations_per_epoch: usize,
-    /// Minimum sampled accesses before a remote page is considered hot.
-    pub min_hotness: u32,
-}
-
-impl Default for AutoNumaConfig {
-    fn default() -> Self {
-        Self {
-            threshold: 0.9,
-            max_migrations_per_epoch: 4096,
-            min_hotness: 2,
-        }
-    }
-}
+/// Maximum pages migrated per epoch (the scan batch size).
+const MAX_MIGRATIONS_PER_EPOCH: usize = 4096;
+/// Minimum sampled accesses before a remote page is considered hot.
+const MIN_HOTNESS: u32 = 2;
 
 /// Per-epoch outcome, the series Figure 2c plots.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -61,7 +45,8 @@ pub struct EpochReport {
 /// [`AutoNuma::end_epoch`], which performs migrations through the kernel.
 #[derive(Debug)]
 pub struct AutoNuma {
-    cfg: AutoNumaConfig,
+    /// `numa_period_threshold` (0.7 / 0.8 / 0.9 in Figure 2b).
+    threshold: f64,
     /// Sampled access counts for off-chip pages this epoch. A `BTreeMap`
     /// so that epoch-end iteration is address-ordered, never hash-ordered
     /// (the hotness sort below breaks ties by address, and bit-identical
@@ -73,19 +58,19 @@ pub struct AutoNuma {
 }
 
 impl AutoNuma {
-    /// Creates a balancer.
+    /// Creates a balancer with the given `numa_period_threshold`. A
+    /// threshold of 1 migrates whenever any sampled access is remote.
     ///
     /// # Panics
     ///
-    /// Panics if the threshold is outside `(0, 1)`.
-    pub fn new(cfg: AutoNumaConfig) -> Self {
+    /// Panics if the threshold is outside `(0, 1]`.
+    pub fn new(threshold: f64) -> Self {
         assert!(
-            cfg.threshold > 0.0 && cfg.threshold < 1.0,
-            "threshold must be in (0,1), got {}",
-            cfg.threshold
+            threshold > 0.0 && threshold <= 1.0,
+            "threshold must be in (0,1], got {threshold}"
         );
         Self {
-            cfg,
+            threshold,
             remote_pages: BTreeMap::new(),
             local_accesses: 0,
             remote_accesses: 0,
@@ -130,17 +115,17 @@ impl AutoNuma {
 
         let mut migrated = 0;
         let mut enomem = 0;
-        if remote_ratio > 1.0 - self.cfg.threshold {
+        if remote_ratio > 1.0 - self.threshold {
             // Hottest remote pages first.
             let mut hot: Vec<(u64, u32)> = self
                 .remote_pages
                 .iter()
-                .filter(|&(_, &c)| c >= self.cfg.min_hotness)
+                .filter(|&(_, &c)| c >= MIN_HOTNESS)
                 .map(|(&p, &c)| (p, c))
                 // INVARIANT: once-per-epoch staging, amortized off the hot path.
                 .collect();
             hot.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            for (page, _) in hot.into_iter().take(self.cfg.max_migrations_per_epoch) {
+            for (page, _) in hot.into_iter().take(MAX_MIGRATIONS_PER_EPOCH) {
                 match kernel.migrate_page(page, NodeId::Stacked, now, hook) {
                     Ok(_) => migrated += 1,
                     Err(crate::kernel::OsError::MigrationEnomem) => {
@@ -196,7 +181,7 @@ mod tests {
     #[test]
     fn migrates_hot_remote_pages() {
         let mut os = kernel_slow_first();
-        let mut numa = AutoNuma::new(AutoNumaConfig::default());
+        let mut numa = AutoNuma::new(0.9);
         let pid = os.spawn(ByteSize::mib(1));
         // Fault in 16 pages (land off-chip under SlowFirst) and hammer them.
         for p in 0..16u64 {
@@ -221,7 +206,7 @@ mod tests {
     #[test]
     fn stops_at_enomem_when_stacked_full() {
         let mut os = kernel_slow_first();
-        let mut numa = AutoNuma::new(AutoNumaConfig::default());
+        let mut numa = AutoNuma::new(0.9);
         // Footprint bigger than the 2MiB stacked node.
         let pid = os.spawn(ByteSize::mib(4));
         for p in 0..(4 << 20) / PAGE_SIZE {
@@ -244,7 +229,7 @@ mod tests {
     fn below_trigger_ratio_no_migration() {
         let mut os = kernel_slow_first();
         // threshold 0.9 -> trigger when remote ratio > 0.1.
-        let mut numa = AutoNuma::new(AutoNumaConfig::default());
+        let mut numa = AutoNuma::new(0.9);
         let pid = os.spawn(ByteSize::mib(1));
         let t = os.touch(pid, 0, false, 0, &mut NullHook).unwrap();
         // 5% remote traffic.
@@ -265,10 +250,7 @@ mod tests {
         // 0.9 it does.
         for (threshold, expect_migrations) in [(0.7, false), (0.9, true)] {
             let mut os = kernel_slow_first();
-            let mut numa = AutoNuma::new(AutoNumaConfig {
-                threshold,
-                ..AutoNumaConfig::default()
-            });
+            let mut numa = AutoNuma::new(threshold);
             let pid = os.spawn(ByteSize::mib(1));
             let t = os.touch(pid, 0, false, 0, &mut NullHook).unwrap();
             for _ in 0..75 {
@@ -289,7 +271,7 @@ mod tests {
     #[test]
     fn epoch_reports_record_each_epochs_hit_rate() {
         let mut os = kernel_slow_first();
-        let mut numa = AutoNuma::new(AutoNumaConfig::default());
+        let mut numa = AutoNuma::new(0.9);
         numa.record_access(0, NodeId::Stacked);
         numa.end_epoch(&mut os, &mut NullHook, 0);
         numa.record_access(1 << 22, NodeId::Offchip);
@@ -299,11 +281,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "threshold")]
     fn bad_threshold_rejected() {
-        AutoNuma::new(AutoNumaConfig {
-            threshold: 1.5,
-            ..AutoNumaConfig::default()
-        });
+        for threshold in [0.0, 1.5] {
+            let err = std::panic::catch_unwind(|| AutoNuma::new(threshold))
+                .expect_err("out-of-range threshold must be rejected");
+            let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.contains("threshold"), "{threshold}: {msg}");
+        }
+    }
+
+    #[test]
+    fn full_threshold_migrates_on_any_remote_access() {
+        // Threshold 1: a 1% remote ratio already triggers migration.
+        let mut os = kernel_slow_first();
+        let mut numa = AutoNuma::new(1.0);
+        let pid = os.spawn(ByteSize::mib(1));
+        let t = os.touch(pid, 0, false, 0, &mut NullHook).unwrap();
+        for _ in 0..198 {
+            numa.record_access(0, NodeId::Stacked);
+        }
+        for _ in 0..2 {
+            numa.record_access(t.paddr, NodeId::Offchip);
+        }
+        let report = numa.end_epoch(&mut os, &mut NullHook, 0);
+        assert_eq!(report.migrated, 1);
     }
 }

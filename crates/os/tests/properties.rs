@@ -181,7 +181,7 @@ proptest! {
         ops in prop::collection::vec((any::<bool>(), 0u8..4), 1..300),
     ) {
         let total: u64 = 8 << 20;
-        let mut b = BuddyAllocator::new(0, total).with_scramble(3);
+        let mut b = BuddyAllocator::new(0, total, 3);
         let mut live: Vec<(u64, u8)> = Vec::new();
         for (is_alloc, order) in ops {
             if is_alloc {
@@ -216,7 +216,7 @@ proptest! {
         base_blocks in 0u64..4,
     ) {
         let (base, len, seed) = (base_blocks << 21, 8 << 20, 0x5EED);
-        let mut b = BuddyAllocator::new(base, len).with_scramble(seed);
+        let mut b = BuddyAllocator::new(base, len, seed);
         let mut r = HashSetBuddy::new(base, len, seed);
         let mut live: Vec<(u64, u8)> = Vec::new();
         for op in ops {
@@ -252,7 +252,7 @@ proptest! {
     fn buddy_exact_page_composes(
         targets in prop::collection::vec(0u64..2048, 1..64),
     ) {
-        let mut b = BuddyAllocator::new(0, 8 << 20);
+        let mut b = BuddyAllocator::new(0, 8 << 20, 1);
         let mut taken = std::collections::HashSet::new();
         for t in targets {
             let addr = t * 4096;

@@ -36,7 +36,7 @@
 //! ```
 //! use chameleon_simkit::metrics::Registry;
 //!
-//! let mut reg = Registry::new(1024);
+//! let mut reg = Registry::default();
 //! reg.set_counter("hma.swaps", 2);
 //! reg.end_epoch(100);
 //! reg.set_counter("hma.swaps", 5);
@@ -158,11 +158,6 @@ impl EventTrace {
         self.events.is_empty()
     }
 
-    /// Maximum number of retained events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of events evicted (or refused) because of the capacity cap.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -276,27 +271,24 @@ pub struct Registry {
 }
 
 impl Default for Registry {
-    fn default() -> Self {
-        Self::new(Self::DEFAULT_TRACE_CAPACITY)
-    }
-}
-
-impl Registry {
-    /// Default event-trace capacity: enough to hold the interesting tail
-    /// of a measurement run without unbounded growth.
-    pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
-
-    /// Creates an empty registry whose trace retains `trace_capacity`
+    /// An empty registry whose trace retains [`Registry::TRACE_CAPACITY`]
     /// events.
-    pub fn new(trace_capacity: usize) -> Self {
+    fn default() -> Self {
         Self {
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
             epochs: Vec::new(),
             epoch_base: Snapshot::default(),
-            trace: EventTrace::new(trace_capacity),
+            trace: EventTrace::new(Self::TRACE_CAPACITY),
         }
     }
+}
+
+impl Registry {
+    /// Event-trace capacity, of the registry and of every component
+    /// trace it absorbs: enough to hold the interesting tail of a
+    /// measurement run without unbounded growth.
+    pub const TRACE_CAPACITY: usize = 4096;
 
     /// Sets a counter to an absolute value (publish semantics).
     pub fn set_counter(&mut self, name: &str, value: u64) {
@@ -336,11 +328,6 @@ impl Registry {
         }
     }
 
-    /// The event trace.
-    pub fn trace(&self) -> &EventTrace {
-        &self.trace
-    }
-
     /// A point-in-time copy of counters and gauges.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
@@ -378,10 +365,9 @@ impl Registry {
         }
     }
 
-    /// Clears all values, epochs, and events, keeping the trace capacity.
+    /// Clears all values, epochs, and events.
     pub fn reset(&mut self) {
-        let cap = self.trace.capacity();
-        *self = Self::new(cap);
+        *self = Self::default();
     }
 }
 
@@ -391,7 +377,7 @@ mod tests {
 
     #[test]
     fn counters_and_gauges_publish_absolute_values() {
-        let mut reg = Registry::new(8);
+        let mut reg = Registry::default();
         reg.set_counter("a.x", 3);
         reg.set_counter("a.x", 5); // overwrite, not accumulate
         reg.set_gauge("a.g", 0.5);
@@ -402,7 +388,7 @@ mod tests {
 
     #[test]
     fn epoch_deltas_diff_consecutive_boundaries() {
-        let mut reg = Registry::new(8);
+        let mut reg = Registry::default();
         reg.set_counter("c", 10);
         reg.end_epoch(100);
         reg.set_counter("c", 25);
@@ -440,7 +426,7 @@ mod tests {
 
     #[test]
     fn export_has_stable_schema() {
-        let mut reg = Registry::new(4);
+        let mut reg = Registry::default();
         reg.set_counter("c", 1);
         reg.absorb_events(&[TraceEvent {
             at: 9,
@@ -456,8 +442,8 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_everything_but_keeps_capacity() {
-        let mut reg = Registry::new(2);
+    fn reset_clears_everything() {
+        let mut reg = Registry::default();
         reg.set_counter("c", 1);
         reg.absorb_events(&[TraceEvent {
             at: 1,
@@ -467,9 +453,10 @@ mod tests {
         reg.end_epoch(5);
         reg.reset();
         assert_eq!(reg.counter("c"), 0);
-        assert!(reg.export().epochs.is_empty());
-        assert!(reg.trace().is_empty());
-        assert_eq!(reg.trace().capacity(), 2);
+        let export = reg.export();
+        assert!(export.epochs.is_empty());
+        assert!(export.events.is_empty());
+        assert_eq!(export.events_dropped, 0);
     }
 
     #[test]
@@ -477,7 +464,7 @@ mod tests {
         let mut s = RunningStat::new();
         s.record(2.0);
         s.record(4.0);
-        let mut reg = Registry::new(1);
+        let mut reg = Registry::default();
         reg.set_stat("lat", &s);
         let gauges = reg.export().gauges;
         assert_eq!(gauges["lat.mean"], 3.0);

@@ -44,7 +44,7 @@ proptest! {
     fn epoch_deltas_sum_to_final_aggregate(
         epochs in prop::collection::vec(counter_triples(), 1..6),
     ) {
-        let mut reg = Registry::new(0);
+        let mut reg = Registry::default();
         let mut now = 0u64;
         for epoch in &epochs {
             for (name, _base, inc) in epoch {

@@ -125,11 +125,6 @@ impl SweepEngine {
         self
     }
 
-    /// The attached store, if any.
-    pub fn store(&self) -> Option<&Store> {
-        self.store.as_ref()
-    }
-
     /// Runs every job, reusing stored cells, and returns reports in job
     /// order. Each distinct [`Job::key`] is simulated (and stored) once;
     /// repeats get a copy of its report.

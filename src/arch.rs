@@ -5,8 +5,7 @@ use chameleon_core::{
     policy::HmaPolicy, AlloyPolicy, ChFlexPolicy, FlatPolicy, Flavor, HmaConfig, MemCachePolicy,
     RemapPolicy, StaticNumaPolicy, UnisonPolicy,
 };
-use chameleon_os::guidance::GuidanceConfig;
-use chameleon_os::numa::AutoNumaConfig;
+use chameleon_os::guidance::GuidanceEngine;
 use chameleon_os::{MemoryMap, NodePreference, Visibility};
 use chameleon_simkit::mem::ByteSize;
 use serde::{Deserialize, Serialize};
@@ -250,21 +249,19 @@ impl Architecture {
         }
     }
 
-    /// AutoNUMA balancing configuration, when this organisation uses it.
-    pub fn autonuma(&self) -> Option<AutoNumaConfig> {
+    /// The AutoNUMA `numa_period_threshold` as a fraction in `(0, 1]`,
+    /// when this organisation balances.
+    pub fn autonuma(&self) -> Option<f64> {
         match self {
-            Architecture::AutoNuma { threshold_pct } => Some(AutoNumaConfig {
-                threshold: *threshold_pct as f64 / 100.0,
-                ..AutoNumaConfig::default()
-            }),
+            Architecture::AutoNuma { threshold_pct } => Some(f64::from(*threshold_pct) / 100.0),
             _ => None,
         }
     }
 
-    /// Online guidance-tier configuration, when this organisation uses it.
-    pub fn guidance(&self) -> Option<GuidanceConfig> {
+    /// A fresh online guidance engine, when this organisation uses one.
+    pub fn guidance(&self) -> Option<GuidanceEngine> {
         match self {
-            Architecture::Guided => Some(GuidanceConfig::default()),
+            Architecture::Guided => Some(GuidanceEngine::default()),
             _ => None,
         }
     }
@@ -296,10 +293,10 @@ mod tests {
 
     #[test]
     fn autonuma_threshold_parsed() {
-        let cfg = Architecture::AutoNuma { threshold_pct: 90 }
+        let threshold = Architecture::AutoNuma { threshold_pct: 90 }
             .autonuma()
             .unwrap();
-        assert!((cfg.threshold - 0.9).abs() < 1e-12);
+        assert!((threshold - 0.9).abs() < 1e-12);
         assert!(Architecture::Pom.autonuma().is_none());
     }
 
