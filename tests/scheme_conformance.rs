@@ -50,8 +50,11 @@ struct Conservation {
 /// Runs one tiny measured cell and returns the report plus the policy's
 /// conservation counters.
 fn run_cell(arch: Architecture) -> (SystemReport, Conservation) {
-    let params = ScaledParams::tiny();
-    let mut s = System::new(arch, &params);
+    run_cell_with(arch, &ScaledParams::tiny())
+}
+
+fn run_cell_with(arch: Architecture, params: &ScaledParams) -> (SystemReport, Conservation) {
+    let mut s = System::new(arch, params);
     s.set_epoch_accesses(EPOCH_ACCESSES);
     let streams = s.spawn_rate_workload("mcf", INSTRUCTIONS, 7).unwrap();
     s.prefault_all().unwrap();
@@ -93,6 +96,11 @@ const REPORT_DIGESTS: [(&str, u64); 14] = [
     ("autoNUMA_90percent", 0x5b374ad2b7b9ada2),
     ("online_guidance", 0xeeed713b3adb3d2f),
 ];
+
+/// `fnv1a(canonical(report))` of Chameleon-Opt's battery cell with
+/// group-aware placement (the OS-side segment-group ledger scoring every
+/// allocation), which no registry scheme enables.
+const GROUP_AWARE_DIGEST: u64 = 0x340b239631940e65;
 
 /// Every `hma.` counter a policy must publish, scheme-specific ones
 /// included: an unused mechanism reports zero, it does not vanish from
@@ -158,6 +166,18 @@ fn access_conservation_holds_for_every_architecture() {
              REPORT_DIGESTS with:\n[\n{table}]"
         );
     }
+}
+
+#[test]
+fn group_aware_placement_report_is_pinned() {
+    let mut params = ScaledParams::tiny();
+    params.group_aware_placement = true;
+    let (report, _) = run_cell_with(Architecture::ChameleonOpt, &params);
+    let digest = fnv1a(canonical(&report).as_bytes());
+    assert_eq!(
+        digest, GROUP_AWARE_DIGEST,
+        "group-aware Chameleon-Opt report changed: {digest:#018x}"
+    );
 }
 
 #[test]
