@@ -9,6 +9,7 @@
 //! would.
 
 use chameleon_os::isa::IsaHook;
+use chameleon_os::SegmentGeometry;
 use chameleon_simkit::Cycle;
 
 use chameleon_dram::MemOp;
@@ -35,19 +36,19 @@ fn mix(mut x: u64) -> u64 {
 /// only the keys it will own — every other assignment is untouched (the
 /// property suite proves this for arbitrary rings).
 ///
-/// A frame's points stay on the ring once added; membership is a flag,
-/// so `add` and `remove` of a known frame are O(1). The member points
-/// are a subsequence of `points` in the same order, so the first member
-/// point clockwise of a hash is the owner a ring holding only the
-/// members' points would give.
-#[derive(Debug, Clone, Default)]
+/// The frame universe `0..frames` is fixed at construction and every
+/// frame's points stay on the ring; membership is a flag, so `add` and
+/// `remove` are O(1). The member points are a subsequence of `points` in
+/// the same order, so the first member point clockwise of a hash is the
+/// owner a ring holding only the members' points would give: a ring over
+/// `0..n` with some frames removed owns keys exactly as a ring built
+/// from the remaining frames alone.
+#[derive(Debug, Clone)]
 pub struct HashRing {
-    /// Sorted `(point, frame)` pairs of every frame ever added; ties
-    /// break on frame index so ownership is a deterministic function of
-    /// the membership set.
+    /// Sorted `(point, frame)` pairs of every frame; ties break on frame
+    /// index so ownership is a deterministic function of the membership
+    /// set.
     points: Vec<(u64, u32)>,
-    /// Frame index → its points are in `points`.
-    known: Vec<bool>,
     /// Frame index → the frame is a member.
     member: Vec<bool>,
     /// Number of member frames.
@@ -55,21 +56,14 @@ pub struct HashRing {
 }
 
 impl HashRing {
-    /// An empty ring.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A ring whose members are frames `0..frames`, with the points
-    /// sorted once rather than inserted frame by frame.
-    fn with_frames(frames: u32) -> Self {
+    /// A ring whose members are frames `0..frames`.
+    pub fn new(frames: u32) -> Self {
         let mut points: Vec<(u64, u32)> = (0..frames)
             .flat_map(|f| (0..REPLICAS).map(move |r| (Self::point(f, r), f)))
             .collect();
         points.sort_unstable();
         Self {
             points,
-            known: vec![true; frames as usize],
             member: vec![true; frames as usize],
             members: frames as usize,
         }
@@ -99,27 +93,16 @@ impl HashRing {
         mix((u64::from(frame) << 32) | u64::from(replica))
     }
 
-    /// Adds a frame. Adding a member is a no-op; only a frame never seen
-    /// before has its points inserted.
+    /// Adds a frame to membership. Adding a member is a no-op.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` is outside the ring's frame universe.
     pub fn add(&mut self, frame: u32) {
-        let i = frame as usize;
-        if i >= self.member.len() {
-            self.known.resize(i + 1, false);
-            self.member.resize(i + 1, false);
+        if !self.member[frame as usize] {
+            self.member[frame as usize] = true;
+            self.members += 1;
         }
-        if self.member[i] {
-            return;
-        }
-        if !self.known[i] {
-            for replica in 0..REPLICAS {
-                let entry = (Self::point(frame, replica), frame);
-                let pos = self.points.partition_point(|&p| p < entry);
-                self.points.insert(pos, entry);
-            }
-            self.known[i] = true;
-        }
-        self.member[i] = true;
-        self.members += 1;
     }
 
     /// Removes a frame from membership. Removing a non-member is a no-op.
@@ -155,15 +138,7 @@ impl HashRing {
     /// hashing just before the point, so these are the owners whose keys
     /// `frame` takes when it joins. `None` where no other frame is a
     /// member.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frame` was never added.
     pub(crate) fn arc_owners(&self, frame: u32) -> [Option<u32>; REPLICAS as usize] {
-        assert!(
-            self.known.get(frame as usize).copied().unwrap_or(false),
-            "frame {frame} was never added"
-        );
         let mut owners = [None; REPLICAS as usize];
         for (replica, owner) in (0..REPLICAS).zip(owners.iter_mut()) {
             let entry = (Self::point(frame, replica), frame);
@@ -209,9 +184,7 @@ pub struct ChFlexPolicy {
     /// OS-free, so a stacked segment is allocated iff its frame is not a
     /// member. A valid frame is always its own key's owner.
     ring: HashRing,
-    seg_bytes: u64,
-    stacked_bytes: u64,
-    total_bytes: u64,
+    geom: SegmentGeometry,
     stats: HmaStats,
 }
 
@@ -219,22 +192,14 @@ impl ChFlexPolicy {
     /// Builds CH-Flex; at boot nothing is allocated, so every stacked
     /// segment is a cache frame.
     pub fn new(cfg: HmaConfig) -> Self {
-        let seg_bytes = cfg.segment.bytes();
-        let stacked_bytes = cfg.stacked.capacity.bytes();
-        assert!(
-            stacked_bytes.is_multiple_of(seg_bytes)
-                && cfg.offchip.capacity.bytes().is_multiple_of(seg_bytes),
-            "capacities must be segment-aligned"
-        );
-        let frames = (stacked_bytes / seg_bytes) as usize;
+        let geom = cfg.geometry();
+        let frames = geom.groups() as usize;
         Self {
             devices: HmaDevices::new(&cfg),
             frames: vec![Frame::default(); frames],
             // Every frame joins at boot.
-            ring: HashRing::with_frames(frames as u32),
-            seg_bytes,
-            stacked_bytes,
-            total_bytes: stacked_bytes + cfg.offchip.capacity.bytes(),
+            ring: HashRing::new(frames as u32),
+            geom,
             stats: HmaStats::default(),
             cfg,
         }
@@ -247,20 +212,37 @@ impl ChFlexPolicy {
 
     /// Device-relative stacked base address of a frame.
     fn frame_addr(&self, frame: u32) -> u64 {
-        u64::from(frame) * self.seg_bytes
+        self.geom.slot_addr(u64::from(frame), 0)
+    }
+
+    /// Device-relative off-chip base address of a key's segment.
+    fn key_addr(&self, key: u64) -> u64 {
+        key * self.geom.segment_bytes()
+    }
+
+    /// Writes a frame's dirty copy of `f.tag` home.
+    fn write_home(&mut self, frame: u32, f: Frame, now: Cycle) {
+        self.devices.writeback_segment(
+            self.frame_addr(frame),
+            self.key_addr(f.tag),
+            self.segment_len(),
+            now,
+        );
+        self.stats.writebacks.inc();
+    }
+
+    /// The segment size as a transfer length.
+    fn segment_len(&self) -> u32 {
+        // INVARIANT: the segment size is a transfer length (a few KiB),
+        // not an address — fits u32.
+        self.geom.segment_bytes() as u32
     }
 
     /// Writes a frame's dirty copy home and invalidates it.
     fn flush_frame(&mut self, frame: u32, now: Cycle) {
         let f = self.frames[frame as usize];
         if f.valid && f.dirty {
-            self.devices.writeback_segment(
-                self.frame_addr(frame),
-                f.tag * self.seg_bytes,
-                self.seg_bytes as u32,
-                now,
-            );
-            self.stats.writebacks.inc();
+            self.write_home(frame, f, now);
         }
         self.frames[frame as usize] = Frame::default();
     }
@@ -307,25 +289,22 @@ impl ChFlexPolicy {
     /// `ISA-Alloc`/`ISA-Free` segment notification each, counted the way
     /// the SRRT policies count them.
     fn covered_segments(&self, addr: u64, len: u64) -> u64 {
-        if len == 0 {
-            return 0;
-        }
-        (addr + len - 1) / self.seg_bytes - addr / self.seg_bytes + 1
+        let segs = self.geom.segments(addr, len);
+        segs.end - segs.start
     }
 
-    /// The stacked segments a `[addr, addr+len)` OS range overlaps.
-    fn stacked_segments(&self, addr: u64, len: u64) -> std::ops::RangeInclusive<u64> {
-        let end = (addr + len).min(self.stacked_bytes);
-        let first = addr / self.seg_bytes;
-        let last = end.saturating_sub(1) / self.seg_bytes;
-        first..=last
+    /// The stacked segments (= frames) a `[addr, addr+len)` OS range
+    /// starting in the stacked range overlaps.
+    fn stacked_segments(&self, addr: u64, len: u64) -> std::ops::Range<u64> {
+        self.geom
+            .segments(addr, len.min(self.geom.stacked_bytes() - addr))
     }
 }
 
 impl IsaHook for ChFlexPolicy {
     fn isa_alloc(&mut self, addr: u64, len: u64, now: u64) {
         self.stats.isa_allocs.add(self.covered_segments(addr, len));
-        if addr >= self.stacked_bytes || len == 0 {
+        if addr >= self.geom.stacked_bytes() {
             return; // off-chip allocations don't change cache capacity
         }
         for seg in self.stacked_segments(addr, len) {
@@ -335,16 +314,12 @@ impl IsaHook for ChFlexPolicy {
 
     fn isa_free(&mut self, addr: u64, len: u64, now: u64) {
         self.stats.isa_frees.add(self.covered_segments(addr, len));
-        if len == 0 {
-            return;
-        }
-        if addr >= self.stacked_bytes {
+        if addr >= self.geom.stacked_bytes() {
             // A freed off-chip segment's cached copy is dead data: drop
             // it without a writeback. A cached copy sits in its key's
             // owner, so only the owners need checking.
-            let first = (addr - self.stacked_bytes) / self.seg_bytes;
-            let last = (addr - self.stacked_bytes + len - 1) / self.seg_bytes;
-            for key in first..=last {
+            for seg in self.geom.segments(addr, len) {
+                let key = seg - self.geom.groups();
                 let Some(owner) = self.ring.lookup(key) else {
                     break; // no members: nothing is cached
                 };
@@ -364,21 +339,17 @@ impl IsaHook for ChFlexPolicy {
 impl HmaPolicy for ChFlexPolicy {
     // lint: hot-path
     fn access(&mut self, paddr: u64, write: bool, now: Cycle) -> Cycle {
-        assert!(
-            paddr < self.total_bytes,
-            "physical address {paddr:#x} out of range"
-        );
+        let (seg, offset) = self.geom.segment_of(paddr);
         self.stats.demand_accesses.inc();
         let op = if write { MemOp::Write } else { MemOp::Read };
 
-        let latency = if paddr < self.stacked_bytes {
+        let latency = if seg < self.geom.groups() {
             // Stacked range: plain OS memory (when allocated) at stacked
             // speed; accesses to freed segments are stale SRAM-hierarchy
             // traffic serviced without touching live data.
-            // INVARIANT: paddr is in the stacked range, so its segment
-            // index is a frame index, which fits u32.
-            let seg = (paddr / self.seg_bytes) as u32;
-            if !self.ring.contains(seg) {
+            // INVARIANT: a stacked segment index is a frame index, which
+            // fits u32.
+            if !self.ring.contains(seg as u32) {
                 let data = self.devices.stacked.access(paddr, 64, op, now);
                 self.stats.stacked_hits.inc();
                 self.stats.stacked_latency.record(data.latency as f64);
@@ -388,9 +359,8 @@ impl HmaPolicy for ChFlexPolicy {
                 self.cfg.buffer_latency
             }
         } else {
-            let rel = paddr - self.stacked_bytes;
-            let key = rel / self.seg_bytes;
-            let offset = rel % self.seg_bytes;
+            let key = seg - self.geom.groups();
+            let rel = self.geom.offchip_rel(paddr);
             match self.ring.lookup(key) {
                 None => {
                     // Cache fully allocated away: flat off-chip service.
@@ -419,20 +389,12 @@ impl HmaPolicy for ChFlexPolicy {
                         // Chameleon's cache mode).
                         let mem = self.devices.offchip.access(rel, 64, op, now);
                         if f.valid && f.dirty {
-                            self.devices.writeback_segment(
-                                self.frame_addr(frame),
-                                f.tag * self.seg_bytes,
-                                self.seg_bytes as u32,
-                                now,
-                            );
-                            self.stats.writebacks.inc();
+                            self.write_home(frame, f, now);
                         }
                         self.devices.fill_segment(
-                            key * self.seg_bytes,
+                            self.key_addr(key),
                             self.frame_addr(frame),
-                            // INVARIANT: seg_bytes is a transfer length (a
-                            // few KiB segment), not an address — fits u32.
-                            self.seg_bytes as u32,
+                            self.segment_len(),
                             now,
                         );
                         self.stats.fills.inc();
@@ -452,25 +414,19 @@ impl HmaPolicy for ChFlexPolicy {
     }
 
     fn writeback(&mut self, paddr: u64, now: Cycle) {
-        assert!(
-            paddr < self.total_bytes,
-            "physical address {paddr:#x} out of range"
-        );
+        let (seg, offset) = self.geom.segment_of(paddr);
         self.stats.llc_writebacks.inc();
-        if paddr < self.stacked_bytes {
-            // INVARIANT: paddr is in the stacked range, so its segment
-            // index is a frame index, which fits u32.
-            let seg = (paddr / self.seg_bytes) as u32;
-            if !self.ring.contains(seg) {
+        let Some(key) = seg.checked_sub(self.geom.groups()) else {
+            // INVARIANT: a stacked segment index is a frame index, which
+            // fits u32.
+            if !self.ring.contains(seg as u32) {
                 self.devices.stacked.access(paddr, 64, MemOp::Write, now);
             } else {
                 self.stats.stale_accesses.inc();
             }
             return;
-        }
-        let rel = paddr - self.stacked_bytes;
-        let key = rel / self.seg_bytes;
-        let offset = rel % self.seg_bytes;
+        };
+        let rel = self.geom.offchip_rel(paddr);
         let cached = self.ring.lookup(key).filter(|&frame| {
             let f = self.frames[frame as usize];
             f.valid && f.tag == key
@@ -519,7 +475,10 @@ impl HmaPolicy for ChFlexPolicy {
         // frame), so the sum is bounded by capacity.
         let cached = self.frames.iter().filter(|f| f.valid).count() as u64;
         let memory = self.frames.len() as u64 - self.active_frames();
-        ((cached + memory) * self.seg_bytes, self.stacked_bytes)
+        (
+            (cached + memory) * self.geom.segment_bytes(),
+            self.geom.stacked_bytes(),
+        )
     }
 }
 
@@ -786,11 +745,6 @@ mod tests {
         let ch = ChFlexPolicy::new(cfg());
         assert_eq!(ch.active_frames(), 1024);
         assert_eq!(ch.mode_distribution().cache_fraction(), 1.0);
-        let mut ring = HashRing::new();
-        for f in 0..1024 {
-            ring.add(f);
-        }
-        assert_eq!(ch.ring.points, ring.points, "boot ring = every frame added");
     }
 
     #[test]
@@ -879,10 +833,7 @@ mod tests {
 
     #[test]
     fn ring_lookup_is_deterministic_and_total() {
-        let mut ring = HashRing::new();
-        for f in 0..16 {
-            ring.add(f);
-        }
+        let mut ring = HashRing::new(16);
         assert_eq!(ring.len(), 16 * REPLICAS as usize);
         for key in 0..1000u64 {
             let a = ring.lookup(key);
@@ -894,7 +845,7 @@ mod tests {
         for key in 0..1000u64 {
             assert!(ring.lookup(key).is_some_and(|f| f != 3));
         }
-        assert!(HashRing::new().lookup(42).is_none());
+        assert!(HashRing::new(0).lookup(42).is_none());
     }
 
     #[test]

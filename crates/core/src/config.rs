@@ -1,6 +1,7 @@
 //! Configuration shared by the heterogeneous-memory policies.
 
 use chameleon_dram::DramConfig;
+use chameleon_os::SegmentGeometry;
 use chameleon_simkit::mem::ByteSize;
 use chameleon_simkit::{ClockDomain, Cycle};
 use serde::{Deserialize, Serialize};
@@ -98,6 +99,16 @@ impl HmaConfig {
     /// Total OS-visible capacity when both devices are part of memory.
     pub fn total_capacity(&self) -> ByteSize {
         self.stacked.capacity + self.offchip.capacity
+    }
+
+    /// The segment-group tiling of this address space.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capacities do not tile into segment groups (see
+    /// [`SegmentGeometry::new`]).
+    pub fn geometry(&self) -> SegmentGeometry {
+        SegmentGeometry::new(self.stacked.capacity, self.offchip.capacity, self.segment)
     }
 }
 

@@ -52,7 +52,6 @@ mod config;
 mod devices;
 pub mod encoding;
 mod flat;
-mod geometry;
 mod memcache;
 pub mod policy;
 mod remap;
@@ -65,7 +64,6 @@ pub use chflex::{ChFlexPolicy, HashRing};
 pub use config::HmaConfig;
 pub use devices::HmaDevices;
 pub use flat::{FlatPolicy, StaticNumaPolicy};
-pub use geometry::{SegLoc, SegmentGeometry};
 pub use memcache::MemCachePolicy;
 pub use policy::{HmaPolicy, ModeDistribution};
 pub use remap::{Flavor, RemapPolicy};

@@ -9,12 +9,13 @@
 
 use chameleon_dram::MemOp;
 use chameleon_os::isa::IsaHook;
-use chameleon_simkit::metrics::{EventKind, EventTrace, Registry};
+use chameleon_os::SegmentGeometry;
+use chameleon_simkit::metrics::{EventKind, EventTrace};
 use chameleon_simkit::Cycle;
 
 use crate::policy::HmaPolicy;
 use crate::srrt::{Mode, SegmentGroupTable, SrrtEntry};
-use crate::{HmaConfig, HmaDevices, HmaStats, ModeDistribution, SegmentGeometry};
+use crate::{HmaConfig, HmaDevices, HmaStats, ModeDistribution};
 
 /// Which architecture a [`RemapPolicy`] behaves as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,7 +101,7 @@ impl RemapPolicy {
     /// cache mode: nothing is allocated yet (the ABV is all-zeroes;
     /// Section V).
     pub fn new(cfg: HmaConfig, flavor: Flavor) -> Self {
-        let geom = SegmentGeometry::new(cfg.stacked.capacity, cfg.offchip.capacity, cfg.segment);
+        let geom = cfg.geometry();
         let mut table = SegmentGroupTable::new(geom.groups(), geom.slots_per_group());
         if flavor.reconfigures() {
             for g in 0..geom.groups() {
@@ -114,7 +115,7 @@ impl RemapPolicy {
             table,
             devices,
             stats: HmaStats::default(),
-            trace: EventTrace::new(Registry::TRACE_CAPACITY),
+            trace: EventTrace::default(),
             flavor,
         }
     }
@@ -382,12 +383,9 @@ impl RemapPolicy {
 
     fn for_each_segment(&mut self, addr: u64, len: u64, mut f: impl FnMut(&mut Self, u64, u8)) {
         assert!(len > 0, "empty ISA range");
-        let seg = self.cfg.segment.bytes();
-        let first = addr / seg;
-        let last = (addr + len - 1) / seg;
-        for s in first..=last {
-            let loc = self.geom.locate(s * seg);
-            f(self, loc.group, loc.slot);
+        for s in self.geom.segments(addr, len) {
+            let (group, slot) = self.geom.group_slot(s);
+            f(self, group, slot);
         }
     }
 
@@ -624,6 +622,16 @@ mod tests {
     /// Allocates every segment of every group.
     fn alloc_all(m: &mut RemapPolicy) {
         m.isa_alloc(0, m.geom.total_bytes(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "slots must be 1..=8, got 9")]
+    fn ratio_beyond_the_srrt_slot_limit_rejected() {
+        // A 1:8 group has 9 slots; the SRRT entry holds at most MAX_SLOTS.
+        let mut cfg = HmaConfig::scaled_laptop();
+        cfg.stacked.capacity = ByteSize::mib(2);
+        cfg.offchip.capacity = ByteSize::mib(16);
+        RemapPolicy::new(cfg, Flavor::Pom);
     }
 
     #[test]

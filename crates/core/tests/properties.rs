@@ -6,9 +6,10 @@
 
 use chameleon_core::{
     encoding, policy::HmaPolicy, Flavor, FootprintPredictor, HashRing, HmaConfig, Mode,
-    RemapPolicy, SegmentGeometry, SrrtEntry, UnisonPolicy,
+    RemapPolicy, SrrtEntry, UnisonPolicy,
 };
 use chameleon_os::isa::IsaHook;
+use chameleon_os::SegmentGeometry;
 use chameleon_simkit::mem::ByteSize;
 use proptest::prelude::*;
 
@@ -283,9 +284,11 @@ proptest! {
         victim_sel in any::<u16>(),
         keys in prop::collection::vec(any::<u64>(), 1..200),
     ) {
-        let mut ring = HashRing::new();
-        for &f in &frames {
-            ring.add(f); // idempotent on duplicates
+        // A ring over 0..64 with the unlisted frames removed owns keys
+        // as a ring of only the listed frames would.
+        let mut ring = HashRing::new(64);
+        for f in (0..64).filter(|f| !frames.contains(f)) {
+            ring.remove(f);
         }
         let victim = frames[victim_sel as usize % frames.len()];
         let before: Vec<u32> = keys.iter().map(|&k| ring.lookup(k).unwrap()).collect();

@@ -1,6 +1,7 @@
 //! Drives the fixture facade. The linter never builds it: it reads the
 //! names an example calls or names by path, which keep those pub fns off
-//! `dead-pub`; a field read of the same name does not.
+//! `dead-pub`; a field read of the same name does not, nor does a bare
+//! call of a fn this file defines under a library fn's name.
 
 fn main() {
     let mut sys = graph_fixture::System {
@@ -16,4 +17,9 @@ fn main() {
         sockets: 1,
     };
     let _ = shape.cores + shape.sockets();
+    let _ = unused();
+}
+
+fn unused() -> u64 {
+    0
 }

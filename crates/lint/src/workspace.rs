@@ -269,14 +269,22 @@ pub fn scan_workspace(root: &Path, allowlist: &[AllowEntry]) -> io::Result<Repor
 
 /// Adds the identifiers `toks` names in call or path position: `name(`,
 /// `name::<` or `::name`. A field read `x.name` is not a call, so it
-/// keeps no fn of that name alive.
+/// keeps no fn of that name alive; nor does a bare `name(` when the file
+/// defines its own `fn name`, which that call resolves to.
 fn add_called_names(toks: &[Tok], out: &mut BTreeSet<String>) {
     let code: Vec<&Tok> = toks.iter().filter(|t| t.kind != TokKind::Comment).collect();
     let punct = |i: usize, c: char| code.get(i).is_some_and(|t| t.is_punct(c));
+    let local: BTreeSet<&str> = code
+        .windows(2)
+        .filter(|w| w[0].is_ident("fn"))
+        .map(|w| w[1].text.as_str())
+        .collect();
     for (i, t) in code.iter().enumerate() {
-        let called = punct(i + 1, '(')
+        let path = i >= 2 && punct(i - 2, ':') && punct(i - 1, ':');
+        let bare = !(path || (i >= 1 && punct(i - 1, '.')));
+        let called = (punct(i + 1, '(') && !(bare && local.contains(t.text.as_str())))
             || (punct(i + 1, ':') && punct(i + 2, ':') && punct(i + 3, '<'))
-            || (i >= 2 && punct(i - 2, ':') && punct(i - 1, ':'));
+            || path;
         if t.kind == TokKind::Ident && called {
             out.insert(t.text.clone());
         }

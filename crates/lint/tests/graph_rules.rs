@@ -138,7 +138,8 @@ fn dead_pub_reports_exactly_the_pub_fns_only_tests_call() {
     // `.map(Ledger::new)`, one only called as `Ledger::total(…)`, one
     // only called in `examples/` and one only called there as a method,
     // `shape.sockets()`. `Shape::cores` stays dead: the example reads
-    // only the field `shape.cores`.
+    // only the field `shape.cores`. `unused` stays dead too: the
+    // example's bare `unused()` calls its own `fn unused`.
     assert_eq!(
         dead,
         BTreeSet::from(["unused", "test_only", "cores"]),

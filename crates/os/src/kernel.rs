@@ -3,13 +3,14 @@
 use std::collections::{HashMap, VecDeque};
 
 use chameleon_simkit::mem::ByteSize;
-use chameleon_simkit::metrics::{EventKind, EventTrace, Registry};
+use chameleon_simkit::metrics::{EventKind, EventTrace};
 use chameleon_simkit::Cycle;
 use serde::{Deserialize, Serialize};
 
 use crate::frame::{BuddyAllocator, MemoryMap, NodeId, NodePreference};
+use crate::geometry::SegmentGeometry;
 use crate::isa::IsaHook;
-use crate::ledger::{GroupLedger, LedgerConfig};
+use crate::ledger::GroupLedger;
 use crate::page_table::{PageState, PageTable, PAGE_SIZE};
 use crate::stats::OsStats;
 use crate::swap::SsdModel;
@@ -34,6 +35,19 @@ pub enum Visibility {
 const MINOR_FAULT_LATENCY: Cycle = 2_000;
 
 /// Kernel configuration.
+///
+/// # Example
+///
+/// ```
+/// use chameleon_os::{MemoryMap, OsConfig, OsKernel, SegmentGeometry};
+/// use chameleon_simkit::mem::ByteSize;
+///
+/// let (stacked, offchip) = (ByteSize::mib(2), ByteSize::mib(8));
+/// let geom = SegmentGeometry::new(stacked, offchip, ByteSize::kib(2));
+/// let cfg = OsConfig { group_placement: Some(geom), ..OsConfig::default() };
+/// let os = OsKernel::new(cfg, MemoryMap::new(stacked, offchip));
+/// assert_eq!(os.ledger().map(|l| l.cache_capable_fraction()), Some(1.0));
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OsConfig {
     /// Node selection policy for new allocations.
@@ -41,9 +55,10 @@ pub struct OsConfig {
     /// Which nodes the OS may allocate from.
     pub visibility: Visibility,
     /// Group-aware placement (the paper's Section VI-G extension): the
-    /// kernel mirrors the per-group ABV state and scores candidate frames
-    /// so allocations avoid consuming a group's last free segment.
-    pub group_placement: Option<LedgerConfig>,
+    /// kernel mirrors the per-group ABV state of this segment geometry and
+    /// scores candidate frames so allocations avoid consuming a group's
+    /// last free segment.
+    pub group_placement: Option<SegmentGeometry>,
 }
 
 impl Default for OsConfig {
@@ -205,7 +220,7 @@ impl OsKernel {
             ledger: cfg.group_placement.map(GroupLedger::new),
             ssd: SsdModel::default(),
             stats: OsStats::default(),
-            trace: EventTrace::new(Registry::TRACE_CAPACITY),
+            trace: EventTrace::default(),
             mapping_generation: 0,
         }
     }
@@ -891,17 +906,12 @@ mod tests {
 
     #[test]
     fn group_aware_placement_preserves_cache_capable_groups() {
-        use crate::ledger::LedgerConfig;
-        let ledger_cfg = LedgerConfig {
-            segment_bytes: 2048,
-            stacked_segments: (2 << 20) / 2048,
-            stacked_bytes: 2 << 20,
-            slots_per_group: 5,
-        };
+        // 1:4 groups of 5 slots over the kernel's own memory map.
+        let geom = SegmentGeometry::new(ByteSize::mib(2), ByteSize::mib(8), ByteSize::kib(2));
         let map = MemoryMap::new(ByteSize::mib(2), ByteSize::mib(8));
         let run = |placed: bool| {
             let cfg = OsConfig {
-                group_placement: placed.then_some(ledger_cfg),
+                group_placement: placed.then_some(geom),
                 ..OsConfig::default()
             };
             let mut os = OsKernel::new(cfg, map);

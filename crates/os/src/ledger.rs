@@ -10,58 +10,42 @@
 //! score candidate frames, avoiding allocations that consume a group's
 //! *last* free segment.
 
-use serde::{Deserialize, Serialize};
+use crate::geometry::SegmentGeometry;
+use crate::page_table::PAGE_SIZE;
 
-/// Geometry the ledger needs (mirrors the hardware's segment grouping
-/// without depending on the hardware crates).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LedgerConfig {
-    /// Segment size in bytes (power of two).
-    pub segment_bytes: u64,
-    /// Number of stacked-DRAM segments (= number of groups).
-    pub stacked_segments: u64,
-    /// Stacked capacity in bytes (groups' slot-0 address range).
-    pub stacked_bytes: u64,
-    /// Segments per group (capacity ratio + 1).
-    pub slots_per_group: u8,
+/// The groups of the segments `[addr, addr + len)` overlaps.
+fn groups(geom: &SegmentGeometry, addr: u64, len: u64) -> impl Iterator<Item = usize> + '_ {
+    geom.segments(addr, len)
+        .map(|s| geom.group_slot(s).0 as usize)
 }
 
 /// Per-group free-segment counts, kept in sync by the kernel.
+///
+/// # Example
+///
+/// ```
+/// use chameleon_os::{ledger::GroupLedger, SegmentGeometry};
+/// use chameleon_simkit::mem::ByteSize;
+///
+/// // 8 groups of 6 segments (1:5, 2KB segments).
+/// let geom = SegmentGeometry::new(ByteSize::kib(16), ByteSize::kib(80), ByteSize::kib(2));
+/// let mut ledger = GroupLedger::new(geom);
+/// ledger.on_alloc(0, 4096); // stacked segments 0 and 1: groups 0 and 1
+/// assert_eq!(ledger.cache_capable_fraction(), 1.0, "every group keeps a free segment");
+/// ```
 #[derive(Debug, Clone)]
 pub struct GroupLedger {
-    cfg: LedgerConfig,
+    geom: SegmentGeometry,
     free_per_group: Vec<u8>,
 }
 
 impl GroupLedger {
     /// Creates a ledger with every segment free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is degenerate.
-    pub fn new(cfg: LedgerConfig) -> Self {
-        assert!(cfg.segment_bytes.is_power_of_two() && cfg.segment_bytes > 0);
-        assert!(cfg.stacked_segments > 0);
-        assert!(cfg.slots_per_group >= 2);
+    pub fn new(geom: SegmentGeometry) -> Self {
         Self {
-            free_per_group: vec![cfg.slots_per_group; cfg.stacked_segments as usize],
-            cfg,
+            free_per_group: vec![geom.slots_per_group(); geom.groups() as usize],
+            geom,
         }
-    }
-
-    fn group_of(&self, seg_addr: u64) -> usize {
-        if seg_addr < self.cfg.stacked_bytes {
-            (seg_addr / self.cfg.segment_bytes) as usize
-        } else {
-            let j = (seg_addr - self.cfg.stacked_bytes) / self.cfg.segment_bytes;
-            (j % self.cfg.stacked_segments) as usize
-        }
-    }
-
-    fn segment_groups(&self, addr: u64, len: u64) -> impl Iterator<Item = usize> + '_ {
-        let first = addr / self.cfg.segment_bytes;
-        let last = (addr + len.max(1) - 1) / self.cfg.segment_bytes;
-        (first..=last).map(move |s| self.group_of(s * self.cfg.segment_bytes))
     }
 
     /// Records an allocation of `[addr, addr + len)`.
@@ -69,10 +53,7 @@ impl GroupLedger {
     /// Runs on the page-fault path (reachable from the hot access loop),
     /// so the group walk stays allocation-free.
     pub fn on_alloc(&mut self, addr: u64, len: u64) {
-        let first = addr / self.cfg.segment_bytes;
-        let last = (addr + len.max(1) - 1) / self.cfg.segment_bytes;
-        for s in first..=last {
-            let g = self.group_of(s * self.cfg.segment_bytes);
+        for g in groups(&self.geom, addr, len) {
             self.free_per_group[g] = self.free_per_group[g].saturating_sub(1);
         }
     }
@@ -80,21 +61,18 @@ impl GroupLedger {
     /// Records a free of `[addr, addr + len)`. Allocation-free like
     /// [`Self::on_alloc`] (the migration path frees frames too).
     pub fn on_free(&mut self, addr: u64, len: u64) {
-        let slots = self.cfg.slots_per_group;
-        let first = addr / self.cfg.segment_bytes;
-        let last = (addr + len.max(1) - 1) / self.cfg.segment_bytes;
-        for s in first..=last {
-            let g = self.group_of(s * self.cfg.segment_bytes);
+        let slots = self.geom.slots_per_group();
+        for g in groups(&self.geom, addr, len) {
             self.free_per_group[g] = (self.free_per_group[g] + 1).min(slots);
         }
     }
 
-    /// Scores allocating the 4KB frame at `frame`: higher is better.
+    /// Scores allocating the page frame at `frame`: higher is better.
     /// Consuming a group's *last* free segment destroys its ability to
     /// cache, so such placements are penalised hard; otherwise groups
     /// with more slack are preferred.
     pub fn score_frame(&self, frame: u64) -> i64 {
-        self.segment_groups(frame, 4096)
+        groups(&self.geom, frame, PAGE_SIZE)
             .map(|g| match self.free_per_group[g] {
                 0 => 0,    // already incapable; nothing lost
                 1 => -100, // would destroy a cache-capable group
@@ -115,13 +93,15 @@ impl GroupLedger {
 mod tests {
     use super::*;
 
+    use chameleon_simkit::mem::ByteSize;
+
     fn ledger() -> GroupLedger {
-        GroupLedger::new(LedgerConfig {
-            segment_bytes: 2048,
-            stacked_segments: 8,
-            stacked_bytes: 8 * 2048,
-            slots_per_group: 6,
-        })
+        // 8 groups of 6 slots, 2KB segments.
+        GroupLedger::new(SegmentGeometry::new(
+            ByteSize::kib(16),
+            ByteSize::kib(80),
+            ByteSize::kib(2),
+        ))
     }
 
     #[test]

@@ -4,6 +4,9 @@
 //! Implements the software half of the paper's hardware–software co-design:
 //!
 //! * a per-node buddy [`frame::BuddyAllocator`] over physical frames,
+//! * the [`SegmentGeometry`] that tiles the physical address space into
+//!   the paper's segment groups, shared by the hardware policies and the
+//!   OS-side [`ledger::GroupLedger`],
 //! * per-process [`page_table::PageTable`]s with demand paging and an
 //!   SSD-backed swap (100K-cycle page faults, Table I),
 //! * the [`isa::IsaHook`] trait carrying `ISA-Alloc` / `ISA-Free`
@@ -29,6 +32,7 @@
 
 pub mod buffer_cache;
 pub mod frame;
+mod geometry;
 pub mod guidance;
 pub mod isa;
 pub mod kernel;
@@ -39,6 +43,7 @@ pub mod stats;
 pub mod swap;
 
 pub use frame::{BuddyAllocator, MemoryMap, NodeId, NodePreference};
+pub use geometry::{SegLoc, SegmentGeometry};
 pub use kernel::{
     FaultKind, HintOutcome, OsConfig, OsError, OsKernel, Pid, PlacementHint, TouchOutcome,
     Visibility,

@@ -107,12 +107,11 @@ pub struct TraceEvent {
 
 /// A fixed-capacity ring buffer of [`TraceEvent`]s.
 ///
-/// Keeps the most recent `capacity` events; older events are overwritten
-/// and counted in [`EventTrace::dropped`]. Iteration is always oldest to
-/// newest.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Keeps the most recent [`Registry::TRACE_CAPACITY`] events; older events
+/// are overwritten and counted in [`EventTrace::dropped`]. Iteration is
+/// always oldest to newest.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct EventTrace {
-    capacity: usize,
     events: Vec<TraceEvent>,
     /// Index of the oldest event once the buffer has wrapped.
     head: usize,
@@ -120,30 +119,14 @@ pub struct EventTrace {
 }
 
 impl EventTrace {
-    /// Creates a trace that retains at most `capacity` events.
-    ///
-    /// A zero capacity disables tracing entirely (every push is dropped).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            events: Vec::new(),
-            head: 0,
-            dropped: 0,
-        }
-    }
-
     /// Records an event, evicting the oldest if the buffer is full.
     pub fn push(&mut self, at: Cycle, kind: EventKind, subject: u64) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
         let ev = TraceEvent { at, kind, subject };
-        if self.events.len() < self.capacity {
+        if self.events.len() < Registry::TRACE_CAPACITY {
             self.events.push(ev);
         } else {
             self.events[self.head] = ev;
-            self.head = (self.head + 1) % self.capacity;
+            self.head = (self.head + 1) % Registry::TRACE_CAPACITY;
             self.dropped += 1;
         }
     }
@@ -158,7 +141,7 @@ impl EventTrace {
         self.events.is_empty()
     }
 
-    /// Number of events evicted (or refused) because of the capacity cap.
+    /// Number of events evicted because of the capacity cap.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -279,7 +262,7 @@ impl Default for Registry {
             gauges: BTreeMap::new(),
             epochs: Vec::new(),
             epoch_base: Snapshot::default(),
-            trace: EventTrace::new(Self::TRACE_CAPACITY),
+            trace: EventTrace::default(),
         }
     }
 }
@@ -404,24 +387,17 @@ mod tests {
 
     #[test]
     fn ring_buffer_keeps_newest_and_counts_dropped() {
-        let mut t = EventTrace::new(3);
-        for i in 0..5u64 {
+        let cap = Registry::TRACE_CAPACITY as u64;
+        let mut t = EventTrace::default();
+        for i in 0..cap + 2 {
             t.push(i * 10, EventKind::Swap, i);
         }
-        assert_eq!(t.len(), 3);
+        assert_eq!(t.len() as u64, cap);
         assert_eq!(t.dropped(), 2);
         let subjects: Vec<u64> = t.iter().map(|e| e.subject).collect();
-        assert_eq!(subjects, vec![2, 3, 4]);
+        assert_eq!(subjects, (2..cap + 2).collect::<Vec<_>>());
         let times: Vec<Cycle> = t.iter().map(|e| e.at).collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn zero_capacity_trace_drops_everything() {
-        let mut t = EventTrace::new(0);
-        t.push(1, EventKind::Fill, 0);
-        assert!(t.is_empty());
-        assert_eq!(t.dropped(), 1);
     }
 
     #[test]

@@ -74,10 +74,10 @@ proptest! {
     /// the kept/dropped split is exact.
     #[test]
     fn trace_order_is_monotone_in_sim_time(
-        gaps in prop::collection::vec(0u64..1_000, 1..64),
-        capacity in 1usize..32,
+        gaps in prop::collection::vec(0u64..1_000, 1..3 * Registry::TRACE_CAPACITY),
     ) {
-        let mut trace = EventTrace::new(capacity);
+        let capacity = Registry::TRACE_CAPACITY;
+        let mut trace = EventTrace::default();
         let mut at = 0u64;
         for (i, gap) in gaps.iter().enumerate() {
             at += gap;

@@ -95,28 +95,13 @@ impl System {
     /// # Panics
     ///
     /// Panics if group-aware placement is requested for a visible-stacked
-    /// architecture whose off-chip:stacked ratio exceeds 254: a segment
-    /// group's slot count (ratio + 1) must fit the ledger's `u8`.
+    /// architecture whose capacities do not tile into segment groups
+    /// ([`HmaConfig::geometry`](chameleon_core::HmaConfig::geometry)),
+    /// e.g. an off-chip:stacked ratio beyond 254.
     pub fn new(arch: Architecture, params: &ScaledParams) -> Self {
         let group_placement = (params.group_aware_placement
             && arch.visibility() == chameleon_os::Visibility::Both)
-            .then(|| {
-                let hma = &params.hma;
-                let ratio = hma.offchip.capacity.bytes() / hma.stacked.capacity.bytes();
-                chameleon_os::ledger::LedgerConfig {
-                    segment_bytes: hma.segment.bytes(),
-                    stacked_segments: hma.stacked.capacity.bytes() / hma.segment.bytes(),
-                    stacked_bytes: hma.stacked.capacity.bytes(),
-                    slots_per_group: u8::try_from(ratio + 1).unwrap_or_else(|_| {
-                        // INVARIANT: a documented precondition (see `# Panics`);
-                        // a wrapped slot count would corrupt every placement.
-                        panic!(
-                            "group-aware placement needs an off-chip:stacked ratio of at \
-                             most 254, got {ratio}"
-                        )
-                    }),
-                }
-            });
+            .then(|| params.hma.geometry());
         let os_cfg = OsConfig {
             visibility: arch.visibility(),
             preference: arch.preference(),
