@@ -63,8 +63,9 @@ struct HotpathCell {
 
 /// Where the hot path spends its time, measured on the Chameleon-Opt
 /// cell: the decode stage is a pure stream drain,
-/// the walk stage replays the decoded reference trace through the fused
-/// SRAM hierarchy spine, and the translate/glue stage is the exact
+/// the walk stage replays the decoded reference trace through
+/// `Hierarchy::access_into`, the one walk `System::access` makes per
+/// reference, and the translate/glue stage is the exact
 /// residual (total − decode − walk) — translation + memo + HMA policy +
 /// core/driver scheduling. Stages are each best-of-`reps` like the
 /// cells, so decode + walk + translate_glue reconstructs the committed
@@ -75,8 +76,8 @@ struct StageBreakdown {
     /// with no memory system attached, ns per memory reference.
     decode_ns_per_access: f64,
     /// SRAM hierarchy walk: replaying the decoded (core, addr, write)
-    /// trace through `fast_access` + full-walk fallback on an identical
-    /// hierarchy, ns per reference.
+    /// trace through `access_into` on an identical hierarchy, ns per
+    /// reference.
     walk_ns_per_access: f64,
     /// Residual host cost per reference: translation + memo + policy +
     /// core/driver glue (`total − decode − walk`, clamped at zero).
@@ -185,8 +186,8 @@ fn measure_decode(instructions_per_core: u64, reps: u32) -> (f64, u64) {
 }
 
 /// Stage probe 2 — walk: replays the decoded (core, addr, write) trace
-/// through the SRAM hierarchy spine the system uses (fused fast path,
-/// full walk on fallback). Identity-translated addresses keep the probe
+/// through `access_into`, the one hierarchy walk `System::access` makes
+/// per reference. Identity-translated addresses keep the probe
 /// side-effect-free with respect to the OS layer; hit/miss mix is not
 /// identical to the measured cell's, but the per-probe host cost is
 /// what this stage prices. Returns best ns/reference.
@@ -237,10 +238,7 @@ fn measure_walk(instructions_per_core: u64, reps: u32) -> f64 {
                 live += 1;
                 cursors[core] = i + 1;
                 let (addr, write) = trace[i];
-                let (_, lat) = match h.fast_access(core, addr, write) {
-                    Some(out) => out,
-                    None => h.access_into(core, addr, write, &mut wb, &mut pf),
-                };
+                let (_, lat) = h.access_into(core, addr, write, &mut wb, &mut pf);
                 sink = sink.wrapping_add(lat as u64);
             }
         }

@@ -126,10 +126,12 @@ impl Hierarchy {
     }
 
     /// [`Hierarchy::access`] writing its result buffers into
-    /// caller-provided storage (cleared first): the per-reference spine
-    /// reuses two persistent buffers instead of copying a
-    /// [`HierarchyOutcome`] (which is over a hundred bytes wide) out of
-    /// the walk on every access.
+    /// caller-provided storage (cleared first), so the caller fills two
+    /// buffers of its own instead of copying a [`HierarchyOutcome`]
+    /// (which is over a hundred bytes wide) out of the walk. This is the
+    /// one walk the per-reference spine (`System::access`) makes: each
+    /// level is scanned once, and the hit scan and (on a miss) the victim
+    /// scan are all a level costs.
     // lint: hot-path
     #[inline]
     pub fn access_into(
@@ -213,6 +215,12 @@ impl Hierarchy {
     /// walk is guaranteed to have emitted no writebacks and no prefetch
     /// candidates (both only arise beyond the L2). Enforced by a
     /// differential proptest (`fused_walk_differential.rs`).
+    ///
+    /// The simulator's spine no longer calls this: every reference that
+    /// fails it pays a second L1 (and often L2) scan in
+    /// [`Hierarchy::access_into`], and on miss-heavy workloads that costs
+    /// more than the hits save. It remains for the repository
+    /// benchmark's cache replay, which still calls it.
     // lint: hot-path
     #[inline]
     pub fn fast_access(

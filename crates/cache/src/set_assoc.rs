@@ -43,46 +43,24 @@ pub enum LookupResult {
     },
 }
 
-/// One way's state, packed into two words (16 bytes) so a 4-way set scan
-/// touches a single host cache line: `key = tag << 2 | dirty << 1 |
-/// valid`.
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    key: u64,
-    /// Last-use stamp for LRU.
-    used: u64,
-}
+/// A way's key word: `tag << TAG_SHIFT | dirty << 1 | valid`.
+const VALID: u64 = 0b1;
+const DIRTY: u64 = 0b10;
+const TAG_SHIFT: u32 = 2;
 
-impl Line {
-    const VALID: u64 = 0b1;
-    const DIRTY: u64 = 0b10;
-    const TAG_SHIFT: u32 = 2;
-
-    fn fill(tag: u64, dirty: bool, used: u64) -> Self {
-        Self {
-            key: tag << Self::TAG_SHIFT | u64::from(dirty) << 1 | Self::VALID,
-            used,
-        }
-    }
-
-    fn matches(&self, tag: u64) -> bool {
-        self.key & Self::VALID != 0 && self.key >> Self::TAG_SHIFT == tag
-    }
-
-    fn valid(&self) -> bool {
-        self.key & Self::VALID != 0
-    }
-
-    fn dirty(&self) -> bool {
-        self.key & Self::DIRTY != 0
-    }
-
-    fn tag(&self) -> u64 {
-        self.key >> Self::TAG_SHIFT
-    }
+/// The key of a freshly filled (valid) line.
+#[inline(always)]
+fn fill_key(tag: u64, dirty: bool) -> u64 {
+    tag << TAG_SHIFT | u64::from(dirty) << 1 | VALID
 }
 
 /// One set-associative cache level.
+///
+/// Each way's state lives in two parallel set-major arrays: the hot
+/// `tag|dirty|valid` key every lookup scans, and the LRU stamp only
+/// hits (one store) and fills (the victim scan) touch. A 16-way set's
+/// keys fill two host cache lines instead of the four an interleaved
+/// key-and-stamp line would.
 ///
 /// # Example
 ///
@@ -95,10 +73,15 @@ impl Line {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    /// All lines, flattened set-major (`set * ways + way`): one
+    /// Every way's key, flattened set-major (`set * ways + way`): one
     /// contiguous allocation instead of a `Vec` per set, so a lookup is
     /// one dependent load, not two.
-    lines: Vec<Line>,
+    keys: Vec<u64>,
+    /// Last-use stamp of each way, parallel to `keys`. An invalid way has
+    /// stamp 0 and every valid way a distinct stamp ≥ 1 (each stamp is a
+    /// fresh `clock` value and ways never turn invalid again), so the
+    /// first minimum of a set is its first invalid way, else its LRU way.
+    stamps: Vec<u64>,
     num_sets: usize,
     ways: usize,
     /// `num_sets - 1` when the set count is a power of two (index with a
@@ -124,7 +107,8 @@ impl SetAssocCache {
         let ways = cfg.ways as usize;
         let line_shift = cfg.line_bytes.trailing_zeros();
         Self {
-            lines: vec![Line::default(); sets * ways],
+            keys: vec![0; sets * ways],
+            stamps: vec![0; sets * ways],
             num_sets: sets,
             ways,
             set_mask: if sets.is_power_of_two() {
@@ -177,11 +161,12 @@ impl SetAssocCache {
     /// Looks up `addr`; on a miss the line is allocated (write-allocate)
     /// and the LRU victim evicted.
     ///
-    /// The hit path is branchless over the set: every way's 16-byte
-    /// packed key is compared as one u64 lane (dirty bit forced so
-    /// equality means valid-and-tag-matches), the per-way results fold
-    /// into a bitmask, and `trailing_zeros` picks the matching way — one
-    /// data-dependent branch per lookup instead of one per way. The
+    /// The hit path is branchless over the set: every way's key is
+    /// compared as one u64 lane (dirty bit forced so equality means
+    /// valid-and-tag-matches), the per-way results fold into a bitmask,
+    /// and `trailing_zeros` picks the matching way — one data-dependent
+    /// branch per lookup instead of one per way. The miss path picks its
+    /// victim with a branchless first-minimum over the set's stamps. The
     /// common associativities (4/8/16, Table I) get fixed-width
     /// specialisations the compiler fully unrolls.
     // lint: hot-path
@@ -201,27 +186,26 @@ impl SetAssocCache {
     // lint: hot-path
     #[inline(always)]
     fn find(&self, base: usize, tag: u64) -> Option<usize> {
-        let want = tag << Line::TAG_SHIFT | Line::DIRTY | Line::VALID;
+        let want = fill_key(tag, true);
+        let keys = &self.keys[base..];
         match self.ways {
-            4 => Self::find_hit::<4>(&self.lines[base..], want),
-            8 => Self::find_hit::<8>(&self.lines[base..], want),
-            16 => Self::find_hit::<16>(&self.lines[base..], want),
-            _ => self.lines[base..][..self.ways]
-                .iter()
-                .position(|l| l.matches(tag)),
+            4 => Self::find_hit::<4>(keys, want),
+            8 => Self::find_hit::<8>(keys, want),
+            16 => Self::find_hit::<16>(keys, want),
+            _ => keys[..self.ways].iter().position(|&k| k | DIRTY == want),
         }
     }
 
-    /// Branchless hit scan over one `W`-way set starting at `lines[0]`.
+    /// Branchless hit scan over one `W`-way set starting at `keys[0]`.
     // lint: hot-path
     #[inline(always)]
-    fn find_hit<const W: usize>(lines: &[Line], want: u64) -> Option<usize> {
-        // INVARIANT: `lines` starts at a set boundary of a cache whose
-        // associativity is W, so at least W lines follow.
-        let set: &[Line; W] = lines[..W].try_into().expect("set holds W ways");
+    fn find_hit<const W: usize>(keys: &[u64], want: u64) -> Option<usize> {
+        // INVARIANT: `keys` starts at a set boundary of a cache whose
+        // associativity is W, so at least W keys follow.
+        let set: &[u64; W] = keys[..W].try_into().expect("set holds W ways");
         let mut mask = 0u32;
-        for (i, l) in set.iter().enumerate() {
-            mask |= u32::from(l.key | Line::DIRTY == want) << i;
+        for (i, &k) in set.iter().enumerate() {
+            mask |= u32::from(k | DIRTY == want) << i;
         }
         if mask == 0 {
             None
@@ -235,46 +219,92 @@ impl SetAssocCache {
     fn miss_fill(&mut self, base: usize, tag: u64, kind: AccessKind) -> LookupResult {
         let idx = self.victim(base);
         let writeback = self.evict(idx);
-        self.lines[idx] = Line::fill(tag, kind == AccessKind::Write, self.clock);
+        self.fill(idx, tag, kind == AccessKind::Write);
         self.stats.record(kind, false);
         LookupResult::Miss { writeback }
     }
 
     /// The one victim rule, shared by every fill: the first invalid way
-    /// of the set starting at `base`, else the least recently used one
-    /// (strict `<` keeps the first minimum, like `min_by_key`). Returns
-    /// the absolute line index.
+    /// of the set starting at `base`, else the least recently used one.
+    /// Both are the set's first minimum stamp (invalid ways hold 0, valid
+    /// ones distinct stamps ≥ 1). Returns the absolute way index.
     // lint: hot-path
     #[inline(always)]
     fn victim(&self, base: usize) -> usize {
-        let set = &self.lines[base..][..self.ways];
-        let (mut oldest, mut oldest_used) = (0, u64::MAX);
-        for (i, l) in set.iter().enumerate() {
-            if !l.valid() {
-                return base + i;
-            }
-            if l.used < oldest_used {
-                (oldest, oldest_used) = (i, l.used);
-            }
-        }
-        base + oldest
+        let stamps = &self.stamps[base..];
+        let way = match self.ways {
+            4 => Self::first_min::<4>(stamps),
+            8 => Self::first_min::<8>(stamps),
+            16 => Self::first_min::<16>(stamps),
+            _ => (1..self.ways).fold(0, |m, i| if stamps[i] < stamps[m] { i } else { m }),
+        };
+        debug_assert!(
+            self.stamps_consistent(base, way),
+            "stamp 0 must mean invalid, and the LRU stamp be unique"
+        );
+        base + way
     }
 
-    /// Counts the eviction of line `idx` (if valid) and returns its
+    /// Branchless first minimum over one `W`-way set starting at
+    /// `stamps[0]`: a pairwise tree over adjacent halves, so each level
+    /// keeps the left (lower) way on a tie and the compares of a level
+    /// run in parallel.
+    // lint: hot-path
+    #[inline(always)]
+    fn first_min<const W: usize>(stamps: &[u64]) -> usize {
+        // INVARIANT: `stamps` starts at a set boundary of a cache whose
+        // associativity is W, so at least W stamps follow.
+        let mut val: [u64; W] = stamps[..W].try_into().expect("set holds W ways");
+        let mut way: [usize; W] = std::array::from_fn(|i| i);
+        let mut n = W;
+        while n > 1 {
+            n /= 2;
+            for i in 0..n {
+                let right = val[2 * i + 1] < val[2 * i];
+                way[i] = if right { way[2 * i + 1] } else { way[2 * i] };
+                val[i] = if right { val[2 * i + 1] } else { val[2 * i] };
+            }
+        }
+        way[0]
+    }
+
+    /// Whether the set starting at `base` keeps the stamp invariant the
+    /// victim rule relies on: stamp 0 exactly on invalid ways, and a
+    /// valid victim `way` whose stamp no other way shares (debug builds
+    /// check it on every fill).
+    fn stamps_consistent(&self, base: usize, way: usize) -> bool {
+        let keys = &self.keys[base..][..self.ways];
+        let stamps = &self.stamps[base..][..self.ways];
+        let oldest = stamps[way];
+        keys.iter()
+            .zip(stamps)
+            .all(|(&k, &s)| (k & VALID != 0) == (s != 0))
+            && (oldest == 0 || stamps.iter().filter(|&&s| s == oldest).count() == 1)
+    }
+
+    /// Counts the eviction of way `idx` (if valid) and returns its
     /// address when it is dirty and must be written back.
     // lint: hot-path
     #[inline(always)]
     fn evict(&mut self, idx: usize) -> Option<u64> {
-        let line = self.lines[idx];
-        if !line.valid() {
+        let key = self.keys[idx];
+        if key & VALID == 0 {
             return None;
         }
         self.stats.evictions.inc();
-        if !line.dirty() {
+        if key & DIRTY == 0 {
             return None;
         }
         self.stats.writebacks.inc();
-        Some(line.tag() << self.line_shift)
+        Some(key >> TAG_SHIFT << self.line_shift)
+    }
+
+    /// Installs `tag` in way `idx`, stamped with the current clock.
+    // lint: hot-path
+    #[inline(always)]
+    fn fill(&mut self, idx: usize, tag: u64, dirty: bool) {
+        self.keys[idx] = fill_key(tag, dirty);
+        self.stamps[idx] = self.clock;
     }
 
     /// The hit mutation shared by [`Self::access`] and [`Self::try_hit`]:
@@ -282,9 +312,8 @@ impl SetAssocCache {
     // lint: hot-path
     #[inline(always)]
     fn commit_hit(&mut self, idx: usize, kind: AccessKind) {
-        let line = &mut self.lines[idx];
-        line.used = self.clock;
-        line.key |= u64::from(kind == AccessKind::Write) << 1;
+        self.stamps[idx] = self.clock;
+        self.keys[idx] |= u64::from(kind == AccessKind::Write) << 1;
         self.stats.record(kind, true);
     }
 
@@ -296,8 +325,8 @@ impl SetAssocCache {
     /// reference walk against an unchanged cache.
     ///
     /// A hit therefore costs exactly what the reference hit path costs
-    /// (one [`Self::find`] scan plus one line write), and a miss
-    /// costs only the scan.
+    /// (one [`Self::find`] scan plus one key and one stamp write), and a
+    /// miss costs only the scan.
     // lint: hot-path
     #[inline]
     pub(crate) fn try_hit(&mut self, addr: u64, kind: AccessKind) -> bool {
@@ -324,7 +353,7 @@ impl SetAssocCache {
     pub(crate) fn classify_victim(&self, addr: u64) -> Classify {
         let (set_idx, _) = self.locate(addr);
         let idx = self.victim(set_idx * self.ways);
-        if self.lines[idx].dirty() {
+        if self.keys[idx] & DIRTY != 0 {
             return Classify::Bail;
         }
         Classify::CleanVictim { idx }
@@ -342,7 +371,7 @@ impl SetAssocCache {
         let tag = addr >> self.line_shift;
         let writeback = self.evict(idx);
         debug_assert!(writeback.is_none(), "classify_victim vetted a clean victim");
-        self.lines[idx] = Line::fill(tag, kind == AccessKind::Write, self.clock);
+        self.fill(idx, tag, kind == AccessKind::Write);
         self.stats.record(kind, false);
     }
 
@@ -361,12 +390,12 @@ impl SetAssocCache {
         let (set_idx, tag) = self.locate(addr);
         let base = set_idx * self.ways;
         if let Some(i) = self.find(base, tag) {
-            self.lines[base + i].used = self.clock;
+            self.stamps[base + i] = self.clock;
             return None;
         }
         let idx = self.victim(base);
         let writeback = self.evict(idx);
-        self.lines[idx] = Line::fill(tag, false, self.clock);
+        self.fill(idx, tag, false);
         writeback
     }
 }
@@ -457,10 +486,8 @@ mod tests {
                 panic!("{addr:#x} is absent");
             };
             assert_eq!(writeback, expected);
-            assert_eq!(
-                format!("{:?}", touched.lines),
-                format!("{:?}", accessed.lines)
-            );
+            assert_eq!(touched.keys, accessed.keys);
+            assert_eq!(touched.stamps, accessed.stamps);
             let (t, a) = (touched.stats(), accessed.stats());
             assert_eq!(t.evictions.value(), a.evictions.value());
             assert_eq!(t.writebacks.value(), a.writebacks.value());
@@ -496,8 +523,9 @@ mod tests {
             };
             match verdict {
                 Classify::CleanVictim { idx } => {
-                    assert!(
-                        filled.lines[idx].matches(addr >> 6),
+                    assert_eq!(
+                        filled.keys[idx] | DIRTY,
+                        fill_key(addr >> 6, true),
                         "same way as miss_fill"
                     );
                     assert_eq!(writeback, None);

@@ -88,3 +88,125 @@ proptest! {
         prop_assert_eq!(h.access(0, addr, false).level, HitLevel::L1);
     }
 }
+
+/// A naive LRU cache: each set is a recency list, least recent first,
+/// holding `(line, dirty)`. It knows nothing of ways, stamps or keys, so
+/// it checks `SetAssocCache`'s victim rule from outside.
+struct LruModel {
+    sets: Vec<Vec<(u64, bool)>>,
+    ways: usize,
+}
+
+impl LruModel {
+    fn new(ways: u32, sets: u64) -> Self {
+        Self {
+            sets: vec![Vec::new(); sets as usize],
+            ways: ways as usize,
+        }
+    }
+
+    fn set_of(&self, line: u64) -> usize {
+        (line % self.sets.len() as u64) as usize
+    }
+
+    /// Moves `line` to the most recent end, merging `dirty`; on a miss
+    /// inserts it, evicting the least recent line of a full set. Returns
+    /// whether it hit and the written-back address of a dirty victim.
+    fn reference(&mut self, addr: u64, dirty: bool) -> (bool, Option<u64>) {
+        let line = addr / 64;
+        let ways = self.ways;
+        let index = self.set_of(line);
+        let set = &mut self.sets[index];
+        if let Some(pos) = set.iter().position(|&(l, _)| l == line) {
+            let (_, was_dirty) = set.remove(pos);
+            set.push((line, was_dirty || dirty));
+            return (true, None);
+        }
+        let mut writeback = None;
+        if set.len() == ways {
+            let (victim, victim_dirty) = set.remove(0);
+            writeback = victim_dirty.then_some(victim * 64);
+        }
+        set.push((line, dirty));
+        (false, writeback)
+    }
+
+    fn probe(&self, addr: u64) -> bool {
+        let line = addr / 64;
+        self.sets[self.set_of(line)].iter().any(|&(l, _)| l == line)
+    }
+}
+
+/// One step of a reference-model run: a read or a write (`Some`), or a
+/// prefetch `touch` (`None`), of a line drawn from the run's pool.
+fn any_step() -> impl Strategy<Value = (Option<AccessKind>, u64)> {
+    let op = prop::sample::select(vec![Some(AccessKind::Read), Some(AccessKind::Write), None]);
+    (op, any::<u64>())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `SetAssocCache` behaves as a per-set recency-list LRU at every
+    /// associativity: the 4/8/16-way fixed-width scans and the generic
+    /// fallback (1, 2, 3 ways), over power-of-two and reciprocal set
+    /// indexing. After every step the hit or miss, the written-back
+    /// address and `probe` of every line in the pool must agree.
+    #[test]
+    fn set_assoc_matches_recency_list_lru(
+        steps in prop::collection::vec(any_step(), 1..300),
+        sets in prop::sample::select(vec![1u64, 3, 4]),
+        offset in 0u64..64,
+    ) {
+        for ways in [1u32, 2, 3, 4, 8, 16] {
+            let mut cache = SetAssocCache::new(small_cfg(ways, sets));
+            let mut model = LruModel::new(ways, sets);
+            // Three times the capacity: plenty of hits and of evictions.
+            let pool = 3 * sets * u64::from(ways);
+            for (i, &(op, line)) in steps.iter().enumerate() {
+                let addr = line % pool * 64 + offset;
+                match op {
+                    Some(kind) => {
+                        let (hit, writeback) = model.reference(addr, kind == AccessKind::Write);
+                        let expected = if hit {
+                            LookupResult::Hit
+                        } else {
+                            LookupResult::Miss { writeback }
+                        };
+                        prop_assert_eq!(
+                            cache.access(addr, kind),
+                            expected,
+                            "{}-way, step {}: {:?} of {:#x}",
+                            ways,
+                            i,
+                            op,
+                            addr
+                        );
+                    }
+                    None => {
+                        let (_, writeback) = model.reference(addr, false);
+                        prop_assert_eq!(
+                            cache.touch(addr),
+                            writeback,
+                            "{}-way, step {}: {:?} of {:#x}",
+                            ways,
+                            i,
+                            op,
+                            addr
+                        );
+                    }
+                }
+                for l in 0..pool {
+                    prop_assert_eq!(
+                        cache.probe(l * 64),
+                        model.probe(l * 64),
+                        "{}-way, step {}: probe of line {}",
+                        ways,
+                        i,
+                        l
+                    );
+                }
+            }
+        }
+    }
+}

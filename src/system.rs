@@ -518,17 +518,6 @@ impl MemorySystem for System {
             (touch.paddr, touch.stall)
         };
 
-        // Fused fast path: a clean L1/L2 SRAM hit has no writebacks, no
-        // prefetches, no policy access and no epoch bookkeeping — the
-        // reply is fully determined by the SRAM latency. `fast_access`
-        // either commits a walk bit-identical to `access_into` or leaves
-        // the hierarchy untouched for the full walk below.
-        if let Some((_, sram_latency)) = self.hierarchy.fast_access(core, paddr, write) {
-            return Reply {
-                latency: sram_latency as u64,
-                fault_stall,
-            };
-        }
         let mut memory_writebacks = WritebackBuf::new();
         let mut prefetches = PrefetchBuf::new();
         let (level, sram_latency) =
