@@ -40,6 +40,8 @@ pub struct AlloyPolicy {
     cfg: HmaConfig,
     devices: HmaDevices,
     tags: Vec<Tad>,
+    /// Number of valid TADs.
+    valid: u64,
     stacked_base: u64,
     stats: HmaStats,
 }
@@ -51,6 +53,7 @@ impl AlloyPolicy {
         Self {
             devices: HmaDevices::new(&cfg),
             tags: vec![Tad::default(); sets],
+            valid: 0,
             stacked_base: cfg.stacked.capacity.bytes(),
             stats: HmaStats::default(),
             cfg,
@@ -121,6 +124,7 @@ impl HmaPolicy for AlloyPolicy {
             self.devices
                 .stacked
                 .bulk(set as u64 * 64, 64, MemOp::Write, now);
+            self.valid += u64::from(!entry.valid);
             self.tags[set] = Tad {
                 tag: line,
                 valid: true,
@@ -182,8 +186,12 @@ impl HmaPolicy for AlloyPolicy {
     }
 
     fn stacked_residency(&self) -> (u64, u64) {
-        let resident = self.tags.iter().filter(|t| t.valid).count() as u64 * 64;
-        (resident, self.cfg.stacked.capacity.bytes())
+        debug_assert_eq!(
+            self.valid,
+            self.tags.iter().filter(|t| t.valid).count() as u64,
+            "Alloy valid-TAD count drifted from its tags"
+        );
+        (self.valid * 64, self.cfg.stacked.capacity.bytes())
     }
 }
 

@@ -43,12 +43,26 @@ fn mix(mut x: u64) -> u64 {
 /// owner a ring holding only the members' points would give: a ring over
 /// `0..n` with some frames removed owns keys exactly as a ring built
 /// from the remaining frames alone.
+///
+/// The points are indexed by a directory over the top `floor(log2 n)`
+/// bits of their hash (`n` points in all), in the manner of a small
+/// hardware lookup table: construction buckets the points in linear time
+/// and orders only each bucket's run, and a search starts at its hash's
+/// bucket, about one point from its answer, instead of binary-searching
+/// the whole ring.
 #[derive(Debug, Clone)]
 pub struct HashRing {
     /// Sorted `(point, frame)` pairs of every frame; ties break on frame
     /// index so ownership is a deterministic function of the membership
     /// set.
     points: Vec<(u64, u32)>,
+    /// Bucket `b` → index in `points` of the first point whose hash has
+    /// top bits `b`, or of the next non-empty bucket's first point when
+    /// `b` holds none. One entry per bucket, at most one per point.
+    dir: Vec<u32>,
+    /// `64 - log2(dir.len())`: a hash's bucket is `h >> shift` (0 when
+    /// the shift is the full width).
+    shift: u32,
     /// Frame index → the frame is a member.
     member: Vec<bool>,
     /// Number of member frames.
@@ -57,13 +71,49 @@ pub struct HashRing {
 
 impl HashRing {
     /// A ring whose members are frames `0..frames`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ring would hold more than `u32::MAX` points.
     pub fn new(frames: u32) -> Self {
-        let mut points: Vec<(u64, u32)> = (0..frames)
-            .flat_map(|f| (0..REPLICAS).map(move |r| (Self::point(f, r), f)))
-            .collect();
-        points.sort_unstable();
+        let len = frames as usize * REPLICAS as usize;
+        assert!(
+            u32::try_from(len).is_ok(),
+            "{frames} frames exceed the ring's u32 point index"
+        );
+        let bits = len.max(1).ilog2();
+        let shift = 64 - bits;
+        let bucket = |h: u64| Self::bucket(shift, h);
+        let all = || (0..frames).flat_map(|f| (0..REPLICAS).map(move |r| (Self::point(f, r), f)));
+        // Counting pass: `dir[b]` counts bucket `b`'s points, then the
+        // running sum turns each count into the bucket's end.
+        let mut dir = vec![0u32; 1 << bits];
+        for (p, _) in all() {
+            dir[bucket(p)] += 1;
+        }
+        let mut end = 0;
+        for d in &mut dir {
+            end += *d;
+            *d = end;
+        }
+        // Placement pass: each bucket fills from its end backwards, which
+        // leaves `dir[b]` at the bucket's first point.
+        let mut points = vec![(0, 0); len];
+        for entry in all() {
+            let d = &mut dir[bucket(entry.0)];
+            *d -= 1;
+            points[*d as usize] = entry;
+        }
+        // Every point of a bucket precedes every point of a later one, so
+        // ordering each (about one point long) run orders the ring.
+        for (b, &start) in dir.iter().enumerate() {
+            let end = dir.get(b + 1).map_or(len, |&e| e as usize);
+            points[start as usize..end].sort_unstable();
+        }
         Self {
             points,
+            dir,
+            shift,
             member: vec![true; frames as usize],
             members: frames as usize,
         }
@@ -113,6 +163,22 @@ impl HashRing {
         }
     }
 
+    /// The directory bucket of hash `h` under `shift`.
+    fn bucket(shift: u32, h: u64) -> usize {
+        h.checked_shr(shift).unwrap_or(0) as usize
+    }
+
+    /// Index of the first point at or after `entry` in ring order
+    /// (`points.len()` past the last): the `partition_point` of `entry`,
+    /// found by walking from the first point of `entry`'s bucket.
+    fn position(&self, entry: (u64, u32)) -> usize {
+        let mut pos = self.dir[Self::bucket(self.shift, entry.0)] as usize;
+        while self.points.get(pos).is_some_and(|&p| p < entry) {
+            pos += 1;
+        }
+        pos
+    }
+
     /// The frame of the first member point at or clockwise after index
     /// `pos` of `points`, other than `skip`.
     fn member_from(&self, pos: usize, skip: Option<u32>) -> Option<u32> {
@@ -128,9 +194,8 @@ impl HashRing {
         if self.members == 0 {
             return None;
         }
-        let h = mix(key);
-        let pos = self.points.partition_point(|&(p, _)| p < h);
-        self.member_from(pos, None)
+        // No point sorts below `(h, 0)` unless its hash is below `h`.
+        self.member_from(self.position((mix(key), 0)), None)
     }
 
     /// For each point of `frame`, the next member clockwise other than
@@ -142,8 +207,7 @@ impl HashRing {
         let mut owners = [None; REPLICAS as usize];
         for (replica, owner) in (0..REPLICAS).zip(owners.iter_mut()) {
             let entry = (Self::point(frame, replica), frame);
-            let pos = self.points.partition_point(|&p| p < entry);
-            *owner = self.member_from(pos + 1, Some(frame));
+            *owner = self.member_from(self.position(entry) + 1, Some(frame));
         }
         owners
     }
@@ -184,6 +248,8 @@ pub struct ChFlexPolicy {
     /// OS-free, so a stacked segment is allocated iff its frame is not a
     /// member. A valid frame is always its own key's owner.
     ring: HashRing,
+    /// Number of frames holding a valid copy.
+    cached: u64,
     geom: SegmentGeometry,
     stats: HmaStats,
 }
@@ -199,6 +265,7 @@ impl ChFlexPolicy {
             frames: vec![Frame::default(); frames],
             // Every frame joins at boot.
             ring: HashRing::new(frames as u32),
+            cached: 0,
             geom,
             stats: HmaStats::default(),
             cfg,
@@ -244,6 +311,7 @@ impl ChFlexPolicy {
         if f.valid && f.dirty {
             self.write_home(frame, f, now);
         }
+        self.cached -= u64::from(f.valid);
         self.frames[frame as usize] = Frame::default();
     }
 
@@ -326,6 +394,7 @@ impl IsaHook for ChFlexPolicy {
                 let f = &mut self.frames[owner as usize];
                 if f.valid && f.tag == key {
                     *f = Frame::default();
+                    self.cached -= 1;
                 }
             }
             return;
@@ -398,6 +467,7 @@ impl HmaPolicy for ChFlexPolicy {
                             now,
                         );
                         self.stats.fills.inc();
+                        self.cached += u64::from(!f.valid);
                         self.frames[frame as usize] = Frame {
                             tag: key,
                             valid: true,
@@ -473,10 +543,14 @@ impl HmaPolicy for ChFlexPolicy {
         // memory; an active frame holds data only while a cached copy is
         // valid. A segment is never both (allocation deactivates the
         // frame), so the sum is bounded by capacity.
-        let cached = self.frames.iter().filter(|f| f.valid).count() as u64;
+        debug_assert_eq!(
+            self.cached,
+            self.frames.iter().filter(|f| f.valid).count() as u64,
+            "CH-Flex valid-frame count drifted from its frames"
+        );
         let memory = self.frames.len() as u64 - self.active_frames();
         (
-            (cached + memory) * self.geom.segment_bytes(),
+            (self.cached + memory) * self.geom.segment_bytes(),
             self.geom.stacked_bytes(),
         )
     }
@@ -491,12 +565,12 @@ mod reference {
     use super::*;
 
     #[derive(Default)]
-    struct Ring {
+    pub(super) struct Ring {
         points: Vec<(u64, u32)>,
     }
 
     impl Ring {
-        fn add(&mut self, frame: u32) {
+        pub(super) fn add(&mut self, frame: u32) {
             if self.points.iter().any(|&(_, f)| f == frame) {
                 return;
             }
@@ -511,13 +585,31 @@ mod reference {
             self.points.retain(|&(_, f)| f != frame);
         }
 
-        fn lookup(&self, key: u64) -> Option<u32> {
+        pub(super) fn lookup(&self, key: u64) -> Option<u32> {
             if self.points.is_empty() {
                 return None;
             }
             let h = mix(key);
             let pos = self.points.partition_point(|&(p, _)| p < h);
             Some(self.points[pos % self.points.len()].1)
+        }
+
+        /// For each point of `frame`, the first point strictly clockwise
+        /// of it whose frame is not `frame`.
+        pub(super) fn arc_owners(&self, frame: u32) -> [Option<u32>; REPLICAS as usize] {
+            let mut owners = [None; REPLICAS as usize];
+            for (replica, owner) in (0..REPLICAS).zip(owners.iter_mut()) {
+                let entry = (HashRing::point(frame, replica), frame);
+                let (head, tail) = self
+                    .points
+                    .split_at(self.points.partition_point(|&p| p <= entry));
+                *owner = tail
+                    .iter()
+                    .chain(head)
+                    .map(|&(_, f)| f)
+                    .find(|&f| f != frame);
+            }
+            owners
         }
     }
 
@@ -706,7 +798,7 @@ mod reference {
 
 #[cfg(test)]
 mod tests {
-    use super::reference::ReferenceChFlex;
+    use super::reference::{ReferenceChFlex, Ring};
     use super::*;
     use chameleon_simkit::mem::ByteSize;
     use proptest::prelude::*;
@@ -846,6 +938,54 @@ mod tests {
             assert!(ring.lookup(key).is_some_and(|f| f != 3));
         }
         assert!(HashRing::new(0).lookup(42).is_none());
+    }
+
+    /// A universe size: any in `0..=max`, with the degenerate 0 and 1
+    /// drawn often.
+    fn universe(max: u32) -> impl Strategy<Value = u32> {
+        prop_oneof![Just(0u32), Just(1), 0..max + 1]
+    }
+
+    proptest! {
+        /// The directory build orders the points exactly as one
+        /// comparison sort of all of them does, for any universe size
+        /// (powers of two or not), with one directory entry per point at
+        /// most.
+        #[test]
+        fn directory_build_equals_a_full_sort(frames in universe(3000)) {
+            let ring = HashRing::new(frames);
+            let mut sorted: Vec<(u64, u32)> = (0..frames)
+                .flat_map(|f| (0..REPLICAS).map(move |r| (HashRing::point(f, r), f)))
+                .collect();
+            sorted.sort_unstable();
+            prop_assert_eq!(&ring.points, &sorted);
+            prop_assert!(ring.dir.len() <= ring.points.len().max(1));
+        }
+
+        /// Starting from the directory finds the same owners as a ring
+        /// that physically holds only the members' points: `lookup` for
+        /// arbitrary keys, and `arc_owners` for members and non-members.
+        #[test]
+        fn directory_lookups_match_the_physical_removal_ring(
+            frames in universe(400),
+            removed in prop::collection::vec(any::<u32>(), 0..500),
+            keys in prop::collection::vec(any::<u64>(), 1..64),
+        ) {
+            let mut ring = HashRing::new(frames);
+            for &f in &removed {
+                ring.remove(f % frames.max(1));
+            }
+            let mut reference = Ring::default();
+            for f in (0..frames).filter(|&f| ring.contains(f)) {
+                reference.add(f);
+            }
+            for key in keys {
+                prop_assert_eq!(ring.lookup(key), reference.lookup(key), "key {}", key);
+            }
+            for frame in 0..frames {
+                prop_assert_eq!(ring.arc_owners(frame), reference.arc_owners(frame), "frame {}", frame);
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! page ping-ponging at the margin does not thrash.
 
 use chameleon_os::isa::IsaHook;
+use chameleon_os::SegmentGeometry;
 use chameleon_simkit::Cycle;
 
 use chameleon_dram::MemOp;
@@ -47,11 +48,13 @@ pub struct MemCachePolicy {
     cfg: HmaConfig,
     devices: HmaDevices,
     frames: Vec<Frame>,
+    /// Number of valid frames.
+    valid: u64,
     /// Per-off-chip-page access counters (the hot filter).
     heat: Vec<u16>,
     threshold: u16,
-    stacked_base: u64,
-    page_bytes: u64,
+    /// Pages are the configured segments.
+    geom: SegmentGeometry,
     ways: usize,
     sets: u64,
     tick: u64,
@@ -62,19 +65,18 @@ impl MemCachePolicy {
     /// Builds the MemCache hybrid; the hot threshold is the configured
     /// PoM swap threshold, so the schemes compete on equal training.
     pub fn new(cfg: HmaConfig) -> Self {
-        let page_bytes = cfg.segment.bytes();
-        let frames = (cfg.stacked.capacity.bytes() / page_bytes) as usize;
-        assert!(frames > 0, "stacked device must hold at least one page");
+        let geom = cfg.geometry();
+        let frames = geom.groups() as usize;
         let ways = WAYS.min(frames);
         let sets = (frames / ways) as u64;
-        let offchip_pages = (cfg.offchip.capacity.bytes() / page_bytes) as usize;
+        let offchip_pages = (cfg.offchip.capacity.bytes() / geom.segment_bytes()) as usize;
         Self {
             devices: HmaDevices::new(&cfg),
             frames: vec![Frame::default(); sets as usize * ways],
+            valid: 0,
             heat: vec![0; offchip_pages],
             threshold: cfg.swap_threshold.max(1),
-            stacked_base: cfg.stacked.capacity.bytes(),
-            page_bytes,
+            geom,
             ways,
             sets,
             tick: 0,
@@ -90,7 +92,33 @@ impl MemCachePolicy {
 
     /// Device-relative stacked base address of a frame.
     fn frame_addr(&self, frame_idx: usize) -> u64 {
-        frame_idx as u64 * self.page_bytes
+        frame_idx as u64 * self.geom.segment_bytes()
+    }
+
+    /// The page size as a transfer length.
+    fn page_len(&self) -> u32 {
+        // INVARIANT: the segment size is a transfer length (a few KiB),
+        // not an address — fits u32.
+        self.geom.segment_bytes() as u32
+    }
+
+    /// The off-chip page of `paddr`, the byte offset within it and the
+    /// device-relative address.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `paddr` is an off-chip address.
+    fn locate(&self, paddr: u64) -> (u64, u64, u64) {
+        assert!(
+            paddr >= self.geom.stacked_bytes(),
+            "MemCache receives only off-chip OS addresses, got {paddr:#x}"
+        );
+        let (seg, offset) = self.geom.segment_of(paddr);
+        (
+            seg - self.geom.groups(),
+            offset,
+            paddr - self.geom.stacked_bytes(),
+        )
     }
 }
 
@@ -103,15 +131,9 @@ impl IsaHook for MemCachePolicy {
 impl HmaPolicy for MemCachePolicy {
     // lint: hot-path
     fn access(&mut self, paddr: u64, write: bool, now: Cycle) -> Cycle {
-        assert!(
-            paddr >= self.stacked_base,
-            "MemCache receives only off-chip OS addresses, got {paddr:#x}"
-        );
+        let (page, offset, rel) = self.locate(paddr);
         self.stats.demand_accesses.inc();
         self.tick += 1;
-        let rel = paddr - self.stacked_base;
-        let page = rel / self.page_bytes;
-        let offset = rel % self.page_bytes;
         let set = page % self.sets;
         let base = (set as usize) * self.ways;
         let op = if write { MemOp::Write } else { MemOp::Read };
@@ -157,8 +179,8 @@ impl HmaPolicy for MemCachePolicy {
                     if old.dirty {
                         self.devices.writeback_segment(
                             self.frame_addr(victim),
-                            old.tag * self.page_bytes,
-                            self.page_bytes as u32,
+                            old.tag * self.geom.segment_bytes(),
+                            self.page_len(),
                             now,
                         );
                         self.stats.writebacks.inc();
@@ -167,12 +189,13 @@ impl HmaPolicy for MemCachePolicy {
                     self.heat[old.tag as usize] = self.threshold / 2;
                 }
                 self.devices.fill_segment(
-                    page * self.page_bytes,
+                    page * self.geom.segment_bytes(),
                     self.frame_addr(victim),
-                    self.page_bytes as u32,
+                    self.page_len(),
                     now,
                 );
                 self.stats.fills.inc();
+                self.valid += u64::from(!old.valid);
                 self.heat[page as usize] = 0;
                 self.frames[victim] = Frame {
                     tag: page,
@@ -189,14 +212,8 @@ impl HmaPolicy for MemCachePolicy {
     }
 
     fn writeback(&mut self, paddr: u64, now: Cycle) {
-        assert!(
-            paddr >= self.stacked_base,
-            "MemCache receives only off-chip OS addresses, got {paddr:#x}"
-        );
+        let (page, offset, rel) = self.locate(paddr);
         self.stats.llc_writebacks.inc();
-        let rel = paddr - self.stacked_base;
-        let page = rel / self.page_bytes;
-        let offset = rel % self.page_bytes;
         let set = page % self.sets;
         let base = (set as usize) * self.ways;
         let hit = self.frames[base..base + self.ways]
@@ -242,8 +259,15 @@ impl HmaPolicy for MemCachePolicy {
     }
 
     fn stacked_residency(&self) -> (u64, u64) {
-        let resident = self.frames.iter().filter(|f| f.valid).count() as u64 * self.page_bytes;
-        (resident, self.cfg.stacked.capacity.bytes())
+        debug_assert_eq!(
+            self.valid,
+            self.frames.iter().filter(|f| f.valid).count() as u64,
+            "MemCache valid-frame count drifted from its frames"
+        );
+        (
+            self.valid * self.geom.segment_bytes(),
+            self.geom.stacked_bytes(),
+        )
     }
 }
 

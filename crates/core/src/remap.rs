@@ -102,12 +102,12 @@ impl RemapPolicy {
     /// Section V).
     pub fn new(cfg: HmaConfig, flavor: Flavor) -> Self {
         let geom = cfg.geometry();
-        let mut table = SegmentGroupTable::new(geom.groups(), geom.slots_per_group());
-        if flavor.reconfigures() {
-            for g in 0..geom.groups() {
-                table.entry_mut(g).set_mode(Mode::Cache);
-            }
-        }
+        let boot_mode = if flavor.reconfigures() {
+            Mode::Cache
+        } else {
+            Mode::Pom
+        };
+        let table = SegmentGroupTable::with_mode(geom.groups(), geom.slots_per_group(), boot_mode);
         let devices = HmaDevices::new(&cfg);
         Self {
             cfg,
@@ -159,7 +159,7 @@ impl HmaPolicy for RemapPolicy {
             Mode::Pom => self.access_pom(&mut e, loc.group, loc.slot, loc.offset, op, now),
             Mode::Cache => self.access_cache(&mut e, loc.group, loc.slot, loc.offset, op, now),
         };
-        *self.table.entry_mut(loc.group) = e;
+        self.table.store(loc.group, e);
         self.stats.access_latency.record(latency as f64);
         latency
     }
@@ -176,7 +176,7 @@ impl HmaPolicy for RemapPolicy {
                 // mark it dirty so eviction writes it back.
                 let mut e2 = e;
                 e2.mark_dirty();
-                *self.table.entry_mut(loc.group) = e2;
+                self.table.store(loc.group, e2);
                 0
             }
             _ => e.physical_of(loc.slot),
@@ -200,9 +200,7 @@ impl HmaPolicy for RemapPolicy {
     /// does not pollute timed results. SRRT state (modes, remappings,
     /// cached contents) is preserved.
     fn settle(&mut self) {
-        for g in 0..self.geom.groups() {
-            self.table.entry_mut(g).clear_busy();
-        }
+        self.table.clear_busy_all();
         self.devices = HmaDevices::new(&self.cfg);
     }
 
@@ -220,19 +218,13 @@ impl HmaPolicy for RemapPolicy {
 
     /// One full segment per PoM-mode group (the stacked physical slot is
     /// part of memory), plus one per cache-mode group holding a cached
-    /// copy.
+    /// copy: every group but the empty cache-mode ones.
     fn stacked_residency(&self) -> (u64, u64) {
-        let seg = self.geom.segment_bytes();
-        let resident = self
-            .table
-            .iter()
-            .map(|e| match e.mode() {
-                Mode::Pom => seg,
-                Mode::Cache if e.cached().is_some() => seg,
-                Mode::Cache => 0,
-            })
-            .sum();
-        (resident, self.geom.stacked_bytes())
+        let resident = self.table.len() as u64 - self.table.empty_cache_groups();
+        (
+            resident * self.geom.segment_bytes(),
+            self.geom.stacked_bytes(),
+        )
     }
 
     fn events(&self) -> Option<&EventTrace> {
@@ -396,7 +388,7 @@ impl RemapPolicy {
         if !self.flavor.reconfigures() {
             // PoM baseline is free-space agnostic: track ABV only.
             e.set_allocated(slot, true);
-            *self.table.entry_mut(group) = e;
+            self.table.store(group, e);
             return;
         }
 
@@ -405,7 +397,7 @@ impl RemapPolicy {
         } else {
             self.isa_alloc_basic(&mut e, group, slot, now);
         }
-        *self.table.entry_mut(group) = e;
+        self.table.store(group, e);
     }
 
     /// Figure 10 (Chameleon) / Figure 14 (Chameleon-Opt) ISA-Free
@@ -414,7 +406,7 @@ impl RemapPolicy {
         let mut e = *self.table.entry(group);
         if !self.flavor.reconfigures() {
             e.set_allocated(slot, false);
-            *self.table.entry_mut(group) = e;
+            self.table.store(group, e);
             return;
         }
 
@@ -423,7 +415,7 @@ impl RemapPolicy {
         } else {
             self.isa_free_basic(&mut e, group, slot, now);
         }
-        *self.table.entry_mut(group) = e;
+        self.table.store(group, e);
     }
 
     // --- Basic Chameleon (and Polymorphic) transitions -----------------

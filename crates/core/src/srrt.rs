@@ -274,18 +274,34 @@ impl SrrtEntry {
 }
 
 /// The full table: one entry per segment group.
+///
+/// The table keeps the per-group mode census (Figure 16) as two counters
+/// that every write updates, so reading it costs nothing however many
+/// groups there are. An entry changes only through [`Self::store`] (and
+/// [`Self::clear_busy_all`], which touches neither counted field), so no
+/// mode or cached copy can change behind the counters' back.
 #[derive(Debug, Clone)]
 pub struct SegmentGroupTable {
     entries: Vec<SrrtEntry>,
     slots: u8,
+    /// Groups in cache mode.
+    cache_groups: u64,
+    /// Groups in cache mode whose stacked slot holds no cached copy.
+    empty_cache_groups: u64,
 }
 
 impl SegmentGroupTable {
-    /// Builds a table of `groups` identity-mapped entries.
-    pub fn new(groups: u64, slots: u8) -> Self {
+    /// Builds a table of `groups` identity-mapped entries in `mode`, with
+    /// nothing allocated or cached.
+    pub fn with_mode(groups: u64, slots: u8, mode: Mode) -> Self {
+        let mut entry = SrrtEntry::new(slots);
+        entry.set_mode(mode);
+        let cache_groups = if mode == Mode::Cache { groups } else { 0 };
         Self {
-            entries: vec![SrrtEntry::new(slots); groups as usize],
+            entries: vec![entry; groups as usize],
             slots,
+            cache_groups,
+            empty_cache_groups: cache_groups,
         }
     }
 
@@ -309,9 +325,20 @@ impl SegmentGroupTable {
         &self.entries[group as usize]
     }
 
-    /// Mutable access to a group entry.
-    pub fn entry_mut(&mut self, group: u64) -> &mut SrrtEntry {
-        &mut self.entries[group as usize]
+    /// Writes a group's entry, updating the mode census.
+    // lint: hot-path
+    pub fn store(&mut self, group: u64, entry: SrrtEntry) {
+        let old = std::mem::replace(&mut self.entries[group as usize], entry);
+        let cache = |e: &SrrtEntry| u64::from(e.mode() == Mode::Cache);
+        let empty = |e: &SrrtEntry| u64::from(e.mode() == Mode::Cache && e.cached().is_none());
+        self.cache_groups = self.cache_groups + cache(&entry) - cache(&old);
+        self.empty_cache_groups = self.empty_cache_groups + empty(&entry) - empty(&old);
+    }
+
+    /// Marks every group's in-flight transfers complete (warm-up
+    /// settling); modes and cached copies are untouched.
+    pub fn clear_busy_all(&mut self) {
+        self.entries.iter_mut().for_each(SrrtEntry::clear_busy);
     }
 
     /// Iterates all entries.
@@ -321,10 +348,25 @@ impl SegmentGroupTable {
 
     /// Counts groups currently in cache mode.
     pub fn cache_mode_groups(&self) -> u64 {
-        self.entries
-            .iter()
-            .filter(|e| e.mode() == Mode::Cache)
-            .count() as u64
+        debug_assert_eq!(
+            self.cache_groups,
+            self.iter().filter(|e| e.mode() == Mode::Cache).count() as u64,
+            "SRRT cache-mode census drifted from the table"
+        );
+        self.cache_groups
+    }
+
+    /// Counts cache-mode groups holding no cached copy: the only groups
+    /// whose stacked slot holds no data.
+    pub fn empty_cache_groups(&self) -> u64 {
+        debug_assert_eq!(
+            self.empty_cache_groups,
+            self.iter()
+                .filter(|e| e.mode() == Mode::Cache && e.cached().is_none())
+                .count() as u64,
+            "SRRT empty-cache census drifted from the table"
+        );
+        self.empty_cache_groups
     }
 
     /// Metadata size in bytes of a hardware SRRT with this many groups
@@ -452,12 +494,43 @@ mod tests {
 
     #[test]
     fn table_mode_census() {
-        let mut t = SegmentGroupTable::new(10, 6);
+        let mut t = SegmentGroupTable::with_mode(10, 6, Mode::Pom);
         assert_eq!(t.len(), 10);
         assert_eq!(t.cache_mode_groups(), 0);
-        t.entry_mut(3).set_mode(Mode::Cache);
-        t.entry_mut(7).set_mode(Mode::Cache);
+        for g in [3, 7] {
+            let mut e = *t.entry(g);
+            e.set_mode(Mode::Cache);
+            t.store(g, e);
+        }
         assert_eq!(t.cache_mode_groups(), 2);
+    }
+
+    #[test]
+    fn census_counts_empty_cache_groups() {
+        let mut t = SegmentGroupTable::with_mode(4, 6, Mode::Cache);
+        assert_eq!((t.cache_mode_groups(), t.empty_cache_groups()), (4, 4));
+        let mut e = *t.entry(1);
+        e.set_cached(Some(2));
+        t.store(1, e);
+        assert_eq!((t.cache_mode_groups(), t.empty_cache_groups()), (4, 3));
+        // Leaving cache mode with a copy still recorded counts as neither.
+        e.set_mode(Mode::Pom);
+        t.store(1, e);
+        assert_eq!((t.cache_mode_groups(), t.empty_cache_groups()), (3, 3));
+        e.set_cached(None);
+        t.store(1, e);
+        assert_eq!((t.cache_mode_groups(), t.empty_cache_groups()), (3, 3));
+        t.clear_busy_all();
+        assert_eq!((t.cache_mode_groups(), t.empty_cache_groups()), (3, 3));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "census drifted")]
+    fn census_is_checked_against_the_table() {
+        let mut t = SegmentGroupTable::with_mode(4, 6, Mode::Pom);
+        t.cache_groups += 1;
+        t.cache_mode_groups();
     }
 
     #[test]
@@ -465,7 +538,7 @@ mod tests {
         // Paper scale: 2M groups of 6 slots. Tags: 3 bits * 6 + 6 ABV + 1
         // + 1 + 16 counter = 42 bits -> ~11MB total, i.e. ~0.26% of the
         // 4GB stacked DRAM.
-        let t = SegmentGroupTable::new(2 << 20, 6);
+        let t = SegmentGroupTable::with_mode(2 << 20, 6, Mode::Pom);
         let bytes = t.metadata_bytes();
         assert_eq!(bytes, (2 << 20) * 42 / 8);
         assert!(bytes < 16 << 20, "metadata {bytes} too large");

@@ -9,6 +9,7 @@
 //! tags, and a footprint history table indexed by page number.
 
 use chameleon_os::isa::IsaHook;
+use chameleon_os::SegmentGeometry;
 use chameleon_simkit::Cycle;
 
 use chameleon_dram::MemOp;
@@ -128,10 +129,12 @@ pub struct UnisonPolicy {
     cfg: HmaConfig,
     devices: HmaDevices,
     frames: Vec<Frame>,
+    /// Lines fetched into valid frames, in all.
+    fetched_lines: u64,
     predictor: FootprintPredictor,
     tag_buffer: Vec<u64>,
-    stacked_base: u64,
-    page_bytes: u64,
+    /// Pages are the configured segments.
+    geom: SegmentGeometry,
     ways: usize,
     sets: u64,
     tick: u64,
@@ -142,19 +145,18 @@ impl UnisonPolicy {
     /// Builds the Unison cache over the configured stacked device, with
     /// pages equal to the configured segment size.
     pub fn new(cfg: HmaConfig) -> Self {
-        let page_bytes = cfg.segment.bytes();
-        let lines_per_page = (page_bytes / 64) as u32;
-        let frames = (cfg.stacked.capacity.bytes() / page_bytes) as usize;
-        assert!(frames > 0, "stacked device must hold at least one page");
+        let geom = cfg.geometry();
+        let lines_per_page = (geom.segment_bytes() / 64) as u32;
+        let frames = geom.groups() as usize;
         let ways = WAYS.min(frames);
         let sets = (frames / ways) as u64;
         Self {
             devices: HmaDevices::new(&cfg),
             frames: vec![Frame::default(); sets as usize * ways],
+            fetched_lines: 0,
             predictor: FootprintPredictor::new(lines_per_page),
             tag_buffer: vec![NO_TAG; TAG_BUFFER_SLOTS],
-            stacked_base: cfg.stacked.capacity.bytes(),
-            page_bytes,
+            geom,
             ways,
             sets,
             tick: 0,
@@ -184,7 +186,26 @@ impl UnisonPolicy {
 
     /// Device-relative stacked address of a frame's line.
     fn frame_addr(&self, frame_idx: usize, line_in_page: u64) -> u64 {
-        frame_idx as u64 * self.page_bytes + line_in_page * 64
+        frame_idx as u64 * self.geom.segment_bytes() + line_in_page * 64
+    }
+
+    /// The off-chip page of `paddr`, the line within it and the
+    /// device-relative address.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `paddr` is an off-chip address.
+    fn locate(&self, paddr: u64) -> (u64, u64, u64) {
+        assert!(
+            paddr >= self.geom.stacked_bytes(),
+            "Unison receives only off-chip OS addresses, got {paddr:#x}"
+        );
+        let (seg, offset) = self.geom.segment_of(paddr);
+        (
+            seg - self.geom.groups(),
+            offset / 64,
+            paddr - self.geom.stacked_bytes(),
+        )
     }
 
     /// Probes the in-DRAM tags unless the SRAM tag buffer already knows
@@ -214,15 +235,9 @@ impl IsaHook for UnisonPolicy {
 impl HmaPolicy for UnisonPolicy {
     // lint: hot-path
     fn access(&mut self, paddr: u64, write: bool, now: Cycle) -> Cycle {
-        assert!(
-            paddr >= self.stacked_base,
-            "Unison receives only off-chip OS addresses, got {paddr:#x}"
-        );
+        let (page, line, rel) = self.locate(paddr);
         self.stats.demand_accesses.inc();
         self.tick += 1;
-        let rel = paddr - self.stacked_base;
-        let page = rel / self.page_bytes;
-        let line = (rel % self.page_bytes) / 64;
         let bit = 1u64 << line;
         let set = page % self.sets;
         let base = (set as usize) * self.ways;
@@ -260,6 +275,7 @@ impl HmaPolicy for UnisonPolicy {
                     now + probe,
                 );
                 self.frames[idx].fetched |= bit;
+                self.fetched_lines += 1;
                 self.frames[idx].touched |= bit;
                 if write {
                     self.frames[idx].dirty |= bit;
@@ -286,6 +302,7 @@ impl HmaPolicy for UnisonPolicy {
             }
             let old = self.frames[victim];
             if old.valid {
+                self.fetched_lines -= u64::from(old.fetched.count_ones());
                 let dirty_lines = old.dirty.count_ones();
                 if dirty_lines > 0 {
                     // Write back only the dirty lines, as bulk traffic on
@@ -294,18 +311,25 @@ impl HmaPolicy for UnisonPolicy {
                     self.devices
                         .stacked
                         .bulk(self.frame_addr(victim, 0), bytes, MemOp::Read, now);
-                    self.devices
-                        .offchip
-                        .bulk(old.tag * self.page_bytes, bytes, MemOp::Write, now);
+                    self.devices.offchip.bulk(
+                        old.tag * self.geom.segment_bytes(),
+                        bytes,
+                        MemOp::Write,
+                        now,
+                    );
                     self.stats.writebacks.inc();
                 }
                 self.predictor.record(old.tag, old.touched);
             }
             let mask = self.predictor.predict(page) | bit;
+            self.fetched_lines += u64::from(mask.count_ones());
             let fill_bytes = mask.count_ones() * 64;
-            self.devices
-                .offchip
-                .bulk(page * self.page_bytes, fill_bytes, MemOp::Read, now);
+            self.devices.offchip.bulk(
+                page * self.geom.segment_bytes(),
+                fill_bytes,
+                MemOp::Read,
+                now,
+            );
             self.devices
                 .stacked
                 .bulk(self.frame_addr(victim, 0), fill_bytes, MemOp::Write, now);
@@ -329,14 +353,8 @@ impl HmaPolicy for UnisonPolicy {
     }
 
     fn writeback(&mut self, paddr: u64, now: Cycle) {
-        assert!(
-            paddr >= self.stacked_base,
-            "Unison receives only off-chip OS addresses, got {paddr:#x}"
-        );
+        let (page, line, rel) = self.locate(paddr);
         self.stats.llc_writebacks.inc();
-        let rel = paddr - self.stacked_base;
-        let page = rel / self.page_bytes;
-        let line = (rel % self.page_bytes) / 64;
         let bit = 1u64 << line;
         let set = page % self.sets;
         let base = (set as usize) * self.ways;
@@ -383,13 +401,16 @@ impl HmaPolicy for UnisonPolicy {
     }
 
     fn stacked_residency(&self) -> (u64, u64) {
-        let resident: u64 = self
-            .frames
-            .iter()
-            .filter(|f| f.valid)
-            .map(|f| u64::from(f.fetched.count_ones()) * 64)
-            .sum();
-        (resident, self.cfg.stacked.capacity.bytes())
+        debug_assert_eq!(
+            self.fetched_lines,
+            self.frames
+                .iter()
+                .filter(|f| f.valid)
+                .map(|f| u64::from(f.fetched.count_ones()))
+                .sum::<u64>(),
+            "Unison fetched-line count drifted from its frames"
+        );
+        (self.fetched_lines * 64, self.geom.stacked_bytes())
     }
 }
 

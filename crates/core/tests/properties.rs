@@ -6,7 +6,7 @@
 
 use chameleon_core::{
     encoding, policy::HmaPolicy, Flavor, FootprintPredictor, HashRing, HmaConfig, Mode,
-    RemapPolicy, SrrtEntry, UnisonPolicy,
+    ModeDistribution, RemapPolicy, SrrtEntry, UnisonPolicy,
 };
 use chameleon_os::isa::IsaHook;
 use chameleon_os::SegmentGeometry;
@@ -345,5 +345,110 @@ proptest! {
         prop_assert_eq!(back.mode(), e.mode());
         prop_assert_eq!(back.counter(), e.counter());
         prop_assert!(back.check_permutation());
+    }
+}
+
+/// One step of the census test, over the first groups of the table.
+#[derive(Debug, Clone)]
+enum CensusStep {
+    Alloc { group: u64, slot: u8 },
+    Free { group: u64, slot: u8 },
+    Access { group: u64, slot: u8, write: bool },
+    Writeback { group: u64, slot: u8 },
+    Settle,
+}
+
+fn census_step() -> impl Strategy<Value = CensusStep> {
+    (0u8..9, 0u64..64, 0u8..8, any::<bool>()).prop_map(|(kind, group, slot, write)| match kind {
+        0 | 1 => CensusStep::Alloc { group, slot },
+        2 | 3 => CensusStep::Free { group, slot },
+        4..=6 => CensusStep::Access { group, slot, write },
+        7 => CensusStep::Writeback { group, slot },
+        _ => CensusStep::Settle,
+    })
+}
+
+/// Every `RemapPolicy` flavor, plus PoM over CAMEO's 64-byte segments
+/// (on a small device, so every table has 1,024 groups).
+fn census_policies() -> Vec<(HmaConfig, Flavor)> {
+    let mut cameo = cfg().with_cameo_segments();
+    cameo.stacked.capacity = ByteSize::kib(64);
+    cameo.offchip.capacity = ByteSize::kib(320);
+    vec![
+        (cfg(), Flavor::Pom),
+        (cfg(), Flavor::Chameleon { opt: false }),
+        (cfg(), Flavor::Chameleon { opt: true }),
+        (cfg(), Flavor::Polymorphic),
+        (cameo, Flavor::Pom),
+    ]
+}
+
+/// The mode census and stacked residency by a scan of the whole SRRT.
+fn scanned_census(p: &RemapPolicy, segment: u64) -> (ModeDistribution, u64) {
+    let cache = p.srrt().iter().filter(|e| e.mode() == Mode::Cache).count() as u64;
+    let resident = p
+        .srrt()
+        .iter()
+        .filter(|e| e.mode() == Mode::Pom || e.cached().is_some())
+        .count() as u64
+        * segment;
+    let modes = ModeDistribution {
+        cache_groups: cache,
+        pom_groups: p.srrt().len() as u64 - cache,
+    };
+    (modes, resident)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The SRRT's counted census never drifts from the table: after every
+    /// ISA-Alloc, ISA-Free, demand access, LLC writeback and settle,
+    /// `mode_distribution` and `stacked_residency` equal a scan of
+    /// `srrt()`, for every flavor. Allocation follows the OS discipline
+    /// (a segment is allocated only while free and freed only while
+    /// allocated); accesses and writebacks go anywhere, and steps land
+    /// close enough together for transfers to still be in flight.
+    #[test]
+    fn srrt_census_matches_a_table_scan(
+        steps in prop::collection::vec((census_step(), 1u64..2_000_000), 1..150),
+    ) {
+        for (cfg, flavor) in census_policies() {
+            let geo = cfg.geometry();
+            let (c, seg_bytes) = (geo.slots_per_group(), geo.segment_bytes());
+            let mut p = RemapPolicy::new(cfg, flavor);
+            let (modes, resident) = scanned_census(&p, seg_bytes);
+            prop_assert_eq!(p.mode_distribution(), modes, "at boot");
+            prop_assert_eq!(p.stacked_residency().0, resident, "at boot");
+            let mut allocated = std::collections::HashSet::new();
+            let mut now = 0u64;
+            for (step, gap) in &steps {
+                now += gap;
+                match *step {
+                    CensusStep::Alloc { group, slot } => {
+                        let slot = slot % c;
+                        if allocated.insert((group, slot)) {
+                            p.isa_alloc(geo.slot_addr(group, slot), seg_bytes, now);
+                        }
+                    }
+                    CensusStep::Free { group, slot } => {
+                        let slot = slot % c;
+                        if allocated.remove(&(group, slot)) {
+                            p.isa_free(geo.slot_addr(group, slot), seg_bytes, now);
+                        }
+                    }
+                    CensusStep::Access { group, slot, write } => {
+                        p.access(geo.slot_addr(group, slot % c), write, now);
+                    }
+                    CensusStep::Writeback { group, slot } => {
+                        p.writeback(geo.slot_addr(group, slot % c), now);
+                    }
+                    CensusStep::Settle => p.settle(),
+                }
+                let (modes, resident) = scanned_census(&p, seg_bytes);
+                prop_assert_eq!(p.mode_distribution(), modes, "after {:?}", step);
+                prop_assert_eq!(p.stacked_residency().0, resident, "after {:?}", step);
+            }
+        }
     }
 }

@@ -12,7 +12,8 @@
 //! Segments are numbered in address order: stacked segments `0..groups`,
 //! then off-chip segment `j` as `groups + j`. This module is the only code
 //! that turns an address into a segment, group or slot; the hardware SRRT,
-//! CH-Flex and the OS-side group ledger all go through it.
+//! CH-Flex, the MemCache and Unison page caches and the OS-side group
+//! ledger all go through it.
 
 use std::ops::Range;
 
