@@ -49,28 +49,62 @@ pub struct HierarchyOutcome {
 
 /// Private-L1/L2-per-core plus shared-L3 hierarchy.
 ///
+/// Each level's associativity is a compile-time width (`L1`, `L2`, `L3`
+/// ways), defaulting to Table I's 4/8/16, so every set scan is unrolled
+/// for its level. [`CacheConfig::ways`] still describes the geometry and
+/// keys sweep jobs; the constructors check that it agrees.
+///
 /// Inclusion is not enforced (GEM5's classic caches in the paper's setup
 /// are mostly-inclusive); displaced L1/L2 dirty lines are installed in the
 /// next level rather than written to memory directly.
 #[derive(Debug, Clone)]
-pub struct Hierarchy {
-    l1: Vec<SetAssocCache>,
-    l2: Vec<SetAssocCache>,
-    l3: SetAssocCache,
+pub struct Hierarchy<const L1: usize = 4, const L2: usize = 8, const L3: usize = 16> {
+    l1: Vec<SetAssocCache<L1>>,
+    l2: Vec<SetAssocCache<L2>>,
+    l3: SetAssocCache<L3>,
     l1_latency: u32,
     l2_latency: u32,
     l3_latency: u32,
     prefetchers: Option<Vec<StridePrefetcher>>,
 }
 
+/// Panics unless `cfg` is `ways`-way, naming `level`.
+fn check_width(level: &str, ways: usize, cfg: &CacheConfig) {
+    assert!(
+        cfg.ways as usize == ways,
+        "{level} is {ways}-way, config says {}",
+        cfg.ways
+    );
+}
+
 impl Hierarchy {
-    /// Builds a hierarchy for `cores` cores.
+    /// Builds a hierarchy of Table I's widths (4-way L1, 8-way L2, 16-way
+    /// L3) for `cores` cores.
     ///
     /// # Panics
     ///
-    /// Panics if `cores == 0` or any configuration is invalid.
+    /// Panics if `cores == 0`, if any configuration is invalid, or if a
+    /// level's [`CacheConfig::ways`] is not its Table I width (the
+    /// message names the level: "L2 is 8-way, config says 16").
     pub fn new(cores: usize, l1: CacheConfig, l2: CacheConfig, l3: CacheConfig) -> Self {
+        Self::with_widths(cores, l1, l2, l3)
+    }
+}
+
+impl<const L1: usize, const L2: usize, const L3: usize> Hierarchy<L1, L2, L3> {
+    /// Builds a hierarchy of the widths the type names
+    /// (`Hierarchy::<4, 8, 2>::with_widths`) for `cores` cores.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores == 0`, if any configuration is invalid, or if a
+    /// level's [`CacheConfig::ways`] is not its compile-time width (the
+    /// message names the level: "L2 is 8-way, config says 16").
+    pub fn with_widths(cores: usize, l1: CacheConfig, l2: CacheConfig, l3: CacheConfig) -> Self {
         assert!(cores > 0, "at least one core required");
+        check_width("L1", L1, &l1);
+        check_width("L2", L2, &l2);
+        check_width("L3", L3, &l3);
         let l1_latency = l1.latency;
         let l2_latency = l2.latency;
         let l3_latency = l3.latency;
@@ -126,12 +160,17 @@ impl Hierarchy {
     }
 
     /// [`Hierarchy::access`] writing its result buffers into
-    /// caller-provided storage (cleared first), so the caller fills two
-    /// buffers of its own instead of copying a [`HierarchyOutcome`]
-    /// (which is over a hundred bytes wide) out of the walk. This is the
-    /// one walk the per-reference spine (`System::access`) makes: each
-    /// level is scanned once, and the hit scan and (on a miss) the victim
-    /// scan are all a level costs.
+    /// caller-provided storage, so the caller fills two buffers of its own
+    /// instead of copying a [`HierarchyOutcome`] (which is over a hundred
+    /// bytes wide) out of the walk. This is the one walk the per-reference
+    /// spine (`System::access`) makes: each level is scanned once, and the
+    /// hit scan and (on a miss) the victim scan are all a level costs.
+    ///
+    /// On return the buffers hold exactly this reference's writebacks and
+    /// prefetch candidates. Clearing them is two length stores, not a
+    /// rebuild, so a caller keeps one pair for the whole run
+    /// (`System::access` holds them in the `System`) and zero-fills
+    /// nothing per reference.
     // lint: hot-path
     #[inline]
     pub fn access_into(
@@ -241,7 +280,7 @@ impl Hierarchy {
             return Some((HitLevel::L1, self.l1_latency));
         }
         match self.l1[core].classify_victim(addr) {
-            Classify::CleanVictim { idx } => {
+            Classify::CleanVictim { set, way } => {
                 // The L1 fill is clean (no cascade into L2/L3), so the
                 // only remaining question is whether the L2 hits. Its
                 // probe-and-commit only mutates on a hit, so an L2 miss
@@ -250,7 +289,7 @@ impl Hierarchy {
                 // hit before the L1 fill is observationally identical to
                 // the reference walk's L1-fill-then-L2-access order.)
                 if self.l2[core].try_hit(addr, kind) {
-                    self.l1[core].commit_clean_fill(addr, idx, kind);
+                    self.l1[core].commit_clean_fill(addr, set, way, kind);
                     Some((HitLevel::L2, self.l1_latency + self.l2_latency))
                 } else {
                     None
@@ -261,17 +300,17 @@ impl Hierarchy {
     }
 
     /// The shared L3 cache (stats access).
-    pub fn l3(&self) -> &SetAssocCache {
+    pub fn l3(&self) -> &SetAssocCache<L3> {
         &self.l3
     }
 
     /// Per-core L1 (stats access).
-    pub fn l1(&self, core: usize) -> &SetAssocCache {
+    pub fn l1(&self, core: usize) -> &SetAssocCache<L1> {
         &self.l1[core]
     }
 
     /// Per-core L2 (stats access).
-    pub fn l2(&self, core: usize) -> &SetAssocCache {
+    pub fn l2(&self, core: usize) -> &SetAssocCache<L2> {
         &self.l2[core]
     }
 
@@ -345,6 +384,32 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "L2 is 8-way, config says 16")]
+    fn width_mismatch_names_the_level() {
+        let l2 = CacheConfig {
+            ways: 16,
+            ..CacheConfig::table1_l2()
+        };
+        Hierarchy::new(1, CacheConfig::table1_l1(), l2, CacheConfig::table1_l3());
+    }
+
+    #[test]
+    fn other_widths_are_named() {
+        let l3 = CacheConfig {
+            ways: 2,
+            ..CacheConfig::table1_l3()
+        };
+        let mut h = Hierarchy::<4, 8, 2>::with_widths(
+            1,
+            CacheConfig::table1_l1(),
+            CacheConfig::table1_l2(),
+            l3,
+        );
+        assert_eq!(h.access(0, 0x1000, false).level, HitLevel::Memory);
+        assert_eq!(h.access(0, 0x1000, false).level, HitLevel::L1);
+    }
+
+    #[test]
     fn prefetcher_emits_on_streaming_misses() {
         let mut h = table1(1).with_prefetcher(crate::PrefetchConfig::default());
         let mut emitted = 0;
@@ -368,7 +433,8 @@ mod tests {
             latency: 1,
         };
         // One 2-way L3 set: a demand write leaves line 0 dirty in it.
-        let mut h = Hierarchy::new(1, tiny("L1", 1), tiny("L2", 1), tiny("L3", 2));
+        let mut h =
+            Hierarchy::<1, 1, 2>::with_widths(1, tiny("L1", 1), tiny("L2", 1), tiny("L3", 2));
         h.access(0, 0, true);
         assert_eq!(h.install_prefetch(64), None, "fills the invalid way");
         assert_eq!(h.install_prefetch(128), Some(0), "displaces dirty line 0");

@@ -1,5 +1,7 @@
 //! A set-associative, write-back/write-allocate cache with LRU replacement.
 
+use chameleon_simkit::fastmod::FastMod;
+
 use crate::{CacheConfig, CacheStats};
 
 /// Whether a reference reads or writes the line.
@@ -20,9 +22,11 @@ pub(crate) enum Classify {
     /// [`SetAssocCache::commit_clean_fill`] reproduces the miss path
     /// exactly (no writeback).
     CleanVictim {
-        /// Absolute index of the victim line (`set * ways + way`), so
-        /// the commit needs no second set computation.
-        idx: usize,
+        /// The victim's set, so the commit needs no second set
+        /// computation.
+        set: usize,
+        /// The victim's way within `set`.
+        way: usize,
     },
     /// The victim is dirty, so the reference access would emit a
     /// writeback: the caller must take the full path against the
@@ -54,8 +58,11 @@ fn fill_key(tag: u64, dirty: bool) -> u64 {
     tag << TAG_SHIFT | u64::from(dirty) << 1 | VALID
 }
 
-/// One set-associative cache level.
+/// One set-associative cache level of `W` ways.
 ///
+/// The associativity is a compile-time constant, so each set is a
+/// `[u64; W]` the hit and victim scans walk with no runtime width: one
+/// implementation of each serves every associativity, fully unrolled.
 /// Each way's state lives in two parallel set-major arrays: the hot
 /// `tag|dirty|valid` key every lookup scans, and the LRU stamp only
 /// hits (one store) and fills (the victim scan) touch. A 16-way set's
@@ -67,61 +74,51 @@ fn fill_key(tag: u64, dirty: bool) -> u64 {
 /// ```
 /// use chameleon_cache::{AccessKind, CacheConfig, LookupResult, SetAssocCache};
 ///
-/// let mut c = SetAssocCache::new(CacheConfig::table1_l1());
+/// let mut c = SetAssocCache::<4>::new(CacheConfig::table1_l1());
 /// assert!(matches!(c.access(0x80, AccessKind::Read), LookupResult::Miss { .. }));
 /// assert_eq!(c.access(0x80, AccessKind::Read), LookupResult::Hit);
 /// ```
 #[derive(Debug, Clone)]
-pub struct SetAssocCache {
-    /// Every way's key, flattened set-major (`set * ways + way`): one
-    /// contiguous allocation instead of a `Vec` per set, so a lookup is
-    /// one dependent load, not two.
-    keys: Vec<u64>,
+pub struct SetAssocCache<const W: usize> {
+    /// Every set's keys, one contiguous allocation indexed by set.
+    keys: Vec<[u64; W]>,
     /// Last-use stamp of each way, parallel to `keys`. An invalid way has
     /// stamp 0 and every valid way a distinct stamp ≥ 1 (each stamp is a
     /// fresh `clock` value and ways never turn invalid again), so the
     /// first minimum of a set is its first invalid way, else its LRU way.
-    stamps: Vec<u64>,
-    num_sets: usize,
-    ways: usize,
-    /// `num_sets - 1` when the set count is a power of two (index with a
-    /// mask); 0 otherwise.
-    set_mask: u64,
-    /// `floor(2^64 / num_sets)` when the set count is *not* a power of
-    /// two (the Table I L3 has 12288 sets): an exact modulo via one
-    /// multiply-high instead of a hardware divide. 0 for pow2 counts.
-    set_magic: u64,
+    stamps: Vec<[u64; W]>,
+    /// The set count, as a mask or a reciprocal (the Table I L3 has
+    /// 12288 sets).
+    sets: FastMod,
     line_shift: u32,
     clock: u64,
     stats: CacheStats,
 }
 
-impl SetAssocCache {
+impl<const W: usize> SetAssocCache<W> {
+    /// The hit scan folds one bit per way into a `u64` mask.
+    const WIDTH_FITS: () = assert!(W >= 1 && W <= 64, "1 to 64 ways");
+
     /// Builds an empty cache.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` fails [`CacheConfig::validate`].
+    /// Panics if `cfg` fails [`CacheConfig::validate`] or its `ways` is
+    /// not `W`.
     pub fn new(cfg: CacheConfig) -> Self {
+        let () = Self::WIDTH_FITS;
         let sets = cfg.sets();
-        let ways = cfg.ways as usize;
-        let line_shift = cfg.line_bytes.trailing_zeros();
+        assert!(
+            cfg.ways as usize == W,
+            "{} is {W}-way, config says {}",
+            cfg.name,
+            cfg.ways
+        );
         Self {
-            keys: vec![0; sets * ways],
-            stamps: vec![0; sets * ways],
-            num_sets: sets,
-            ways,
-            set_mask: if sets.is_power_of_two() {
-                sets as u64 - 1
-            } else {
-                0
-            },
-            set_magic: if sets.is_power_of_two() {
-                0
-            } else {
-                ((1u128 << 64) / sets as u128) as u64
-            },
-            line_shift,
+            keys: vec![[0; W]; sets],
+            stamps: vec![[0; W]; sets],
+            sets: FastMod::new(sets as u64),
+            line_shift: cfg.line_bytes.trailing_zeros(),
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -137,25 +134,11 @@ impl SetAssocCache {
         self.stats = CacheStats::default();
     }
 
+    /// The set and tag (the line address) of `addr`.
+    #[inline(always)]
     fn locate(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.line_shift;
-        let set = if self.set_magic == 0 {
-            // Power-of-two set count (mask is `sets - 1`, which is also
-            // correct for a single set).
-            (line & self.set_mask) as usize
-        } else {
-            // Exact `line % num_sets` by reciprocal: the estimated
-            // quotient `q` is at most 1 low, so one conditional
-            // subtract corrects the remainder.
-            let n = self.num_sets as u64;
-            let q = ((line as u128 * self.set_magic as u128) >> 64) as u64;
-            let mut r = line - q * n;
-            if r >= n {
-                r -= n;
-            }
-            r as usize
-        };
-        (set, line)
+        (self.sets.modulo(line) as usize, line)
     }
 
     /// Looks up `addr`; on a miss the line is allocated (write-allocate)
@@ -166,46 +149,28 @@ impl SetAssocCache {
     /// valid-and-tag-matches), the per-way results fold into a bitmask,
     /// and `trailing_zeros` picks the matching way — one data-dependent
     /// branch per lookup instead of one per way. The miss path picks its
-    /// victim with a branchless first-minimum over the set's stamps. The
-    /// common associativities (4/8/16, Table I) get fixed-width
-    /// specialisations the compiler fully unrolls.
+    /// victim with a branchless first-minimum over the set's stamps.
     // lint: hot-path
     #[inline]
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> LookupResult {
         self.clock += 1;
-        let (set_idx, tag) = self.locate(addr);
-        let base = set_idx * self.ways;
-        if let Some(i) = self.find(base, tag) {
-            self.commit_hit(base + i, kind);
+        let (set, tag) = self.locate(addr);
+        if let Some(way) = self.find(set, tag) {
+            self.commit_hit(set, way, kind);
             return LookupResult::Hit;
         }
-        self.miss_fill(base, tag, kind)
+        self.miss_fill(set, tag, kind)
     }
 
-    /// The way of the set starting at `base` that holds `tag`, if any.
+    /// The way of `set` that holds `tag`, if any: a branchless scan that
+    /// folds the per-way compares into a bitmask.
     // lint: hot-path
     #[inline(always)]
-    fn find(&self, base: usize, tag: u64) -> Option<usize> {
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
         let want = fill_key(tag, true);
-        let keys = &self.keys[base..];
-        match self.ways {
-            4 => Self::find_hit::<4>(keys, want),
-            8 => Self::find_hit::<8>(keys, want),
-            16 => Self::find_hit::<16>(keys, want),
-            _ => keys[..self.ways].iter().position(|&k| k | DIRTY == want),
-        }
-    }
-
-    /// Branchless hit scan over one `W`-way set starting at `keys[0]`.
-    // lint: hot-path
-    #[inline(always)]
-    fn find_hit<const W: usize>(keys: &[u64], want: u64) -> Option<usize> {
-        // INVARIANT: `keys` starts at a set boundary of a cache whose
-        // associativity is W, so at least W keys follow.
-        let set: &[u64; W] = keys[..W].try_into().expect("set holds W ways");
-        let mut mask = 0u32;
-        for (i, &k) in set.iter().enumerate() {
-            mask |= u32::from(k | DIRTY == want) << i;
+        let mut mask = 0u64;
+        for (i, &k) in self.keys[set].iter().enumerate() {
+            mask |= u64::from(k | DIRTY == want) << i;
         }
         if mask == 0 {
             None
@@ -216,65 +181,51 @@ impl SetAssocCache {
 
     /// The miss path: victim selection, eviction accounting, fill.
     // lint: hot-path
-    fn miss_fill(&mut self, base: usize, tag: u64, kind: AccessKind) -> LookupResult {
-        let idx = self.victim(base);
-        let writeback = self.evict(idx);
-        self.fill(idx, tag, kind == AccessKind::Write);
+    fn miss_fill(&mut self, set: usize, tag: u64, kind: AccessKind) -> LookupResult {
+        let way = self.victim(set);
+        let writeback = self.evict(set, way);
+        self.fill(set, way, tag, kind == AccessKind::Write);
         self.stats.record(kind, false);
         LookupResult::Miss { writeback }
     }
 
     /// The one victim rule, shared by every fill: the first invalid way
-    /// of the set starting at `base`, else the least recently used one.
-    /// Both are the set's first minimum stamp (invalid ways hold 0, valid
-    /// ones distinct stamps ≥ 1). Returns the absolute way index.
+    /// of `set`, else the least recently used one. Both are the set's
+    /// first minimum stamp (invalid ways hold 0, valid ones distinct
+    /// stamps ≥ 1), found with a pairwise tree over adjacent ways: each
+    /// level keeps the left (lower) way on a tie, an odd way out moves
+    /// up unpaired, and the compares of a level run in parallel.
     // lint: hot-path
     #[inline(always)]
-    fn victim(&self, base: usize) -> usize {
-        let stamps = &self.stamps[base..];
-        let way = match self.ways {
-            4 => Self::first_min::<4>(stamps),
-            8 => Self::first_min::<8>(stamps),
-            16 => Self::first_min::<16>(stamps),
-            _ => (1..self.ways).fold(0, |m, i| if stamps[i] < stamps[m] { i } else { m }),
-        };
-        debug_assert!(
-            self.stamps_consistent(base, way),
-            "stamp 0 must mean invalid, and the LRU stamp be unique"
-        );
-        base + way
-    }
-
-    /// Branchless first minimum over one `W`-way set starting at
-    /// `stamps[0]`: a pairwise tree over adjacent halves, so each level
-    /// keeps the left (lower) way on a tie and the compares of a level
-    /// run in parallel.
-    // lint: hot-path
-    #[inline(always)]
-    fn first_min<const W: usize>(stamps: &[u64]) -> usize {
-        // INVARIANT: `stamps` starts at a set boundary of a cache whose
-        // associativity is W, so at least W stamps follow.
-        let mut val: [u64; W] = stamps[..W].try_into().expect("set holds W ways");
+    fn victim(&self, set: usize) -> usize {
+        let mut val = self.stamps[set];
         let mut way: [usize; W] = std::array::from_fn(|i| i);
         let mut n = W;
         while n > 1 {
-            n /= 2;
-            for i in 0..n {
+            let half = n / 2;
+            for i in 0..half {
                 let right = val[2 * i + 1] < val[2 * i];
                 way[i] = if right { way[2 * i + 1] } else { way[2 * i] };
                 val[i] = if right { val[2 * i + 1] } else { val[2 * i] };
             }
+            if n % 2 == 1 {
+                way[half] = way[n - 1];
+                val[half] = val[n - 1];
+            }
+            n = half + n % 2;
         }
+        debug_assert!(
+            self.stamps_consistent(set, way[0]),
+            "stamp 0 must mean invalid, and the LRU stamp be unique"
+        );
         way[0]
     }
 
-    /// Whether the set starting at `base` keeps the stamp invariant the
-    /// victim rule relies on: stamp 0 exactly on invalid ways, and a
-    /// valid victim `way` whose stamp no other way shares (debug builds
-    /// check it on every fill).
-    fn stamps_consistent(&self, base: usize, way: usize) -> bool {
-        let keys = &self.keys[base..][..self.ways];
-        let stamps = &self.stamps[base..][..self.ways];
+    /// Whether `set` keeps the stamp invariant the victim rule relies on:
+    /// stamp 0 exactly on invalid ways, and a valid victim `way` whose
+    /// stamp no other way shares (debug builds check it on every fill).
+    fn stamps_consistent(&self, set: usize, way: usize) -> bool {
+        let (keys, stamps) = (&self.keys[set], &self.stamps[set]);
         let oldest = stamps[way];
         keys.iter()
             .zip(stamps)
@@ -282,12 +233,12 @@ impl SetAssocCache {
             && (oldest == 0 || stamps.iter().filter(|&&s| s == oldest).count() == 1)
     }
 
-    /// Counts the eviction of way `idx` (if valid) and returns its
+    /// Counts the eviction of `way` of `set` (if valid) and returns its
     /// address when it is dirty and must be written back.
     // lint: hot-path
     #[inline(always)]
-    fn evict(&mut self, idx: usize) -> Option<u64> {
-        let key = self.keys[idx];
+    fn evict(&mut self, set: usize, way: usize) -> Option<u64> {
+        let key = self.keys[set][way];
         if key & VALID == 0 {
             return None;
         }
@@ -299,21 +250,21 @@ impl SetAssocCache {
         Some(key >> TAG_SHIFT << self.line_shift)
     }
 
-    /// Installs `tag` in way `idx`, stamped with the current clock.
+    /// Installs `tag` in `way` of `set`, stamped with the current clock.
     // lint: hot-path
     #[inline(always)]
-    fn fill(&mut self, idx: usize, tag: u64, dirty: bool) {
-        self.keys[idx] = fill_key(tag, dirty);
-        self.stamps[idx] = self.clock;
+    fn fill(&mut self, set: usize, way: usize, tag: u64, dirty: bool) {
+        self.keys[set][way] = fill_key(tag, dirty);
+        self.stamps[set][way] = self.clock;
     }
 
     /// The hit mutation shared by [`Self::access`] and [`Self::try_hit`]:
     /// LRU stamp, dirty merge, stats.
     // lint: hot-path
     #[inline(always)]
-    fn commit_hit(&mut self, idx: usize, kind: AccessKind) {
-        self.stamps[idx] = self.clock;
-        self.keys[idx] |= u64::from(kind == AccessKind::Write) << 1;
+    fn commit_hit(&mut self, set: usize, way: usize, kind: AccessKind) {
+        self.stamps[set][way] = self.clock;
+        self.keys[set][way] |= u64::from(kind == AccessKind::Write) << 1;
         self.stats.record(kind, true);
     }
 
@@ -330,13 +281,12 @@ impl SetAssocCache {
     // lint: hot-path
     #[inline]
     pub(crate) fn try_hit(&mut self, addr: u64, kind: AccessKind) -> bool {
-        let (set_idx, tag) = self.locate(addr);
-        let base = set_idx * self.ways;
-        if let Some(i) = self.find(base, tag) {
+        let (set, tag) = self.locate(addr);
+        if let Some(way) = self.find(set, tag) {
             // `access` advances the clock before its scan; the scan does
             // not read it, so advancing here yields the same stamp.
             self.clock += 1;
-            self.commit_hit(base + i, kind);
+            self.commit_hit(set, way, kind);
             true
         } else {
             false
@@ -351,34 +301,40 @@ impl SetAssocCache {
     // lint: hot-path
     #[inline]
     pub(crate) fn classify_victim(&self, addr: u64) -> Classify {
-        let (set_idx, _) = self.locate(addr);
-        let idx = self.victim(set_idx * self.ways);
-        if self.keys[idx] & DIRTY != 0 {
+        let (set, _) = self.locate(addr);
+        let way = self.victim(set);
+        if self.keys[set][way] & DIRTY != 0 {
             return Classify::Bail;
         }
-        Classify::CleanVictim { idx }
+        Classify::CleanVictim { set, way }
     }
 
     /// Commits the clean-victim fill that [`Self::classify_victim`]
     /// prepared: bit-identical to the miss half of [`Self::access`] for
     /// a victim with no writeback (eviction accounting, LRU stamp,
-    /// stats). `idx` is the absolute victim index from
-    /// [`Classify::CleanVictim`]; only the tag shift is recomputed.
+    /// stats). `set` and `way` come from [`Classify::CleanVictim`]; only
+    /// the tag shift is recomputed.
     // lint: hot-path
     #[inline]
-    pub(crate) fn commit_clean_fill(&mut self, addr: u64, idx: usize, kind: AccessKind) {
+    pub(crate) fn commit_clean_fill(
+        &mut self,
+        addr: u64,
+        set: usize,
+        way: usize,
+        kind: AccessKind,
+    ) {
         self.clock += 1;
         let tag = addr >> self.line_shift;
-        let writeback = self.evict(idx);
+        let writeback = self.evict(set, way);
         debug_assert!(writeback.is_none(), "classify_victim vetted a clean victim");
-        self.fill(idx, tag, kind == AccessKind::Write);
+        self.fill(set, way, tag, kind == AccessKind::Write);
         self.stats.record(kind, false);
     }
 
     /// Whether `addr`'s line is currently present (no LRU update).
     pub fn probe(&self, addr: u64) -> bool {
-        let (set_idx, tag) = self.locate(addr);
-        self.find(set_idx * self.ways, tag).is_some()
+        let (set, tag) = self.locate(addr);
+        self.find(set, tag).is_some()
     }
 
     /// Marks `addr` present without counting an access (a prefetch
@@ -387,15 +343,14 @@ impl SetAssocCache {
     /// caller must write back.
     pub fn touch(&mut self, addr: u64) -> Option<u64> {
         self.clock += 1;
-        let (set_idx, tag) = self.locate(addr);
-        let base = set_idx * self.ways;
-        if let Some(i) = self.find(base, tag) {
-            self.stamps[base + i] = self.clock;
+        let (set, tag) = self.locate(addr);
+        if let Some(way) = self.find(set, tag) {
+            self.stamps[set][way] = self.clock;
             return None;
         }
-        let idx = self.victim(base);
-        let writeback = self.evict(idx);
-        self.fill(idx, tag, false);
+        let way = self.victim(set);
+        let writeback = self.evict(set, way);
+        self.fill(set, way, tag, false);
         writeback
     }
 }
@@ -405,7 +360,7 @@ mod tests {
     use super::*;
     use chameleon_simkit::mem::ByteSize;
 
-    fn tiny() -> SetAssocCache {
+    fn tiny() -> SetAssocCache<2> {
         // 2 sets, 2 ways, 64B lines = 256B.
         SetAssocCache::new(CacheConfig {
             name: "tiny".to_owned(),
@@ -416,12 +371,12 @@ mod tests {
         })
     }
 
-    /// One set of `ways` 64B lines: line `i` lives at `i * 64`.
-    fn one_set(ways: u32) -> SetAssocCache {
+    /// One set of `W` 64B lines: line `i` lives at `i * 64`.
+    fn one_set<const W: usize>() -> SetAssocCache<W> {
         SetAssocCache::new(CacheConfig {
             name: "one-set".to_owned(),
-            capacity: ByteSize::bytes_exact(u64::from(ways) * 64),
-            ways,
+            capacity: ByteSize::bytes_exact(W as u64 * 64),
+            ways: W as u32,
             line_bytes: 64,
             latency: 1,
         })
@@ -459,7 +414,7 @@ mod tests {
         assert!(c.probe(256));
 
         // 4 ways: a line hit after every other fill outlives them all.
-        let mut c = one_set(4);
+        let mut c = one_set::<4>();
         for i in 0..4u64 {
             c.access(i * 64, AccessKind::Read);
         }
@@ -475,7 +430,7 @@ mod tests {
     fn touch_evicts_the_way_access_would() {
         // Touching an absent line leaves the set exactly as a read miss
         // would, and reports the same writeback; returns it.
-        let check = |c: &SetAssocCache, addr: u64| {
+        let check = |c: &SetAssocCache<4>, addr: u64| {
             let mut touched = c.clone();
             let writeback = touched.touch(addr);
             let mut accessed = c.clone();
@@ -494,7 +449,7 @@ mod tests {
             assert_eq!(t.accesses(), c.stats().accesses(), "touch counts no access");
             writeback
         };
-        let mut c = one_set(4);
+        let mut c = one_set::<4>();
         // Reads and writes with reuse, so LRU order differs from fill
         // order: the first steps fill invalid ways, the last evicts.
         for (line, kind) in [
@@ -515,16 +470,16 @@ mod tests {
     #[test]
     fn classify_victim_matches_miss_fill_and_bails_only_on_dirty() {
         // Checks that `classify_victim(addr)` names `miss_fill`'s way.
-        let check = |c: &SetAssocCache, addr: u64| {
+        let check = |c: &SetAssocCache<4>, addr: u64| {
             let verdict = c.classify_victim(addr);
             let mut filled = c.clone();
             let LookupResult::Miss { writeback } = filled.access(addr, AccessKind::Read) else {
                 panic!("{addr:#x} is absent");
             };
             match verdict {
-                Classify::CleanVictim { idx } => {
+                Classify::CleanVictim { set, way } => {
                     assert_eq!(
-                        filled.keys[idx] | DIRTY,
+                        filled.keys[set][way] | DIRTY,
                         fill_key(addr >> 6, true),
                         "same way as miss_fill"
                     );
@@ -534,18 +489,18 @@ mod tests {
             }
             verdict
         };
-        let mut c = one_set(4);
+        let mut c = one_set::<4>();
         c.access(0, AccessKind::Write);
         c.access(64, AccessKind::Read);
         c.access(128, AccessKind::Read);
         // An invalid way wins over the dirty LRU line.
-        assert_eq!(check(&c, 0x1000), Classify::CleanVictim { idx: 3 });
+        assert_eq!(check(&c, 0x1000), Classify::CleanVictim { set: 0, way: 3 });
         c.access(192, AccessKind::Read);
         // Full set, dirty LRU victim (line 0).
         assert_eq!(check(&c, 0x1000), Classify::Bail);
         // Reusing line 0 makes the clean line 1 the LRU victim.
         c.access(0, AccessKind::Read);
-        assert_eq!(check(&c, 0x1000), Classify::CleanVictim { idx: 1 });
+        assert_eq!(check(&c, 0x1000), Classify::CleanVictim { set: 0, way: 1 });
     }
 
     #[test]
@@ -595,7 +550,7 @@ mod tests {
 
     #[test]
     fn non_pow2_set_cache_works() {
-        let mut c = SetAssocCache::new(CacheConfig::table1_l3());
+        let mut c = SetAssocCache::<16>::new(CacheConfig::table1_l3());
         for i in 0..100_000u64 {
             c.access(i * 64, AccessKind::Read);
         }
@@ -603,19 +558,11 @@ mod tests {
     }
 
     #[test]
-    fn reciprocal_set_index_matches_modulo() {
-        let c = SetAssocCache::new(CacheConfig::table1_l3());
-        let sets = c.num_sets as u64;
-        assert!(!sets.is_power_of_two(), "test needs the reciprocal path");
-        // Dense low lines, a stride that never revisits a set in-order,
-        // and the extremes of the address space.
-        let probe = (0..10_000u64)
-            .chain((0..10_000).map(|i| i * 0x1_0001))
-            .chain([u64::MAX >> 6, (u64::MAX >> 6) - 1, sets, sets - 1, sets + 1]);
-        for line in probe {
-            let (set, tag) = c.locate(line << 6);
-            assert_eq!(set as u64, line % sets, "line {line}");
-            assert_eq!(tag, line);
-        }
+    #[should_panic(expected = "prop is 8-way, config says 16")]
+    fn width_mismatch_rejected() {
+        SetAssocCache::<8>::new(CacheConfig {
+            name: "prop".to_owned(),
+            ..CacheConfig::table1_l3()
+        });
     }
 }

@@ -19,7 +19,11 @@ use proptest::prelude::*;
 
 /// A small hierarchy so the full-state comparison stays cheap while
 /// still exercising multi-set, multi-way behaviour and evictions.
-fn small_hierarchy(cores: usize, l3_ways: u32, prefetcher: bool) -> Hierarchy {
+fn small_hierarchy<const L3: usize>(
+    cores: usize,
+    l3_ways: u32,
+    prefetcher: bool,
+) -> Hierarchy<4, 8, L3> {
     let cfg = |name: &str, kib: u64, ways: u32, latency: u32| CacheConfig {
         name: name.to_owned(),
         capacity: ByteSize::kib(kib),
@@ -27,7 +31,7 @@ fn small_hierarchy(cores: usize, l3_ways: u32, prefetcher: bool) -> Hierarchy {
         line_bytes: 64,
         latency,
     };
-    let h = Hierarchy::new(
+    let h = Hierarchy::with_widths(
         cores,
         cfg("L1D", 4, 4, 4),
         cfg("L2", 16, 8, 12),
@@ -43,14 +47,14 @@ fn small_hierarchy(cores: usize, l3_ways: u32, prefetcher: bool) -> Hierarchy {
 /// Runs the same reference sequence through the fast path (with
 /// fallback) and the reference walk, asserting step-by-step outcome
 /// equality and periodic full-state equality.
-fn assert_fused_matches_reference(
+fn assert_fused_matches_reference<const L3: usize>(
     cores: usize,
     l3_ways: u32,
     prefetcher: bool,
     refs: &[(usize, u64, bool)],
 ) -> Result<(), TestCaseError> {
-    let mut fused = small_hierarchy(cores, l3_ways, prefetcher);
-    let mut reference = small_hierarchy(cores, l3_ways, prefetcher);
+    let mut fused = small_hierarchy::<L3>(cores, l3_ways, prefetcher);
+    let mut reference = small_hierarchy::<L3>(cores, l3_ways, prefetcher);
     for (i, &(core, addr, is_write)) in refs.iter().enumerate() {
         let expected = reference.access(core, addr, is_write);
         match fused.fast_access(core, addr, is_write) {
@@ -110,27 +114,27 @@ proptest! {
     /// Single-core, plain LRU walk, no prefetcher.
     #[test]
     fn fused_matches_reference_single_core(refs in any_refs(1)) {
-        assert_fused_matches_reference(1, 16, false, &refs)?;
+        assert_fused_matches_reference::<16>(1, 16, false, &refs)?;
     }
 
     /// Two cores sharing the L3: cross-core interleavings churn the
     /// shared level while the private levels stay per-core.
     #[test]
     fn fused_matches_reference_two_cores(refs in any_refs(2)) {
-        assert_fused_matches_reference(2, 16, false, &refs)?;
+        assert_fused_matches_reference::<16>(2, 16, false, &refs)?;
     }
 
     /// With the stride prefetcher attached, LLC misses emit candidates —
     /// the fast path must never swallow them.
     #[test]
     fn fused_matches_reference_with_prefetcher(refs in any_refs(1)) {
-        assert_fused_matches_reference(1, 16, true, &refs)?;
+        assert_fused_matches_reference::<16>(1, 16, true, &refs)?;
     }
 
     /// A non-power-of-two-friendly L3 associativity exercises the
     /// reciprocal set indexing alongside the fused probes.
     #[test]
     fn fused_matches_reference_narrow_l3(refs in any_refs(1)) {
-        assert_fused_matches_reference(1, 4, false, &refs)?;
+        assert_fused_matches_reference::<4>(1, 4, false, &refs)?;
     }
 }

@@ -14,18 +14,39 @@ fn small_cfg(ways: u32, sets: u64) -> CacheConfig {
     }
 }
 
+/// A `W`-way cache of `sets` sets of 64B lines.
+fn small_cache<const W: usize>(sets: u64) -> SetAssocCache<W> {
+    SetAssocCache::new(small_cfg(W as u32, sets))
+}
+
+/// Fills each address then reads it again, which must hit.
+fn fill_then_hit_at<const W: usize>(addrs: &[u64]) -> Result<(), TestCaseError> {
+    let mut c = small_cache::<W>(16);
+    for &a in addrs {
+        c.access(a, AccessKind::Read);
+        prop_assert_eq!(
+            c.access(a, AccessKind::Read),
+            LookupResult::Hit,
+            "{}-way",
+            W
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     /// An access immediately after a miss to the same line always hits.
     #[test]
     fn fill_then_hit(
         addrs in prop::collection::vec(0u64..(1 << 20), 1..200),
-        ways in 1u32..8,
     ) {
-        let mut c = SetAssocCache::new(small_cfg(ways, 16));
-        for a in addrs {
-            c.access(a, AccessKind::Read);
-            prop_assert_eq!(c.access(a, AccessKind::Read), LookupResult::Hit);
-        }
+        fill_then_hit_at::<1>(&addrs)?;
+        fill_then_hit_at::<2>(&addrs)?;
+        fill_then_hit_at::<3>(&addrs)?;
+        fill_then_hit_at::<4>(&addrs)?;
+        fill_then_hit_at::<5>(&addrs)?;
+        fill_then_hit_at::<6>(&addrs)?;
+        fill_then_hit_at::<7>(&addrs)?;
     }
 
     /// hits + misses == accesses, and a cache never reports more resident
@@ -36,7 +57,7 @@ proptest! {
     ) {
         let ways = 2u32;
         let sets = 8u64;
-        let mut c = SetAssocCache::new(small_cfg(ways, sets));
+        let mut c = small_cache::<2>(sets);
         for &a in &addrs {
             c.access(a, AccessKind::Read);
         }
@@ -54,7 +75,7 @@ proptest! {
     fn dirty_lines_are_never_lost(line in 0u64..64) {
         let sets = 4u64;
         let ways = 2u32;
-        let mut c = SetAssocCache::new(small_cfg(ways, sets));
+        let mut c = small_cache::<2>(sets);
         let addr = line * 64;
         c.access(addr, AccessKind::Write);
         // Thrash the same set until the dirty line is evicted.
@@ -144,69 +165,84 @@ fn any_step() -> impl Strategy<Value = (Option<AccessKind>, u64)> {
     (op, any::<u64>())
 }
 
+/// Runs `steps` through a `W`-way cache and the recency-list model,
+/// checking after every step the hit or miss, the written-back address
+/// and `probe` of every line in the pool.
+fn check_against_lru<const W: usize>(
+    steps: &[(Option<AccessKind>, u64)],
+    sets: u64,
+    offset: u64,
+) -> Result<(), TestCaseError> {
+    let ways = W as u32;
+    let mut cache = small_cache::<W>(sets);
+    let mut model = LruModel::new(ways, sets);
+    // Three times the capacity: plenty of hits and of evictions.
+    let pool = 3 * sets * u64::from(ways);
+    for (i, &(op, line)) in steps.iter().enumerate() {
+        let addr = line % pool * 64 + offset;
+        match op {
+            Some(kind) => {
+                let (hit, writeback) = model.reference(addr, kind == AccessKind::Write);
+                let expected = if hit {
+                    LookupResult::Hit
+                } else {
+                    LookupResult::Miss { writeback }
+                };
+                prop_assert_eq!(
+                    cache.access(addr, kind),
+                    expected,
+                    "{}-way, step {}: {:?} of {:#x}",
+                    ways,
+                    i,
+                    op,
+                    addr
+                );
+            }
+            None => {
+                let (_, writeback) = model.reference(addr, false);
+                prop_assert_eq!(
+                    cache.touch(addr),
+                    writeback,
+                    "{}-way, step {}: {:?} of {:#x}",
+                    ways,
+                    i,
+                    op,
+                    addr
+                );
+            }
+        }
+        for l in 0..pool {
+            prop_assert_eq!(
+                cache.probe(l * 64),
+                model.probe(l * 64),
+                "{}-way, step {}: probe of line {}",
+                ways,
+                i,
+                l
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// `SetAssocCache` behaves as a per-set recency-list LRU at every
-    /// associativity: the 4/8/16-way fixed-width scans and the generic
-    /// fallback (1, 2, 3 ways), over power-of-two and reciprocal set
-    /// indexing. After every step the hit or miss, the written-back
-    /// address and `probe` of every line in the pool must agree.
+    /// associativity: the Table I widths (4, 8, 16) and odd ones (1, 2,
+    /// 3), whose victim tree carries an unpaired way up a level, over
+    /// power-of-two and reciprocal set indexing.
     #[test]
     fn set_assoc_matches_recency_list_lru(
         steps in prop::collection::vec(any_step(), 1..300),
         sets in prop::sample::select(vec![1u64, 3, 4]),
         offset in 0u64..64,
     ) {
-        for ways in [1u32, 2, 3, 4, 8, 16] {
-            let mut cache = SetAssocCache::new(small_cfg(ways, sets));
-            let mut model = LruModel::new(ways, sets);
-            // Three times the capacity: plenty of hits and of evictions.
-            let pool = 3 * sets * u64::from(ways);
-            for (i, &(op, line)) in steps.iter().enumerate() {
-                let addr = line % pool * 64 + offset;
-                match op {
-                    Some(kind) => {
-                        let (hit, writeback) = model.reference(addr, kind == AccessKind::Write);
-                        let expected = if hit {
-                            LookupResult::Hit
-                        } else {
-                            LookupResult::Miss { writeback }
-                        };
-                        prop_assert_eq!(
-                            cache.access(addr, kind),
-                            expected,
-                            "{}-way, step {}: {:?} of {:#x}",
-                            ways,
-                            i,
-                            op,
-                            addr
-                        );
-                    }
-                    None => {
-                        let (_, writeback) = model.reference(addr, false);
-                        prop_assert_eq!(
-                            cache.touch(addr),
-                            writeback,
-                            "{}-way, step {}: {:?} of {:#x}",
-                            ways,
-                            i,
-                            op,
-                            addr
-                        );
-                    }
-                }
-                for l in 0..pool {
-                    prop_assert_eq!(
-                        cache.probe(l * 64),
-                        model.probe(l * 64),
-                        "{}-way, step {}: probe of line {}",
-                        ways,
-                        i,
-                        l
-                    );
-                }
-            }
-        }
+        check_against_lru::<1>(&steps, sets, offset)?;
+        check_against_lru::<2>(&steps, sets, offset)?;
+        check_against_lru::<3>(&steps, sets, offset)?;
+        check_against_lru::<4>(&steps, sets, offset)?;
+        check_against_lru::<8>(&steps, sets, offset)?;
+        check_against_lru::<16>(&steps, sets, offset)?;
     }
 }

@@ -1,6 +1,7 @@
 //! The latency-optimised Alloy Cache baseline (Qureshi & Loh, MICRO'12).
 
 use chameleon_os::isa::IsaHook;
+use chameleon_simkit::fastmod::FastMod;
 use chameleon_simkit::Cycle;
 
 use chameleon_dram::MemOp;
@@ -40,6 +41,8 @@ pub struct AlloyPolicy {
     cfg: HmaConfig,
     devices: HmaDevices,
     tags: Vec<Tad>,
+    /// `tags.len()`, the direct-mapped set count.
+    sets: FastMod,
     /// Number of valid TADs.
     valid: u64,
     stacked_base: u64,
@@ -53,6 +56,7 @@ impl AlloyPolicy {
         Self {
             devices: HmaDevices::new(&cfg),
             tags: vec![Tad::default(); sets],
+            sets: FastMod::new(sets as u64),
             valid: 0,
             stacked_base: cfg.stacked.capacity.bytes(),
             stats: HmaStats::default(),
@@ -66,7 +70,7 @@ impl AlloyPolicy {
     }
 
     fn set_of(&self, line: u64) -> usize {
-        (line % self.tags.len() as u64) as usize
+        self.sets.modulo(line) as usize
     }
 }
 

@@ -7,6 +7,7 @@
 
 use chameleon_os::isa::IsaHook;
 use chameleon_os::SegmentGeometry;
+use chameleon_simkit::fastmod::FastMod;
 use chameleon_simkit::Cycle;
 
 use chameleon_dram::MemOp;
@@ -56,7 +57,7 @@ pub struct MemCachePolicy {
     /// Pages are the configured segments.
     geom: SegmentGeometry,
     ways: usize,
-    sets: u64,
+    sets: FastMod,
     tick: u64,
     stats: HmaStats,
 }
@@ -78,7 +79,7 @@ impl MemCachePolicy {
             threshold: cfg.swap_threshold.max(1),
             geom,
             ways,
-            sets,
+            sets: FastMod::new(sets),
             tick: 0,
             stats: HmaStats::default(),
             cfg,
@@ -87,7 +88,7 @@ impl MemCachePolicy {
 
     /// Number of sets in the page cache.
     pub fn sets(&self) -> u64 {
-        self.sets
+        self.sets.divisor()
     }
 
     /// Device-relative stacked base address of a frame.
@@ -134,7 +135,7 @@ impl HmaPolicy for MemCachePolicy {
         let (page, offset, rel) = self.locate(paddr);
         self.stats.demand_accesses.inc();
         self.tick += 1;
-        let set = page % self.sets;
+        let set = self.sets.modulo(page);
         let base = (set as usize) * self.ways;
         let op = if write { MemOp::Write } else { MemOp::Read };
 
@@ -214,7 +215,7 @@ impl HmaPolicy for MemCachePolicy {
     fn writeback(&mut self, paddr: u64, now: Cycle) {
         let (page, offset, rel) = self.locate(paddr);
         self.stats.llc_writebacks.inc();
-        let set = page % self.sets;
+        let set = self.sets.modulo(page);
         let base = (set as usize) * self.ways;
         let hit = self.frames[base..base + self.ways]
             .iter()

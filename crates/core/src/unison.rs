@@ -10,6 +10,7 @@
 
 use chameleon_os::isa::IsaHook;
 use chameleon_os::SegmentGeometry;
+use chameleon_simkit::fastmod::FastMod;
 use chameleon_simkit::Cycle;
 
 use chameleon_dram::MemOp;
@@ -136,7 +137,7 @@ pub struct UnisonPolicy {
     /// Pages are the configured segments.
     geom: SegmentGeometry,
     ways: usize,
-    sets: u64,
+    sets: FastMod,
     tick: u64,
     stats: HmaStats,
 }
@@ -158,7 +159,7 @@ impl UnisonPolicy {
             tag_buffer: vec![NO_TAG; TAG_BUFFER_SLOTS],
             geom,
             ways,
-            sets,
+            sets: FastMod::new(sets),
             tick: 0,
             stats: HmaStats::default(),
             cfg,
@@ -167,7 +168,7 @@ impl UnisonPolicy {
 
     /// Number of sets in the page cache.
     pub fn sets(&self) -> u64 {
-        self.sets
+        self.sets.divisor()
     }
 
     /// Structural invariant of every resident page: `dirty ⊆ touched ⊆
@@ -239,7 +240,7 @@ impl HmaPolicy for UnisonPolicy {
         self.stats.demand_accesses.inc();
         self.tick += 1;
         let bit = 1u64 << line;
-        let set = page % self.sets;
+        let set = self.sets.modulo(page);
         let base = (set as usize) * self.ways;
         let op = if write { MemOp::Write } else { MemOp::Read };
 
@@ -356,7 +357,7 @@ impl HmaPolicy for UnisonPolicy {
         let (page, line, rel) = self.locate(paddr);
         self.stats.llc_writebacks.inc();
         let bit = 1u64 << line;
-        let set = page % self.sets;
+        let set = self.sets.modulo(page);
         let base = (set as usize) * self.ways;
         let hit = self.frames[base..base + self.ways]
             .iter()

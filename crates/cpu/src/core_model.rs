@@ -179,7 +179,10 @@ impl Core {
             Op::Store(addr) => (addr, true),
         };
         self.retire_window(1);
-        // Respect the MLP bound.
+        // Respect the MLP bound. The ring may hold accesses that have
+        // already completed (see `retire_window`); popping one of those
+        // stalls for nothing and frees the slot the eager retirement
+        // would already have freed.
         if self.outstanding.len() == self.cfg.mlp {
             // INVARIANT: len == mlp >= 1, checked on the previous line.
             let oldest = self.outstanding.pop_front().expect("len checked");
@@ -233,20 +236,42 @@ impl Core {
     /// Enforces the reorder window before retiring `n` more instructions:
     /// the oldest outstanding access must complete before the core moves
     /// more than `rob_window` instructions past its issue point.
+    ///
+    /// Completed accesses are retired lazily: nothing leaves the ring
+    /// until the oldest entry reaches the window (then
+    /// [`Self::retire_reached`] runs) or the MLP bound, a page fault or
+    /// `drain` pops it. That is exact. `stall_until` does nothing for a
+    /// completed access and the clock never runs backwards, so the ring is
+    /// always some completed entries followed by the ring an eager
+    /// retirement, popping completed entries on every op, would hold.
+    /// Entries are in issue order, so when the front has not reached the
+    /// window no entry has, and the eager loop would only have popped
+    /// completed ones.
+    // lint: hot-path
+    #[inline(always)]
     fn retire_window(&mut self, n: u64) {
         let future_instr = self.report.instructions + n;
-        while let Some(front) = self.outstanding.front() {
-            if future_instr.saturating_sub(front.issued_at_instr) >= self.cfg.rob_window {
-                self.outstanding.pop_front();
-                self.stall_until(front.complete_at);
-            } else if front.complete_at <= self.clock {
-                self.outstanding.pop_front();
-            } else {
-                break;
-            }
+        if self.outstanding.front().is_some_and(|front| {
+            future_instr.saturating_sub(front.issued_at_instr) >= self.cfg.rob_window
+        }) {
+            self.retire_reached(future_instr);
         }
         // Snapshot cycles continuously so mid-run reports are usable.
         self.report.cycles = self.clock;
+    }
+
+    /// Retires every access at the front that has reached the window,
+    /// stalling the core until each completes.
+    #[cold]
+    #[inline(never)]
+    fn retire_reached(&mut self, future_instr: u64) {
+        while let Some(front) = self.outstanding.front() {
+            if future_instr.saturating_sub(front.issued_at_instr) < self.cfg.rob_window {
+                break;
+            }
+            self.outstanding.pop_front();
+            self.stall_until(front.complete_at);
+        }
     }
 
     fn stall_until(&mut self, when: Cycle) {

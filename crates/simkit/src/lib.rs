@@ -9,7 +9,8 @@
 //! * statistics primitives ([`stats::Counter`], [`stats::RunningStat`]),
 //! * the metrics registry and event trace ([`metrics::Registry`],
 //!   [`metrics::EventTrace`]) that experiment runners export from,
-//! * byte-size helpers ([`mem::ByteSize`]).
+//! * byte-size helpers ([`mem::ByteSize`]),
+//! * a division-free modulo for set indexing ([`fastmod::FastMod`]).
 //!
 //! # Example
 //!
@@ -27,6 +28,7 @@
 //! assert_eq!(lat.count(), 1);
 //! ```
 
+pub mod fastmod;
 pub mod hash;
 pub mod mem;
 pub mod metrics;

@@ -87,6 +87,11 @@ pub struct System {
     memo_tags: Vec<u64>,
     memo_frames: Vec<u64>,
     memo_gen: u64,
+    /// The hierarchy walk's dirty LLC victims and prefetch candidates:
+    /// one pair for the run, which `access_into` refills on every
+    /// reference.
+    writebacks: WritebackBuf,
+    prefetches: PrefetchBuf,
 }
 
 impl System {
@@ -136,6 +141,8 @@ impl System {
             memo_tags: vec![u64::MAX; params.cores * MEMO_SLOTS],
             memo_frames: vec![0; params.cores * MEMO_SLOTS],
             memo_gen: 0,
+            writebacks: WritebackBuf::new(),
+            prefetches: PrefetchBuf::new(),
         }
     }
 
@@ -518,11 +525,13 @@ impl MemorySystem for System {
             (touch.paddr, touch.stall)
         };
 
-        let mut memory_writebacks = WritebackBuf::new();
-        let mut prefetches = PrefetchBuf::new();
-        let (level, sram_latency) =
-            self.hierarchy
-                .access_into(core, paddr, write, &mut memory_writebacks, &mut prefetches);
+        let (level, sram_latency) = self.hierarchy.access_into(
+            core,
+            paddr,
+            write,
+            &mut self.writebacks,
+            &mut self.prefetches,
+        );
         let mut latency = sram_latency as u64;
         let issue = now + latency;
 
@@ -550,21 +559,21 @@ impl MemorySystem for System {
             }
         }
         // Dirty LLC victims drain to memory as posted writes.
-        for wb in memory_writebacks {
+        for &wb in &self.writebacks {
             self.policy.writeback(wb, issue);
         }
         // Stride-prefetch candidates: fetch from memory (off the critical
         // path) and install in the LLC, draining any dirty line an install
         // displaces. Addresses beyond the managed physical range are
         // dropped.
-        if !prefetches.is_empty() {
+        if !self.prefetches.is_empty() {
             let map = *self.os.memory_map();
             let lo = match self.os.config().visibility {
                 chameleon_os::Visibility::OffchipOnly => map.base(chameleon_os::NodeId::Offchip),
                 chameleon_os::Visibility::Both => 0,
             };
             let hi = map.total().bytes();
-            for pf in prefetches {
+            for &pf in &self.prefetches {
                 if pf >= lo && pf < hi {
                     self.policy.access(pf, false, issue);
                     if let Some(wb) = self.hierarchy.install_prefetch(pf) {
