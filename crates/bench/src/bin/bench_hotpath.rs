@@ -2,7 +2,7 @@
 //! second, per architecture, on a fixed workload.
 //!
 //! Every simulated reference walks `System::access` → `OsKernel::touch` →
-//! `Hierarchy::access` → `HmaPolicy::access`; this runner measures how
+//! `Hierarchy::access_into` → `HmaPolicy::access`; this runner measures how
 //! fast that walk goes on the host, independent of what it simulates.
 //! The output seeds the perf trajectory: `BENCH_hotpath.json` records
 //! accesses/sec and ns/access for a `fig15`-style cell of each

@@ -26,27 +26,6 @@ pub enum HitLevel {
     Memory,
 }
 
-/// Outcome of a hierarchy reference.
-///
-/// Both result buffers are inline (no heap allocation per reference):
-/// writebacks are bounded by the three-level walk, prefetch bursts by the
-/// configured degree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HierarchyOutcome {
-    /// Where the reference was serviced.
-    pub level: HitLevel,
-    /// SRAM hit latency accumulated walking the hierarchy (the memory
-    /// latency for `HitLevel::Memory` is charged by the caller).
-    pub sram_latency: u32,
-    /// Dirty line addresses displaced out of the L3 by this reference;
-    /// the caller must write them back to memory.
-    pub memory_writebacks: WritebackBuf,
-    /// Prefetch candidate addresses emitted by the (optional) stride
-    /// prefetcher on an LLC miss; the caller fetches them from memory and
-    /// installs them with [`Hierarchy::install_prefetch`].
-    pub prefetches: PrefetchBuf,
-}
-
 /// Private-L1/L2-per-core plus shared-L3 hierarchy.
 ///
 /// Each level's associativity is a compile-time width (`L1`, `L2`, `L3`
@@ -135,42 +114,31 @@ impl<const L1: usize, const L2: usize, const L3: usize> Hierarchy<L1, L2, L3> {
         self.l3.touch(addr)
     }
 
-    /// Performs one reference from `core` for the line containing `addr`.
+    /// Performs one reference from `core` for the line containing `addr`,
+    /// returning where it was serviced and the SRAM hit latency
+    /// accumulated on the way (the memory latency of a
+    /// [`HitLevel::Memory`] reference is the caller's to charge). This is
+    /// the one walk the per-reference spine (`System::access`) makes:
+    /// each level is scanned once, and the hit scan and (on a miss) the
+    /// victim scan are all a level costs.
     ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    // lint: hot-path
-    pub fn access(&mut self, core: usize, addr: u64, is_write: bool) -> HierarchyOutcome {
-        let mut memory_writebacks = WritebackBuf::new();
-        let mut prefetches = PrefetchBuf::new();
-        let (level, sram_latency) = self.access_into(
-            core,
-            addr,
-            is_write,
-            &mut memory_writebacks,
-            &mut prefetches,
-        );
-        HierarchyOutcome {
-            level,
-            sram_latency,
-            memory_writebacks,
-            prefetches,
-        }
-    }
-
-    /// [`Hierarchy::access`] writing its result buffers into
-    /// caller-provided storage, so the caller fills two buffers of its own
-    /// instead of copying a [`HierarchyOutcome`] (which is over a hundred
-    /// bytes wide) out of the walk. This is the one walk the per-reference
-    /// spine (`System::access`) makes: each level is scanned once, and the
-    /// hit scan and (on a miss) the victim scan are all a level costs.
+    /// The walk writes into caller-provided buffers the dirty lines it
+    /// displaced out of the L3, which the caller must write back to
+    /// memory, and the stride prefetcher's candidates on an LLC miss,
+    /// which the caller fetches and installs with
+    /// [`Hierarchy::install_prefetch`]. Both are inline (no heap
+    /// allocation per reference): writebacks are bounded by the
+    /// three-level walk, prefetch bursts by the configured degree.
     ///
     /// On return the buffers hold exactly this reference's writebacks and
     /// prefetch candidates. Clearing them is two length stores, not a
     /// rebuild, so a caller keeps one pair for the whole run
     /// (`System::access` holds them in the `System`) and zero-fills
     /// nothing per reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
     // lint: hot-path
     #[inline]
     pub fn access_into(
@@ -330,6 +298,18 @@ impl<const L1: usize, const L2: usize, const L3: usize> Hierarchy<L1, L2, L3> {
 mod tests {
     use super::*;
 
+    /// One walk, returning its level, latency, writebacks and prefetches.
+    fn walk<const A: usize, const B: usize, const C: usize>(
+        h: &mut Hierarchy<A, B, C>,
+        core: usize,
+        addr: u64,
+        is_write: bool,
+    ) -> (HitLevel, u32, WritebackBuf, PrefetchBuf) {
+        let (mut wbs, mut pfs) = (WritebackBuf::new(), PrefetchBuf::new());
+        let (level, latency) = h.access_into(core, addr, is_write, &mut wbs, &mut pfs);
+        (level, latency, wbs, pfs)
+    }
+
     /// A Table I hierarchy for `cores` cores.
     fn table1(cores: usize) -> Hierarchy {
         Hierarchy::new(
@@ -343,25 +323,23 @@ mod tests {
     #[test]
     fn miss_then_l1_hit() {
         let mut h = table1(1);
-        assert_eq!(h.access(0, 0x1000, false).level, HitLevel::Memory);
-        assert_eq!(h.access(0, 0x1000, false).level, HitLevel::L1);
+        assert_eq!(walk(&mut h, 0, 0x1000, false).0, HitLevel::Memory);
+        assert_eq!(walk(&mut h, 0, 0x1000, false).0, HitLevel::L1);
     }
 
     #[test]
     fn latency_accumulates_down_the_hierarchy() {
         let mut h = table1(1);
-        let miss = h.access(0, 0x2000, false);
-        assert_eq!(miss.sram_latency, 4 + 12 + 35);
-        let hit = h.access(0, 0x2000, false);
-        assert_eq!(hit.sram_latency, 4);
+        assert_eq!(walk(&mut h, 0, 0x2000, false).1, 4 + 12 + 35);
+        assert_eq!(walk(&mut h, 0, 0x2000, false).1, 4);
     }
 
     #[test]
     fn private_caches_do_not_share() {
         let mut h = table1(2);
-        h.access(0, 0x3000, false);
+        walk(&mut h, 0, 0x3000, false);
         // Core 1 misses its private L1/L2 but hits shared L3.
-        assert_eq!(h.access(1, 0x3000, false).level, HitLevel::L3);
+        assert_eq!(walk(&mut h, 1, 0x3000, false).0, HitLevel::L3);
     }
 
     #[test]
@@ -371,8 +349,7 @@ mod tests {
         // dirty L3 victims appear.
         let mut wrote_back = 0;
         for i in 0..1_000_000u64 {
-            let out = h.access(0, i * 64, true);
-            wrote_back += out.memory_writebacks.len();
+            wrote_back += walk(&mut h, 0, i * 64, true).2.len();
         }
         assert!(wrote_back > 0, "expected dirty L3 victims");
     }
@@ -405,8 +382,8 @@ mod tests {
             CacheConfig::table1_l2(),
             l3,
         );
-        assert_eq!(h.access(0, 0x1000, false).level, HitLevel::Memory);
-        assert_eq!(h.access(0, 0x1000, false).level, HitLevel::L1);
+        assert_eq!(walk(&mut h, 0, 0x1000, false).0, HitLevel::Memory);
+        assert_eq!(walk(&mut h, 0, 0x1000, false).0, HitLevel::L1);
     }
 
     #[test]
@@ -414,13 +391,12 @@ mod tests {
         let mut h = table1(1).with_prefetcher(crate::PrefetchConfig::default());
         let mut emitted = 0;
         for i in 0..16u64 {
-            let out = h.access(0, (1 << 20) + i * 64, false);
-            emitted += out.prefetches.len();
+            emitted += walk(&mut h, 0, (1 << 20) + i * 64, false).3.len();
         }
         assert!(emitted > 0, "stream must trigger prefetches");
         // Installing a prefetched line makes it an L3 hit.
         h.install_prefetch(1 << 22);
-        assert_eq!(h.access(0, 1 << 22, false).level, HitLevel::L3);
+        assert_eq!(walk(&mut h, 0, 1 << 22, false).0, HitLevel::L3);
     }
 
     #[test]
@@ -435,7 +411,7 @@ mod tests {
         // One 2-way L3 set: a demand write leaves line 0 dirty in it.
         let mut h =
             Hierarchy::<1, 1, 2>::with_widths(1, tiny("L1", 1), tiny("L2", 1), tiny("L3", 2));
-        h.access(0, 0, true);
+        walk(&mut h, 0, 0, true);
         assert_eq!(h.install_prefetch(64), None, "fills the invalid way");
         assert_eq!(h.install_prefetch(128), Some(0), "displaces dirty line 0");
         assert_eq!(h.l3().stats().evictions.value(), 1);
@@ -446,7 +422,7 @@ mod tests {
     fn no_prefetcher_no_candidates() {
         let mut h = table1(1);
         for i in 0..16u64 {
-            assert!(h.access(0, i * 64, false).prefetches.is_empty());
+            assert!(walk(&mut h, 0, i * 64, false).3.is_empty());
         }
     }
 }

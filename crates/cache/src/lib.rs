@@ -12,14 +12,15 @@
 //! # Example
 //!
 //! ```
-//! use chameleon_cache::{CacheConfig, Hierarchy, HitLevel};
+//! use chameleon_cache::{CacheConfig, Hierarchy, HitLevel, PrefetchBuf, WritebackBuf};
 //!
 //! let mut h = Hierarchy::new(2, CacheConfig::table1_l1(), CacheConfig::table1_l2(),
 //!                            CacheConfig::table1_l3());
-//! let first = h.access(0, 0x4000, false);
-//! assert_eq!(first.level, HitLevel::Memory);
-//! let second = h.access(0, 0x4000, false);
-//! assert_eq!(second.level, HitLevel::L1);
+//! let (mut writebacks, mut prefetches) = (WritebackBuf::new(), PrefetchBuf::new());
+//! let (first, _) = h.access_into(0, 0x4000, false, &mut writebacks, &mut prefetches);
+//! assert_eq!(first, HitLevel::Memory);
+//! let (second, _) = h.access_into(0, 0x4000, false, &mut writebacks, &mut prefetches);
+//! assert_eq!(second, HitLevel::L1);
 //! ```
 
 mod config;
@@ -30,7 +31,7 @@ mod set_assoc;
 mod stats;
 
 pub use config::CacheConfig;
-pub use hierarchy::{Hierarchy, HierarchyOutcome, HitLevel, WritebackBuf};
+pub use hierarchy::{Hierarchy, HitLevel, WritebackBuf};
 pub use inline_vec::InlineVec;
 pub use prefetch::{PrefetchBuf, PrefetchConfig, StridePrefetcher, MAX_PREFETCH_DEGREE};
 pub use set_assoc::{AccessKind, LookupResult, SetAssocCache};

@@ -2,7 +2,7 @@
 //! [`Hierarchy::fast_access`] must be observationally *and* internally
 //! indistinguishable from the reference walk. Two identical hierarchies
 //! run the same reference sequence — one through the fast path with
-//! fallback, one through [`Hierarchy::access`] alone — and every
+//! fallback, one through [`Hierarchy::access_into`] alone — and every
 //! divergence in outcome or in the full `Debug`-rendered cache state
 //! (tags, dirty bits, recency stamps, statistics) fails the test.
 //!
@@ -13,7 +13,9 @@
 //! mutated anything. The state comparison after every reference checks
 //! both directions.
 
-use chameleon_cache::{CacheConfig, Hierarchy, PrefetchConfig};
+use chameleon_cache::{
+    CacheConfig, Hierarchy, HitLevel, PrefetchBuf, PrefetchConfig, WritebackBuf,
+};
 use chameleon_simkit::mem::ByteSize;
 use proptest::prelude::*;
 
@@ -44,6 +46,19 @@ fn small_hierarchy<const L3: usize>(
     }
 }
 
+/// One full walk, returning its level, latency, writebacks and
+/// prefetch candidates.
+fn walk<const L3: usize>(
+    h: &mut Hierarchy<4, 8, L3>,
+    core: usize,
+    addr: u64,
+    is_write: bool,
+) -> (HitLevel, u32, WritebackBuf, PrefetchBuf) {
+    let (mut wbs, mut pfs) = (WritebackBuf::new(), PrefetchBuf::new());
+    let (level, latency) = h.access_into(core, addr, is_write, &mut wbs, &mut pfs);
+    (level, latency, wbs, pfs)
+}
+
 /// Runs the same reference sequence through the fast path (with
 /// fallback) and the reference walk, asserting step-by-step outcome
 /// equality and periodic full-state equality.
@@ -56,26 +71,23 @@ fn assert_fused_matches_reference<const L3: usize>(
     let mut fused = small_hierarchy::<L3>(cores, l3_ways, prefetcher);
     let mut reference = small_hierarchy::<L3>(cores, l3_ways, prefetcher);
     for (i, &(core, addr, is_write)) in refs.iter().enumerate() {
-        let expected = reference.access(core, addr, is_write);
+        let expected = walk(&mut reference, core, addr, is_write);
+        let (level, sram_latency, writebacks, prefetches) = expected;
         match fused.fast_access(core, addr, is_write) {
-            Some((level, sram_latency)) => {
-                prop_assert_eq!(level, expected.level, "ref {i}: level diverged");
-                prop_assert_eq!(
-                    sram_latency,
-                    expected.sram_latency,
-                    "ref {i}: latency diverged"
-                );
+            Some(fast) => {
+                prop_assert_eq!(fast.0, level, "ref {i}: level diverged");
+                prop_assert_eq!(fast.1, sram_latency, "ref {i}: latency diverged");
                 prop_assert!(
-                    expected.memory_writebacks.is_empty(),
+                    writebacks.is_empty(),
                     "ref {i}: fast path claimed a walk that wrote back"
                 );
                 prop_assert!(
-                    expected.prefetches.is_empty(),
+                    prefetches.is_empty(),
                     "ref {i}: fast path claimed a walk that prefetched"
                 );
             }
             None => {
-                let out = fused.access(core, addr, is_write);
+                let out = walk(&mut fused, core, addr, is_write);
                 prop_assert_eq!(out, expected, "ref {i}: fallback walk diverged");
             }
         }

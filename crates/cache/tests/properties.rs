@@ -1,6 +1,9 @@
 //! Property-based tests for the cache models.
 
-use chameleon_cache::{AccessKind, CacheConfig, Hierarchy, HitLevel, LookupResult, SetAssocCache};
+use chameleon_cache::{
+    AccessKind, CacheConfig, Hierarchy, HitLevel, LookupResult, PrefetchBuf, SetAssocCache,
+    WritebackBuf,
+};
 use chameleon_simkit::mem::ByteSize;
 use proptest::prelude::*;
 
@@ -104,9 +107,11 @@ proptest! {
             CacheConfig::table1_l2(),
             CacheConfig::table1_l3(),
         );
-        prop_assert_eq!(h.access(0, addr, false).level, HitLevel::Memory);
-        prop_assert_eq!(h.access(0, addr, false).level, HitLevel::L1);
-        prop_assert_eq!(h.access(0, addr, false).level, HitLevel::L1);
+        let (mut wbs, mut pfs) = (WritebackBuf::new(), PrefetchBuf::new());
+        let mut level = || h.access_into(0, addr, false, &mut wbs, &mut pfs).0;
+        prop_assert_eq!(level(), HitLevel::Memory);
+        prop_assert_eq!(level(), HitLevel::L1);
+        prop_assert_eq!(level(), HitLevel::L1);
     }
 }
 

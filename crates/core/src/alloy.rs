@@ -6,8 +6,8 @@ use chameleon_simkit::Cycle;
 
 use chameleon_dram::MemOp;
 
-use crate::policy::{HmaPolicy, ModeDistribution};
-use crate::{HmaConfig, HmaDevices, HmaStats};
+use crate::policy::{base_lifecycle, HmaPolicy, ModeDistribution, PolicyBase};
+use crate::HmaConfig;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Tad {
@@ -38,15 +38,13 @@ struct Tad {
 /// ```
 #[derive(Debug)]
 pub struct AlloyPolicy {
-    cfg: HmaConfig,
-    devices: HmaDevices,
+    base: PolicyBase,
     tags: Vec<Tad>,
     /// `tags.len()`, the direct-mapped set count.
     sets: FastMod,
     /// Number of valid TADs.
     valid: u64,
     stacked_base: u64,
-    stats: HmaStats,
 }
 
 impl AlloyPolicy {
@@ -54,13 +52,11 @@ impl AlloyPolicy {
     pub fn new(cfg: HmaConfig) -> Self {
         let sets = (cfg.stacked.capacity.bytes() / 64) as usize;
         Self {
-            devices: HmaDevices::new(&cfg),
             tags: vec![Tad::default(); sets],
             sets: FastMod::new(sets as u64),
             valid: 0,
             stacked_base: cfg.stacked.capacity.bytes(),
-            stats: HmaStats::default(),
-            cfg,
+            base: PolicyBase::new(cfg),
         }
     }
 
@@ -88,7 +84,7 @@ impl HmaPolicy for AlloyPolicy {
             paddr >= self.stacked_base,
             "Alloy receives only off-chip OS addresses, got {paddr:#x}"
         );
-        self.stats.demand_accesses.inc();
+        self.base.stats.demand_accesses.inc();
         let rel = paddr - self.stacked_base;
         let line = rel / 64;
         let set = self.set_of(line);
@@ -99,6 +95,7 @@ impl HmaPolicy for AlloyPolicy {
         // (Alloy's memory access predictor — the latency-optimised part
         // of the design).
         let probe = self
+            .base
             .devices
             .stacked
             .access(set as u64 * 64, 64, MemOp::Read, now);
@@ -108,24 +105,27 @@ impl HmaPolicy for AlloyPolicy {
             if write {
                 self.tags[set].dirty = true;
                 // The dirty data is written in place.
-                self.devices
+                self.base
+                    .devices
                     .stacked
                     .access(set as u64 * 64, 64, MemOp::Write, probe.done);
             }
-            self.stats.stacked_hits.inc();
+            self.base.stats.stacked_hits.inc();
             probe.latency
         } else {
             // Miss: fetch from off-chip (dispatched in parallel with the
             // probe), fill the set, write back the dirty victim as bulk.
             if entry.valid && entry.dirty {
                 let victim_addr = entry.tag * 64;
-                self.devices
+                self.base
+                    .devices
                     .offchip
                     .bulk(victim_addr, 64, MemOp::Write, now);
-                self.stats.writebacks.inc();
+                self.base.stats.writebacks.inc();
             }
-            let mem = self.devices.offchip.access(rel, 64, op, now);
-            self.devices
+            let mem = self.base.devices.offchip.access(rel, 64, op, now);
+            self.base
+                .devices
                 .stacked
                 .bulk(set as u64 * 64, 64, MemOp::Write, now);
             self.valid += u64::from(!entry.valid);
@@ -134,10 +134,10 @@ impl HmaPolicy for AlloyPolicy {
                 valid: true,
                 dirty: write,
             };
-            self.stats.fills.inc();
+            self.base.stats.fills.inc();
             mem.latency.max(probe.latency)
         };
-        self.stats.access_latency.record(latency as f64);
+        self.base.stats.access_latency.record(latency as f64);
         latency
     }
 
@@ -146,7 +146,7 @@ impl HmaPolicy for AlloyPolicy {
             paddr >= self.stacked_base,
             "Alloy receives only off-chip OS addresses, got {paddr:#x}"
         );
-        self.stats.llc_writebacks.inc();
+        self.base.stats.llc_writebacks.inc();
         let rel = paddr - self.stacked_base;
         let line = rel / 64;
         let set = self.set_of(line);
@@ -154,32 +154,17 @@ impl HmaPolicy for AlloyPolicy {
         if entry.valid && entry.tag == line {
             // Write the cached copy in place (it becomes dirty).
             self.tags[set].dirty = true;
-            self.devices
+            self.base
+                .devices
                 .stacked
                 .access(set as u64 * 64, 64, MemOp::Write, now);
         } else {
             // No allocate-on-writeback: drain straight to off-chip.
-            self.devices.offchip.access(rel, 64, MemOp::Write, now);
+            self.base.devices.offchip.access(rel, 64, MemOp::Write, now);
         }
     }
 
-    fn stats(&self) -> &HmaStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = HmaStats::default();
-        self.devices.stacked.reset_stats();
-        self.devices.offchip.reset_stats();
-    }
-
-    fn settle(&mut self) {
-        self.devices = HmaDevices::new(&self.cfg);
-    }
-
-    fn devices(&self) -> &HmaDevices {
-        &self.devices
-    }
+    base_lifecycle!();
 
     fn mode_distribution(&self) -> ModeDistribution {
         // The whole stacked device is a cache.
@@ -195,7 +180,7 @@ impl HmaPolicy for AlloyPolicy {
             self.tags.iter().filter(|t| t.valid).count() as u64,
             "Alloy valid-TAD count drifted from its tags"
         );
-        (self.valid * 64, self.cfg.stacked.capacity.bytes())
+        (self.valid * 64, self.base.cfg.stacked.capacity.bytes())
     }
 }
 

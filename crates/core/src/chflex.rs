@@ -14,8 +14,8 @@ use chameleon_simkit::Cycle;
 
 use chameleon_dram::MemOp;
 
-use crate::policy::{HmaPolicy, ModeDistribution};
-use crate::{HmaConfig, HmaDevices, HmaStats};
+use crate::policy::{base_lifecycle, HmaPolicy, ModeDistribution, PolicyBase};
+use crate::HmaConfig;
 
 /// Virtual points per frame on the hash ring (evens out key ownership).
 const REPLICAS: u32 = 8;
@@ -241,8 +241,7 @@ struct Frame {
 /// ```
 #[derive(Debug)]
 pub struct ChFlexPolicy {
-    cfg: HmaConfig,
-    devices: HmaDevices,
+    base: PolicyBase,
     frames: Vec<Frame>,
     /// The cache frames: a frame is a member iff its stacked segment is
     /// OS-free, so a stacked segment is allocated iff its frame is not a
@@ -251,7 +250,6 @@ pub struct ChFlexPolicy {
     /// Number of frames holding a valid copy.
     cached: u64,
     geom: SegmentGeometry,
-    stats: HmaStats,
 }
 
 impl ChFlexPolicy {
@@ -261,14 +259,12 @@ impl ChFlexPolicy {
         let geom = cfg.geometry();
         let frames = geom.groups() as usize;
         Self {
-            devices: HmaDevices::new(&cfg),
             frames: vec![Frame::default(); frames],
             // Every frame joins at boot.
             ring: HashRing::new(frames as u32),
             cached: 0,
             geom,
-            stats: HmaStats::default(),
-            cfg,
+            base: PolicyBase::new(cfg),
         }
     }
 
@@ -289,20 +285,13 @@ impl ChFlexPolicy {
 
     /// Writes a frame's dirty copy of `f.tag` home.
     fn write_home(&mut self, frame: u32, f: Frame, now: Cycle) {
-        self.devices.writeback_segment(
+        self.base.devices.writeback_segment(
             self.frame_addr(frame),
             self.key_addr(f.tag),
-            self.segment_len(),
+            self.base.segment_len(),
             now,
         );
-        self.stats.writebacks.inc();
-    }
-
-    /// The segment size as a transfer length.
-    fn segment_len(&self) -> u32 {
-        // INVARIANT: the segment size is a transfer length (a few KiB),
-        // not an address — fits u32.
-        self.geom.segment_bytes() as u32
+        self.base.stats.writebacks.inc();
     }
 
     /// Writes a frame's dirty copy home and invalidates it.
@@ -348,7 +337,7 @@ impl ChFlexPolicy {
             let f = self.frames[other as usize];
             if f.valid && self.ring.lookup(f.tag) != Some(other) {
                 self.flush_frame(other, now);
-                self.stats.ring_remaps.inc();
+                self.base.stats.ring_remaps.inc();
             }
         }
     }
@@ -371,7 +360,10 @@ impl ChFlexPolicy {
 
 impl IsaHook for ChFlexPolicy {
     fn isa_alloc(&mut self, addr: u64, len: u64, now: u64) {
-        self.stats.isa_allocs.add(self.covered_segments(addr, len));
+        self.base
+            .stats
+            .isa_allocs
+            .add(self.covered_segments(addr, len));
         if addr >= self.geom.stacked_bytes() {
             return; // off-chip allocations don't change cache capacity
         }
@@ -381,7 +373,10 @@ impl IsaHook for ChFlexPolicy {
     }
 
     fn isa_free(&mut self, addr: u64, len: u64, now: u64) {
-        self.stats.isa_frees.add(self.covered_segments(addr, len));
+        self.base
+            .stats
+            .isa_frees
+            .add(self.covered_segments(addr, len));
         if addr >= self.geom.stacked_bytes() {
             // A freed off-chip segment's cached copy is dead data: drop
             // it without a writeback. A cached copy sits in its key's
@@ -409,7 +404,7 @@ impl HmaPolicy for ChFlexPolicy {
     // lint: hot-path
     fn access(&mut self, paddr: u64, write: bool, now: Cycle) -> Cycle {
         let (seg, offset) = self.geom.segment_of(paddr);
-        self.stats.demand_accesses.inc();
+        self.base.stats.demand_accesses.inc();
         let op = if write { MemOp::Write } else { MemOp::Read };
 
         let latency = if seg < self.geom.groups() {
@@ -419,13 +414,13 @@ impl HmaPolicy for ChFlexPolicy {
             // INVARIANT: a stacked segment index is a frame index, which
             // fits u32.
             if !self.ring.contains(seg as u32) {
-                let data = self.devices.stacked.access(paddr, 64, op, now);
-                self.stats.stacked_hits.inc();
-                self.stats.stacked_latency.record(data.latency as f64);
+                let data = self.base.devices.stacked.access(paddr, 64, op, now);
+                self.base.stats.stacked_hits.inc();
+                self.base.stats.stacked_latency.record(data.latency as f64);
                 data.latency
             } else {
-                self.stats.stale_accesses.inc();
-                self.cfg.buffer_latency
+                self.base.stats.stale_accesses.inc();
+                self.base.cfg.buffer_latency
             }
         } else {
             let key = seg - self.geom.groups();
@@ -433,14 +428,14 @@ impl HmaPolicy for ChFlexPolicy {
             match self.ring.lookup(key) {
                 None => {
                     // Cache fully allocated away: flat off-chip service.
-                    let mem = self.devices.offchip.access(rel, 64, op, now);
-                    self.stats.offchip_latency.record(mem.latency as f64);
+                    let mem = self.base.devices.offchip.access(rel, 64, op, now);
+                    self.base.stats.offchip_latency.record(mem.latency as f64);
                     mem.latency
                 }
                 Some(frame) => {
                     let f = self.frames[frame as usize];
                     if f.valid && f.tag == key {
-                        let data = self.devices.stacked.access(
+                        let data = self.base.devices.stacked.access(
                             self.frame_addr(frame) + offset,
                             64,
                             op,
@@ -449,50 +444,53 @@ impl HmaPolicy for ChFlexPolicy {
                         if write {
                             self.frames[frame as usize].dirty = true;
                         }
-                        self.stats.stacked_hits.inc();
-                        self.stats.stacked_latency.record(data.latency as f64);
+                        self.base.stats.stacked_hits.inc();
+                        self.base.stats.stacked_latency.record(data.latency as f64);
                         data.latency
                     } else {
                         // Miss: serve the demand line off-chip, evict the
                         // frame's current copy, fill on first touch (like
                         // Chameleon's cache mode).
-                        let mem = self.devices.offchip.access(rel, 64, op, now);
+                        let mem = self.base.devices.offchip.access(rel, 64, op, now);
                         if f.valid && f.dirty {
                             self.write_home(frame, f, now);
                         }
-                        self.devices.fill_segment(
+                        self.base.devices.fill_segment(
                             self.key_addr(key),
                             self.frame_addr(frame),
-                            self.segment_len(),
+                            self.base.segment_len(),
                             now,
                         );
-                        self.stats.fills.inc();
+                        self.base.stats.fills.inc();
                         self.cached += u64::from(!f.valid);
                         self.frames[frame as usize] = Frame {
                             tag: key,
                             valid: true,
                             dirty: write,
                         };
-                        self.stats.offchip_latency.record(mem.latency as f64);
+                        self.base.stats.offchip_latency.record(mem.latency as f64);
                         mem.latency
                     }
                 }
             }
         };
-        self.stats.access_latency.record(latency as f64);
+        self.base.stats.access_latency.record(latency as f64);
         latency
     }
 
     fn writeback(&mut self, paddr: u64, now: Cycle) {
         let (seg, offset) = self.geom.segment_of(paddr);
-        self.stats.llc_writebacks.inc();
+        self.base.stats.llc_writebacks.inc();
         let Some(key) = seg.checked_sub(self.geom.groups()) else {
             // INVARIANT: a stacked segment index is a frame index, which
             // fits u32.
             if !self.ring.contains(seg as u32) {
-                self.devices.stacked.access(paddr, 64, MemOp::Write, now);
+                self.base
+                    .devices
+                    .stacked
+                    .access(paddr, 64, MemOp::Write, now);
             } else {
-                self.stats.stale_accesses.inc();
+                self.base.stats.stale_accesses.inc();
             }
             return;
         };
@@ -503,32 +501,19 @@ impl HmaPolicy for ChFlexPolicy {
         });
         if let Some(frame) = cached {
             self.frames[frame as usize].dirty = true;
-            self.devices
-                .stacked
-                .access(self.frame_addr(frame) + offset, 64, MemOp::Write, now);
+            self.base.devices.stacked.access(
+                self.frame_addr(frame) + offset,
+                64,
+                MemOp::Write,
+                now,
+            );
         } else {
             // No allocate-on-writeback: drain straight to off-chip.
-            self.devices.offchip.access(rel, 64, MemOp::Write, now);
+            self.base.devices.offchip.access(rel, 64, MemOp::Write, now);
         }
     }
 
-    fn stats(&self) -> &HmaStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = HmaStats::default();
-        self.devices.stacked.reset_stats();
-        self.devices.offchip.reset_stats();
-    }
-
-    fn settle(&mut self) {
-        self.devices = HmaDevices::new(&self.cfg);
-    }
-
-    fn devices(&self) -> &HmaDevices {
-        &self.devices
-    }
+    base_lifecycle!();
 
     fn mode_distribution(&self) -> ModeDistribution {
         let cache = self.active_frames();
@@ -563,6 +548,7 @@ impl HmaPolicy for ChFlexPolicy {
 #[cfg(test)]
 mod reference {
     use super::*;
+    use crate::{HmaDevices, HmaStats};
 
     #[derive(Default)]
     pub(super) struct Ring {

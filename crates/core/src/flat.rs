@@ -7,8 +7,8 @@ use chameleon_simkit::Cycle;
 
 use chameleon_dram::MemOp;
 
-use crate::policy::{HmaPolicy, ModeDistribution};
-use crate::{HmaConfig, HmaDevices, HmaStats};
+use crate::policy::{base_lifecycle, HmaPolicy, ModeDistribution, PolicyBase};
+use crate::HmaConfig;
 
 /// A flat memory system: every access goes to the off-chip device; the
 /// stacked device exists but is never referenced (the baselines in the
@@ -27,9 +27,7 @@ use crate::{HmaConfig, HmaDevices, HmaStats};
 /// ```
 #[derive(Debug)]
 pub struct FlatPolicy {
-    cfg: HmaConfig,
-    devices: HmaDevices,
-    stats: HmaStats,
+    base: PolicyBase,
 }
 
 impl FlatPolicy {
@@ -38,9 +36,7 @@ impl FlatPolicy {
     pub fn new(mut cfg: HmaConfig, capacity: ByteSize) -> Self {
         cfg.offchip.capacity = capacity;
         Self {
-            devices: HmaDevices::new(&cfg),
-            stats: HmaStats::default(),
-            cfg,
+            base: PolicyBase::new(cfg),
         }
     }
 }
@@ -53,36 +49,24 @@ impl IsaHook for FlatPolicy {
 impl HmaPolicy for FlatPolicy {
     // lint: hot-path
     fn access(&mut self, paddr: u64, write: bool, now: Cycle) -> Cycle {
-        self.stats.demand_accesses.inc();
+        self.base.stats.demand_accesses.inc();
         let op = if write { MemOp::Write } else { MemOp::Read };
         // The device wraps addresses modulo its capacity, so any OS
         // physical address is acceptable.
-        let latency = self.devices.offchip.access(paddr, 64, op, now).latency;
-        self.stats.access_latency.record(latency as f64);
+        let latency = self.base.devices.offchip.access(paddr, 64, op, now).latency;
+        self.base.stats.access_latency.record(latency as f64);
         latency
     }
 
     fn writeback(&mut self, paddr: u64, now: Cycle) {
-        self.stats.llc_writebacks.inc();
-        self.devices.offchip.access(paddr, 64, MemOp::Write, now);
+        self.base.stats.llc_writebacks.inc();
+        self.base
+            .devices
+            .offchip
+            .access(paddr, 64, MemOp::Write, now);
     }
 
-    fn stats(&self) -> &HmaStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = HmaStats::default();
-        self.devices.offchip.reset_stats();
-    }
-
-    fn settle(&mut self) {
-        self.devices = HmaDevices::new(&self.cfg);
-    }
-
-    fn devices(&self) -> &HmaDevices {
-        &self.devices
-    }
+    base_lifecycle!();
 
     fn mode_distribution(&self) -> ModeDistribution {
         ModeDistribution::default()
@@ -90,7 +74,7 @@ impl HmaPolicy for FlatPolicy {
 
     fn stacked_residency(&self) -> (u64, u64) {
         // The stacked device exists but is never populated.
-        (0, self.cfg.stacked.capacity.bytes())
+        (0, self.base.cfg.stacked.capacity.bytes())
     }
 }
 
@@ -114,20 +98,16 @@ impl HmaPolicy for FlatPolicy {
 /// ```
 #[derive(Debug)]
 pub struct StaticNumaPolicy {
-    cfg: HmaConfig,
-    devices: HmaDevices,
+    base: PolicyBase,
     stacked_bytes: u64,
-    stats: HmaStats,
 }
 
 impl StaticNumaPolicy {
     /// Builds the static NUMA substrate.
     pub fn new(cfg: HmaConfig) -> Self {
         Self {
-            devices: HmaDevices::new(&cfg),
             stacked_bytes: cfg.stacked.capacity.bytes(),
-            stats: HmaStats::default(),
-            cfg,
+            base: PolicyBase::new(cfg),
         }
     }
 }
@@ -139,13 +119,15 @@ impl IsaHook for StaticNumaPolicy {
     // migrations consume real bandwidth like the paper's.
     fn isa_alloc(&mut self, addr: u64, len: u64, now: u64) {
         if addr < self.stacked_bytes {
-            self.devices
+            self.base
+                .devices
                 .stacked
                 // INVARIANT: len is a page-copy length, not an address —
                 // allocations are page-granular and fit u32.
                 .bulk(addr, len as u32, MemOp::Write, now);
         } else {
-            self.devices
+            self.base
+                .devices
                 .offchip
                 // INVARIANT: page-copy length, fits u32 — see above.
                 .bulk(addr - self.stacked_bytes, len as u32, MemOp::Write, now);
@@ -154,12 +136,14 @@ impl IsaHook for StaticNumaPolicy {
 
     fn isa_free(&mut self, addr: u64, len: u64, now: u64) {
         if addr < self.stacked_bytes {
-            self.devices
+            self.base
+                .devices
                 .stacked
                 // INVARIANT: page-copy length, fits u32 — see isa_alloc.
                 .bulk(addr, len as u32, MemOp::Read, now);
         } else {
-            self.devices
+            self.base
+                .devices
                 .offchip
                 // INVARIANT: page-copy length, fits u32 — see isa_alloc.
                 .bulk(addr - self.stacked_bytes, len as u32, MemOp::Read, now);
@@ -170,49 +154,38 @@ impl IsaHook for StaticNumaPolicy {
 impl HmaPolicy for StaticNumaPolicy {
     // lint: hot-path
     fn access(&mut self, paddr: u64, write: bool, now: Cycle) -> Cycle {
-        self.stats.demand_accesses.inc();
+        self.base.stats.demand_accesses.inc();
         let op = if write { MemOp::Write } else { MemOp::Read };
         let latency = if paddr < self.stacked_bytes {
-            self.stats.stacked_hits.inc();
-            self.devices.stacked.access(paddr, 64, op, now).latency
+            self.base.stats.stacked_hits.inc();
+            self.base.devices.stacked.access(paddr, 64, op, now).latency
         } else {
-            self.devices
+            self.base
+                .devices
                 .offchip
                 .access(paddr - self.stacked_bytes, 64, op, now)
                 .latency
         };
-        self.stats.access_latency.record(latency as f64);
+        self.base.stats.access_latency.record(latency as f64);
         latency
     }
 
     fn writeback(&mut self, paddr: u64, now: Cycle) {
-        self.stats.llc_writebacks.inc();
+        self.base.stats.llc_writebacks.inc();
         if paddr < self.stacked_bytes {
-            self.devices.stacked.access(paddr, 64, MemOp::Write, now);
+            self.base
+                .devices
+                .stacked
+                .access(paddr, 64, MemOp::Write, now);
         } else {
-            self.devices
+            self.base
+                .devices
                 .offchip
                 .access(paddr - self.stacked_bytes, 64, MemOp::Write, now);
         }
     }
 
-    fn stats(&self) -> &HmaStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = HmaStats::default();
-        self.devices.stacked.reset_stats();
-        self.devices.offchip.reset_stats();
-    }
-
-    fn settle(&mut self) {
-        self.devices = HmaDevices::new(&self.cfg);
-    }
-
-    fn devices(&self) -> &HmaDevices {
-        &self.devices
-    }
+    base_lifecycle!();
 
     fn mode_distribution(&self) -> ModeDistribution {
         ModeDistribution::default()
@@ -271,7 +244,7 @@ mod tests {
     #[test]
     fn capacity_sizes_the_offchip_device() {
         let f = FlatPolicy::new(HmaConfig::scaled_laptop(), ByteSize::mib(384));
-        assert_eq!(f.cfg.offchip.capacity, ByteSize::mib(384));
+        assert_eq!(f.base.cfg.offchip.capacity, ByteSize::mib(384));
     }
 
     #[test]

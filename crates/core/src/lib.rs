@@ -30,6 +30,9 @@
 //!   et al.): OS allocations shrink the cache, frees grow it, with
 //!   minimal remapping on each capacity change.
 //! * [`FlatPolicy`] — homogeneous off-chip-only baselines.
+//! * [`StaticNumaPolicy`] — a fixed stacked/off-chip NUMA mapping with
+//!   no hardware remapping: the substrate of the OS-managed first-touch,
+//!   AutoNUMA and guided-placement systems.
 //!
 //! # Example
 //!
@@ -53,6 +56,7 @@ mod devices;
 pub mod encoding;
 mod flat;
 mod memcache;
+mod page_index;
 pub mod policy;
 mod remap;
 mod srrt;

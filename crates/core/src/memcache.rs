@@ -6,28 +6,13 @@
 //! page ping-ponging at the margin does not thrash.
 
 use chameleon_os::isa::IsaHook;
-use chameleon_os::SegmentGeometry;
-use chameleon_simkit::fastmod::FastMod;
 use chameleon_simkit::Cycle;
 
 use chameleon_dram::MemOp;
 
-use crate::policy::{HmaPolicy, ModeDistribution};
-use crate::{HmaConfig, HmaDevices, HmaStats};
-
-/// Associativity of the page cache.
-const WAYS: usize = 4;
-
-/// One page frame of the stacked cache.
-#[derive(Debug, Clone, Copy, Default)]
-struct Frame {
-    /// Off-chip page number.
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// LRU stamp (monotonic access sequence number).
-    stamp: u64,
-}
+use crate::page_index::PageIndex;
+use crate::policy::{base_lifecycle, HmaPolicy, ModeDistribution, PolicyBase};
+use crate::HmaConfig;
 
 /// MemCache: a hot-filtered page-granularity stacked-DRAM cache. The
 /// stacked DRAM is not OS-visible (`Visibility::OffchipOnly`).
@@ -46,20 +31,14 @@ struct Frame {
 /// ```
 #[derive(Debug)]
 pub struct MemCachePolicy {
-    cfg: HmaConfig,
-    devices: HmaDevices,
-    frames: Vec<Frame>,
+    base: PolicyBase,
+    /// The page frames; a frame's state is its dirty bit.
+    index: PageIndex<bool>,
     /// Number of valid frames.
     valid: u64,
     /// Per-off-chip-page access counters (the hot filter).
     heat: Vec<u16>,
     threshold: u16,
-    /// Pages are the configured segments.
-    geom: SegmentGeometry,
-    ways: usize,
-    sets: FastMod,
-    tick: u64,
-    stats: HmaStats,
 }
 
 impl MemCachePolicy {
@@ -67,59 +46,19 @@ impl MemCachePolicy {
     /// PoM swap threshold, so the schemes compete on equal training.
     pub fn new(cfg: HmaConfig) -> Self {
         let geom = cfg.geometry();
-        let frames = geom.groups() as usize;
-        let ways = WAYS.min(frames);
-        let sets = (frames / ways) as u64;
         let offchip_pages = (cfg.offchip.capacity.bytes() / geom.segment_bytes()) as usize;
         Self {
-            devices: HmaDevices::new(&cfg),
-            frames: vec![Frame::default(); sets as usize * ways],
+            index: PageIndex::new(geom),
             valid: 0,
             heat: vec![0; offchip_pages],
             threshold: cfg.swap_threshold.max(1),
-            geom,
-            ways,
-            sets: FastMod::new(sets),
-            tick: 0,
-            stats: HmaStats::default(),
-            cfg,
+            base: PolicyBase::new(cfg),
         }
     }
 
     /// Number of sets in the page cache.
     pub fn sets(&self) -> u64 {
-        self.sets.divisor()
-    }
-
-    /// Device-relative stacked base address of a frame.
-    fn frame_addr(&self, frame_idx: usize) -> u64 {
-        frame_idx as u64 * self.geom.segment_bytes()
-    }
-
-    /// The page size as a transfer length.
-    fn page_len(&self) -> u32 {
-        // INVARIANT: the segment size is a transfer length (a few KiB),
-        // not an address — fits u32.
-        self.geom.segment_bytes() as u32
-    }
-
-    /// The off-chip page of `paddr`, the byte offset within it and the
-    /// device-relative address.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `paddr` is an off-chip address.
-    fn locate(&self, paddr: u64) -> (u64, u64, u64) {
-        assert!(
-            paddr >= self.geom.stacked_bytes(),
-            "MemCache receives only off-chip OS addresses, got {paddr:#x}"
-        );
-        let (seg, offset) = self.geom.segment_of(paddr);
-        (
-            seg - self.geom.groups(),
-            offset,
-            paddr - self.geom.stacked_bytes(),
-        )
+        self.index.sets()
     }
 }
 
@@ -132,129 +71,79 @@ impl IsaHook for MemCachePolicy {
 impl HmaPolicy for MemCachePolicy {
     // lint: hot-path
     fn access(&mut self, paddr: u64, write: bool, now: Cycle) -> Cycle {
-        let (page, offset, rel) = self.locate(paddr);
-        self.stats.demand_accesses.inc();
-        self.tick += 1;
-        let set = self.sets.modulo(page);
-        let base = (set as usize) * self.ways;
+        let (page, offset, rel) = self.index.locate(paddr);
+        self.base.stats.demand_accesses.inc();
+        self.index.tick();
         let op = if write { MemOp::Write } else { MemOp::Read };
 
-        let hit_way = self.frames[base..base + self.ways]
-            .iter()
-            .position(|f| f.valid && f.tag == page);
-        let latency = if let Some(w) = hit_way {
-            let idx = base + w;
-            let data = self
-                .devices
-                .stacked
-                .access(self.frame_addr(idx) + offset, 64, op, now);
-            if write {
-                self.frames[idx].dirty = true;
-            }
-            self.frames[idx].stamp = self.tick;
-            self.stats.stacked_hits.inc();
-            self.stats.stacked_latency.record(data.latency as f64);
+        let latency = if let Some(idx) = self.index.lookup(page) {
+            let data =
+                self.base
+                    .devices
+                    .stacked
+                    .access(self.index.frame_addr(idx) + offset, 64, op, now);
+            self.index.frames[idx].state |= write;
+            self.index.touch(idx);
+            self.base.stats.stacked_hits.inc();
+            self.base.stats.stacked_latency.record(data.latency as f64);
             data.latency
         } else {
             // Cold (or not yet resident): serve flat from off-chip and
             // train the hot filter.
-            let mem = self.devices.offchip.access(rel, 64, op, now);
+            let mem = self.base.devices.offchip.access(rel, 64, op, now);
             let heat = &mut self.heat[page as usize];
             *heat = heat.saturating_add(1);
             if *heat >= self.threshold {
                 // The page proved hot: evict the LRU way and fill it.
-                let mut victim = base;
-                let mut best = u64::MAX;
-                for (i, f) in self.frames[base..base + self.ways].iter().enumerate() {
-                    if !f.valid {
-                        victim = base + i;
-                        break;
-                    }
-                    if f.stamp < best {
-                        best = f.stamp;
-                        victim = base + i;
-                    }
-                }
-                let old = self.frames[victim];
+                let victim = self.index.victim(page);
+                let old = self.index.install(victim, page, write);
+                let frame_addr = self.index.frame_addr(victim);
+                let len = self.base.segment_len();
+                let devices = &mut self.base.devices;
                 if old.valid {
-                    if old.dirty {
-                        self.devices.writeback_segment(
-                            self.frame_addr(victim),
-                            old.tag * self.geom.segment_bytes(),
-                            self.page_len(),
-                            now,
-                        );
-                        self.stats.writebacks.inc();
+                    if old.state {
+                        let home = self.index.page_addr(old.tag);
+                        devices.writeback_segment(frame_addr, home, len, now);
+                        self.base.stats.writebacks.inc();
                     }
                     // Hysteresis: an evicted page restarts halfway to hot.
                     self.heat[old.tag as usize] = self.threshold / 2;
                 }
-                self.devices.fill_segment(
-                    page * self.geom.segment_bytes(),
-                    self.frame_addr(victim),
-                    self.page_len(),
-                    now,
-                );
-                self.stats.fills.inc();
+                devices.fill_segment(self.index.page_addr(page), frame_addr, len, now);
+                self.base.stats.fills.inc();
                 self.valid += u64::from(!old.valid);
                 self.heat[page as usize] = 0;
-                self.frames[victim] = Frame {
-                    tag: page,
-                    valid: true,
-                    dirty: write,
-                    stamp: self.tick,
-                };
             }
-            self.stats.offchip_latency.record(mem.latency as f64);
+            self.base.stats.offchip_latency.record(mem.latency as f64);
             mem.latency
         };
-        self.stats.access_latency.record(latency as f64);
+        self.base.stats.access_latency.record(latency as f64);
         latency
     }
 
     fn writeback(&mut self, paddr: u64, now: Cycle) {
-        let (page, offset, rel) = self.locate(paddr);
-        self.stats.llc_writebacks.inc();
-        let set = self.sets.modulo(page);
-        let base = (set as usize) * self.ways;
-        let hit = self.frames[base..base + self.ways]
-            .iter()
-            .position(|f| f.valid && f.tag == page);
-        if let Some(w) = hit {
-            let idx = base + w;
-            self.frames[idx].dirty = true;
-            self.devices
+        let (page, offset, rel) = self.index.locate(paddr);
+        self.base.stats.llc_writebacks.inc();
+        if let Some(idx) = self.index.lookup(page) {
+            self.index.frames[idx].state = true;
+            let addr = self.index.frame_addr(idx) + offset;
+            self.base
+                .devices
                 .stacked
-                .access(self.frame_addr(idx) + offset, 64, MemOp::Write, now);
+                .access(addr, 64, MemOp::Write, now);
         } else {
             // No allocate-on-writeback, and no hot-filter training: posted
             // victims are not demand heat.
-            self.devices.offchip.access(rel, 64, MemOp::Write, now);
+            self.base.devices.offchip.access(rel, 64, MemOp::Write, now);
         }
     }
 
-    fn stats(&self) -> &HmaStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = HmaStats::default();
-        self.devices.stacked.reset_stats();
-        self.devices.offchip.reset_stats();
-    }
-
-    fn settle(&mut self) {
-        self.devices = HmaDevices::new(&self.cfg);
-    }
-
-    fn devices(&self) -> &HmaDevices {
-        &self.devices
-    }
+    base_lifecycle!();
 
     fn mode_distribution(&self) -> ModeDistribution {
         // The whole stacked device operates as a cache.
         ModeDistribution {
-            cache_groups: self.frames.len() as u64,
+            cache_groups: self.index.frames.len() as u64,
             pom_groups: 0,
         }
     }
@@ -262,13 +151,11 @@ impl HmaPolicy for MemCachePolicy {
     fn stacked_residency(&self) -> (u64, u64) {
         debug_assert_eq!(
             self.valid,
-            self.frames.iter().filter(|f| f.valid).count() as u64,
+            self.index.frames.iter().filter(|f| f.valid).count() as u64,
             "MemCache valid-frame count drifted from its frames"
         );
-        (
-            self.valid * self.geom.segment_bytes(),
-            self.geom.stacked_bytes(),
-        )
+        let geom = &self.index.geom;
+        (self.valid * geom.segment_bytes(), geom.stacked_bytes())
     }
 }
 

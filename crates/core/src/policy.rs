@@ -6,7 +6,7 @@ use chameleon_simkit::metrics::EventTrace;
 use chameleon_simkit::Cycle;
 use serde::{Deserialize, Serialize};
 
-use crate::{HmaDevices, HmaStats};
+use crate::{HmaConfig, HmaDevices, HmaStats};
 
 /// Census of segment-group operating modes (Figures 16 and 21).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -74,6 +74,75 @@ pub trait HmaPolicy: IsaHook {
         None
     }
 }
+
+/// What every policy owns: its configuration, the two DRAM devices and
+/// the statistics. The lifecycle of [`HmaPolicy`] (`stats`,
+/// `reset_stats`, `settle`, `devices`) is written here once and expanded
+/// into each policy by [`base_lifecycle`].
+#[derive(Debug)]
+pub(crate) struct PolicyBase {
+    pub(crate) cfg: HmaConfig,
+    pub(crate) devices: HmaDevices,
+    pub(crate) stats: HmaStats,
+}
+
+impl PolicyBase {
+    pub(crate) fn new(cfg: HmaConfig) -> Self {
+        Self {
+            devices: HmaDevices::new(&cfg),
+            stats: HmaStats::default(),
+            cfg,
+        }
+    }
+
+    /// Zeroes the policy and device statistics; device timing state and
+    /// policy state are kept.
+    pub(crate) fn reset_stats(&mut self) {
+        self.stats = HmaStats::default();
+        self.devices.stacked.reset_stats();
+        self.devices.offchip.reset_stats();
+    }
+
+    /// Completes every in-flight transfer by rebuilding the devices idle.
+    pub(crate) fn settle(&mut self) {
+        self.devices = HmaDevices::new(&self.cfg);
+    }
+
+    /// The segment size as a transfer length.
+    pub(crate) fn segment_len(&self) -> u32 {
+        // INVARIANT: the segment size is a transfer length (a few KiB),
+        // not an address — fits u32.
+        self.cfg.segment.bytes() as u32
+    }
+}
+
+/// Expands, inside an `impl HmaPolicy` whose type keeps a [`PolicyBase`]
+/// in a `base` field, the lifecycle methods that only touch the base.
+/// `base_lifecycle!(accessors)` expands just `stats` and `devices`, for a
+/// policy whose reset and settle add steps of their own.
+macro_rules! base_lifecycle {
+    () => {
+        $crate::policy::base_lifecycle!(accessors);
+
+        fn reset_stats(&mut self) {
+            self.base.reset_stats();
+        }
+
+        fn settle(&mut self) {
+            self.base.settle();
+        }
+    };
+    (accessors) => {
+        fn stats(&self) -> &$crate::HmaStats {
+            &self.base.stats
+        }
+
+        fn devices(&self) -> &$crate::HmaDevices {
+            &self.base.devices
+        }
+    };
+}
+pub(crate) use base_lifecycle;
 
 #[cfg(test)]
 mod tests {

@@ -13,9 +13,9 @@ use chameleon_os::SegmentGeometry;
 use chameleon_simkit::metrics::{EventKind, EventTrace};
 use chameleon_simkit::Cycle;
 
-use crate::policy::HmaPolicy;
+use crate::policy::{base_lifecycle, HmaPolicy, PolicyBase};
 use crate::srrt::{Mode, SegmentGroupTable, SrrtEntry};
-use crate::{HmaConfig, HmaDevices, HmaStats, ModeDistribution};
+use crate::{HmaConfig, ModeDistribution};
 
 /// Which architecture a [`RemapPolicy`] behaves as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,11 +85,9 @@ impl Flavor {
 /// ```
 #[derive(Debug)]
 pub struct RemapPolicy {
-    cfg: HmaConfig,
+    base: PolicyBase,
     geom: SegmentGeometry,
     table: SegmentGroupTable,
-    devices: HmaDevices,
-    stats: HmaStats,
     /// Ring buffer of discrete events (transitions, swaps, ISA calls,
     /// writebacks) for the metrics timeline.
     trace: EventTrace,
@@ -108,13 +106,10 @@ impl RemapPolicy {
             Mode::Pom
         };
         let table = SegmentGroupTable::with_mode(geom.groups(), geom.slots_per_group(), boot_mode);
-        let devices = HmaDevices::new(&cfg);
         Self {
-            cfg,
+            base: PolicyBase::new(cfg),
             geom,
             table,
-            devices,
-            stats: HmaStats::default(),
             trace: EventTrace::default(),
             flavor,
         }
@@ -131,7 +126,7 @@ impl IsaHook for RemapPolicy {
     /// covered segment).
     fn isa_alloc(&mut self, addr: u64, len: u64, now: u64) {
         self.for_each_segment(addr, len, |m, group, slot| {
-            m.stats.isa_allocs.inc();
+            m.base.stats.isa_allocs.inc();
             m.trace.push(now, EventKind::IsaAlloc, group);
             m.isa_alloc_segment(group, slot, now);
         });
@@ -140,7 +135,7 @@ impl IsaHook for RemapPolicy {
     /// `ISA-Free` for a byte range (Algorithm 2).
     fn isa_free(&mut self, addr: u64, len: u64, now: u64) {
         self.for_each_segment(addr, len, |m, group, slot| {
-            m.stats.isa_frees.inc();
+            m.base.stats.isa_frees.inc();
             m.trace.push(now, EventKind::IsaFree, group);
             m.isa_free_segment(group, slot, now);
         });
@@ -151,7 +146,7 @@ impl HmaPolicy for RemapPolicy {
     // lint: hot-path
     fn access(&mut self, paddr: u64, write: bool, now: Cycle) -> Cycle {
         let loc = self.geom.locate(paddr);
-        self.stats.demand_accesses.inc();
+        self.base.stats.demand_accesses.inc();
         let mut e = *self.table.entry(loc.group);
 
         let op = if write { MemOp::Write } else { MemOp::Read };
@@ -160,7 +155,7 @@ impl HmaPolicy for RemapPolicy {
             Mode::Cache => self.access_cache(&mut e, loc.group, loc.slot, loc.offset, op, now),
         };
         self.table.store(loc.group, e);
-        self.stats.access_latency.record(latency as f64);
+        self.base.stats.access_latency.record(latency as f64);
         latency
     }
 
@@ -169,7 +164,7 @@ impl HmaPolicy for RemapPolicy {
     fn writeback(&mut self, paddr: u64, now: Cycle) {
         let loc = self.geom.locate(paddr);
         let e = *self.table.entry(loc.group);
-        self.stats.llc_writebacks.inc();
+        self.base.stats.llc_writebacks.inc();
         let target = match e.mode() {
             Mode::Cache if e.cached() == Some(loc.slot) && !e.is_busy(now) => {
                 // The line's segment is cached: write the stacked copy and
@@ -184,15 +179,11 @@ impl HmaPolicy for RemapPolicy {
         self.device_access(loc.group, target, loc.offset, MemOp::Write, now);
     }
 
-    fn stats(&self) -> &HmaStats {
-        &self.stats
-    }
+    base_lifecycle!(accessors);
 
     fn reset_stats(&mut self) {
-        self.stats = HmaStats::default();
+        self.base.reset_stats();
         self.trace.clear();
-        self.devices.stacked.reset_stats();
-        self.devices.offchip.reset_stats();
     }
 
     /// Completes all in-flight transfers and quiesces the devices: used
@@ -201,11 +192,7 @@ impl HmaPolicy for RemapPolicy {
     /// cached contents) is preserved.
     fn settle(&mut self) {
         self.table.clear_busy_all();
-        self.devices = HmaDevices::new(&self.cfg);
-    }
-
-    fn devices(&self) -> &HmaDevices {
-        &self.devices
+        self.base.settle();
     }
 
     fn mode_distribution(&self) -> ModeDistribution {
@@ -232,6 +219,20 @@ impl HmaPolicy for RemapPolicy {
     }
 }
 
+/// Which of the two segments a swap through the stacked slot exchanges
+/// hold live data. With `elide_dead_copy` only live data moves; without
+/// it the hardware always performs the full swap.
+#[derive(Debug, Clone, Copy)]
+enum Live {
+    /// Both segments: a full swap.
+    Both,
+    /// Only the stacked slot's occupant: it is written to the other
+    /// segment's home, whose dead data is not copied in.
+    Occupant,
+    /// Neither: only the SRRT changes.
+    Neither,
+}
+
 impl RemapPolicy {
     fn access_pom(
         &mut self,
@@ -248,33 +249,28 @@ impl RemapPolicy {
         if e.in_transit(slot, now) {
             let source = e.pre_transit_physical(slot);
             if source == 0 {
-                self.stats.stacked_hits.inc();
+                self.base.stats.stacked_hits.inc();
             } else {
-                self.stats.buffer_hits.inc();
+                self.base.stats.buffer_hits.inc();
             }
             let latency = self.device_access(group, source, offset, op, now);
-            self.stats.transit_latency.record(latency as f64);
+            self.base.stats.transit_latency.record(latency as f64);
             return latency;
         }
 
         let phys = e.physical_of(slot);
         let latency = self.device_access(group, phys, offset, op, now);
         if phys == 0 {
-            self.stats.stacked_hits.inc();
+            self.base.stats.stacked_hits.inc();
             e.note_stacked_access();
         } else if self.flavor.demand_swaps()
-            && e.note_offchip_access(slot, self.cfg.swap_threshold)
+            && e.note_offchip_access(slot, self.base.cfg.swap_threshold)
             && !e.is_busy(now)
         {
             // Promote the hot segment into the stacked slot (fast swap).
-            let seg = self.cfg.segment.bytes() as u32;
-            let stacked_addr = self.geom.slot_addr(group, 0);
-            let off_addr = self.geom.offchip_rel(self.geom.slot_addr(group, phys));
-            let done = self.devices.swap_segments(stacked_addr, off_addr, seg, now);
             let occupant = e.logical_in(0);
-            e.swap_homes(slot, occupant);
-            e.set_transit(slot, Some(occupant), done);
-            self.stats.swaps.inc();
+            self.swap_through_stacked(e, group, slot, occupant, Live::Both, now);
+            self.base.stats.swaps.inc();
             self.trace.push(now, EventKind::Swap, group);
         }
         latency
@@ -292,14 +288,14 @@ impl RemapPolicy {
         if !e.is_allocated(slot) {
             // A stale writeback (or speculative read) to a freed segment:
             // there is no live data to touch.
-            self.stats.stale_accesses.inc();
-            return self.cfg.buffer_latency;
+            self.base.stats.stale_accesses.inc();
+            return self.base.cfg.buffer_latency;
         }
         if e.cached() == Some(slot) {
             if e.in_transit(slot, now) {
                 // The fill is still streaming this segment in; serve from
                 // its off-chip home via the source-side buffers.
-                self.stats.buffer_hits.inc();
+                self.base.stats.buffer_hits.inc();
                 let home = e.physical_of(slot);
                 return self.device_access(group, home, offset, op, now);
             }
@@ -308,7 +304,7 @@ impl RemapPolicy {
             if op == MemOp::Write {
                 e.mark_dirty();
             }
-            self.stats.stacked_hits.inc();
+            self.base.stats.stacked_hits.inc();
             return latency;
         }
 
@@ -324,36 +320,31 @@ impl RemapPolicy {
         if e.is_busy(now) {
             return latency;
         }
-        if self.cfg.cache_fill_threshold > 0
-            && !e.note_offchip_access(slot, self.cfg.cache_fill_threshold)
+        if self.base.cfg.cache_fill_threshold > 0
+            && !e.note_offchip_access(slot, self.base.cfg.cache_fill_threshold)
         {
             return latency;
         }
-        let seg = self.cfg.segment.bytes() as u32;
-        let stacked_addr = self.geom.slot_addr(group, 0);
+        // Victim writeback and new fill pipeline through separate
+        // buffers; both proceed concurrently.
         let mut done = now;
-        if let Some(victim) = e.cached() {
-            if e.is_dirty() {
-                // Victim writeback and new fill pipeline through separate
-                // buffers; both proceed concurrently.
-                let victim_home = self
-                    .geom
-                    .offchip_rel(self.geom.slot_addr(group, e.physical_of(victim)));
-                done = self
-                    .devices
-                    .writeback_segment(stacked_addr, victim_home, seg, now);
-                self.stats.writebacks.inc();
-                self.trace.push(now, EventKind::Writeback, group);
-            }
+        if let Some(victim) = e.cached().filter(|_| e.is_dirty()) {
+            done = self.write_back_copy(e, group, victim, now);
         }
-        let home_addr = self.geom.offchip_rel(self.geom.slot_addr(group, home));
-        done = done.max(self.devices.fill_segment(home_addr, stacked_addr, seg, now));
+        let stacked_addr = self.geom.slot_addr(group, 0);
+        let home_addr = self.offchip_addr(group, home);
+        let len = self.base.segment_len();
+        let fill = self
+            .base
+            .devices
+            .fill_segment(home_addr, stacked_addr, len, now);
+        done = done.max(fill);
         e.set_cached(Some(slot));
         if op == MemOp::Write {
             e.mark_dirty();
         }
         e.set_transit(slot, None, done);
-        self.stats.fills.inc();
+        self.base.stats.fills.inc();
         self.trace.push(now, EventKind::Fill, group);
         latency
     }
@@ -362,15 +353,21 @@ impl RemapPolicy {
         let line_off = offset & !63;
         if phys == 0 {
             let addr = self.geom.slot_addr(group, 0) + line_off;
-            let l = self.devices.stacked.access(addr, 64, op, now).latency;
-            self.stats.stacked_latency.record(l as f64);
+            let l = self.base.devices.stacked.access(addr, 64, op, now).latency;
+            self.base.stats.stacked_latency.record(l as f64);
             l
         } else {
-            let addr = self.geom.offchip_rel(self.geom.slot_addr(group, phys)) + line_off;
-            let l = self.devices.offchip.access(addr, 64, op, now).latency;
-            self.stats.offchip_latency.record(l as f64);
+            let addr = self.offchip_addr(group, phys) + line_off;
+            let l = self.base.devices.offchip.access(addr, 64, op, now).latency;
+            self.base.stats.offchip_latency.record(l as f64);
             l
         }
+    }
+
+    /// Device-relative off-chip address of physical slot `phys` (1..) of
+    /// `group`.
+    fn offchip_addr(&self, group: u64, phys: u8) -> u64 {
+        self.geom.offchip_rel(self.geom.slot_addr(group, phys))
     }
 
     fn for_each_segment(&mut self, addr: u64, len: u64, mut f: impl FnMut(&mut Self, u64, u8)) {
@@ -381,189 +378,125 @@ impl RemapPolicy {
         }
     }
 
-    /// Figure 8 (Chameleon) / Figure 12 (Chameleon-Opt) ISA-Alloc
-    /// transition for one segment.
+    /// The ISA-Alloc transition for one segment: Figure 8 (Chameleon,
+    /// Polymorphic) and Figure 12 (Chameleon-Opt). A PoM-mode group only
+    /// tracks the ABV; the PoM flavor never leaves PoM mode.
     fn isa_alloc_segment(&mut self, group: u64, slot: u8, now: Cycle) {
         let mut e = *self.table.entry(group);
-        if !self.flavor.reconfigures() {
-            // PoM baseline is free-space agnostic: track ABV only.
-            e.set_allocated(slot, true);
-            self.table.store(group, e);
-            return;
-        }
-
-        if self.flavor.opt() {
-            self.isa_alloc_opt(&mut e, group, slot, now);
-        } else {
-            self.isa_alloc_basic(&mut e, group, slot, now);
+        e.set_allocated(slot, true);
+        if e.mode() == Mode::Cache {
+            // In a basic cache-mode group logical 0 is the unallocated
+            // segment homed in the stacked slot, so `stacked_home` means
+            // `slot == 0` there and the group is never fully allocated.
+            let stacked_home = e.physical_of(slot) == 0;
+            let spare = if stacked_home && self.flavor.opt() {
+                e.free_logical_except(slot)
+            } else {
+                None
+            };
+            if let Some(q) = spare {
+                // Figure 13: proactively remap the newly allocated
+                // segment to a free off-chip one, so the stacked slot
+                // keeps backing the cache. Both hold dead data.
+                self.swap_through_stacked(&mut e, group, slot, q, Live::Neither, now);
+                self.base.stats.isa_swaps.inc();
+                self.trace.push(now, EventKind::IsaSwap, group);
+                // The remap displaced the stacked slot's cached copy.
+                self.drop_cached(&mut e, group, now);
+            } else if stacked_home || e.all_allocated() {
+                // Figure 8 flow 1-2-3-{6,7}-8 / Figure 12 box 10: the
+                // stacked segment is live and no free segment can take
+                // its place, so the group returns to PoM mode.
+                self.drop_cached(&mut e, group, now);
+                self.transition(&mut e, group, Mode::Pom, now);
+            }
         }
         self.table.store(group, e);
     }
 
-    /// Figure 10 (Chameleon) / Figure 14 (Chameleon-Opt) ISA-Free
-    /// transition for one segment.
+    /// The ISA-Free transition for one segment: Figure 10 (Chameleon,
+    /// Polymorphic) and Figure 14 (Chameleon-Opt).
     fn isa_free_segment(&mut self, group: u64, slot: u8, now: Cycle) {
         let mut e = *self.table.entry(group);
-        if !self.flavor.reconfigures() {
-            e.set_allocated(slot, false);
-            self.table.store(group, e);
-            return;
-        }
-
-        if self.flavor.opt() {
-            self.isa_free_opt(&mut e, group, slot, now);
-        } else {
-            self.isa_free_basic(&mut e, group, slot, now);
+        e.set_allocated(slot, false);
+        // A PoM-mode group turns to cache when the stacked-range segment
+        // is freed, or, for Chameleon-Opt, any segment.
+        let to_cache =
+            self.flavor.reconfigures() && e.mode() == Mode::Pom && (slot == 0 || self.flavor.opt());
+        if to_cache {
+            if e.physical_of(slot) != 0 {
+                // Figure 11 / Figure 14: swap the freed segment into the
+                // stacked slot so the slot can cache. Only the displaced
+                // occupant's data is live.
+                let occupant = e.logical_in(0);
+                self.swap_through_stacked(&mut e, group, slot, occupant, Live::Occupant, now);
+                self.base.stats.isa_swaps.inc();
+                self.trace.push(now, EventKind::IsaSwap, group);
+            }
+            self.transition(&mut e, group, Mode::Cache, now);
+        } else if e.cached() == Some(slot) {
+            // The freed segment's data is dead: drop its cached copy
+            // without a writeback (Figure 10 flow 1-2-4-5).
+            e.set_cached(None);
         }
         self.table.store(group, e);
     }
 
-    // --- Basic Chameleon (and Polymorphic) transitions -----------------
-
-    fn isa_alloc_basic(&mut self, e: &mut SrrtEntry, group: u64, slot: u8, now: Cycle) {
-        if slot == 0 && e.mode() == Mode::Cache {
-            // Flow 1-2-3-{6,7}-8 of Figure 8: the stacked segment is being
-            // allocated; drop the cached copy (writing it back if dirty)
-            // and return the group to PoM mode.
-            self.drop_cached(e, group, now);
-            self.transition(e, group, Mode::Pom, now);
+    /// Exchanges the homes of logical segments `a` and `b`, one of which
+    /// lives in the stacked slot, moving the data `live` names and
+    /// marking both in transit until the transfer completes.
+    fn swap_through_stacked(
+        &mut self,
+        e: &mut SrrtEntry,
+        group: u64,
+        a: u8,
+        b: u8,
+        live: Live,
+        now: Cycle,
+    ) {
+        let (pa, pb) = (e.physical_of(a), e.physical_of(b));
+        debug_assert_eq!(pa.min(pb), 0, "one segment must live in the stacked slot");
+        let stacked_addr = self.geom.slot_addr(group, 0);
+        let offchip_addr = self.offchip_addr(group, pa.max(pb));
+        let len = self.base.segment_len();
+        let devices = &mut self.base.devices;
+        let live = if self.base.cfg.elide_dead_copy {
+            live
+        } else {
+            Live::Both
+        };
+        let done = match live {
+            Live::Both => Some(devices.swap_segments(stacked_addr, offchip_addr, len, now)),
+            Live::Occupant => Some(devices.writeback_segment(stacked_addr, offchip_addr, len, now)),
+            Live::Neither => None,
+        };
+        if let Some(done) = done {
+            e.set_transit(a, Some(b), done);
         }
-        e.set_allocated(slot, true);
+        e.swap_homes(a, b);
     }
 
-    fn isa_free_basic(&mut self, e: &mut SrrtEntry, group: u64, slot: u8, now: Cycle) {
-        e.set_allocated(slot, false);
-        if slot != 0 {
-            // Off-chip frees never reconfigure basic Chameleon (Figure 10
-            // flow 1-2-4-5), but a cached copy of the freed segment must
-            // be dropped (its data is dead; no writeback).
-            if e.cached() == Some(slot) {
-                e.set_cached(None);
-            }
-            return;
-        }
-        if e.mode() == Mode::Cache {
-            return; // already reconfigured (defensive; not a paper flow)
-        }
-        let phys = e.physical_of(0);
-        if phys != 0 {
-            // Figure 11: the freed stacked-range segment currently lives
-            // off-chip; proactively swap it back so the stacked slot is
-            // available for caching. Only the displaced occupant's data
-            // is live; the full swap moves both unless elided.
-            let occupant = e.logical_in(0);
-            let seg = self.cfg.segment.bytes() as u32;
-            let stacked_addr = self.geom.slot_addr(group, 0);
-            let off_addr = self.geom.offchip_rel(self.geom.slot_addr(group, phys));
-            let done = if self.cfg.elide_dead_copy {
-                self.devices
-                    .writeback_segment(stacked_addr, off_addr, seg, now)
-            } else {
-                self.devices.swap_segments(stacked_addr, off_addr, seg, now)
-            };
-            e.swap_homes(0, occupant);
-            e.set_transit(0, Some(occupant), done);
-            self.stats.isa_swaps.inc();
-            self.trace.push(now, EventKind::IsaSwap, group);
-        }
-        self.transition(e, group, Mode::Cache, now);
-        e.set_cached(None);
+    /// Writes the dirty cached copy of logical `victim` back to its
+    /// off-chip home, returning when the transfer completes.
+    fn write_back_copy(&mut self, e: &SrrtEntry, group: u64, victim: u8, now: Cycle) -> Cycle {
+        let home = self.offchip_addr(group, e.physical_of(victim));
+        let stacked_addr = self.geom.slot_addr(group, 0);
+        let len = self.base.segment_len();
+        let done = self
+            .base
+            .devices
+            .writeback_segment(stacked_addr, home, len, now);
+        self.base.stats.writebacks.inc();
+        self.trace.push(now, EventKind::Writeback, group);
+        done
     }
-
-    // --- Chameleon-Opt transitions --------------------------------------
-
-    fn isa_alloc_opt(&mut self, e: &mut SrrtEntry, group: u64, slot: u8, now: Cycle) {
-        e.set_allocated(slot, true);
-        if e.mode() != Mode::Cache {
-            // Allocating into a PoM-mode group can only happen if the OS
-            // allocated a segment the hardware never saw freed; just track
-            // the ABV.
-            return;
-        }
-        if e.physical_of(slot) == 0 {
-            // The segment being allocated is homed in the stacked slot.
-            if let Some(q) = e.free_logical_except(slot) {
-                // Figure 13: proactively remap it to a free off-chip
-                // segment so the stacked slot keeps backing the cache.
-                // Both segments hold dead data, so only metadata must
-                // change; the conservative hardware still performs a swap.
-                let q_phys = e.physical_of(q);
-                debug_assert_ne!(q_phys, 0, "free q must be homed off-chip");
-                if !self.cfg.elide_dead_copy {
-                    let seg = self.cfg.segment.bytes() as u32;
-                    let stacked_addr = self.geom.slot_addr(group, 0);
-                    let off_addr = self.geom.offchip_rel(self.geom.slot_addr(group, q_phys));
-                    let done = self.devices.swap_segments(stacked_addr, off_addr, seg, now);
-                    e.set_transit(slot, Some(q), done);
-                }
-                e.swap_homes(slot, q);
-                self.stats.isa_swaps.inc();
-                self.trace.push(now, EventKind::IsaSwap, group);
-                // The stacked slot's cached copy was displaced by the
-                // remap; drop it (writeback if dirty).
-                self.drop_cached(e, group, now);
-            } else {
-                // No other free segment: the group can no longer cache.
-                self.drop_cached(e, group, now);
-                self.transition(e, group, Mode::Pom, now);
-            }
-        } else if e.all_allocated() {
-            // Figure 12 box 10: every segment is now live.
-            self.drop_cached(e, group, now);
-            self.transition(e, group, Mode::Pom, now);
-        }
-    }
-
-    fn isa_free_opt(&mut self, e: &mut SrrtEntry, group: u64, slot: u8, now: Cycle) {
-        e.set_allocated(slot, false);
-        if e.mode() == Mode::Cache {
-            // Already caching; drop any copy of the freed segment (no
-            // writeback needed — the data is dead).
-            if e.cached() == Some(slot) {
-                e.set_cached(None);
-            }
-            return;
-        }
-        // PoM -> cache (Figure 14): make sure the stacked physical slot is
-        // backed by the freed segment so it can cache.
-        let phys = e.physical_of(slot);
-        if phys != 0 {
-            let occupant = e.logical_in(0);
-            let seg = self.cfg.segment.bytes() as u32;
-            let stacked_addr = self.geom.slot_addr(group, 0);
-            let off_addr = self.geom.offchip_rel(self.geom.slot_addr(group, phys));
-            let done = if self.cfg.elide_dead_copy {
-                self.devices
-                    .writeback_segment(stacked_addr, off_addr, seg, now)
-            } else {
-                self.devices.swap_segments(stacked_addr, off_addr, seg, now)
-            };
-            e.swap_homes(slot, occupant);
-            e.set_transit(slot, Some(occupant), done);
-            self.stats.isa_swaps.inc();
-            self.trace.push(now, EventKind::IsaSwap, group);
-        }
-        self.transition(e, group, Mode::Cache, now);
-        e.set_cached(None);
-    }
-
-    // --- helpers ---------------------------------------------------------
 
     /// Drops the cached copy, writing it back to its home if dirty.
     fn drop_cached(&mut self, e: &mut SrrtEntry, group: u64, now: Cycle) {
         if let Some(victim) = e.cached() {
             if e.is_dirty() {
-                let seg = self.cfg.segment.bytes() as u32;
-                let stacked_addr = self.geom.slot_addr(group, 0);
-                let victim_home = self
-                    .geom
-                    .offchip_rel(self.geom.slot_addr(group, e.physical_of(victim)));
-                let done = self
-                    .devices
-                    .writeback_segment(stacked_addr, victim_home, seg, now);
+                let done = self.write_back_copy(e, group, victim, now);
                 e.set_transit(victim, None, done);
-                self.stats.writebacks.inc();
-                self.trace.push(now, EventKind::Writeback, group);
             }
             e.set_cached(None);
         }
@@ -575,13 +508,15 @@ impl RemapPolicy {
         if e.mode() == mode {
             return;
         }
-        if self.cfg.secure_clear {
-            let seg = self.cfg.segment.bytes() as u32;
+        if self.base.cfg.secure_clear {
+            let stacked_addr = self.geom.slot_addr(group, 0);
+            let len = self.base.segment_len();
             let done = self
+                .base
                 .devices
-                .clear_segment(true, self.geom.slot_addr(group, 0), seg, now);
+                .clear_segment(true, stacked_addr, len, now);
             e.set_transit(e.logical_in(0), None, done);
-            self.stats.clears.inc();
+            self.base.stats.clears.inc();
             self.trace.push(now, EventKind::Clear, group);
         }
         e.set_mode(mode);
@@ -593,10 +528,186 @@ impl RemapPolicy {
     }
 }
 
+/// The ISA transitions as they were before basic Chameleon and
+/// Chameleon-Opt shared one state machine: one function per variant and
+/// direction, each with its own swap and write-back arithmetic. Kept as
+/// the reference the transition differential checks
+/// `isa_alloc_segment`/`isa_free_segment` against; demand traffic runs
+/// through the policy itself.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) struct ReferenceRemap(pub(super) RemapPolicy);
+
+    impl IsaHook for ReferenceRemap {
+        fn isa_alloc(&mut self, addr: u64, len: u64, now: u64) {
+            self.0.for_each_segment(addr, len, |m, group, slot| {
+                m.base.stats.isa_allocs.inc();
+                m.trace.push(now, EventKind::IsaAlloc, group);
+                let mut e = *m.table.entry(group);
+                if !m.flavor.reconfigures() {
+                    e.set_allocated(slot, true);
+                } else if m.flavor.opt() {
+                    isa_alloc_opt(m, &mut e, group, slot, now);
+                } else {
+                    isa_alloc_basic(m, &mut e, group, slot, now);
+                }
+                m.table.store(group, e);
+            });
+        }
+
+        fn isa_free(&mut self, addr: u64, len: u64, now: u64) {
+            self.0.for_each_segment(addr, len, |m, group, slot| {
+                m.base.stats.isa_frees.inc();
+                m.trace.push(now, EventKind::IsaFree, group);
+                let mut e = *m.table.entry(group);
+                if !m.flavor.reconfigures() {
+                    e.set_allocated(slot, false);
+                } else if m.flavor.opt() {
+                    isa_free_opt(m, &mut e, group, slot, now);
+                } else {
+                    isa_free_basic(m, &mut e, group, slot, now);
+                }
+                m.table.store(group, e);
+            });
+        }
+    }
+
+    fn isa_alloc_basic(m: &mut RemapPolicy, e: &mut SrrtEntry, group: u64, slot: u8, now: Cycle) {
+        if slot == 0 && e.mode() == Mode::Cache {
+            drop_cached(m, e, group, now);
+            m.transition(e, group, Mode::Pom, now);
+        }
+        e.set_allocated(slot, true);
+    }
+
+    fn isa_free_basic(m: &mut RemapPolicy, e: &mut SrrtEntry, group: u64, slot: u8, now: Cycle) {
+        e.set_allocated(slot, false);
+        if slot != 0 {
+            if e.cached() == Some(slot) {
+                e.set_cached(None);
+            }
+            return;
+        }
+        if e.mode() == Mode::Cache {
+            return;
+        }
+        let phys = e.physical_of(0);
+        if phys != 0 {
+            let occupant = e.logical_in(0);
+            let seg = m.base.cfg.segment.bytes() as u32;
+            let stacked_addr = m.geom.slot_addr(group, 0);
+            let off_addr = m.geom.offchip_rel(m.geom.slot_addr(group, phys));
+            let done = if m.base.cfg.elide_dead_copy {
+                m.base
+                    .devices
+                    .writeback_segment(stacked_addr, off_addr, seg, now)
+            } else {
+                m.base
+                    .devices
+                    .swap_segments(stacked_addr, off_addr, seg, now)
+            };
+            e.swap_homes(0, occupant);
+            e.set_transit(0, Some(occupant), done);
+            m.base.stats.isa_swaps.inc();
+            m.trace.push(now, EventKind::IsaSwap, group);
+        }
+        m.transition(e, group, Mode::Cache, now);
+        e.set_cached(None);
+    }
+
+    fn isa_alloc_opt(m: &mut RemapPolicy, e: &mut SrrtEntry, group: u64, slot: u8, now: Cycle) {
+        e.set_allocated(slot, true);
+        if e.mode() != Mode::Cache {
+            return;
+        }
+        if e.physical_of(slot) == 0 {
+            if let Some(q) = e.free_logical_except(slot) {
+                let q_phys = e.physical_of(q);
+                if !m.base.cfg.elide_dead_copy {
+                    let seg = m.base.cfg.segment.bytes() as u32;
+                    let stacked_addr = m.geom.slot_addr(group, 0);
+                    let off_addr = m.geom.offchip_rel(m.geom.slot_addr(group, q_phys));
+                    let done = m
+                        .base
+                        .devices
+                        .swap_segments(stacked_addr, off_addr, seg, now);
+                    e.set_transit(slot, Some(q), done);
+                }
+                e.swap_homes(slot, q);
+                m.base.stats.isa_swaps.inc();
+                m.trace.push(now, EventKind::IsaSwap, group);
+                drop_cached(m, e, group, now);
+            } else {
+                drop_cached(m, e, group, now);
+                m.transition(e, group, Mode::Pom, now);
+            }
+        } else if e.all_allocated() {
+            drop_cached(m, e, group, now);
+            m.transition(e, group, Mode::Pom, now);
+        }
+    }
+
+    fn isa_free_opt(m: &mut RemapPolicy, e: &mut SrrtEntry, group: u64, slot: u8, now: Cycle) {
+        e.set_allocated(slot, false);
+        if e.mode() == Mode::Cache {
+            if e.cached() == Some(slot) {
+                e.set_cached(None);
+            }
+            return;
+        }
+        let phys = e.physical_of(slot);
+        if phys != 0 {
+            let occupant = e.logical_in(0);
+            let seg = m.base.cfg.segment.bytes() as u32;
+            let stacked_addr = m.geom.slot_addr(group, 0);
+            let off_addr = m.geom.offchip_rel(m.geom.slot_addr(group, phys));
+            let done = if m.base.cfg.elide_dead_copy {
+                m.base
+                    .devices
+                    .writeback_segment(stacked_addr, off_addr, seg, now)
+            } else {
+                m.base
+                    .devices
+                    .swap_segments(stacked_addr, off_addr, seg, now)
+            };
+            e.swap_homes(slot, occupant);
+            e.set_transit(slot, Some(occupant), done);
+            m.base.stats.isa_swaps.inc();
+            m.trace.push(now, EventKind::IsaSwap, group);
+        }
+        m.transition(e, group, Mode::Cache, now);
+        e.set_cached(None);
+    }
+
+    fn drop_cached(m: &mut RemapPolicy, e: &mut SrrtEntry, group: u64, now: Cycle) {
+        if let Some(victim) = e.cached() {
+            if e.is_dirty() {
+                let seg = m.base.cfg.segment.bytes() as u32;
+                let stacked_addr = m.geom.slot_addr(group, 0);
+                let victim_home = m
+                    .geom
+                    .offchip_rel(m.geom.slot_addr(group, e.physical_of(victim)));
+                let done = m
+                    .base
+                    .devices
+                    .writeback_segment(stacked_addr, victim_home, seg, now);
+                e.set_transit(victim, None, done);
+                m.base.stats.writebacks.inc();
+                m.trace.push(now, EventKind::Writeback, group);
+            }
+            e.set_cached(None);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::ReferenceRemap;
     use super::*;
     use chameleon_simkit::mem::ByteSize;
+    use proptest::prelude::*;
 
     /// A small machine: 2MiB stacked + 10MiB off-chip, 2KiB segments ->
     /// 1024 groups of 6 slots.
@@ -641,23 +752,27 @@ mod tests {
         // Hammer an off-chip segment in group 0 (slot 1).
         let paddr = m.geom.slot_addr(0, 1);
         let mut now = 0;
-        let mut hit_before = m.stats.stacked_hits.value();
+        let mut hit_before = m.base.stats.stacked_hits.value();
         assert_eq!(hit_before, 0);
-        for _ in 0..m.cfg.swap_threshold + 1 {
+        for _ in 0..m.base.cfg.swap_threshold + 1 {
             now += 10_000_000; // far apart so busy periods expire
             m.access(paddr, false, now);
         }
-        assert_eq!(m.stats.swaps.value(), 1, "threshold reached -> one swap");
+        assert_eq!(
+            m.base.stats.swaps.value(),
+            1,
+            "threshold reached -> one swap"
+        );
         // After the swap, accesses to that address hit the stacked device
         // (the threshold+1'th access in the loop already did).
         now += 10_000_000;
         m.access(paddr, false, now);
-        hit_before = m.stats.stacked_hits.value();
+        hit_before = m.base.stats.stacked_hits.value();
         assert_eq!(hit_before, 2);
         // ... and the displaced stacked segment is now served off-chip.
         now += 10_000_000;
         m.access(m.geom.slot_addr(0, 0), false, now);
-        assert_eq!(m.stats.stacked_hits.value(), 2);
+        assert_eq!(m.base.stats.stacked_hits.value(), 2);
     }
 
     #[test]
@@ -687,7 +802,7 @@ mod tests {
     fn opt_any_free_switches_to_cache_mode() {
         let mut m = machine(Flavor::Chameleon { opt: true });
         alloc_all(&mut m);
-        let swaps_before = m.stats.isa_swaps.value();
+        let swaps_before = m.base.stats.isa_swaps.value();
         m.isa_free(m.geom.slot_addr(2, 4), seg(), 0);
         assert_eq!(m.mode_distribution().cache_groups, 1);
         let e = m.table.entry(2);
@@ -695,7 +810,7 @@ mod tests {
         // stacked physical slot so the group can cache.
         assert_eq!(e.physical_of(4), 0);
         assert_eq!(e.logical_in(0), 4);
-        assert_eq!(m.stats.isa_swaps.value(), swaps_before + 1);
+        assert_eq!(m.base.stats.isa_swaps.value(), swaps_before + 1);
         assert!(e.check_permutation());
     }
 
@@ -715,7 +830,7 @@ mod tests {
             m.access(paddr, false, now);
             let expected = u64::from(k == 3);
             assert_eq!(
-                m.stats.fills.value(),
+                m.base.stats.fills.value(),
                 expected,
                 "fill only at the threshold ({k})"
             );
@@ -723,7 +838,7 @@ mod tests {
         // After the fill drains, the segment hits in stacked DRAM.
         now += 10_000_000;
         m.access(paddr, false, now);
-        assert_eq!(m.stats.stacked_hits.value(), 1);
+        assert_eq!(m.base.stats.stacked_hits.value(), 1);
     }
 
     #[test]
@@ -733,16 +848,20 @@ mod tests {
         m.isa_free(m.geom.slot_addr(0, 0), seg(), 0);
         let paddr = m.geom.slot_addr(0, 2);
         let l1 = m.access(paddr, false, 1_000_000);
-        assert_eq!(m.stats.fills.value(), 1, "first touch fills, no threshold");
         assert_eq!(
-            m.stats.stacked_hits.value(),
+            m.base.stats.fills.value(),
+            1,
+            "first touch fills, no threshold"
+        );
+        assert_eq!(
+            m.base.stats.stacked_hits.value(),
             0,
             "demand line came from off-chip"
         );
         // Wait out the fill, then re-access: stacked hit.
         let later = 1_000_000 + 10_000_000;
         let l2 = m.access(paddr, false, later);
-        assert_eq!(m.stats.stacked_hits.value(), 1);
+        assert_eq!(m.base.stats.stacked_hits.value(), 1);
         assert!(l2 <= l1, "cache hit ({l2}) not slower than miss ({l1})");
     }
 
@@ -757,8 +876,8 @@ mod tests {
         m.access(a, true, now); // fill a, dirty
         now += 10_000_000;
         m.access(b, false, now); // evict a -> writeback, fill b
-        assert_eq!(m.stats.writebacks.value(), 1);
-        assert_eq!(m.stats.fills.value(), 2);
+        assert_eq!(m.base.stats.writebacks.value(), 1);
+        assert_eq!(m.base.stats.fills.value(), 2);
     }
 
     #[test]
@@ -770,8 +889,8 @@ mod tests {
         m.access(m.geom.slot_addr(0, 1), false, now);
         now += 10_000_000;
         m.access(m.geom.slot_addr(0, 2), false, now);
-        assert_eq!(m.stats.writebacks.value(), 0);
-        assert_eq!(m.stats.fills.value(), 2);
+        assert_eq!(m.base.stats.writebacks.value(), 0);
+        assert_eq!(m.base.stats.fills.value(), 2);
     }
 
     #[test]
@@ -788,7 +907,11 @@ mod tests {
         assert_eq!(e.mode(), Mode::Pom);
         assert!(e.is_allocated(0));
         assert_eq!(e.cached(), None);
-        assert_eq!(m.stats.writebacks.value(), 1, "dirty copy written back");
+        assert_eq!(
+            m.base.stats.writebacks.value(),
+            1,
+            "dirty copy written back"
+        );
     }
 
     #[test]
@@ -799,7 +922,7 @@ mod tests {
         alloc_all(&mut m);
         let hot = m.geom.slot_addr(0, 1);
         let mut now = 0;
-        for _ in 0..m.cfg.swap_threshold + 1 {
+        for _ in 0..m.base.cfg.swap_threshold + 1 {
             now += 10_000_000;
             m.access(hot, false, now);
         }
@@ -811,7 +934,7 @@ mod tests {
         assert_eq!(e.mode(), Mode::Cache);
         assert_eq!(e.physical_of(0), 0, "freed segment swapped back to stacked");
         assert_eq!(e.physical_of(1), 1, "occupant returned home");
-        assert_eq!(m.stats.isa_swaps.value(), 1);
+        assert_eq!(m.base.stats.isa_swaps.value(), 1);
         assert!(e.check_permutation());
     }
 
@@ -882,8 +1005,8 @@ mod tests {
             now += 10_000_000;
             m.access(paddr, false, now);
         }
-        assert_eq!(m.stats.swaps.value(), 0);
-        assert_eq!(m.stats.stacked_hits.value(), 0);
+        assert_eq!(m.base.stats.swaps.value(), 0);
+        assert_eq!(m.base.stats.stacked_hits.value(), 0);
     }
 
     #[test]
@@ -894,8 +1017,8 @@ mod tests {
         let paddr = m.geom.slot_addr(0, 1);
         m.access(paddr, false, 1_000_000);
         m.access(paddr, false, 50_000_000);
-        assert_eq!(m.stats.fills.value(), 1);
-        assert_eq!(m.stats.stacked_hits.value(), 1);
+        assert_eq!(m.base.stats.fills.value(), 1);
+        assert_eq!(m.base.stats.stacked_hits.value(), 1);
     }
 
     #[test]
@@ -905,20 +1028,24 @@ mod tests {
         m.isa_free(m.geom.slot_addr(0, 0), seg(), 0);
         let paddr = m.geom.slot_addr(0, 2);
         m.access(paddr, false, 1_000_000); // triggers a fill
-        let offchip_reads_before = m.devices.offchip.stats().reads.value();
+        let offchip_reads_before = m.base.devices.offchip.stats().reads.value();
         // Access again immediately: the fill is still in flight, so the
         // line is serviced from the segment's source (off-chip) side.
         m.access(paddr, false, 1_000_001);
-        assert_eq!(m.stats.buffer_hits.value(), 1);
+        assert_eq!(m.base.stats.buffer_hits.value(), 1);
         assert_eq!(
-            m.devices.offchip.stats().reads.value(),
+            m.base.devices.offchip.stats().reads.value(),
             offchip_reads_before + 1,
             "in-transit service charges the source memory"
         );
-        assert_eq!(m.stats.stacked_hits.value(), 0, "not yet a stacked hit");
+        assert_eq!(
+            m.base.stats.stacked_hits.value(),
+            0,
+            "not yet a stacked hit"
+        );
         // Once the fill drains, the same line hits in stacked DRAM.
         m.access(paddr, false, 100_000_000);
-        assert_eq!(m.stats.stacked_hits.value(), 1);
+        assert_eq!(m.base.stats.stacked_hits.value(), 1);
     }
 
     #[test]
@@ -930,8 +1057,8 @@ mod tests {
         m.isa_free(addr, seg(), 0);
         m.settle();
         let lat = m.access(addr, true, 1_000_000);
-        assert_eq!(lat, m.cfg.buffer_latency);
-        assert_eq!(m.stats.stale_accesses.value(), 1);
+        assert_eq!(lat, m.base.cfg.buffer_latency);
+        assert_eq!(m.base.stats.stale_accesses.value(), 1);
     }
 
     #[test]
@@ -942,12 +1069,12 @@ mod tests {
         cfg.secure_clear = true;
         let mut m = RemapPolicy::new(cfg, Flavor::Chameleon { opt: false });
         alloc_all(&mut m); // boot-time cache->PoM transitions also clear
-        let base = m.stats.clears.value();
+        let base = m.base.stats.clears.value();
         assert_eq!(base, m.geom.groups(), "one clear per boot transition");
         m.isa_free(m.geom.slot_addr(0, 0), seg(), 0);
-        assert_eq!(m.stats.clears.value(), base + 1);
+        assert_eq!(m.base.stats.clears.value(), base + 1);
         m.isa_alloc(m.geom.slot_addr(0, 0), seg(), 10_000_000);
-        assert_eq!(m.stats.clears.value(), base + 2);
+        assert_eq!(m.base.stats.clears.value(), base + 2);
     }
 
     #[test]
@@ -963,13 +1090,13 @@ mod tests {
             // relocation).
             let hot = m.geom.slot_addr(0, 1);
             let mut now = 0;
-            for _ in 0..m.cfg.swap_threshold + 1 {
+            for _ in 0..m.base.cfg.swap_threshold + 1 {
                 now += 10_000_000;
                 m.access(hot, false, now);
             }
             m.isa_free(m.geom.slot_addr(0, 0), seg(), now + 10_000_000);
-            m.devices.stacked.stats().bytes_transferred.value()
-                + m.devices.offchip.stats().bytes_transferred.value()
+            m.base.devices.stacked.stats().bytes_transferred.value()
+                + m.base.devices.offchip.stats().bytes_transferred.value()
         };
         let full = run(false);
         let elided = run(true);
@@ -981,9 +1108,9 @@ mod tests {
         let mut m = machine(Flavor::Chameleon { opt: false });
         // A 4KiB page covers two 2KiB segments.
         m.isa_alloc(0, 4096, 0);
-        assert_eq!(m.stats.isa_allocs.value(), 2);
+        assert_eq!(m.base.stats.isa_allocs.value(), 2);
         m.isa_free(0, 4096, 0);
-        assert_eq!(m.stats.isa_frees.value(), 2);
+        assert_eq!(m.base.stats.isa_frees.value(), 2);
     }
 
     #[test]
@@ -1052,7 +1179,7 @@ mod tests {
         alloc_all(&mut poly);
         let addr = 2 << 20;
         let mut now = 0;
-        for _ in 0..=ch.cfg.swap_threshold + 1 {
+        for _ in 0..=ch.base.cfg.swap_threshold + 1 {
             now += 10_000_000;
             ch.access(addr, false, now);
             poly.access(addr, false, now);
@@ -1073,7 +1200,7 @@ mod tests {
     #[test]
     fn cameo_uses_line_segments_with_more_metadata() {
         let pom = machine(Flavor::Pom);
-        let cameo = RemapPolicy::new(pom.cfg.clone().with_cameo_segments(), Flavor::Pom);
+        let cameo = RemapPolicy::new(pom.base.cfg.clone().with_cameo_segments(), Flavor::Pom);
         assert!(
             cameo.srrt().metadata_bytes() > 16 * pom.srrt().metadata_bytes(),
             "64B segments need ~32x the SRRT entries of 2KB segments"
@@ -1113,5 +1240,152 @@ mod tests {
         p.reset_stats();
         assert_eq!(p.stats().demand_accesses.value(), 0);
         assert_eq!(p.devices().stacked.stats().reads.value(), 0);
+    }
+
+    /// One step of the transition differential. `slot` and `group` are
+    /// taken modulo the machine's geometry; ISA ranges span `segs`
+    /// address-consecutive segments.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Alloc {
+            group: u64,
+            slot: u8,
+            segs: u64,
+        },
+        Free {
+            group: u64,
+            slot: u8,
+            segs: u64,
+        },
+        Access {
+            group: u64,
+            slot: u8,
+            line: u64,
+            write: bool,
+        },
+        Writeback {
+            group: u64,
+            slot: u8,
+            line: u64,
+        },
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        (0u8..9, 0u64..8, 0u8..8, 1u64..4, 0u64..32).prop_map(|(kind, group, slot, n, line)| {
+            match kind {
+                0 | 1 => Step::Alloc {
+                    group,
+                    slot,
+                    segs: n,
+                },
+                2 | 3 => Step::Free {
+                    group,
+                    slot,
+                    segs: n,
+                },
+                4..=6 => Step::Access {
+                    group,
+                    slot,
+                    line,
+                    write: n == 1,
+                },
+                _ => Step::Writeback { group, slot, line },
+            }
+        })
+    }
+
+    /// The five flavors `RemapPolicy` runs as, CAMEO being PoM over
+    /// 64-byte segments.
+    fn flavor(i: u8) -> (Flavor, bool) {
+        match i {
+            0 => (Flavor::Pom, false),
+            1 => (Flavor::Pom, true),
+            2 => (Flavor::Chameleon { opt: false }, false),
+            3 => (Flavor::Chameleon { opt: true }, false),
+            _ => (Flavor::Polymorphic, false),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// One ISA state machine changes nothing: after every step of an
+        /// arbitrary alloc/free/access/writeback sequence, every group's
+        /// SRRT entry, the policy statistics and both devices' statistics
+        /// equal those of the four pre-fold transition functions, for
+        /// every flavor and ablation setting; so does the event trace.
+        #[test]
+        fn transitions_match_the_pre_fold_reference(
+            which in 0u8..5,
+            ratio in 1u64..8,
+            elide_dead_copy in any::<bool>(),
+            secure_clear in any::<bool>(),
+            cache_fill_threshold in 0u16..3,
+            swap_threshold in 1u16..4,
+            steps in prop::collection::vec(
+                (step(), prop::sample::select(vec![1u64, 500, 5_000, 1_000_000])),
+                1..200,
+            ),
+        ) {
+            // The smallest devices whose capacity is a whole number of
+            // rows across all banks.
+            const STACKED: u64 = 64 << 10;
+            let (flavor, cameo) = flavor(which);
+            let mut cfg = HmaConfig::scaled_laptop();
+            if cameo {
+                cfg = cfg.with_cameo_segments();
+            }
+            let seg = cfg.segment.bytes();
+            cfg.stacked.capacity = ByteSize::bytes_exact(STACKED);
+            cfg.offchip.capacity = ByteSize::bytes_exact(STACKED * ratio);
+            cfg.elide_dead_copy = elide_dead_copy;
+            cfg.secure_clear = secure_clear;
+            cfg.cache_fill_threshold = cache_fill_threshold;
+            cfg.swap_threshold = swap_threshold;
+            let mut m = RemapPolicy::new(cfg.clone(), flavor);
+            let mut r = ReferenceRemap(RemapPolicy::new(cfg, flavor));
+            let total = m.geom.total_bytes();
+            let slots = m.geom.slots_per_group();
+            let addr = |m: &RemapPolicy, group: u64, slot: u8| m.geom.slot_addr(group, slot % slots);
+            let mut now = 0;
+            for (step, gap) in steps {
+                now += gap;
+                match step {
+                    Step::Alloc { group, slot, segs } => {
+                        let a = addr(&m, group, slot);
+                        let len = (segs * seg).min(total - a);
+                        m.isa_alloc(a, len, now);
+                        r.isa_alloc(a, len, now);
+                    }
+                    Step::Free { group, slot, segs } => {
+                        let a = addr(&m, group, slot);
+                        let len = (segs * seg).min(total - a);
+                        m.isa_free(a, len, now);
+                        r.isa_free(a, len, now);
+                    }
+                    Step::Access { group, slot, line, write } => {
+                        let a = addr(&m, group, slot) + (line * 64) % seg;
+                        m.access(a, write, now);
+                        r.0.access(a, write, now);
+                    }
+                    Step::Writeback { group, slot, line } => {
+                        let a = addr(&m, group, slot) + (line * 64) % seg;
+                        m.writeback(a, now);
+                        r.0.writeback(a, now);
+                    }
+                }
+                for g in 0..m.geom.groups() {
+                    prop_assert_eq!(m.table.entry(g), r.0.table.entry(g), "group {}", g);
+                }
+                prop_assert_eq!(format!("{:?}", m.stats()), format!("{:?}", r.0.stats()));
+                for (d, rd) in [
+                    (&m.base.devices.stacked, &r.0.base.devices.stacked),
+                    (&m.base.devices.offchip, &r.0.base.devices.offchip),
+                ] {
+                    prop_assert_eq!(format!("{:?}", d.stats()), format!("{:?}", rd.stats()));
+                }
+            }
+            prop_assert_eq!(format!("{:?}", m.trace), format!("{:?}", r.0.trace));
+        }
     }
 }

@@ -9,17 +9,13 @@
 //! tags, and a footprint history table indexed by page number.
 
 use chameleon_os::isa::IsaHook;
-use chameleon_os::SegmentGeometry;
-use chameleon_simkit::fastmod::FastMod;
 use chameleon_simkit::Cycle;
 
 use chameleon_dram::MemOp;
 
-use crate::policy::{HmaPolicy, ModeDistribution};
-use crate::{HmaConfig, HmaDevices, HmaStats};
-
-/// Associativity of the page cache.
-const WAYS: usize = 4;
+use crate::page_index::PageIndex;
+use crate::policy::{base_lifecycle, HmaPolicy, ModeDistribution, PolicyBase};
+use crate::HmaConfig;
 /// Slots in the footprint history table.
 const PREDICTOR_SLOTS: usize = 1024;
 /// Slots in the SRAM tag buffer (direct-mapped page tags).
@@ -27,20 +23,15 @@ const TAG_BUFFER_SLOTS: usize = 256;
 /// Sentinel for an empty tag-buffer slot.
 const NO_TAG: u64 = u64::MAX;
 
-/// One page frame of the stacked cache.
+/// A resident page's line bitvecs.
 #[derive(Debug, Clone, Copy, Default)]
-struct Frame {
-    /// Off-chip page number.
-    tag: u64,
-    valid: bool,
+struct Footprint {
     /// Lines present in the frame (demand line ∪ predicted footprint).
     fetched: u64,
     /// Lines actually referenced while resident; trains the predictor.
     touched: u64,
     /// Lines dirtied while resident; only these are written back.
     dirty: u64,
-    /// LRU stamp (monotonic access sequence number).
-    stamp: u64,
 }
 
 /// The footprint history table: a direct-mapped, tagged store of the
@@ -127,19 +118,12 @@ impl FootprintPredictor {
 /// ```
 #[derive(Debug)]
 pub struct UnisonPolicy {
-    cfg: HmaConfig,
-    devices: HmaDevices,
-    frames: Vec<Frame>,
+    base: PolicyBase,
+    index: PageIndex<Footprint>,
     /// Lines fetched into valid frames, in all.
     fetched_lines: u64,
     predictor: FootprintPredictor,
     tag_buffer: Vec<u64>,
-    /// Pages are the configured segments.
-    geom: SegmentGeometry,
-    ways: usize,
-    sets: FastMod,
-    tick: u64,
-    stats: HmaStats,
 }
 
 impl UnisonPolicy {
@@ -148,27 +132,18 @@ impl UnisonPolicy {
     pub fn new(cfg: HmaConfig) -> Self {
         let geom = cfg.geometry();
         let lines_per_page = (geom.segment_bytes() / 64) as u32;
-        let frames = geom.groups() as usize;
-        let ways = WAYS.min(frames);
-        let sets = (frames / ways) as u64;
         Self {
-            devices: HmaDevices::new(&cfg),
-            frames: vec![Frame::default(); sets as usize * ways],
+            index: PageIndex::new(geom),
             fetched_lines: 0,
             predictor: FootprintPredictor::new(lines_per_page),
             tag_buffer: vec![NO_TAG; TAG_BUFFER_SLOTS],
-            geom,
-            ways,
-            sets: FastMod::new(sets),
-            tick: 0,
-            stats: HmaStats::default(),
-            cfg,
+            base: PolicyBase::new(cfg),
         }
     }
 
     /// Number of sets in the page cache.
     pub fn sets(&self) -> u64 {
-        self.sets.divisor()
+        self.index.sets()
     }
 
     /// Structural invariant of every resident page: `dirty ⊆ touched ⊆
@@ -176,50 +151,33 @@ impl UnisonPolicy {
     /// The conformance/property suites call this after arbitrary drives.
     pub fn check_invariants(&self) -> bool {
         let full = self.predictor.full_mask();
-        self.frames.iter().all(|f| {
+        self.index.frames.iter().all(|f| {
+            let s = f.state;
             if f.valid {
-                f.dirty & !f.touched == 0 && f.touched & !f.fetched == 0 && f.fetched & !full == 0
+                s.dirty & !s.touched == 0 && s.touched & !s.fetched == 0 && s.fetched & !full == 0
             } else {
-                f.fetched == 0 && f.touched == 0 && f.dirty == 0
+                s.fetched == 0 && s.touched == 0 && s.dirty == 0
             }
         })
     }
 
     /// Device-relative stacked address of a frame's line.
-    fn frame_addr(&self, frame_idx: usize, line_in_page: u64) -> u64 {
-        frame_idx as u64 * self.geom.segment_bytes() + line_in_page * 64
-    }
-
-    /// The off-chip page of `paddr`, the line within it and the
-    /// device-relative address.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `paddr` is an off-chip address.
-    fn locate(&self, paddr: u64) -> (u64, u64, u64) {
-        assert!(
-            paddr >= self.geom.stacked_bytes(),
-            "Unison receives only off-chip OS addresses, got {paddr:#x}"
-        );
-        let (seg, offset) = self.geom.segment_of(paddr);
-        (
-            seg - self.geom.groups(),
-            offset / 64,
-            paddr - self.geom.stacked_bytes(),
-        )
+    fn line_addr(&self, frame: usize, line: u64) -> u64 {
+        self.index.frame_addr(frame) + line * 64
     }
 
     /// Probes the in-DRAM tags unless the SRAM tag buffer already knows
     /// this page's set, returning the probe latency (0 on a buffer hit).
-    fn probe_tags(&mut self, page: u64, set: u64, now: Cycle) -> Cycle {
+    fn probe_tags(&mut self, page: u64, now: Cycle) -> Cycle {
         let slot = (page % TAG_BUFFER_SLOTS as u64) as usize;
         if self.tag_buffer[slot] == page {
             return 0;
         }
         self.tag_buffer[slot] = page;
         // One 64B stacked read returns the set's tag bundle.
-        let probe_addr = self.frame_addr(set as usize * self.ways, 0);
-        self.devices
+        let probe_addr = self.index.frame_addr(self.index.set_of(page).start);
+        self.base
+            .devices
             .stacked
             .access(probe_addr, 64, MemOp::Read, now)
             .latency
@@ -236,167 +194,121 @@ impl IsaHook for UnisonPolicy {
 impl HmaPolicy for UnisonPolicy {
     // lint: hot-path
     fn access(&mut self, paddr: u64, write: bool, now: Cycle) -> Cycle {
-        let (page, line, rel) = self.locate(paddr);
-        self.stats.demand_accesses.inc();
-        self.tick += 1;
+        let (page, offset, rel) = self.index.locate(paddr);
+        let line = offset / 64;
+        self.base.stats.demand_accesses.inc();
+        self.index.tick();
         let bit = 1u64 << line;
-        let set = self.sets.modulo(page);
-        let base = (set as usize) * self.ways;
+        let dirty = if write { bit } else { 0 };
         let op = if write { MemOp::Write } else { MemOp::Read };
 
-        let probe = self.probe_tags(page, set, now);
-        let hit_way = self.frames[base..base + self.ways]
-            .iter()
-            .position(|f| f.valid && f.tag == page);
-
-        let latency = if let Some(w) = hit_way {
-            let idx = base + w;
-            if self.frames[idx].fetched & bit != 0 {
+        let probe = self.probe_tags(page, now);
+        let latency = if let Some(idx) = self.index.lookup(page) {
+            let fetched = self.index.frames[idx].state.fetched & bit != 0;
+            let latency = if fetched {
                 // Page and line resident: a stacked hit.
-                let data =
-                    self.devices
-                        .stacked
-                        .access(self.frame_addr(idx, line), 64, op, now + probe);
-                self.frames[idx].touched |= bit;
-                if write {
-                    self.frames[idx].dirty |= bit;
-                }
-                self.frames[idx].stamp = self.tick;
-                self.stats.stacked_hits.inc();
-                self.stats.stacked_latency.record(data.latency as f64);
+                let addr = self.line_addr(idx, line);
+                let data = self.base.devices.stacked.access(addr, 64, op, now + probe);
+                self.base.stats.stacked_hits.inc();
+                self.base.stats.stacked_latency.record(data.latency as f64);
                 probe + data.latency
             } else {
                 // Footprint under-prediction: the page is resident but
                 // this line was not fetched — fetch it alone and install.
-                let mem = self.devices.offchip.access(rel, 64, op, now + probe);
-                self.devices.stacked.bulk(
-                    self.frame_addr(idx, line),
-                    64,
-                    MemOp::Write,
-                    now + probe,
-                );
-                self.frames[idx].fetched |= bit;
+                let mem = self.base.devices.offchip.access(rel, 64, op, now + probe);
+                let addr = self.line_addr(idx, line);
+                self.base
+                    .devices
+                    .stacked
+                    .bulk(addr, 64, MemOp::Write, now + probe);
                 self.fetched_lines += 1;
-                self.frames[idx].touched |= bit;
-                if write {
-                    self.frames[idx].dirty |= bit;
-                }
-                self.frames[idx].stamp = self.tick;
-                self.stats.sector_fetches.inc();
-                self.stats.offchip_latency.record(mem.latency as f64);
+                self.base.stats.sector_fetches.inc();
+                self.base.stats.offchip_latency.record(mem.latency as f64);
                 probe + mem.latency
-            }
+            };
+            let state = &mut self.index.frames[idx].state;
+            state.fetched |= bit;
+            state.touched |= bit;
+            state.dirty |= dirty;
+            self.index.touch(idx);
+            latency
         } else {
             // Page miss: evict the LRU way, train the predictor with the
             // victim's observed footprint, fill the predicted lines.
-            let mut victim = base;
-            let mut best = u64::MAX;
-            for (i, f) in self.frames[base..base + self.ways].iter().enumerate() {
-                if !f.valid {
-                    victim = base + i;
-                    break;
-                }
-                if f.stamp < best {
-                    best = f.stamp;
-                    victim = base + i;
-                }
-            }
-            let old = self.frames[victim];
+            let victim = self.index.victim(page);
+            let frame_addr = self.index.frame_addr(victim);
+            let old = self.index.frames[victim];
             if old.valid {
-                self.fetched_lines -= u64::from(old.fetched.count_ones());
-                let dirty_lines = old.dirty.count_ones();
+                self.fetched_lines -= u64::from(old.state.fetched.count_ones());
+                let dirty_lines = old.state.dirty.count_ones();
                 if dirty_lines > 0 {
                     // Write back only the dirty lines, as bulk traffic on
                     // both devices (read stacked, write off-chip).
                     let bytes = dirty_lines * 64;
-                    self.devices
-                        .stacked
-                        .bulk(self.frame_addr(victim, 0), bytes, MemOp::Read, now);
-                    self.devices.offchip.bulk(
-                        old.tag * self.geom.segment_bytes(),
-                        bytes,
-                        MemOp::Write,
-                        now,
-                    );
-                    self.stats.writebacks.inc();
+                    let home = self.index.page_addr(old.tag);
+                    let devices = &mut self.base.devices;
+                    devices.stacked.bulk(frame_addr, bytes, MemOp::Read, now);
+                    devices.offchip.bulk(home, bytes, MemOp::Write, now);
+                    self.base.stats.writebacks.inc();
                 }
-                self.predictor.record(old.tag, old.touched);
+                self.predictor.record(old.tag, old.state.touched);
             }
             let mask = self.predictor.predict(page) | bit;
             self.fetched_lines += u64::from(mask.count_ones());
             let fill_bytes = mask.count_ones() * 64;
-            self.devices.offchip.bulk(
-                page * self.geom.segment_bytes(),
-                fill_bytes,
-                MemOp::Read,
-                now,
-            );
-            self.devices
+            let home = self.index.page_addr(page);
+            let devices = &mut self.base.devices;
+            devices.offchip.bulk(home, fill_bytes, MemOp::Read, now);
+            devices
                 .stacked
-                .bulk(self.frame_addr(victim, 0), fill_bytes, MemOp::Write, now);
-            self.stats.fills.inc();
+                .bulk(frame_addr, fill_bytes, MemOp::Write, now);
+            self.base.stats.fills.inc();
             // The demand line is on the critical path; the rest of the
             // footprint streams in behind it.
-            let mem = self.devices.offchip.access(rel, 64, op, now + probe);
-            self.frames[victim] = Frame {
-                tag: page,
-                valid: true,
+            let mem = self.base.devices.offchip.access(rel, 64, op, now + probe);
+            let state = Footprint {
                 fetched: mask,
                 touched: bit,
-                dirty: if write { bit } else { 0 },
-                stamp: self.tick,
+                dirty,
             };
-            self.stats.offchip_latency.record(mem.latency as f64);
+            self.index.install(victim, page, state);
+            self.base.stats.offchip_latency.record(mem.latency as f64);
             probe + mem.latency
         };
-        self.stats.access_latency.record(latency as f64);
+        self.base.stats.access_latency.record(latency as f64);
         latency
     }
 
     fn writeback(&mut self, paddr: u64, now: Cycle) {
-        let (page, line, rel) = self.locate(paddr);
-        self.stats.llc_writebacks.inc();
+        let (page, offset, rel) = self.index.locate(paddr);
+        let line = offset / 64;
+        self.base.stats.llc_writebacks.inc();
         let bit = 1u64 << line;
-        let set = self.sets.modulo(page);
-        let base = (set as usize) * self.ways;
-        let hit = self.frames[base..base + self.ways]
-            .iter()
-            .position(|f| f.valid && f.tag == page && f.fetched & bit != 0);
-        if let Some(w) = hit {
-            let idx = base + w;
-            self.frames[idx].touched |= bit;
-            self.frames[idx].dirty |= bit;
-            self.devices
+        let hit = self
+            .index
+            .lookup(page)
+            .filter(|&idx| self.index.frames[idx].state.fetched & bit != 0);
+        if let Some(idx) = hit {
+            let state = &mut self.index.frames[idx].state;
+            state.touched |= bit;
+            state.dirty |= bit;
+            let addr = self.line_addr(idx, line);
+            self.base
+                .devices
                 .stacked
-                .access(self.frame_addr(idx, line), 64, MemOp::Write, now);
+                .access(addr, 64, MemOp::Write, now);
         } else {
             // No allocate-on-writeback: drain straight to off-chip.
-            self.devices.offchip.access(rel, 64, MemOp::Write, now);
+            self.base.devices.offchip.access(rel, 64, MemOp::Write, now);
         }
     }
 
-    fn stats(&self) -> &HmaStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = HmaStats::default();
-        self.devices.stacked.reset_stats();
-        self.devices.offchip.reset_stats();
-    }
-
-    fn settle(&mut self) {
-        self.devices = HmaDevices::new(&self.cfg);
-    }
-
-    fn devices(&self) -> &HmaDevices {
-        &self.devices
-    }
+    base_lifecycle!();
 
     fn mode_distribution(&self) -> ModeDistribution {
         // The whole stacked device is a cache.
         ModeDistribution {
-            cache_groups: self.frames.len() as u64,
+            cache_groups: self.index.frames.len() as u64,
             pom_groups: 0,
         }
     }
@@ -404,14 +316,15 @@ impl HmaPolicy for UnisonPolicy {
     fn stacked_residency(&self) -> (u64, u64) {
         debug_assert_eq!(
             self.fetched_lines,
-            self.frames
+            self.index
+                .frames
                 .iter()
                 .filter(|f| f.valid)
-                .map(|f| u64::from(f.fetched.count_ones()))
+                .map(|f| u64::from(f.state.fetched.count_ones()))
                 .sum::<u64>(),
             "Unison fetched-line count drifted from its frames"
         );
-        (self.fetched_lines * 64, self.geom.stacked_bytes())
+        (self.fetched_lines * 64, self.index.geom.stacked_bytes())
     }
 }
 

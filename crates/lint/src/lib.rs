@@ -5,9 +5,9 @@
 //! than by reviewer vigilance:
 //!
 //! * the per-reference spine (`Core::step` → `System::access` →
-//!   `OsKernel::touch` → `Hierarchy::access` → `HmaPolicy::access`,
+//!   `OsKernel::touch` → `Hierarchy::access_into` → `HmaPolicy::access`,
 //!   plus SRRT remap and the FR-FCFS select) is **allocation-free** —
-//!   one stray `format!` silently costs the 12.66M acc/s hot path;
+//!   one stray `format!` silently costs every simulated reference;
 //! * parallel sweeps are **bit-identical** to serial ones — one
 //!   wall-clock read or hash-order iteration seeding a simulated
 //!   decision silently breaks the content-addressed result store.

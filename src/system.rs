@@ -386,7 +386,7 @@ impl System {
                     Err(OsError::OutOfRange(_)) => break,
                     Err(e) => return Err(e),
                 }
-                vaddr += 4096;
+                vaddr += PAGE_SIZE;
             }
         }
         Ok(())
@@ -537,24 +537,24 @@ impl MemorySystem for System {
 
         if level == HitLevel::Memory {
             latency += self.policy.access(paddr, write, issue);
-            if let Some(numa) = self.autonuma.as_mut() {
-                numa.record_access(paddr, self.os.memory_map().node_of(paddr));
-            }
-            if let Some(guidance) = self.guidance.as_mut() {
+            if self.autonuma.is_some() || self.guidance.is_some() {
                 let node = self.os.memory_map().node_of(paddr);
-                guidance.record_access(self.pids[core], paddr, node);
+                if let Some(numa) = self.autonuma.as_mut() {
+                    numa.record_access(paddr, node);
+                }
+                if let Some(guidance) = self.guidance.as_mut() {
+                    guidance.record_access(self.pids[core], paddr, node);
+                }
             }
             self.accesses_since_epoch += 1;
             if self.accesses_since_epoch >= self.epoch_accesses {
                 self.accesses_since_epoch = 0;
                 self.end_metrics_epoch(issue);
-                if let Some(mut numa) = self.autonuma.take() {
+                if let Some(numa) = self.autonuma.as_mut() {
                     numa.end_epoch(&mut self.os, self.policy.as_mut(), issue);
-                    self.autonuma = Some(numa);
                 }
-                if let Some(mut guidance) = self.guidance.take() {
+                if let Some(guidance) = self.guidance.as_mut() {
                     let _ = guidance.end_epoch(&mut self.os, self.policy.as_mut(), issue);
-                    self.guidance = Some(guidance);
                 }
             }
         }
