@@ -63,6 +63,14 @@ impl CacheConfig {
         (self.capacity.bytes() / (self.ways as u64 * self.line_bytes as u64)) as usize
     }
 
+    /// The physical memory this level can hold: addresses below
+    /// `line_bytes << 30` (64 GiB for 64-byte lines), since a way's
+    /// 32-bit key keeps the whole line address beside its dirty and
+    /// valid bits.
+    pub fn addressable_bytes(&self) -> u64 {
+        u64::from(self.line_bytes) << crate::set_assoc::KEY_LINE_BITS
+    }
+
     /// Validates the geometry.
     ///
     /// # Errors
@@ -104,6 +112,17 @@ mod tests {
             CacheConfig::table1_l3().sets(),
             12 * 1024 * 1024 / (16 * 64)
         );
+    }
+
+    #[test]
+    fn keys_address_64_gib_of_64_byte_lines() {
+        for cfg in [
+            CacheConfig::table1_l1(),
+            CacheConfig::table1_l2(),
+            CacheConfig::table1_l3(),
+        ] {
+            assert_eq!(cfg.addressable_bytes(), ByteSize::gib(64).bytes());
+        }
     }
 
     #[test]

@@ -47,27 +47,60 @@ pub enum LookupResult {
     },
 }
 
-/// A way's key word: `tag << TAG_SHIFT | dirty << 1 | valid`.
-const VALID: u64 = 0b1;
-const DIRTY: u64 = 0b10;
+/// A way's key word: `line << TAG_SHIFT | dirty << 1 | valid`.
+const VALID: u32 = 0b1;
+const DIRTY: u32 = 0b10;
 const TAG_SHIFT: u32 = 2;
+
+/// Line-address bits a 32-bit key holds beside its dirty and valid
+/// bits: a cache of `line_bytes` lines covers physical addresses below
+/// `line_bytes << KEY_LINE_BITS` (64 GiB for 64-byte lines).
+pub(crate) const KEY_LINE_BITS: u32 = u32::BITS - TAG_SHIFT;
 
 /// The key of a freshly filled (valid) line.
 #[inline(always)]
-fn fill_key(tag: u64, dirty: bool) -> u64 {
-    tag << TAG_SHIFT | u64::from(dirty) << 1 | VALID
+fn fill_key(tag: u64, dirty: bool) -> u32 {
+    // INVARIANT: `tag` is a line address below 2^KEY_LINE_BITS (the
+    // memory-map bound `System::new` enforces), so the key keeps it whole.
+    (tag << TAG_SHIFT) as u32 | u32::from(dirty) << 1 | VALID
 }
+
+/// One set's state: the `tag|dirty|valid` key every lookup scans, then
+/// the LRU stamp only hits (one store) and fills (the victim scan)
+/// touch. 64-byte aligned, so an 8-way set is exactly one host cache
+/// line and a 16-way set two (keys in one, stamps in the other).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, align(64))]
+struct Set<const W: usize> {
+    keys: [u32; W],
+    /// Last-use stamp of each way. An invalid way has stamp 0 and every
+    /// valid way a distinct stamp ≥ 1 (each stamp is a fresh `clock`
+    /// value, the wrap pass keeps them distinct, and ways never turn
+    /// invalid again), so the first minimum of a set is its first
+    /// invalid way, else its LRU way.
+    stamps: [u32; W],
+}
+
+const _: () = {
+    use std::mem::{align_of, size_of};
+    assert!(size_of::<Set<16>>() == 128 && align_of::<Set<16>>() == 64);
+    assert!(size_of::<Set<8>>() == 64 && align_of::<Set<8>>() == 64);
+};
 
 /// One set-associative cache level of `W` ways.
 ///
-/// The associativity is a compile-time constant, so each set is a
-/// `[u64; W]` the hit and victim scans walk with no runtime width: one
+/// The associativity is a compile-time constant, so each set is one
+/// 64-byte-aligned record of `W` 32-bit keys and `W` 32-bit LRU stamps
+/// that the hit and victim scans walk with no runtime width: one
 /// implementation of each serves every associativity, fully unrolled.
-/// Each way's state lives in two parallel set-major arrays: the hot
-/// `tag|dirty|valid` key every lookup scans, and the LRU stamp only
-/// hits (one store) and fills (the victim scan) touch. A 16-way set's
-/// keys fill two host cache lines instead of the four an interleaved
-/// key-and-stamp line would.
+/// The hit scan compares 32-bit lanes, which SSE2 does four at a time.
+///
+/// A key holds the whole line address, so the cache covers physical
+/// addresses below `line_bytes << 30` (64 GiB for 64-byte lines).
+/// Stamps come from a 32-bit clock: when it would overflow, a cold pass
+/// renumbers each set's valid stamps to their rank and restarts the
+/// clock at `W`, which keeps every set's recency order and so every
+/// victim.
 ///
 /// # Example
 ///
@@ -80,18 +113,13 @@ fn fill_key(tag: u64, dirty: bool) -> u64 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<const W: usize> {
-    /// Every set's keys, one contiguous allocation indexed by set.
-    keys: Vec<[u64; W]>,
-    /// Last-use stamp of each way, parallel to `keys`. An invalid way has
-    /// stamp 0 and every valid way a distinct stamp ≥ 1 (each stamp is a
-    /// fresh `clock` value and ways never turn invalid again), so the
-    /// first minimum of a set is its first invalid way, else its LRU way.
-    stamps: Vec<[u64; W]>,
+    /// Every set, one contiguous allocation indexed by set.
+    sets: Vec<Set<W>>,
     /// The set count, as a mask or a reciprocal (the Table I L3 has
     /// 12288 sets).
-    sets: FastMod,
+    set_count: FastMod,
     line_shift: u32,
-    clock: u64,
+    clock: u32,
     stats: CacheStats,
 }
 
@@ -114,10 +142,13 @@ impl<const W: usize> SetAssocCache<W> {
             cfg.name,
             cfg.ways
         );
+        let empty = Set {
+            keys: [0; W],
+            stamps: [0; W],
+        };
         Self {
-            keys: vec![[0; W]; sets],
-            stamps: vec![[0; W]; sets],
-            sets: FastMod::new(sets as u64),
+            sets: vec![empty; sets],
+            set_count: FastMod::new(sets as u64),
             line_shift: cfg.line_bytes.trailing_zeros(),
             clock: 0,
             stats: CacheStats::default(),
@@ -138,14 +169,47 @@ impl<const W: usize> SetAssocCache<W> {
     #[inline(always)]
     fn locate(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.line_shift;
-        (self.sets.modulo(line) as usize, line)
+        (self.set_count.modulo(line) as usize, line)
+    }
+
+    /// Advances the LRU clock by one reference, renumbering the stamps
+    /// first when it would overflow.
+    // lint: hot-path
+    #[inline(always)]
+    fn tick(&mut self) {
+        if self.clock == u32::MAX {
+            self.renumber_stamps();
+        }
+        self.clock += 1;
+    }
+
+    /// The clock-wrap pass: rewrites each set's valid stamps to their
+    /// rank (1 for the least recent, up to the set's valid-way count),
+    /// leaves invalid ways at 0 and restarts the clock at `W`, above
+    /// every rank. The victim rule compares stamps only within a set,
+    /// so every later victim and writeback is unchanged.
+    #[cold]
+    #[inline(never)]
+    fn renumber_stamps(&mut self) {
+        for set in &mut self.sets {
+            let old = set.stamps;
+            for (stamp, &s) in set.stamps.iter_mut().zip(&old) {
+                if s != 0 {
+                    let older = old.iter().filter(|&&o| o != 0 && o < s).count();
+                    // INVARIANT: a rank is at most W ≤ 64 (`WIDTH_FITS`).
+                    *stamp = older as u32 + 1;
+                }
+            }
+        }
+        // INVARIANT: W ≤ 64 (`WIDTH_FITS`).
+        self.clock = W as u32;
     }
 
     /// Looks up `addr`; on a miss the line is allocated (write-allocate)
     /// and the LRU victim evicted.
     ///
     /// The hit path is branchless over the set: every way's key is
-    /// compared as one u64 lane (dirty bit forced so equality means
+    /// compared as one u32 lane (dirty bit forced so equality means
     /// valid-and-tag-matches), the per-way results fold into a bitmask,
     /// and `trailing_zeros` picks the matching way — one data-dependent
     /// branch per lookup instead of one per way. The miss path picks its
@@ -153,7 +217,7 @@ impl<const W: usize> SetAssocCache<W> {
     // lint: hot-path
     #[inline]
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> LookupResult {
-        self.clock += 1;
+        self.tick();
         let (set, tag) = self.locate(addr);
         if let Some(way) = self.find(set, tag) {
             self.commit_hit(set, way, kind);
@@ -169,7 +233,7 @@ impl<const W: usize> SetAssocCache<W> {
     fn find(&self, set: usize, tag: u64) -> Option<usize> {
         let want = fill_key(tag, true);
         let mut mask = 0u64;
-        for (i, &k) in self.keys[set].iter().enumerate() {
+        for (i, &k) in self.sets[set].keys.iter().enumerate() {
             mask |= u64::from(k | DIRTY == want) << i;
         }
         if mask == 0 {
@@ -198,7 +262,7 @@ impl<const W: usize> SetAssocCache<W> {
     // lint: hot-path
     #[inline(always)]
     fn victim(&self, set: usize) -> usize {
-        let mut val = self.stamps[set];
+        let mut val = self.sets[set].stamps;
         let mut way: [usize; W] = std::array::from_fn(|i| i);
         let mut n = W;
         while n > 1 {
@@ -225,7 +289,7 @@ impl<const W: usize> SetAssocCache<W> {
     /// stamp 0 exactly on invalid ways, and a valid victim `way` whose
     /// stamp no other way shares (debug builds check it on every fill).
     fn stamps_consistent(&self, set: usize, way: usize) -> bool {
-        let (keys, stamps) = (&self.keys[set], &self.stamps[set]);
+        let Set { keys, stamps } = &self.sets[set];
         let oldest = stamps[way];
         keys.iter()
             .zip(stamps)
@@ -238,7 +302,7 @@ impl<const W: usize> SetAssocCache<W> {
     // lint: hot-path
     #[inline(always)]
     fn evict(&mut self, set: usize, way: usize) -> Option<u64> {
-        let key = self.keys[set][way];
+        let key = self.sets[set].keys[way];
         if key & VALID == 0 {
             return None;
         }
@@ -247,15 +311,20 @@ impl<const W: usize> SetAssocCache<W> {
             return None;
         }
         self.stats.writebacks.inc();
-        Some(key >> TAG_SHIFT << self.line_shift)
+        Some(u64::from(key >> TAG_SHIFT) << self.line_shift)
     }
 
     /// Installs `tag` in `way` of `set`, stamped with the current clock.
     // lint: hot-path
     #[inline(always)]
     fn fill(&mut self, set: usize, way: usize, tag: u64, dirty: bool) {
-        self.keys[set][way] = fill_key(tag, dirty);
-        self.stamps[set][way] = self.clock;
+        debug_assert!(
+            tag >> KEY_LINE_BITS == 0,
+            "line {tag:#x} is beyond the {KEY_LINE_BITS}-bit key"
+        );
+        let s = &mut self.sets[set];
+        s.keys[way] = fill_key(tag, dirty);
+        s.stamps[way] = self.clock;
     }
 
     /// The hit mutation shared by [`Self::access`] and [`Self::try_hit`]:
@@ -263,8 +332,9 @@ impl<const W: usize> SetAssocCache<W> {
     // lint: hot-path
     #[inline(always)]
     fn commit_hit(&mut self, set: usize, way: usize, kind: AccessKind) {
-        self.stamps[set][way] = self.clock;
-        self.keys[set][way] |= u64::from(kind == AccessKind::Write) << 1;
+        let s = &mut self.sets[set];
+        s.stamps[way] = self.clock;
+        s.keys[way] |= u32::from(kind == AccessKind::Write) << 1;
         self.stats.record(kind, true);
     }
 
@@ -284,8 +354,9 @@ impl<const W: usize> SetAssocCache<W> {
         let (set, tag) = self.locate(addr);
         if let Some(way) = self.find(set, tag) {
             // `access` advances the clock before its scan; the scan does
-            // not read it, so advancing here yields the same stamp.
-            self.clock += 1;
+            // not read it (nor does a wrap pass change a key), so
+            // advancing here yields the same stamps.
+            self.tick();
             self.commit_hit(set, way, kind);
             true
         } else {
@@ -303,7 +374,7 @@ impl<const W: usize> SetAssocCache<W> {
     pub(crate) fn classify_victim(&self, addr: u64) -> Classify {
         let (set, _) = self.locate(addr);
         let way = self.victim(set);
-        if self.keys[set][way] & DIRTY != 0 {
+        if self.sets[set].keys[way] & DIRTY != 0 {
             return Classify::Bail;
         }
         Classify::CleanVictim { set, way }
@@ -313,7 +384,8 @@ impl<const W: usize> SetAssocCache<W> {
     /// prepared: bit-identical to the miss half of [`Self::access`] for
     /// a victim with no writeback (eviction accounting, LRU stamp,
     /// stats). `set` and `way` come from [`Classify::CleanVictim`]; only
-    /// the tag shift is recomputed.
+    /// the tag shift is recomputed. A wrap pass in between keeps each
+    /// set's stamp order, so `way` is still the victim.
     // lint: hot-path
     #[inline]
     pub(crate) fn commit_clean_fill(
@@ -323,7 +395,7 @@ impl<const W: usize> SetAssocCache<W> {
         way: usize,
         kind: AccessKind,
     ) {
-        self.clock += 1;
+        self.tick();
         let tag = addr >> self.line_shift;
         let writeback = self.evict(set, way);
         debug_assert!(writeback.is_none(), "classify_victim vetted a clean victim");
@@ -342,10 +414,10 @@ impl<const W: usize> SetAssocCache<W> {
     /// eviction; returns the address of a displaced dirty line, which the
     /// caller must write back.
     pub fn touch(&mut self, addr: u64) -> Option<u64> {
-        self.clock += 1;
+        self.tick();
         let (set, tag) = self.locate(addr);
         if let Some(way) = self.find(set, tag) {
-            self.stamps[set][way] = self.clock;
+            self.sets[set].stamps[way] = self.clock;
             return None;
         }
         let way = self.victim(set);
@@ -356,9 +428,15 @@ impl<const W: usize> SetAssocCache<W> {
 }
 
 #[cfg(test)]
+#[path = "../tests/support/lru_model.rs"]
+mod lru_model;
+
+#[cfg(test)]
 mod tests {
+    use super::lru_model::LruModel;
     use super::*;
     use chameleon_simkit::mem::ByteSize;
+    use proptest::prelude::*;
 
     fn tiny() -> SetAssocCache<2> {
         // 2 sets, 2 ways, 64B lines = 256B.
@@ -441,8 +519,7 @@ mod tests {
                 panic!("{addr:#x} is absent");
             };
             assert_eq!(writeback, expected);
-            assert_eq!(touched.keys, accessed.keys);
-            assert_eq!(touched.stamps, accessed.stamps);
+            assert_eq!(touched.sets, accessed.sets);
             let (t, a) = (touched.stats(), accessed.stats());
             assert_eq!(t.evictions.value(), a.evictions.value());
             assert_eq!(t.writebacks.value(), a.writebacks.value());
@@ -479,7 +556,7 @@ mod tests {
             match verdict {
                 Classify::CleanVictim { set, way } => {
                     assert_eq!(
-                        filled.keys[set][way] | DIRTY,
+                        filled.sets[set].keys[way] | DIRTY,
                         fill_key(addr >> 6, true),
                         "same way as miss_fill"
                     );
@@ -555,6 +632,172 @@ mod tests {
             c.access(i * 64, AccessKind::Read);
         }
         assert_eq!(c.stats().accesses(), 100_000);
+    }
+
+    #[test]
+    fn wrap_pass_ranks_valid_stamps_and_restarts_the_clock() {
+        let mut c = one_set::<4>();
+        for line in [0, 1, 2, 0] {
+            c.access(line * 64, AccessKind::Read);
+        }
+        assert_eq!(c.sets[0].stamps, [4, 2, 3, 0]);
+        c.clock = u32::MAX;
+        // The wrap pass runs before this access stamps way 3.
+        c.access(3 * 64, AccessKind::Read);
+        assert_eq!(c.sets[0].stamps, [3, 1, 2, 5]);
+        assert_eq!(c.clock, 5, "restarts at W, then ticks once");
+        // Line 1 is still the LRU line.
+        assert_eq!(
+            c.access(4 * 64, AccessKind::Write),
+            LookupResult::Miss { writeback: None }
+        );
+        assert!(!c.probe(64));
+    }
+
+    /// One step of the stamp-wrap differential. Every step ticks the
+    /// clock exactly once.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        /// A read or write through [`SetAssocCache::access`].
+        Access(AccessKind),
+        /// The same reference through the fused fast path's protocol:
+        /// `try_hit`, else `classify_victim` and `commit_clean_fill`, or
+        /// `access` when the victim is dirty.
+        Fused(AccessKind),
+        /// A prefetch install.
+        Touch,
+    }
+
+    fn any_step() -> impl Strategy<Value = (Step, u64)> {
+        let kind = || prop::sample::select(vec![AccessKind::Read, AccessKind::Write]);
+        let step = prop_oneof![
+            kind().prop_map(Step::Access),
+            kind().prop_map(Step::Fused),
+            Just(Step::Touch),
+        ];
+        (step, any::<u64>())
+    }
+
+    /// Runs `step` on `addr`: whether it hit, and the writeback.
+    fn run_step<const W: usize>(
+        c: &mut SetAssocCache<W>,
+        step: Step,
+        addr: u64,
+    ) -> (bool, Option<u64>) {
+        let access = |c: &mut SetAssocCache<W>, kind| match c.access(addr, kind) {
+            LookupResult::Hit => (true, None),
+            LookupResult::Miss { writeback } => (false, writeback),
+        };
+        match step {
+            Step::Access(kind) => access(c, kind),
+            Step::Fused(kind) => {
+                if c.try_hit(addr, kind) {
+                    return (true, None);
+                }
+                match c.classify_victim(addr) {
+                    Classify::CleanVictim { set, way } => {
+                        c.commit_clean_fill(addr, set, way, kind);
+                        (false, None)
+                    }
+                    Classify::Bail => access(c, kind),
+                }
+            }
+            Step::Touch => (c.probe(addr), c.touch(addr)),
+        }
+    }
+
+    /// Each way's recency rank within its set (0 for an invalid way).
+    fn ranks<const W: usize>(c: &SetAssocCache<W>) -> Vec<[usize; W]> {
+        c.sets
+            .iter()
+            .map(|s| {
+                s.stamps.map(|x| match x {
+                    0 => 0,
+                    _ => 1 + s.stamps.iter().filter(|&&o| o != 0 && o < x).count(),
+                })
+            })
+            .collect()
+    }
+
+    /// Runs `steps` through a fresh `W`-way cache and one whose clock
+    /// starts `below` ticks under `u32::MAX`, checking both against the
+    /// recency-list model after every step, then that the second cache
+    /// holds the same lines, dirty bits, recency order and statistics.
+    fn check_wrap<const W: usize>(
+        steps: &[(Step, u64)],
+        sets: u64,
+        below: u32,
+    ) -> Result<(), TestCaseError> {
+        let ways = W as u32;
+        let mut fresh = SetAssocCache::<W>::new(CacheConfig {
+            name: "wrap".to_owned(),
+            capacity: ByteSize::bytes_exact(sets * u64::from(ways) * 64),
+            ways,
+            line_bytes: 64,
+            latency: 1,
+        });
+        let mut wrapping = fresh.clone();
+        wrapping.clock = u32::MAX - below;
+        let mut model = LruModel::new(ways, sets);
+        let pool = 3 * sets * u64::from(ways);
+        for (i, &(step, line)) in steps.iter().enumerate() {
+            let addr = line % pool * 64;
+            let write = matches!(
+                step,
+                Step::Access(AccessKind::Write) | Step::Fused(AccessKind::Write)
+            );
+            let expected = model.reference(addr, write);
+            let ctx = format!("{ways}-way, step {i}: {step:?} of {addr:#x}");
+            prop_assert_eq!(run_step(&mut fresh, step, addr), expected, "fresh, {}", ctx);
+            prop_assert_eq!(
+                run_step(&mut wrapping, step, addr),
+                expected,
+                "wrapping, {}",
+                ctx
+            );
+            prop_assert_eq!(fresh.probe(addr), model.probe(addr), "{}", ctx);
+            for (f, w) in fresh.sets.iter().zip(&wrapping.sets) {
+                prop_assert_eq!(f.keys, w.keys, "{}", ctx);
+            }
+            prop_assert_eq!(ranks(&fresh), ranks(&wrapping), "{}", ctx);
+        }
+        let (f, w) = (fresh.stats(), wrapping.stats());
+        prop_assert_eq!(f.hits.value(), w.hits.value());
+        prop_assert_eq!(f.misses.value(), w.misses.value());
+        prop_assert_eq!(f.evictions.value(), w.evictions.value());
+        prop_assert_eq!(f.writebacks.value(), w.writebacks.value());
+        // Every step ticks once, and the tick from u32::MAX wraps.
+        let n = steps.len() as u32;
+        let clock = if n > below {
+            ways + (n - below)
+        } else {
+            u32::MAX - below + n
+        };
+        prop_assert_eq!(wrapping.clock, clock);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The clock wrap changes no outcome: reads, writes, fused-path
+        /// references and touches give the same hits, writebacks, lines
+        /// and recency order as in a cache whose clock never wraps, and
+        /// both match the recency-list LRU model, at the Table I widths
+        /// and odd ones.
+        #[test]
+        fn stamp_wrap_matches_a_fresh_cache_and_the_lru_model(
+            steps in prop::collection::vec(any_step(), 1..300),
+            sets in prop::sample::select(vec![1u64, 3, 4]),
+            below in 0u32..64,
+        ) {
+            check_wrap::<1>(&steps, sets, below)?;
+            check_wrap::<2>(&steps, sets, below)?;
+            check_wrap::<3>(&steps, sets, below)?;
+            check_wrap::<4>(&steps, sets, below)?;
+            check_wrap::<8>(&steps, sets, below)?;
+            check_wrap::<16>(&steps, sets, below)?;
+        }
     }
 
     #[test]

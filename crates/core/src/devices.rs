@@ -88,15 +88,12 @@ impl HmaDevices {
         r.done.max(w.done) + self.offchip.line_transfer_cycles()
     }
 
-    /// Zeroes a segment on a device (`stacked == true` selects the
-    /// stacked device) — the security clear of Section V-D2.
-    pub fn clear_segment(&mut self, stacked: bool, addr: u64, seg_bytes: u32, now: Cycle) -> Cycle {
-        let dev = if stacked {
-            &mut self.stacked
-        } else {
-            &mut self.offchip
-        };
-        dev.bulk(addr, seg_bytes, MemOp::Write, now).done
+    /// Zeroes a segment of the stacked device — the security clear of
+    /// Section V-D2.
+    pub fn clear_segment(&mut self, stacked_addr: u64, seg_bytes: u32, now: Cycle) -> Cycle {
+        self.stacked
+            .bulk(stacked_addr, seg_bytes, MemOp::Write, now)
+            .done
     }
 }
 
@@ -151,7 +148,7 @@ mod tests {
     #[test]
     fn clear_touches_one_device() {
         let mut d = devices();
-        d.clear_segment(true, 0, 2048, 0);
+        d.clear_segment(0, 2048, 0);
         assert_eq!(d.stacked.stats().writes.value(), 1);
         assert_eq!(d.offchip.stats().writes.value(), 0);
     }

@@ -5,7 +5,7 @@ use chameleon_os::isa::IsaHook;
 use chameleon_simkit::mem::ByteSize;
 use chameleon_simkit::Cycle;
 
-use chameleon_dram::MemOp;
+use chameleon_dram::{DramModel, MemOp};
 
 use crate::policy::{base_lifecycle, HmaPolicy, ModeDistribution, PolicyBase};
 use crate::HmaConfig;
@@ -110,6 +110,19 @@ impl StaticNumaPolicy {
             base: PolicyBase::new(cfg),
         }
     }
+
+    /// The node device behind physical address `addr`, and the address
+    /// within that device: the stacked node sits below `stacked_bytes`,
+    /// the off-chip node above it.
+    #[inline]
+    fn device(&mut self, addr: u64) -> (&mut DramModel, u64) {
+        let devices = &mut self.base.devices;
+        if addr < self.stacked_bytes {
+            (&mut devices.stacked, addr)
+        } else {
+            (&mut devices.offchip, addr - self.stacked_bytes)
+        }
+    }
 }
 
 impl IsaHook for StaticNumaPolicy {
@@ -118,36 +131,16 @@ impl IsaHook for StaticNumaPolicy {
     // source): charge the page copy as bulk traffic on both devices so
     // migrations consume real bandwidth like the paper's.
     fn isa_alloc(&mut self, addr: u64, len: u64, now: u64) {
-        if addr < self.stacked_bytes {
-            self.base
-                .devices
-                .stacked
-                // INVARIANT: len is a page-copy length, not an address —
-                // allocations are page-granular and fit u32.
-                .bulk(addr, len as u32, MemOp::Write, now);
-        } else {
-            self.base
-                .devices
-                .offchip
-                // INVARIANT: page-copy length, fits u32 — see above.
-                .bulk(addr - self.stacked_bytes, len as u32, MemOp::Write, now);
-        }
+        let (dev, dev_addr) = self.device(addr);
+        // INVARIANT: len is a page-copy length, not an address —
+        // allocations are page-granular and fit u32.
+        dev.bulk(dev_addr, len as u32, MemOp::Write, now);
     }
 
     fn isa_free(&mut self, addr: u64, len: u64, now: u64) {
-        if addr < self.stacked_bytes {
-            self.base
-                .devices
-                .stacked
-                // INVARIANT: page-copy length, fits u32 — see isa_alloc.
-                .bulk(addr, len as u32, MemOp::Read, now);
-        } else {
-            self.base
-                .devices
-                .offchip
-                // INVARIANT: page-copy length, fits u32 — see isa_alloc.
-                .bulk(addr - self.stacked_bytes, len as u32, MemOp::Read, now);
-        }
+        let (dev, dev_addr) = self.device(addr);
+        // INVARIANT: page-copy length, fits u32 — see isa_alloc.
+        dev.bulk(dev_addr, len as u32, MemOp::Read, now);
     }
 }
 
@@ -155,34 +148,20 @@ impl HmaPolicy for StaticNumaPolicy {
     // lint: hot-path
     fn access(&mut self, paddr: u64, write: bool, now: Cycle) -> Cycle {
         self.base.stats.demand_accesses.inc();
-        let op = if write { MemOp::Write } else { MemOp::Read };
-        let latency = if paddr < self.stacked_bytes {
+        if paddr < self.stacked_bytes {
             self.base.stats.stacked_hits.inc();
-            self.base.devices.stacked.access(paddr, 64, op, now).latency
-        } else {
-            self.base
-                .devices
-                .offchip
-                .access(paddr - self.stacked_bytes, 64, op, now)
-                .latency
-        };
+        }
+        let op = if write { MemOp::Write } else { MemOp::Read };
+        let (dev, dev_addr) = self.device(paddr);
+        let latency = dev.access(dev_addr, 64, op, now).latency;
         self.base.stats.access_latency.record(latency as f64);
         latency
     }
 
     fn writeback(&mut self, paddr: u64, now: Cycle) {
         self.base.stats.llc_writebacks.inc();
-        if paddr < self.stacked_bytes {
-            self.base
-                .devices
-                .stacked
-                .access(paddr, 64, MemOp::Write, now);
-        } else {
-            self.base
-                .devices
-                .offchip
-                .access(paddr - self.stacked_bytes, 64, MemOp::Write, now);
-        }
+        let (dev, dev_addr) = self.device(paddr);
+        dev.access(dev_addr, 64, MemOp::Write, now);
     }
 
     base_lifecycle!();

@@ -511,10 +511,7 @@ impl RemapPolicy {
         if self.base.cfg.secure_clear {
             let stacked_addr = self.geom.slot_addr(group, 0);
             let len = self.base.segment_len();
-            let done = self
-                .base
-                .devices
-                .clear_segment(true, stacked_addr, len, now);
+            let done = self.base.devices.clear_segment(stacked_addr, len, now);
             e.set_transit(e.logical_in(0), None, done);
             self.base.stats.clears.inc();
             self.trace.push(now, EventKind::Clear, group);

@@ -103,7 +103,24 @@ impl System {
     /// architecture whose capacities do not tile into segment groups
     /// ([`HmaConfig::geometry`](chameleon_core::HmaConfig::geometry)),
     /// e.g. an off-chip:stacked ratio beyond 254.
+    ///
+    /// Panics if the architecture's physical memory map is larger than
+    /// the caches can address ([`chameleon_cache::CacheConfig::addressable_bytes`]: 64 GiB
+    /// with 64-byte lines), since a wider physical address would alias
+    /// another line in the caches' 32-bit keys.
     pub fn new(arch: Architecture, params: &ScaledParams) -> Self {
+        let map = arch.memory_map(&params.hma);
+        let addressable = params
+            .l1
+            .addressable_bytes()
+            .min(params.l2.addressable_bytes())
+            .min(params.l3.addressable_bytes());
+        assert!(
+            map.total().bytes() <= addressable,
+            "a {} physical memory map is beyond the {} the caches' 32-bit keys address",
+            map.total(),
+            ByteSize::bytes_exact(addressable)
+        );
         let group_placement = (params.group_aware_placement
             && arch.visibility() == chameleon_os::Visibility::Both)
             .then(|| params.hma.geometry());
@@ -112,7 +129,7 @@ impl System {
             preference: arch.preference(),
             group_placement,
         };
-        let os = OsKernel::new(os_cfg, arch.memory_map(&params.hma));
+        let os = OsKernel::new(os_cfg, map);
         let mut hierarchy = Hierarchy::new(
             params.cores,
             params.l1.clone(),
@@ -601,6 +618,16 @@ mod tests {
         s.prefault_all().unwrap();
         s.reset_measurement();
         s.run(streams)
+    }
+
+    #[test]
+    #[should_panic(expected = "a 64.1GiB physical memory map is beyond the 64.0GiB")]
+    fn memory_map_beyond_the_cache_keys_is_rejected() {
+        // 64 MiB stacked + 64 GiB off-chip: the off-chip node's top 64 MiB
+        // would alias the bottom of memory in a 32-bit key.
+        let mut params = ScaledParams::laptop();
+        params.hma.offchip.capacity = ByteSize::gib(64);
+        let _ = System::new(Architecture::Pom, &params);
     }
 
     #[test]
