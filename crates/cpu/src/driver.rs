@@ -57,6 +57,9 @@ impl RunReport {
 #[derive(Debug)]
 pub struct MultiCore {
     cores: Vec<Core>,
+    /// Which cores still have ops in the current [`MultiCore::run`]; kept
+    /// across runs since the core count is fixed.
+    live: Vec<bool>,
 }
 
 impl MultiCore {
@@ -69,6 +72,7 @@ impl MultiCore {
         assert!(n > 0, "at least one core required");
         Self {
             cores: (0..n).map(|i| Core::new(i, cfg)).collect(),
+            live: vec![true; n],
         }
     }
 
@@ -86,14 +90,28 @@ impl MultiCore {
         mut streams: Vec<S>,
         mem: &mut M,
     ) -> RunReport {
+        self.run_borrowed(&mut streams, mem)
+    }
+
+    /// [`MultiCore::run`] over streams the caller keeps, so a driver that
+    /// runs many rounds (the scenario layer) reuses one stream buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the number of streams differs from the number of cores.
+    pub fn run_borrowed<S: InstructionStream, M: MemorySystem + ?Sized>(
+        &mut self,
+        streams: &mut [S],
+        mem: &mut M,
+    ) -> RunReport {
         assert_eq!(
             streams.len(),
             self.cores.len(),
             "one stream per core required"
         );
-        let n = self.cores.len();
-        let mut live: Vec<bool> = vec![true; n];
-        let mut live_count = n;
+        let live = &mut self.live;
+        live.fill(true);
+        let mut live_count = live.len();
 
         while live_count > 0 {
             // Pick the live core with the smallest local clock.

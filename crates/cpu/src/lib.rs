@@ -66,10 +66,10 @@ pub trait InstructionStream {
     fn next_op(&mut self) -> Option<Op>;
 }
 
-/// A mutable borrow is itself a stream, so drivers that time-slice
-/// long-lived streams (the scenario layer) can lend them to
-/// [`MultiCore::run`] one quantum at a time without giving up ownership.
+/// A mutable borrow is itself a stream, so a caller can lend long-lived
+/// streams to [`MultiCore::run`] without giving up ownership.
 impl<S: InstructionStream + ?Sized> InstructionStream for &mut S {
+    #[inline]
     fn next_op(&mut self) -> Option<Op> {
         (**self).next_op()
     }

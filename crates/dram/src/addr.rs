@@ -7,6 +7,8 @@
 //! segment maps onto exactly one row) while consecutive rows spread across
 //! channels and banks for parallelism.
 
+use chameleon_simkit::fastmod::FastMod;
+
 use crate::DramConfig;
 
 /// The decoded location of a physical address within a DRAM device.
@@ -42,7 +44,9 @@ pub struct AddrDecoder {
     bank_shift: u32,
     rank_mask: u64,
     rank_shift: u32,
-    capacity: u64,
+    /// `x % capacity`: the 80 and 320 MiB scaled devices are not powers
+    /// of two, so a plain `%` would divide on every request.
+    capacity: FastMod,
     offset_mask: u32,
 }
 
@@ -67,7 +71,7 @@ impl AddrDecoder {
             bank_shift,
             rank_mask: (cfg.ranks_per_channel - 1) as u64,
             rank_shift,
-            capacity: cfg.capacity.bytes(),
+            capacity: FastMod::new(cfg.capacity.bytes()),
             offset_mask: (cfg.row_bytes.bytes() - 1) as u32,
         }
     }
@@ -77,7 +81,7 @@ impl AddrDecoder {
     /// Addresses are wrapped modulo the device capacity, so callers that
     /// hold device-relative offsets never go out of range.
     pub fn decode(&self, addr: u64) -> DecodedAddr {
-        let a = addr % self.capacity;
+        let a = self.capacity.modulo(addr);
         DecodedAddr {
             channel: ((a >> self.channel_shift) & self.channel_mask) as u32,
             rank: ((a >> self.rank_shift) & self.rank_mask) as u32,
@@ -92,6 +96,8 @@ impl AddrDecoder {
 mod tests {
     use super::*;
     use crate::DramConfig;
+    use chameleon_simkit::mem::ByteSize;
+    use proptest::prelude::*;
 
     fn decoder() -> AddrDecoder {
         AddrDecoder::new(&DramConfig::stacked_4gb())
@@ -155,5 +161,38 @@ mod tests {
             seen.insert(a.flat_bank(&cfg));
         }
         assert_eq!(seen.len(), cfg.total_banks() as usize);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The reciprocal wrap is `%`: at capacities of any whole number
+        /// of row stripes (the 80 and 320 MiB scaled devices among them,
+        /// none of them powers of two), every address's fields
+        /// reassemble into `addr % capacity`.
+        #[test]
+        fn decode_wraps_like_modulo(
+            stripes in prop_oneof![
+                Just(80u64 * 1024 * 1024 / (2048 * 32)),
+                Just(320u64 * 1024 * 1024 / (2048 * 32)),
+                1u64..1 << 20,
+            ],
+            addrs in prop::collection::vec(any::<u64>(), 64..65),
+        ) {
+            let mut cfg = DramConfig::offchip_20gb();
+            let stripe = cfg.row_bytes.bytes() * cfg.total_banks() as u64;
+            cfg.capacity = ByteSize::bytes_exact(stripes * stripe);
+            let cap = cfg.capacity.bytes();
+            let d = AddrDecoder::new(&cfg);
+            for addr in addrs.into_iter().chain([cap - 1, cap, cap + 1, u64::MAX]) {
+                let f = d.decode(addr);
+                let back = u64::from(f.offset)
+                    | u64::from(f.channel) << d.channel_shift
+                    | u64::from(f.bank) << d.bank_shift
+                    | u64::from(f.rank) << d.rank_shift
+                    | f.row << d.row_shift;
+                prop_assert_eq!(back, addr % cap, "capacity {}", cap);
+            }
+        }
     }
 }

@@ -33,6 +33,8 @@ enum JobStream {
 }
 
 impl InstructionStream for JobStream {
+    // lint: hot-path
+    #[inline]
     fn next_op(&mut self) -> Option<Op> {
         match self {
             JobStream::App(s) => s.next_op(),
@@ -49,15 +51,17 @@ struct ActiveJob {
     done: bool,
 }
 
-/// Lends a job's stream to a core for one quantum: ends the slice after
-/// `left` instructions, and flags the job done when the underlying
-/// stream (the job's whole budget) runs dry.
-struct SliceStream<'a> {
-    job: &'a mut ActiveJob,
+/// Holds a job on a core for one quantum: ends the slice after `left`
+/// instructions, and flags the job done when the underlying stream (the
+/// job's whole budget) runs dry.
+struct SliceStream {
+    job: ActiveJob,
     left: u64,
 }
 
-impl InstructionStream for SliceStream<'_> {
+impl InstructionStream for SliceStream {
+    // lint: hot-path
+    #[inline]
     fn next_op(&mut self) -> Option<Op> {
         if self.left == 0 || self.job.done {
             return None;
@@ -80,12 +84,14 @@ impl InstructionStream for SliceStream<'_> {
 }
 
 /// Per-core stream for one scheduling round; unassigned cores idle.
-enum CoreSlot<'a> {
+enum CoreSlot {
     Idle,
-    Busy(SliceStream<'a>),
+    Busy(SliceStream),
 }
 
-impl InstructionStream for CoreSlot<'_> {
+impl InstructionStream for CoreSlot {
+    // lint: hot-path
+    #[inline]
     fn next_op(&mut self) -> Option<Op> {
         match self {
             CoreSlot::Idle => None,
@@ -262,6 +268,9 @@ pub fn run_scenario(
     let mut now: Cycle = 0;
     let mut pressure_cycles: Cycle = 0;
     let mut last_run = RunReport::default();
+    // Per-round buffers, reused across rounds.
+    let mut scheduled: Vec<usize> = Vec::with_capacity(n_cores);
+    let mut slots: Vec<CoreSlot> = (0..n_cores).map(|_| CoreSlot::Idle).collect();
 
     while completed < cells.len() {
         if ready.is_empty() {
@@ -288,40 +297,31 @@ pub fn run_scenario(
 
         // Latency-sensitive jobs first, then FIFO by (arrival, id).
         ready.sort_by_key(|&i| (cells[i].class, cells[i].arrival, i));
-        let scheduled: Vec<usize> = ready[..ready.len().min(n_cores)].to_vec();
+        scheduled.clear();
+        scheduled.extend_from_slice(&ready[..ready.len().min(n_cores)]);
 
-        // Align every core on the scenario clock, then point the
-        // scheduled cores at their tenants.
+        // Align every core on the scenario clock, then move the scheduled
+        // jobs onto their cores for one quantum, pointing each core at
+        // its tenant.
         for c in 0..n_cores {
             cores.core_mut(c).advance_to(now);
         }
-        for (c, &ji) in scheduled.iter().enumerate() {
+        for (c, (slot, &ji)) in slots.iter_mut().zip(&scheduled).enumerate() {
             // INVARIANT: `ready` only holds admitted, unfinished jobs.
-            let pid = active[ji].as_ref().expect("scheduled job is active").pid;
-            sys.bind_core(c, pid);
+            let job = active[ji].take().expect("scheduled job is active");
+            sys.bind_core(c, job.pid);
+            *slot = CoreSlot::Busy(SliceStream {
+                job,
+                left: spec.quantum.max(1),
+            });
         }
 
-        // Lend the scheduled jobs' streams out for one quantum. A single
-        // pass over `active` hands out disjoint mutable borrows.
-        let mut lent: Vec<Option<&mut ActiveJob>> = scheduled.iter().map(|_| None).collect();
-        for (idx, slot) in active.iter_mut().enumerate() {
-            if let Some(pos) = scheduled.iter().position(|&j| j == idx) {
-                lent[pos] = slot.as_mut();
+        let run = cores.run_borrowed(&mut slots, &mut sys);
+        for (slot, &ji) in slots.iter_mut().zip(&scheduled) {
+            if let CoreSlot::Busy(s) = std::mem::replace(slot, CoreSlot::Idle) {
+                active[ji] = Some(s.job);
             }
         }
-        let mut slots: Vec<CoreSlot> = lent
-            .into_iter()
-            .map(|l| match l {
-                Some(job) => CoreSlot::Busy(SliceStream {
-                    job,
-                    left: spec.quantum.max(1),
-                }),
-                None => CoreSlot::Idle,
-            })
-            .collect();
-        slots.resize_with(n_cores, || CoreSlot::Idle);
-
-        let run = cores.run(slots, &mut sys);
 
         // Charge each job its core's advance and retire finished jobs.
         let mut slice_end = now;

@@ -4,6 +4,7 @@ use chameleon_cpu::{InstructionStream, Op};
 use chameleon_simkit::rng::DeterministicRng;
 
 use crate::decode::OpMixGates;
+use crate::synth::{mem_word, Pacer};
 use crate::AppSpec;
 
 /// A deterministic synthetic instruction stream for one copy of an
@@ -21,17 +22,22 @@ use crate::AppSpec;
 ///   entirely by the SRAM hierarchy.
 ///
 /// Between memory operations the stream issues enough compute
-/// instructions to hit the spec's `mem_per_kilo` intensity.
+/// instructions to hit the spec's `mem_per_kilo` intensity, paced like
+/// every generator by the shared `synth::Pacer`.
 #[derive(Debug)]
 pub struct AppStream {
+    pacer: Pacer,
+    pub(crate) ops: AppOps,
+}
+
+/// The memory-op side of an [`AppStream`]: the three populations, phase
+/// churn and the store/load gate.
+#[derive(Debug)]
+pub(crate) struct AppOps {
     footprint_lines: u64,
     hot_lines: u64,
     /// Line index where the hot set starts (randomised per copy).
     hot_base: u64,
-    /// Compute instructions inserted per memory operation (fractional,
-    /// carried in an accumulator).
-    gap_per_mem: f64,
-    gap_acc: f64,
     cursor: u64,
     /// Sequential lines remaining before the stream jumps.
     run_left: u32,
@@ -44,10 +50,7 @@ pub struct AppStream {
     /// Phase churn: memory ops until the hot/medium regions drift.
     phase_mem_ops: u64,
     phase_countdown: u64,
-    instructions_left: u64,
     rng: DeterministicRng,
-    /// Pending memory op left over after emitting a compute gap.
-    pending: Option<Op>,
     /// Precomputed Table-II op-mix gates (integer thresholds replaying
     /// the float Bernoulli draws exactly).
     gates: OpMixGates,
@@ -72,7 +75,6 @@ impl AppStream {
         // references, not hot reuse).
         let hot_bytes = ((footprint as f64 * spec.hot_fraction) as u64).clamp(4096, 16 << 10);
         let hot_lines = (hot_bytes / 64).min(footprint_lines);
-        let gap_per_mem = (1000.0 - spec.mem_per_kilo as f64).max(0.0) / spec.mem_per_kilo as f64;
         let mut rng = DeterministicRng::seed(seed ^ 0xC0FF_EE00);
         let hot_base = rng.below(footprint_lines.saturating_sub(hot_lines).max(1));
         let cursor = rng.below(footprint_lines);
@@ -88,28 +90,32 @@ impl AppStream {
         let medium_lines = (medium_bytes / 64).min(footprint_lines);
         let medium_base = rng.below(footprint_lines.saturating_sub(medium_lines).max(1));
         Self {
-            footprint_lines,
-            hot_lines,
-            hot_base,
-            gap_per_mem,
-            gap_acc: 0.0,
-            cursor,
-            run_left: spec.stream_run_lines,
-            run_lines: spec.stream_run_lines.max(1),
-            medium_base,
-            medium_lines,
-            medium_cursor: 0,
-            medium_run_left: 0,
-            phase_mem_ops: spec.phase_mem_ops,
-            phase_countdown: spec.phase_mem_ops,
-            instructions_left: instructions,
-            rng,
-            pending: None,
-            gates: spec.op_gates(),
+            pacer: Pacer::new(spec.mem_per_kilo, instructions),
+            ops: AppOps {
+                footprint_lines,
+                hot_lines,
+                hot_base,
+                cursor,
+                run_left: spec.stream_run_lines,
+                run_lines: spec.stream_run_lines.max(1),
+                medium_base,
+                medium_lines,
+                medium_cursor: 0,
+                medium_run_left: 0,
+                phase_mem_ops: spec.phase_mem_ops,
+                phase_countdown: spec.phase_mem_ops,
+                rng,
+                gates: spec.op_gates(),
+            },
         }
     }
+}
 
-    fn next_mem_op(&mut self) -> Op {
+impl AppOps {
+    /// The next memory op, packed by [`mem_word`].
+    // lint: hot-path
+    #[inline]
+    pub(crate) fn next_mem_op(&mut self) -> u64 {
         if self.phase_mem_ops > 0 {
             self.phase_countdown -= 1;
             if self.phase_countdown == 0 {
@@ -158,38 +164,15 @@ impl AppStream {
         } else {
             (self.hot_base + self.rng.below(self.hot_lines)) * 64
         };
-        if self.gates.write.draw(&mut self.rng) {
-            Op::Store(addr)
-        } else {
-            Op::Load(addr)
-        }
+        mem_word(addr, self.gates.write.draw(&mut self.rng))
     }
 }
 
 impl InstructionStream for AppStream {
+    // lint: hot-path
+    #[inline]
     fn next_op(&mut self) -> Option<Op> {
-        if let Some(op) = self.pending.take() {
-            if self.instructions_left == 0 {
-                return None;
-            }
-            self.instructions_left -= 1;
-            return Some(op);
-        }
-        if self.instructions_left == 0 {
-            return None;
-        }
-        // Emit the compute gap before the next memory op (if any).
-        self.gap_acc += self.gap_per_mem;
-        let gap = (self.gap_acc as u64).min(self.instructions_left.saturating_sub(1));
-        self.gap_acc -= gap as f64;
-        let mem = self.next_mem_op();
-        if gap == 0 {
-            self.instructions_left -= 1;
-            return Some(mem);
-        }
-        self.pending = Some(mem);
-        self.instructions_left -= gap;
-        Some(Op::Compute(gap as u32))
+        self.pacer.next_op(|| self.ops.next_mem_op())
     }
 }
 
@@ -306,6 +289,26 @@ mod tests {
             jumps >= expected_jumps / 2 && jumps <= expected_jumps * 2,
             "jumps {jumps} vs expected ~{expected_jumps}"
         );
+    }
+
+    /// An intensity of 0 paces as 1 memory op per 1000 instructions
+    /// (the shared pacer's clamp) instead of dividing by zero. No Table
+    /// II app or scenario preset reaches it.
+    #[test]
+    fn zero_intensity_paces_as_one_per_kilo() {
+        let ops = |mem_per_kilo| {
+            let mut sp = spec();
+            sp.mem_per_kilo = mem_per_kilo;
+            let mut s = AppStream::new(&sp, 20_000, 6);
+            std::iter::from_fn(move || s.next_op()).collect::<Vec<_>>()
+        };
+        let zero = ops(0);
+        assert_eq!(zero, ops(1));
+        let mem = zero
+            .iter()
+            .filter(|op| !matches!(op, Op::Compute(_)))
+            .count();
+        assert_eq!(mem, 20, "999 compute instructions per memory op");
     }
 
     #[test]
