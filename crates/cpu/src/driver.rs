@@ -90,11 +90,14 @@ impl MultiCore {
         mut streams: Vec<S>,
         mem: &mut M,
     ) -> RunReport {
-        self.run_borrowed(&mut streams, mem)
+        self.run_borrowed(&mut streams, mem);
+        self.report()
     }
 
     /// [`MultiCore::run`] over streams the caller keeps, so a driver that
     /// runs many rounds (the scenario layer) reuses one stream buffer.
+    /// It builds no report: the caller reads the cores it needs, and
+    /// takes [`MultiCore::report`] once at the end.
     ///
     /// # Panics
     ///
@@ -103,7 +106,7 @@ impl MultiCore {
         &mut self,
         streams: &mut [S],
         mem: &mut M,
-    ) -> RunReport {
+    ) {
         assert_eq!(
             streams.len(),
             self.cores.len(),
@@ -138,7 +141,10 @@ impl MultiCore {
                 }
             }
         }
+    }
 
+    /// The per-core reports so far (final after a run).
+    pub fn report(&self) -> RunReport {
         RunReport {
             cores: self.cores.iter().map(|c| *c.report()).collect(),
         }

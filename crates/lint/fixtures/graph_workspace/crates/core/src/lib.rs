@@ -31,16 +31,7 @@ pub fn timestamp() -> u64 {
     chameleon_sweep::progress_now()
 }
 
-pub fn publish(reg: &mut Registry) {
-    reg.set_counter("core.hits", 1);
-    reg.set_counter("core.dead", 2);
-}
-
 pub struct Registry;
-
-impl Registry {
-    pub fn set_counter(&mut self, _name: &str, _v: u64) {}
-}
 
 /// `dead-pub`: nothing calls it.
 pub fn unused() -> u64 {

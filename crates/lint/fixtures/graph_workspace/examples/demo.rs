@@ -9,7 +9,6 @@ fn main() {
     };
     let _ = sys.access(0);
     let _ = chameleon_core::timestamp();
-    chameleon_core::publish(&mut chameleon_core::Registry);
     let _ = chameleon_core::ledgers(&[1, 2]);
     let _ = chameleon_core::example_only();
     let shape = chameleon_core::Shape {

@@ -5,13 +5,15 @@
 //! a stated reason. One line per `rule<TAB-or-space>path<TAB-or-space>token`
 //! (token `*` matches any). Entries apply in every determinism scope, so
 //! a strict crate can sanction a single use without loosening the whole
-//! crate.
+//! crate. An entry that sanctions nothing in a scan is stale, and the
+//! scan reports it.
 
+use std::cell::Cell;
 use std::fs;
 use std::io;
 use std::path::Path;
 
-use crate::Finding;
+use crate::Rule;
 
 /// One allowlist entry.
 #[derive(Debug, Clone)]
@@ -24,14 +26,31 @@ pub struct AllowEntry {
     pub path: String,
     /// Token the entry sanctions, or `*` for any token in the scope.
     pub token: String,
+    /// Whether the entry has sanctioned anything in the current scan.
+    pub(crate) used: Cell<bool>,
 }
 
 impl AllowEntry {
-    /// Whether this entry sanctions the finding.
-    pub fn matches(&self, f: &Finding) -> bool {
-        self.rule == f.rule.name()
-            && self.path == f.file
-            && (self.token == "*" || self.token == f.token)
+    /// An entry sanctioning `token` under `rule` at `path`.
+    pub fn new(rule: &str, path: &str, token: &str) -> Self {
+        Self {
+            rule: rule.to_string(),
+            path: path.to_string(),
+            token: token.to_string(),
+            used: Cell::new(false),
+        }
+    }
+
+    /// Whether this entry sanctions `token` under `rule` in `file` or in
+    /// the fn `scope` (`file#Fn`); a hit marks the entry used.
+    pub fn covers(&self, rule: Rule, file: &str, scope: &str, token: &str) -> bool {
+        let hit = self.rule == rule.name()
+            && (self.path == file || self.path == scope)
+            && (self.token == "*" || self.token == token);
+        if hit {
+            self.used.set(true);
+        }
+        hit
     }
 }
 
@@ -48,11 +67,9 @@ pub fn load_allowlist(path: &Path) -> io::Result<Vec<AllowEntry>> {
         }
         let mut parts = line.split_whitespace();
         match (parts.next(), parts.next(), parts.next()) {
-            (Some(rule), Some(path), Some(token)) => entries.push(AllowEntry {
-                rule: rule.to_string(),
-                path: path.to_string(),
-                token: token.to_string(),
-            }),
+            (Some(rule), Some(path), Some(token)) => {
+                entries.push(AllowEntry::new(rule, path, token))
+            }
             _ => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,

@@ -212,11 +212,7 @@ fn cast_operand_is_addressy(toks: &[Tok], as_idx: usize, floor: usize) -> bool {
 /// graph rules are fn-scoped by design, but file entries still work for
 /// coarse sanctions.
 fn sanctioned(allowlist: &[AllowEntry], rule: Rule, file: &str, scope: &str, token: &str) -> bool {
-    allowlist.iter().any(|a| {
-        a.rule == rule.name()
-            && (a.path == file || a.path == scope)
-            && (a.token == "*" || a.token == token)
-    })
+    allowlist.iter().any(|a| a.covers(rule, file, scope, token))
 }
 
 /// Transitive purity + recursion (both keyed on hot-root reachability).
@@ -696,11 +692,11 @@ mod tests {
         assert_eq!(f[0].file, "crates/core/src/machine.rs");
         assert!(f[0].blame.len() >= 2);
 
-        let allow = [AllowEntry {
-            rule: "determinism-taint".to_string(),
-            path: "crates/core/src/machine.rs#drive".to_string(),
-            token: "std::time".to_string(),
-        }];
+        let allow = [AllowEntry::new(
+            "determinism-taint",
+            "crates/core/src/machine.rs#drive",
+            "std::time",
+        )];
         let out = analyze_graph(&mk(), &BTreeSet::new(), &allow);
         assert!(rules(&out, Rule::DeterminismTaint).is_empty());
         assert_eq!(out.allowlisted, 1);

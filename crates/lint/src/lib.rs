@@ -12,14 +12,18 @@
 //!   wall-clock read or hash-order iteration seeding a simulated
 //!   decision silently breaks the content-addressed result store.
 //!
-//! Four rule families (see `DESIGN.md` §13 for the full table):
+//! Three local rules judge one file at a time (see `DESIGN.md` §13):
 //!
 //! | rule            | contract                                          |
 //! |-----------------|---------------------------------------------------|
 //! | `hot-path-alloc`| no alloc/format tokens in annotated hot functions |
 //! | `determinism`   | no wall-clock/ambient RNG/hash-order in sim code  |
 //! | `panic-policy`  | `unwrap`/`expect`/`panic!` need `// INVARIANT:`   |
-//! | `unsafe-forbid` | every crate root carries `#![forbid(unsafe_code)]`|
+//!
+//! Five more ride on the workspace call graph (`DESIGN.md` §18):
+//! `hot-path-transitive`, `determinism-taint`, `hot-path-recursion`,
+//! `lossy-cast` and `dead-pub`. `unsafe` needs no rule: every member
+//! inherits `unsafe_code = "forbid"` from `[workspace.lints]`.
 //!
 //! The pass is deliberately dependency-free (the build has no crates.io
 //! access): one small tokenizer ([`tok`]) and an item recognizer
@@ -35,17 +39,14 @@ mod flow;
 pub mod graph;
 pub mod items;
 mod local;
-mod metrics;
-mod sarif;
 pub mod tok;
 mod workspace;
 
 pub use allowlist::{load_allowlist, AllowEntry};
 pub use local::scan_file;
-pub use sarif::{json_str, to_sarif};
 pub use workspace::{classify, scan_workspace, workspace_root_from, Report};
 
-/// The enforced rule families. The first four are local token rules
+/// The enforced rule families. The first three are local token rules
 /// that judge one file at a time; the rest ride on the workspace call
 /// graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -56,8 +57,6 @@ pub enum Rule {
     Determinism,
     /// Unjustified `unwrap()`/`expect()`/`panic!` in library code.
     PanicPolicy,
-    /// Crate root missing `#![forbid(unsafe_code)]`.
-    UnsafeForbid,
     /// Allocation tokens in any fn *reachable from* a hot root.
     HotPathTransitive,
     /// A sim-crate fn reaches a nondeterministic source outside the
@@ -68,9 +67,6 @@ pub enum Rule {
     HotPathRecursion,
     /// A narrowing `as` cast applied to address-like arithmetic.
     LossyCast,
-    /// A metric published in code but absent from the golden fixture,
-    /// or present in the golden but never published.
-    DeadMetric,
     /// A bare-`pub` library fn that nothing outside tests calls.
     DeadPub,
 }
@@ -82,12 +78,10 @@ impl Rule {
             Rule::HotPathAlloc => "hot-path-alloc",
             Rule::Determinism => "determinism",
             Rule::PanicPolicy => "panic-policy",
-            Rule::UnsafeForbid => "unsafe-forbid",
             Rule::HotPathTransitive => "hot-path-transitive",
             Rule::DeterminismTaint => "determinism-taint",
             Rule::HotPathRecursion => "hot-path-recursion",
             Rule::LossyCast => "lossy-cast",
-            Rule::DeadMetric => "dead-metric",
             Rule::DeadPub => "dead-pub",
         }
     }

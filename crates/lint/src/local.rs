@@ -1,6 +1,6 @@
-//! The four local rules, run over one file's token stream and item
-//! parse: `hot-path-alloc`, `determinism`, `panic-policy` and
-//! `unsafe-forbid`. The allocation and nondeterminism tokens come from
+//! The three local rules, run over one file's token stream and item
+//! parse: `hot-path-alloc`, `determinism` and `panic-policy`. The
+//! allocation and nondeterminism tokens come from
 //! [`crate::flow::extract_facts`] and the `INVARIANT:` lines from
 //! [`crate::flow::invariant_lines`], the same sources the graph rules
 //! read. Test code is every token inside a [`FileItems::test_spans`]
@@ -27,9 +27,6 @@ const HASH_ITER: &[&str] = &[
     "retain",
 ];
 
-/// The crate-root attribute `unsafe-forbid` requires, as tokens.
-const FORBID_UNSAFE: &[&str] = &["#", "!", "[", "forbid", "(", "unsafe_code", ")", "]"];
-
 /// One raw hit: (line, rule, token, message).
 type Hit = (usize, Rule, String, String);
 
@@ -40,17 +37,7 @@ pub fn scan_file(ctx: &FileContext, text: &str, out: &mut Vec<Finding>) {
     check_file(ctx, &toks, &parse_items(&toks), out);
 }
 
-fn forbids_unsafe(toks: &[Tok]) -> bool {
-    let code: Vec<&str> = toks
-        .iter()
-        .filter(|t| t.kind != TokKind::Comment)
-        .map(|t| t.text.as_str())
-        .collect();
-    code.windows(FORBID_UNSAFE.len())
-        .any(|w| w == FORBID_UNSAFE)
-}
-
-/// Runs the four local rules over an already tokenized and parsed file.
+/// Runs the three local rules over an already tokenized and parsed file.
 pub(crate) fn check_file(
     ctx: &FileContext,
     toks: &[Tok],
@@ -100,21 +87,6 @@ pub(crate) fn check_file(
     for (line, rule, tok, msg) in hits {
         out.push(Finding::new(rule, &ctx.rel_path, line, &tok, msg));
     }
-
-    if is_crate_root(&ctx.rel_path) && !forbids_unsafe(toks) {
-        out.push(Finding::new(
-            Rule::UnsafeForbid,
-            &ctx.rel_path,
-            1,
-            "#![forbid(unsafe_code)]",
-            "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
-        ));
-    }
-}
-
-/// `src/lib.rs` of the root package or of a `crates/*` member.
-fn is_crate_root(rel: &str) -> bool {
-    rel == "src/lib.rs" || (rel.ends_with("/src/lib.rs") && rel.matches('/').count() == 3)
 }
 
 /// The complement of the (sorted, disjoint) `spans` within `0..n`.

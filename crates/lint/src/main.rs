@@ -2,59 +2,36 @@
 //! `chameleon-lint` CLI.
 //!
 //! ```text
-//! chameleon-lint [--root PATH] [--json] [--sarif PATH] [--allowlist PATH]
-//!                [--check-all]
+//! chameleon-lint [--root PATH]
 //! ```
 //!
-//! Exit codes: `0` no findings, `1` any finding, `2` usage or I/O error.
-//! `--check-all` also runs `cargo fmt --check` and `cargo clippy` first;
-//! a failed step exits `1` too.
+//! Exit codes: `0` no findings, `1` any finding or stale allowlist
+//! entry, `2` usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use chameleon_lint::{
-    json_str, load_allowlist, scan_workspace, to_sarif, workspace_root_from, Finding,
-};
+use chameleon_lint::{load_allowlist, scan_workspace, workspace_root_from, Report};
 
-struct Args {
-    root: Option<PathBuf>,
-    json: bool,
-    sarif: Option<PathBuf>,
-    allowlist: Option<PathBuf>,
-    check_all: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        root: None,
-        json: false,
-        sarif: None,
-        allowlist: None,
-        check_all: false,
-    };
+/// The `--root` value, if given.
+fn parse_args() -> Result<Option<PathBuf>, String> {
+    let mut root = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--json" => args.json = true,
-            "--check-all" => args.check_all = true,
-            "--root" => args.root = Some(PathBuf::from(next_value(&mut it, "--root")?)),
-            "--sarif" => args.sarif = Some(PathBuf::from(next_value(&mut it, "--sarif")?)),
-            "--allowlist" => {
-                args.allowlist = Some(PathBuf::from(next_value(&mut it, "--allowlist")?))
+            "--root" => {
+                let value = it.next().ok_or("--root needs a value")?;
+                root = Some(PathBuf::from(value));
             }
             "--help" | "-h" => {
                 println!(
                     "chameleon-lint: workspace invariant linter\n\n\
-                     USAGE: chameleon-lint [--root PATH] [--json] [--sarif PATH]\n\
-                    \x20                     [--allowlist PATH] [--check-all]\n\n\
-                     Local rules:  hot-path-alloc, determinism, panic-policy,\n\
-                    \x20              unsafe-forbid\n\
+                     USAGE: chameleon-lint [--root PATH]\n\n\
+                     Local rules:  hot-path-alloc, determinism, panic-policy\n\
                      Graph rules:  hot-path-transitive, determinism-taint,\n\
-                    \x20              hot-path-recursion, lossy-cast, dead-metric,\n\
-                    \x20              dead-pub\n\n\
-                     --sarif PATH   also write a SARIF 2.1.0 report\n\
-                     --check-all    run cargo fmt --check and cargo clippy first\n\
+                    \x20              hot-path-recursion, lossy-cast, dead-pub\n\n\
+                     --root PATH    workspace to scan (default: the one above\n\
+                    \x20              the current directory)\n\
                      (see DESIGN.md sections 13 and 18)."
                 );
                 std::process::exit(0);
@@ -62,23 +39,19 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
-    Ok(args)
-}
-
-fn next_value(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
-    it.next().ok_or_else(|| format!("{flag} needs a value"))
+    Ok(root)
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    let root = match parse_args() {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("chameleon-lint: {e}");
             return ExitCode::from(2);
         }
     };
 
-    let root = match args.root.clone().or_else(|| {
+    let root = match root.or_else(|| {
         std::env::current_dir()
             .ok()
             .and_then(|d| workspace_root_from(&d))
@@ -90,68 +63,20 @@ fn main() -> ExitCode {
         }
     };
 
-    let allowlist_path = args
-        .allowlist
-        .clone()
-        .unwrap_or_else(|| root.join("crates/lint/allowlist.txt"));
-
-    // --check-all front-runs the cargo-native checks so `cargo lint
-    // --check-all` is the one entry point CI and humans share.
-    let mut cargo_checks_failed = false;
-    if args.check_all {
-        for (label, cargo_args) in [
-            ("cargo fmt --check", &["fmt", "--check"][..]),
-            (
-                "cargo clippy",
-                &["clippy", "--workspace", "--", "-D", "warnings"][..],
-            ),
-        ] {
-            eprintln!("chameleon-lint: running {label}");
-            match std::process::Command::new("cargo")
-                .args(cargo_args)
-                .current_dir(&root)
-                .status()
-            {
-                Ok(s) if s.success() => {}
-                Ok(_) => {
-                    eprintln!("chameleon-lint: {label} failed");
-                    cargo_checks_failed = true;
-                }
-                Err(e) => {
-                    eprintln!("chameleon-lint: could not run {label}: {e}");
-                    cargo_checks_failed = true;
-                }
-            }
-        }
-    }
-
-    let run = || -> std::io::Result<ExitCode> {
-        let allowlist = load_allowlist(&allowlist_path)?;
-        let report = scan_workspace(&root, &allowlist)?;
-
-        if let Some(sarif_path) = &args.sarif {
-            std::fs::write(sarif_path, to_sarif(&report.findings))?;
-            eprintln!(
-                "chameleon-lint: wrote SARIF report to {}",
-                sarif_path.display()
-            );
-        }
-
-        if args.json {
-            print_json(&report.findings, report.files_scanned);
-        } else {
-            print_human(&report.findings, report.files_scanned);
-        }
-
-        Ok(if report.findings.is_empty() && !cargo_checks_failed {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        })
+    let run = || -> std::io::Result<Report> {
+        let allowlist = load_allowlist(&root.join("crates/lint/allowlist.txt"))?;
+        scan_workspace(&root, &allowlist)
     };
 
     match run() {
-        Ok(code) => code,
+        Ok(report) => {
+            print_human(&report);
+            if report.findings.is_empty() && report.stale_entries.is_empty() {
+                ExitCode::SUCCESS
+            } else {
+                ExitCode::FAILURE
+            }
+        }
         Err(e) => {
             eprintln!("chameleon-lint: {e}");
             ExitCode::from(2)
@@ -159,34 +84,17 @@ fn main() -> ExitCode {
     }
 }
 
-fn print_human(findings: &[Finding], files: usize) {
-    for f in findings {
+fn print_human(report: &Report) {
+    for f in &report.findings {
         println!("{}:{}: [{}] {}", f.file, f.line, f.rule.name(), f.message);
     }
-    println!(
-        "chameleon-lint: {} files scanned, {} finding(s)",
-        files,
-        findings.len()
-    );
-}
-
-fn print_json(findings: &[Finding], files: usize) {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema_version\": 2,\n");
-    out.push_str(&format!("  \"files_scanned\": {files},\n"));
-    out.push_str(&format!("  \"finding_count\": {},\n", findings.len()));
-    out.push_str("  \"findings\": [\n");
-    for (i, f) in findings.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"token\": {}, \"message\": {}}}{}\n",
-            json_str(f.rule.name()),
-            json_str(&f.file),
-            f.line,
-            json_str(&f.token),
-            json_str(&f.message),
-            if i + 1 < findings.len() { "," } else { "" }
-        ));
+    for e in &report.stale_entries {
+        println!("crates/lint/allowlist.txt: stale entry `{e}` sanctions no finding");
     }
-    out.push_str("  ]\n}");
-    println!("{out}");
+    println!(
+        "chameleon-lint: {} files scanned, {} finding(s), {} stale allowlist entry(ies)",
+        report.files_scanned,
+        report.findings.len(),
+        report.stale_entries.len()
+    );
 }

@@ -23,10 +23,9 @@ pub enum TokKind {
     Ident,
     /// Single punctuation character.
     Punct,
-    /// Any literal (string/char/byte/number). String-likes keep their
-    /// text verbatim (the metrics pass reads metric names out of them);
-    /// rule matching never looks at `Lit` tokens, so banned tokens
-    /// inside literals still cannot fire.
+    /// Any literal (string/char/byte/number), text verbatim. Rule
+    /// matching never looks at `Lit` tokens, so banned tokens inside
+    /// literals cannot fire.
     Lit,
     /// `'lifetime` (including loop labels).
     Lifetime,

@@ -18,12 +18,8 @@ use crate::flow::analyze_graph;
 use crate::graph::ParsedFile;
 use crate::items::parse_items;
 use crate::local::check_file;
-use crate::metrics::dead_metric_pass;
 use crate::tok::{tokenize, Tok, TokKind};
 use crate::{DetScope, FileContext, Finding, Rule, TargetKind};
-
-/// Golden fixture the dead-metric rule cross-references.
-const GOLDEN_REPORT: &str = "results/fixtures/system_report.golden.json";
 
 /// Crates simulating hardware/OS state: any nondeterminism here breaks
 /// bit-identical replay. The facade (root `src/`) drives the same spine
@@ -56,6 +52,8 @@ pub struct Report {
     /// Number of findings suppressed by the allowlist (local and
     /// fn-scoped graph sanctions).
     pub allowlisted: usize,
+    /// Allowlist entries (`rule path token`) that sanctioned nothing.
+    pub stale_entries: Vec<String>,
     /// Call-graph size: functions.
     pub graph_nodes: usize,
     /// Call-graph size: resolved call edges.
@@ -140,11 +138,14 @@ pub fn classify(rel_path: &str) -> Option<FileContext> {
 
 /// Scans the whole workspace: the local rules over every `.rs` file of
 /// the root package and the `crates/*` members, then the graph rules
-/// over the library and binary files. Determinism findings in
-/// [`DetScope::Allowlisted`] crates that match an allowlist entry are
-/// counted but suppressed.
+/// over the library and binary files. Determinism findings that match
+/// an allowlist entry are counted but suppressed; an entry that matches
+/// nothing is reported as stale.
 pub fn scan_workspace(root: &Path, allowlist: &[AllowEntry]) -> io::Result<Report> {
     let mut report = Report::default();
+    for a in allowlist {
+        a.used.set(false);
+    }
 
     let mut crate_dirs: Vec<PathBuf> = vec![root.to_path_buf()];
     let crates_dir = root.join("crates");
@@ -233,7 +234,11 @@ pub fn scan_workspace(root: &Path, allowlist: &[AllowEntry]) -> io::Result<Repor
             // apply in every determinism scope: strict crates sanction
             // individual uses (the sweep engine's `thread::scope`)
             // without loosening the whole crate.
-            if f.rule == Rule::Determinism && allowlist.iter().any(|a| a.matches(&f)) {
+            if f.rule == Rule::Determinism
+                && allowlist
+                    .iter()
+                    .any(|a| a.covers(f.rule, &f.file, &f.file, &f.token))
+            {
                 report.allowlisted += 1;
             } else {
                 report.findings.push(f);
@@ -250,16 +255,11 @@ pub fn scan_workspace(root: &Path, allowlist: &[AllowEntry]) -> io::Result<Repor
     report.crates_covered = outcome.crates_covered;
     report.allowlisted += outcome.allowlisted;
     report.findings.extend(outcome.findings);
-
-    // Dead-metric cross-reference against the golden system report.
-    dead_metric_pass(
-        root,
-        GOLDEN_REPORT,
-        &parsed,
-        allowlist,
-        &mut report.findings,
-        &mut report.allowlisted,
-    );
+    report.stale_entries = allowlist
+        .iter()
+        .filter(|a| !a.used.get())
+        .map(|a| format!("{} {} {}", a.rule, a.path, a.token))
+        .collect();
 
     report
         .findings

@@ -63,10 +63,13 @@ fn seeded_violation_fails_and_the_fixed_tree_passes() {
     let ws = MiniWorkspace::new("seeded");
     ws.write_lib(DIRTY_LIB);
 
-    // Seeded violation: exit 1, and the JSON names the rule.
-    let (code, out) = ws.run(&["--json"]);
+    // Seeded violation: exit 1, and the finding line names the rule.
+    let (code, out) = ws.run(&[]);
     assert_eq!(code, 1, "{out}");
-    assert!(out.contains("\"rule\": \"panic-policy\""), "{out}");
+    assert!(
+        out.contains("crates/core/src/lib.rs:2: [panic-policy]"),
+        "{out}"
+    );
 
     // Fixing the code leaves no finding: exit 0.
     ws.write_lib(CLEAN_LIB);
@@ -75,19 +78,20 @@ fn seeded_violation_fails_and_the_fixed_tree_passes() {
     assert!(out.contains("0 finding(s)"), "{out}");
 }
 
-#[test]
-fn missing_unsafe_forbid_is_reported() {
-    let ws = MiniWorkspace::new("forbid");
-    ws.write_lib("pub fn ok() -> u32 { 1 }\n");
-    let (code, out) = ws.run(&[]);
-    assert_eq!(code, 1, "{out}");
-    assert!(out.contains("unsafe-forbid"), "{out}");
-}
-
+/// Any flag but `--root` is a usage error, the retired output and
+/// cargo-check flags included.
 #[test]
 fn unknown_flag_is_a_usage_error() {
     let ws = MiniWorkspace::new("usage");
     ws.write_lib(CLEAN_LIB);
-    let (code, out) = ws.run(&["--frobnicate"]);
-    assert_eq!(code, 2, "{out}");
+    for args in [
+        &["--frobnicate"][..],
+        &["--check-all"],
+        &["--sarif", "x"],
+        &["--json"],
+        &["--allowlist", "x"],
+    ] {
+        let (code, out) = ws.run(args);
+        assert_eq!(code, 2, "{args:?}: {out}");
+    }
 }

@@ -104,15 +104,3 @@ fn panic_policy_exempts_non_library_targets() {
         );
     }
 }
-
-#[test]
-fn unsafe_forbid_fixtures() {
-    let ctx = classify("crates/core/src/lib.rs").expect("crate root context");
-    let forbids = |rel: &str| {
-        let mut out = Vec::new();
-        scan_file(&ctx, &read_fixture(rel), &mut out);
-        out.iter().all(|f| f.rule != Rule::UnsafeForbid)
-    };
-    assert!(!forbids("unsafe_forbid/fail.rs"));
-    assert!(forbids("unsafe_forbid/pass.rs"));
-}

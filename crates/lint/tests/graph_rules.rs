@@ -20,11 +20,11 @@ fn fixture_root() -> PathBuf {
 /// (mirroring the real workspace's per-use entries) so the graph rules
 /// are the only findings left.
 fn local_allowlist() -> Vec<AllowEntry> {
-    vec![AllowEntry {
-        rule: "determinism".to_string(),
-        path: "crates/sweep/src/lib.rs".to_string(),
-        token: "*".to_string(),
-    }]
+    vec![AllowEntry::new(
+        "determinism",
+        "crates/sweep/src/lib.rs",
+        "*",
+    )]
 }
 
 fn by_rule(findings: &[Finding], rule: Rule) -> Vec<&Finding> {
@@ -102,29 +102,15 @@ fn wall_clock_taint_crosses_into_the_strict_crate() {
 #[test]
 fn fn_scoped_edge_sanction_silences_the_taint_finding() {
     let mut allow = local_allowlist();
-    allow.push(AllowEntry {
-        rule: "determinism-taint".to_string(),
-        path: "crates/core/src/lib.rs#timestamp".to_string(),
-        token: "std::time".to_string(),
-    });
+    allow.push(AllowEntry::new(
+        "determinism-taint",
+        "crates/core/src/lib.rs#timestamp",
+        "std::time",
+    ));
     let base = scan_workspace(&fixture_root(), &local_allowlist()).expect("scan succeeds");
     let report = scan_workspace(&fixture_root(), &allow).expect("scan succeeds");
     assert!(by_rule(&report.findings, Rule::DeterminismTaint).is_empty());
     assert!(report.allowlisted > base.allowlisted);
-}
-
-#[test]
-fn dead_metric_fires_in_both_directions() {
-    let report = scan_workspace(&fixture_root(), &local_allowlist()).expect("scan succeeds");
-    let hits = by_rule(&report.findings, Rule::DeadMetric);
-    let tokens: Vec<&str> = hits.iter().map(|f| f.token.as_str()).collect();
-    // Published but absent from the golden.
-    assert!(tokens.contains(&"core.dead"), "{hits:#?}");
-    // In the golden but never published.
-    assert!(tokens.contains(&"core.orphan"), "{hits:#?}");
-    // Matched on both sides: quiet.
-    assert!(!tokens.contains(&"core.hits"), "{hits:#?}");
-    assert_eq!(hits.len(), 2);
 }
 
 #[test]
@@ -148,11 +134,11 @@ fn dead_pub_reports_exactly_the_pub_fns_only_tests_call() {
     );
 
     let mut allow = local_allowlist();
-    allow.push(AllowEntry {
-        rule: "dead-pub".to_string(),
-        path: "crates/core/src/lib.rs".to_string(),
-        token: "unused".to_string(),
-    });
+    allow.push(AllowEntry::new(
+        "dead-pub",
+        "crates/core/src/lib.rs",
+        "unused",
+    ));
     let sanctioned = scan_workspace(&fixture_root(), &allow).expect("scan succeeds");
     let left: Vec<&str> = by_rule(&sanctioned.findings, Rule::DeadPub)
         .iter()
@@ -184,7 +170,6 @@ fn local_rules_reproduce_frozen_v1_findings_exactly() {
         "edge_cases",
         "hot_path_alloc",
         "panic_policy",
-        "unsafe_forbid",
     ] {
         for entry in std::fs::read_dir(fixtures.join(dir)).expect("fixture dir") {
             let path = entry.expect("dir entry").path();
@@ -204,7 +189,7 @@ fn local_rules_reproduce_frozen_v1_findings_exactly() {
 }
 
 /// The whole-workspace scan (graph passes included) must stay inside
-/// the CI budget with headroom: 2s here against the 5s CI gate.
+/// 2 s, even in a debug build.
 #[test]
 fn full_workspace_scan_stays_inside_the_budget() {
     let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -218,6 +203,6 @@ fn full_workspace_scan_stays_inside_the_budget() {
     assert!(report.files_scanned > 100);
     assert!(
         elapsed.as_secs_f64() < 2.0,
-        "workspace scan took {elapsed:?}, budget is 2s locally / 5s in CI"
+        "workspace scan took {elapsed:?}, budget is 2s"
     );
 }

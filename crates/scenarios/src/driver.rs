@@ -267,7 +267,6 @@ pub fn run_scenario(
     let mut completed = 0usize;
     let mut now: Cycle = 0;
     let mut pressure_cycles: Cycle = 0;
-    let mut last_run = RunReport::default();
     // Per-round buffers, reused across rounds.
     let mut scheduled: Vec<usize> = Vec::with_capacity(n_cores);
     let mut slots: Vec<CoreSlot> = (0..n_cores).map(|_| CoreSlot::Idle).collect();
@@ -316,7 +315,7 @@ pub fn run_scenario(
             });
         }
 
-        let run = cores.run_borrowed(&mut slots, &mut sys);
+        cores.run_borrowed(&mut slots, &mut sys);
         for (slot, &ji) in slots.iter_mut().zip(&scheduled) {
             if let CoreSlot::Busy(s) = std::mem::replace(slot, CoreSlot::Idle) {
                 active[ji] = Some(s.job);
@@ -326,7 +325,7 @@ pub fn run_scenario(
         // Charge each job its core's advance and retire finished jobs.
         let mut slice_end = now;
         for (c, &ji) in scheduled.iter().enumerate() {
-            let clock = run.cores[c].cycles;
+            let clock = cores.core_mut(c).report().cycles;
             slice_end = slice_end.max(clock);
             let st = &mut state[ji];
             st.busy += clock.saturating_sub(now);
@@ -353,7 +352,6 @@ pub fn run_scenario(
             pressure_cycles += slice_end.saturating_sub(now);
         }
         now = slice_end;
-        last_run = run;
     }
 
     // Per-job outcomes and per-class slowdown distributions.
@@ -430,7 +428,13 @@ pub fn run_scenario(
         reg.set_gauge(&format!("tenant.{name}.stacked_share"), share);
     }
 
-    let system = sys.finalize(last_run);
+    // A scenario without jobs ran no quantum and reports no cores.
+    let run = if cells.is_empty() {
+        RunReport::default()
+    } else {
+        cores.report()
+    };
+    let system = sys.finalize(run);
     ScenarioReport {
         scenario: spec.name.clone(),
         arch: system.arch.clone(),

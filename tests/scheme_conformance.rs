@@ -10,9 +10,10 @@
 //! * **Residency accounting** — stacked-DRAM occupancy never exceeds
 //!   capacity, at the end of *every* metrics epoch, not just at the end
 //!   of the run.
-//! * **Metrics schema** — each scheme publishes the full `hma.*` counter
-//!   family (scheme-specific counters included, at zero when unused), the
-//!   residency gauges, and the device/OS prefixes.
+//! * **Metrics schema** — each scheme publishes exactly the counter and
+//!   gauge keys of the golden report (`results/fixtures/`), so every
+//!   `hma.*` counter (scheme-specific ones at zero when unused), the
+//!   residency gauges and the device/OS families, and nothing else.
 //! * **Pinned reports** — each scheme's report from the battery cell
 //!   hashes to a committed digest, so a refactor that claims to keep
 //!   simulated results must keep every scheme's, not only the golden
@@ -101,28 +102,6 @@ const REPORT_DIGESTS: [(&str, u64); 14] = [
 /// group-aware placement (the OS-side segment-group ledger scoring every
 /// allocation), which no registry scheme enables.
 const GROUP_AWARE_DIGEST: u64 = 0x340b239631940e65;
-
-/// Every `hma.` counter a policy must publish, scheme-specific ones
-/// included: an unused mechanism reports zero, it does not vanish from
-/// the schema.
-const REQUIRED_HMA_COUNTERS: [&str; 16] = [
-    "hma.demand_accesses",
-    "hma.stacked_hits",
-    "hma.buffer_hits",
-    "hma.swaps",
-    "hma.isa_swaps",
-    "hma.fills",
-    "hma.writebacks",
-    "hma.llc_writebacks",
-    "hma.clears",
-    "hma.stale_accesses",
-    "hma.sector_fetches",
-    "hma.ring_remaps",
-    "hma.isa_allocs",
-    "hma.isa_frees",
-    "hma.mode.cache_groups",
-    "hma.mode.pom_groups",
-];
 
 #[test]
 fn access_conservation_holds_for_every_architecture() {
@@ -214,40 +193,38 @@ fn residency_stays_within_capacity_every_epoch() {
 
 #[test]
 fn metrics_schema_is_complete_for_every_architecture() {
+    let golden: SystemReport = serde_json::from_str(
+        &std::fs::read_to_string(
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("results/fixtures/system_report.golden.json"),
+        )
+        .expect("committed golden report present"),
+    )
+    .expect("golden report deserialises");
+    let g = &golden.metrics;
     for arch in Architecture::all() {
-        let (report, _) = run_cell(arch);
+        let (report, c) = run_cell(arch);
         let m = &report.metrics;
         assert_eq!(
             m.schema_version,
             chameleon_simkit::metrics::SCHEMA_VERSION,
             "{arch:?}"
         );
-        for key in REQUIRED_HMA_COUNTERS {
-            assert!(
-                m.counters.contains_key(key),
-                "{arch:?}: missing counter {key}; have: {:?}",
-                m.counters.keys().collect::<Vec<_>>()
-            );
-        }
-        for key in [
-            "hma.stacked_hit_rate",
-            "hma.mode.cache_fraction",
-            "hma.residency.resident_bytes",
-            "hma.residency.capacity_bytes",
-        ] {
-            assert!(m.gauges.contains_key(key), "{arch:?}: missing gauge {key}");
-        }
-        for prefix in ["dram.stacked.", "dram.offchip.", "cache.l3.", "os."] {
-            assert!(
-                m.counters.keys().any(|k| k.starts_with(prefix)),
-                "{arch:?}: no counters under {prefix}"
-            );
-        }
+        // Every scheme publishes the golden report's counter and gauge
+        // keys, no more and no fewer: an unused mechanism reports zero,
+        // it does not vanish from the schema.
+        assert_eq!(
+            m.counters.keys().collect::<Vec<_>>(),
+            g.counters.keys().collect::<Vec<_>>(),
+            "{arch:?}: counter keys differ from the golden report's"
+        );
+        assert_eq!(
+            m.gauges.keys().collect::<Vec<_>>(),
+            g.gauges.keys().collect::<Vec<_>>(),
+            "{arch:?}: gauge keys differ from the golden report's"
+        );
         // The registry mirrors the legacy report fields exactly.
-        assert_eq!(m.counters["hma.demand_accesses"], {
-            let (_, c) = run_cell(arch);
-            c.demand
-        });
+        assert_eq!(m.counters["hma.demand_accesses"], c.demand);
     }
 }
 
