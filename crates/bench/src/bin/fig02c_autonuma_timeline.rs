@@ -8,7 +8,7 @@
 //! (to ~31%).
 
 use chameleon::{Architecture, ScaledParams, System};
-use chameleon_bench::{banner, pct, Harness};
+use chameleon_bench::{autonuma_timeline, banner, pct, Harness};
 use chameleon_workloads::AppSpec;
 
 fn main() {
@@ -34,7 +34,7 @@ fn main() {
         "{:>6} {:>10} {:>8} {:>8}",
         "epoch", "migrated", "enomem", "hit"
     );
-    let epochs = system.numa_reports();
+    let epochs = autonuma_timeline(&report, &params);
     for (i, e) in epochs.iter().enumerate() {
         println!(
             "{:>6} {:>10} {:>8} {:>8}",
@@ -58,5 +58,5 @@ fn main() {
     );
     println!("paper: climbs to 77.1% at epoch 81, decays to 30.7% once migrations fail");
 
-    harness.save_json("fig02c_autonuma_timeline.json", &epochs.to_vec());
+    harness.save_json("fig02c_autonuma_timeline.json", &epochs);
 }

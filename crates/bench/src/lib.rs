@@ -17,6 +17,7 @@
 use std::path::PathBuf;
 
 use chameleon::{Architecture, ScaledParams, SystemReport};
+use chameleon_simkit::metrics::EpochRecord;
 use chameleon_sweep::{Job, Store, SweepEngine};
 use chameleon_workloads::AppSpec;
 use serde::{de::DeserializeOwned, Serialize};
@@ -249,22 +250,17 @@ impl EpochTimeline {
             .epochs
             .iter()
             .map(|e| {
-                let d = |name: &str| e.deltas.get(name).copied().unwrap_or(0);
-                let demand = d("hma.demand_accesses");
-                let hits = d("hma.stacked_hits");
+                let demand = delta(e, "hma.demand_accesses");
+                let hits = delta(e, "hma.stacked_hits");
                 EpochPoint {
                     index: e.index,
                     end_at: e.end_at,
                     demand_accesses: demand,
                     stacked_hits: hits,
-                    hit_rate: if demand == 0 {
-                        0.0
-                    } else {
-                        hits as f64 / demand as f64
-                    },
-                    swaps: d("hma.swaps"),
-                    fills: d("hma.fills"),
-                    writebacks: d("hma.writebacks"),
+                    hit_rate: ratio(hits, demand),
+                    swaps: delta(e, "hma.swaps"),
+                    fills: delta(e, "hma.fills"),
+                    writebacks: delta(e, "hma.writebacks"),
                     cache_fraction: e
                         .gauges
                         .get("hma.mode.cache_fraction")
@@ -279,6 +275,68 @@ impl EpochTimeline {
             app: report.workload.clone(),
             epochs,
         }
+    }
+}
+
+/// One AutoNUMA scan epoch of Figure 2c, derived by [`autonuma_timeline`].
+/// Field names and order are the `fig02c_autonuma_timeline.json` schema.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct NumaEpoch {
+    /// Pages AutoNUMA migrated into the stacked node at the epoch's end.
+    pub migrated: u64,
+    /// Migrations that failed with `-ENOMEM` at the epoch's end.
+    pub enomem: u64,
+    /// Fraction of the epoch's demand accesses served off-chip.
+    pub remote_ratio: f64,
+    /// Fraction of the epoch's demand accesses served by stacked DRAM.
+    pub stacked_hit_rate: f64,
+}
+
+/// Figure 2c's timeline from a report's metrics epochs: one row per
+/// closed epoch, oldest first. Row k takes its hit rate from record k and
+/// its migrations from record k+1, because `System` closes the registry
+/// epoch before AutoNUMA migrates; the final record (the run's partial
+/// tail) therefore supplies only the last row's migrations.
+///
+/// # Panics
+///
+/// Panics if `params` attach a prefetcher: prefetch fills count as HMA
+/// demand accesses, so the registry's hit rate would no longer be the
+/// demand-miss rate AutoNUMA balances on.
+pub fn autonuma_timeline(report: &SystemReport, params: &ScaledParams) -> Vec<NumaEpoch> {
+    assert!(
+        params.prefetcher.is_none(),
+        "the Figure 2c timeline needs demand misses only; detach the prefetcher"
+    );
+    report
+        .metrics
+        .epochs
+        .windows(2)
+        .map(|pair| {
+            let (epoch, next) = (&pair[0], &pair[1]);
+            let demand = delta(epoch, "hma.demand_accesses");
+            let hits = delta(epoch, "hma.stacked_hits");
+            NumaEpoch {
+                migrated: delta(next, "os.migrations"),
+                enomem: delta(next, "os.migration_enomem"),
+                remote_ratio: ratio(demand - hits, demand),
+                stacked_hit_rate: ratio(hits, demand),
+            }
+        })
+        .collect()
+}
+
+/// Counter `name`'s delta over one epoch record (0 when it did not move).
+fn delta(epoch: &EpochRecord, name: &str) -> u64 {
+    epoch.deltas.get(name).copied().unwrap_or(0)
+}
+
+/// `part / whole`, or 0 for an epoch with no demand.
+fn ratio(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
     }
 }
 

@@ -185,7 +185,9 @@ enum Receiver {
     SelfDirect,
     /// `self.f1.f2….name(…)` — the field chain, outermost first.
     SelfFields(Vec<String>),
-    /// Anything else (`local.name(…)`, `expr().name(…)`).
+    /// `x.name(…)` on a local last bound by `let [mut] x = Type::new(…)`.
+    Local(String),
+    /// Anything else (other locals, `expr().name(…)`).
     Unknown,
 }
 
@@ -272,8 +274,8 @@ fn extract_calls(toks: &[Tok], body: std::ops::Range<usize>) -> Vec<Call> {
 
 /// Classifies the receiver ending at the `.` token index `dot`.
 fn classify_receiver(toks: &[Tok], dot: usize, floor: usize) -> Receiver {
-    // Walk back through `self (. ident)*`; anything else — call results,
-    // index expressions, locals — is Unknown.
+    // Walk back through `self (. ident)*` or a bare local; anything else
+    // — call results, index expressions — is Unknown.
     let mut fields: Vec<String> = Vec::new();
     let mut i = dot;
     loop {
@@ -297,9 +299,31 @@ fn classify_receiver(toks: &[Tok], dot: usize, floor: usize) -> Receiver {
             return Receiver::Unknown;
         };
         if !toks[p2].is_punct('.') {
-            return Receiver::Unknown;
+            let local = (fields.len() == 1).then(|| constructed_type(toks, floor, p2, &fields[0]));
+            return local.flatten().map_or(Receiver::Unknown, Receiver::Local);
         }
         i = p2;
+    }
+}
+
+/// `Type` when the last `let [mut] name` in `toks[floor..at]` binds
+/// `Type::new(…)`.
+fn constructed_type(toks: &[Tok], floor: usize, at: usize, name: &str) -> Option<String> {
+    let bound = (floor..at)
+        .rev()
+        .filter(|&j| toks[j].is_ident("let"))
+        .map(|j| j + 1 + usize::from(toks[j + 1].is_ident("mut")))
+        .find(|&i| toks[i].is_ident(name))?;
+    let rhs: Vec<&str> = toks
+        .get(bound + 1..bound + 7)?
+        .iter()
+        .map(|t| t.text.as_str())
+        .collect();
+    match rhs[..] {
+        ["=", ty, ":", ":", "new", "("] if ty.starts_with(char::is_uppercase) => {
+            Some(ty.to_owned())
+        }
+        _ => None,
     }
 }
 
@@ -566,41 +590,20 @@ impl Index {
     fn resolve_method(&self, recv: &Receiver, name: &str, node: &FnNode) -> (Vec<usize>, bool) {
         match recv {
             Receiver::SelfDirect => {
-                if let Some(o) = &node.def.owner {
-                    if let Some(ids) = self
-                        .methods_by_type
-                        .get(&(o.type_name.clone(), name.to_string()))
-                    {
-                        return (ids.clone(), ids.len() == 1);
-                    }
-                    // Inside a trait decl, or an impl that inherits a
-                    // default: every impl of the trait plus the default
-                    // body — conservative dispatch.
-                    if let Some(tr) = &o.trait_name {
-                        if let Some(ids) =
-                            self.methods_by_trait.get(&(tr.clone(), name.to_string()))
-                        {
-                            return (ids.clone(), false);
-                        }
-                    }
-                    // A default method from some trait the type impls.
-                    if let Some(traits) = self.traits_of_type.get(&o.type_name) {
-                        let mut ids: Vec<usize> = Vec::new();
-                        for tr in traits {
-                            if let Some(m) =
-                                self.methods_by_trait.get(&(tr.clone(), name.to_string()))
-                            {
-                                ids.extend(m.iter().copied());
-                            }
-                        }
-                        if !ids.is_empty() {
-                            ids.sort_unstable();
-                            ids.dedup();
-                            return (ids, false);
-                        }
-                    }
+                let Some(o) = &node.def.owner else {
+                    return (Vec::new(), false);
+                };
+                // Inside a trait decl, or an impl that inherits a default
+                // the type does not override: every impl of the trait plus
+                // the default body — conservative dispatch.
+                let key = (o.type_name.clone(), name.to_string());
+                let by_trait = (o.trait_name.as_ref())
+                    .filter(|_| !self.methods_by_type.contains_key(&key))
+                    .and_then(|tr| self.methods_by_trait.get(&(tr.clone(), name.to_string())));
+                match by_trait {
+                    Some(ids) => (ids.clone(), false),
+                    None => self.resolve_typed(TypeHint::Concrete(o.type_name.clone()), name),
                 }
-                (Vec::new(), false)
             }
             Receiver::SelfFields(fields) => {
                 let Some(owner) = node.def.owner.as_ref() else {
@@ -617,42 +620,46 @@ impl Index {
                         None => return self.all_methods(name),
                     }
                 }
-                match hint {
-                    TypeHint::Concrete(ty) => {
-                        if let Some(ids) = self.methods_by_type.get(&(ty.clone(), name.to_string()))
+                self.resolve_typed(hint, name)
+            }
+            Receiver::Local(ty) => self.resolve_typed(TypeHint::Concrete(ty.clone()), name),
+            Receiver::Unknown => self.all_methods(name),
+        }
+    }
+
+    /// Method `name` on a receiver of statically known type `hint`.
+    fn resolve_typed(&self, hint: TypeHint, name: &str) -> (Vec<usize>, bool) {
+        match hint {
+            TypeHint::Concrete(ty) => {
+                if let Some(ids) = self.methods_by_type.get(&(ty.clone(), name.to_string())) {
+                    (ids.clone(), ids.len() == 1)
+                } else if let Some(traits) = self.traits_of_type.get(&ty) {
+                    // Default trait methods inherited by `ty`.
+                    let mut ids: Vec<usize> = Vec::new();
+                    for tr in traits {
+                        if let Some(m) = self.methods_by_trait.get(&(tr.clone(), name.to_string()))
                         {
-                            (ids.clone(), ids.len() == 1)
-                        } else if let Some(traits) = self.traits_of_type.get(&ty) {
-                            // Default trait methods inherited by `ty`.
-                            let mut ids: Vec<usize> = Vec::new();
-                            for tr in traits {
-                                if let Some(m) =
-                                    self.methods_by_trait.get(&(tr.clone(), name.to_string()))
-                                {
-                                    ids.extend(m.iter().copied());
-                                }
-                            }
-                            ids.sort_unstable();
-                            ids.dedup();
-                            (ids, false)
-                        } else {
-                            // A std/vendor type: no workspace edges — the
-                            // precision that keeps `Vec::push` quiet.
-                            (Vec::new(), true)
+                            ids.extend(m.iter().copied());
                         }
                     }
-                    TypeHint::DynTrait(tr) => {
-                        let ids = self
-                            .methods_by_trait
-                            .get(&(tr, name.to_string()))
-                            .cloned()
-                            .unwrap_or_default();
-                        (ids, false)
-                    }
-                    TypeHint::Unknown => self.all_methods(name),
+                    ids.sort_unstable();
+                    ids.dedup();
+                    (ids, false)
+                } else {
+                    // A std/vendor type: no workspace edges — the
+                    // precision that keeps `Vec::push` quiet.
+                    (Vec::new(), true)
                 }
             }
-            Receiver::Unknown => self.all_methods(name),
+            TypeHint::DynTrait(tr) => {
+                let ids = self
+                    .methods_by_trait
+                    .get(&(tr, name.to_string()))
+                    .cloned()
+                    .unwrap_or_default();
+                (ids, false)
+            }
+            TypeHint::Unknown => self.all_methods(name),
         }
     }
 
@@ -801,6 +808,19 @@ mod tests {
         // `v` is a local — conservative fan-out hits both.
         assert!(has_edge(&g, "drive", "A::poke"));
         assert!(has_edge(&g, "drive", "B::poke"));
+    }
+
+    #[test]
+    fn constructed_local_receiver_resolves_precisely() {
+        let src = "struct A;\nimpl A { fn new() -> A { A } fn poke(&self) {} }\n\
+                   struct B;\nimpl B { fn poke(&self) {} }\n\
+                   fn drive() { let mut v = A::new(); v.poke(); }\n\
+                   fn rebound() { let v = A::new(); let v = A::get(); v.poke(); }\n";
+        let g = Graph::build(&[file("crates/x/src/lib.rs", "x", src)]);
+        assert!(has_edge(&g, "drive", "A::poke") && !has_edge(&g, "drive", "B::poke"));
+        assert!(g.edges[node_id(&g, "drive")].iter().all(|e| e.precise));
+        // Rebound by any other constructor: back to conservative fan-out.
+        assert!(has_edge(&g, "rebound", "B::poke"));
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! headroom instead of running into `-ENOMEM` like AutoNUMA does in
 //! Figure 2c. Everything is deterministic: sampling is a simple modular
 //! counter (no RNG), and all rankings break ties by address.
+//!
+//! The engine keeps run-long totals only (the `*_total()` accessors and
+//! [`GuidanceEngine::tracked_pages`], published as `guidance.*`); the
+//! kernel counts each applied hint in `os.hint_*`, and the metrics
+//! registry's epoch deltas give the per-epoch view.
 
 use std::collections::BTreeMap;
 
@@ -42,23 +47,6 @@ pub struct TenantProfile {
     pub promoted: u64,
 }
 
-/// Per-epoch outcome of the guidance tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GuidanceEpochReport {
-    /// Off-chip pages that classified hot this epoch.
-    pub hot_pages: u64,
-    /// Tracked stacked pages that classified cold this epoch.
-    pub cold_pages: u64,
-    /// Pages promoted into the stacked node.
-    pub promoted: u64,
-    /// Pages demoted out of the stacked node.
-    pub demoted: u64,
-    /// Hints that failed with `-ENOMEM`.
-    pub enomem: u64,
-    /// Accesses sampled this epoch.
-    pub sampled: u64,
-}
-
 /// The online guidance engine.
 ///
 /// The system model feeds it every DRAM-bound access via
@@ -79,7 +67,6 @@ pub struct GuidanceEngine {
     tracked: BTreeMap<u64, u32>,
     /// Per-tenant run-long profile.
     tenants: BTreeMap<Pid, TenantProfile>,
-    sampled_this_epoch: u64,
     samples_total: u64,
     promoted_total: u64,
     demoted_total: u64,
@@ -95,7 +82,6 @@ impl GuidanceEngine {
         if !self.tick.is_multiple_of(SAMPLE_PERIOD) {
             return;
         }
-        self.sampled_this_epoch += 1;
         self.samples_total += 1;
         self.tenants.entry(pid).or_default().samples += 1;
         let page = paddr & !(PAGE_SIZE - 1);
@@ -111,14 +97,9 @@ impl GuidanceEngine {
     }
 
     /// Closes the epoch at cycle `now`: demotes cold stacked pages (to
-    /// keep promotion headroom), promotes hot off-chip pages, and returns
-    /// the epoch report.
-    pub fn end_epoch(
-        &mut self,
-        kernel: &mut OsKernel,
-        hook: &mut dyn IsaHook,
-        now: u64,
-    ) -> GuidanceEpochReport {
+    /// keep promotion headroom) and promotes hot off-chip pages, adding
+    /// the outcome to the run-long totals.
+    pub fn end_epoch(&mut self, kernel: &mut OsKernel, hook: &mut dyn IsaHook, now: u64) {
         // Age the tracked stacked set: any page sampled this epoch is
         // fresh; unsampled pages age one epoch. Newly seen stacked pages
         // (first-touch allocations, foreign migrations) join the set.
@@ -197,21 +178,11 @@ impl GuidanceEngine {
             }
         }
 
-        let report = GuidanceEpochReport {
-            hot_pages: hot.len() as u64,
-            cold_pages: cold.len() as u64,
-            promoted: outcome.promoted,
-            demoted: outcome.demoted,
-            enomem: outcome.enomem,
-            sampled: self.sampled_this_epoch,
-        };
         self.promoted_total += outcome.promoted;
         self.demoted_total += outcome.demoted;
         self.enomem_total += outcome.enomem;
         self.offchip_heat.clear();
         self.stacked_seen.clear();
-        self.sampled_this_epoch = 0;
-        report
     }
 
     /// Per-tenant profiles accumulated over the run.
@@ -283,10 +254,10 @@ mod tests {
             let node = os.memory_map().node_of(t.paddr);
             record_samples(&mut g, pid, t.paddr, node, 4);
         }
-        let report = g.end_epoch(&mut os, &mut NullHook, 0);
-        assert_eq!(report.hot_pages, 8);
-        assert_eq!(report.promoted, 8);
-        assert_eq!(report.demoted, 0);
+        g.end_epoch(&mut os, &mut NullHook, 0);
+        assert_eq!(os.stats().hint_promotions.value(), 8);
+        assert_eq!(os.stats().hint_demotions.value(), 0);
+        assert_eq!(g.promoted_total(), 8);
         for p in 0..8u64 {
             let pa = os.peek_translate(pid, p * PAGE_SIZE).unwrap();
             assert_eq!(os.memory_map().node_of(pa), NodeId::Stacked);
@@ -302,15 +273,19 @@ mod tests {
         let pid = os.spawn(ByteSize::mib(1));
         let t = os.touch(pid, 0, false, 0, &mut NullHook).unwrap();
         record_samples(&mut g, pid, t.paddr, NodeId::Offchip, 2);
-        let r = g.end_epoch(&mut os, &mut NullHook, 0);
-        assert_eq!(r.promoted, 1);
+        g.end_epoch(&mut os, &mut NullHook, 0);
+        assert_eq!(os.stats().hint_promotions.value(), 1);
+        assert_eq!(g.tracked_pages(), 1);
         // COLD_EPOCHS silent epochs: the page ages out and is demoted.
         for now in 1..u64::from(COLD_EPOCHS) {
-            let r = g.end_epoch(&mut os, &mut NullHook, now);
-            assert_eq!(r.demoted, 0, "not cold yet after {now} epochs");
+            g.end_epoch(&mut os, &mut NullHook, now);
+            let demoted = os.stats().hint_demotions.value();
+            assert_eq!(demoted, 0, "not cold yet after {now} epochs");
         }
-        let r = g.end_epoch(&mut os, &mut NullHook, COLD_EPOCHS.into());
-        assert_eq!(r.demoted, 1, "cold after {COLD_EPOCHS} epochs");
+        g.end_epoch(&mut os, &mut NullHook, COLD_EPOCHS.into());
+        let demoted = os.stats().hint_demotions.value();
+        assert_eq!(demoted, 1, "cold after {COLD_EPOCHS} epochs");
+        assert_eq!(g.demoted_total(), 1);
         let pa = os.peek_translate(pid, 0).unwrap();
         assert_eq!(os.memory_map().node_of(pa), NodeId::Offchip);
         assert_eq!(g.tracked_pages(), 0);
@@ -324,9 +299,8 @@ mod tests {
         for i in 0..25 * SAMPLE_PERIOD {
             g.record_access(pid, (i % 10) * PAGE_SIZE, NodeId::Offchip);
         }
-        let r = g.end_epoch(&mut os, &mut NullHook, 0);
-        assert_eq!(r.sampled, 25, "one in SAMPLE_PERIOD sampled");
-        assert_eq!(g.samples_total(), 25);
+        g.end_epoch(&mut os, &mut NullHook, 0);
+        assert_eq!(g.samples_total(), 25, "one in SAMPLE_PERIOD sampled");
     }
 
     #[test]
@@ -344,9 +318,10 @@ mod tests {
             let node = os.memory_map().node_of(t.paddr);
             record_samples(&mut g, pid, t.paddr, node, 2);
         }
-        let r = g.end_epoch(&mut os, &mut NullHook, 0);
-        assert!(r.enomem > 0, "stacked node must fill");
-        assert_eq!(r.promoted, (2 << 20) / PAGE_SIZE);
-        assert_eq!(g.enomem_total(), r.enomem);
+        g.end_epoch(&mut os, &mut NullHook, 0);
+        let enomem = os.stats().hint_enomem.value();
+        assert!(enomem > 0, "stacked node must fill");
+        assert_eq!(os.stats().hint_promotions.value(), (2 << 20) / PAGE_SIZE);
+        assert_eq!(g.enomem_total(), enomem);
     }
 }

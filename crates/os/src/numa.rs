@@ -7,13 +7,16 @@
 //! space lasts; migrations fail with `-ENOMEM` once the stacked node is
 //! full, which is exactly the hit-rate collapse Figure 2c shows.
 //!
+//! The balancer keeps no history: migrations and `-ENOMEM`s land in the
+//! kernel's `os.migrations` / `os.migration_enomem` counters, and the
+//! per-epoch hit rate is the metrics registry's epoch delta, which is
+//! where Figure 2c reads both.
+//!
 //! The `numa_period_threshold` knob follows the paper's observation that a
 //! *higher* threshold migrates misplaced pages *more rapidly*: migration
 //! triggers once the sampled remote fraction exceeds `1 - threshold`.
 
 use std::collections::BTreeMap;
-
-use serde::{Deserialize, Serialize};
 
 use crate::frame::NodeId;
 use crate::isa::IsaHook;
@@ -24,19 +27,6 @@ use crate::page_table::PAGE_SIZE;
 const MAX_MIGRATIONS_PER_EPOCH: usize = 4096;
 /// Minimum sampled accesses before a remote page is considered hot.
 const MIN_HOTNESS: u32 = 2;
-
-/// Per-epoch outcome, the series Figure 2c plots.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EpochReport {
-    /// Pages migrated into the stacked node this epoch.
-    pub migrated: u64,
-    /// Migration attempts that failed with `-ENOMEM`.
-    pub enomem: u64,
-    /// Fraction of sampled accesses that were remote (off-chip).
-    pub remote_ratio: f64,
-    /// Stacked-DRAM hit rate observed this epoch.
-    pub stacked_hit_rate: f64,
-}
 
 /// The AutoNUMA balancing engine.
 ///
@@ -54,7 +44,6 @@ pub struct AutoNuma {
     remote_pages: BTreeMap<u64, u32>,
     local_accesses: u64,
     remote_accesses: u64,
-    reports: Vec<EpochReport>,
 }
 
 impl AutoNuma {
@@ -74,7 +63,6 @@ impl AutoNuma {
             remote_pages: BTreeMap::new(),
             local_accesses: 0,
             remote_accesses: 0,
-            reports: Vec::new(),
         }
     }
 
@@ -93,28 +81,15 @@ impl AutoNuma {
     }
 
     /// Closes the current scan epoch at cycle `now`: decides whether to
-    /// migrate, performs migrations through the kernel (stopping at
-    /// `-ENOMEM`), and returns the epoch report.
-    pub fn end_epoch(
-        &mut self,
-        kernel: &mut OsKernel,
-        hook: &mut dyn IsaHook,
-        now: u64,
-    ) -> EpochReport {
+    /// migrate and performs migrations through the kernel, stopping at the
+    /// first `-ENOMEM`. The kernel counts both outcomes.
+    pub fn end_epoch(&mut self, kernel: &mut OsKernel, hook: &mut dyn IsaHook, now: u64) {
         let total = self.local_accesses + self.remote_accesses;
         let remote_ratio = if total == 0 {
             0.0
         } else {
             self.remote_accesses as f64 / total as f64
         };
-        let hit_rate = if total == 0 {
-            0.0
-        } else {
-            self.local_accesses as f64 / total as f64
-        };
-
-        let mut migrated = 0;
-        let mut enomem = 0;
         if remote_ratio > 1.0 - self.threshold {
             // Hottest remote pages first.
             let mut hot: Vec<(u64, u32)> = self
@@ -127,36 +102,18 @@ impl AutoNuma {
             hot.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
             for (page, _) in hot.into_iter().take(MAX_MIGRATIONS_PER_EPOCH) {
                 match kernel.migrate_page(page, NodeId::Stacked, now, hook) {
-                    Ok(_) => migrated += 1,
-                    Err(crate::kernel::OsError::MigrationEnomem) => {
-                        enomem += 1;
-                        // The node is full; later migrations fail too.
-                        break;
-                    }
-                    Err(crate::kernel::OsError::NotMapped(_)) => continue,
+                    Ok(_) | Err(crate::kernel::OsError::NotMapped(_)) => {}
+                    // The node is full; later migrations fail too.
+                    Err(crate::kernel::OsError::MigrationEnomem) => break,
                     // INVARIANT: migrate_page only returns MigrationEnomem or
                     // NotMapped; any other variant is a kernel-model bug.
                     Err(e) => panic!("unexpected migration error: {e}"),
                 }
             }
         }
-
-        let report = EpochReport {
-            migrated,
-            enomem,
-            remote_ratio,
-            stacked_hit_rate: hit_rate,
-        };
-        self.reports.push(report);
         self.remote_pages.clear();
         self.local_accesses = 0;
         self.remote_accesses = 0;
-        report
-    }
-
-    /// All epoch reports so far (the Figure 2c timeline).
-    pub fn reports(&self) -> &[EpochReport] {
-        &self.reports
     }
 }
 
@@ -192,10 +149,9 @@ mod tests {
                 numa.record_access(t.paddr, os.memory_map().node_of(t.paddr));
             }
         }
-        let report = numa.end_epoch(&mut os, &mut NullHook, 0);
-        assert_eq!(report.migrated, 16);
-        assert_eq!(report.stacked_hit_rate, 0.0);
-        assert!((report.remote_ratio - 1.0).abs() < 1e-12);
+        numa.end_epoch(&mut os, &mut NullHook, 0);
+        assert_eq!(os.stats().migrations.value(), 16);
+        assert_eq!(os.stats().migration_enomem.value(), 0);
         // All 16 pages now translate into the stacked node.
         for p in 0..16u64 {
             let pa = os.peek_translate(pid, p * PAGE_SIZE).unwrap();
@@ -216,10 +172,14 @@ mod tests {
             numa.record_access(t.paddr, os.memory_map().node_of(t.paddr));
             numa.record_access(t.paddr, os.memory_map().node_of(t.paddr));
         }
-        let report = numa.end_epoch(&mut os, &mut NullHook, 0);
-        assert!(report.enomem > 0, "stacked node must fill up");
+        numa.end_epoch(&mut os, &mut NullHook, 0);
         assert_eq!(
-            report.migrated,
+            os.stats().migration_enomem.value(),
+            1,
+            "the stacked node fills up and the scan stops at the first -ENOMEM"
+        );
+        assert_eq!(
+            os.stats().migrations.value(),
             (2 << 20) / PAGE_SIZE,
             "exactly the stacked capacity"
         );
@@ -239,9 +199,10 @@ mod tests {
         for _ in 0..5 {
             numa.record_access(t.paddr, NodeId::Offchip);
         }
-        let report = numa.end_epoch(&mut os, &mut NullHook, 0);
-        assert_eq!(report.migrated, 0);
-        assert!((report.stacked_hit_rate - 0.95).abs() < 1e-12);
+        numa.end_epoch(&mut os, &mut NullHook, 0);
+        assert_eq!(os.stats().migrations.value(), 0);
+        let pa = os.peek_translate(pid, 0).unwrap();
+        assert_eq!(os.memory_map().node_of(pa), NodeId::Offchip);
     }
 
     #[test]
@@ -259,25 +220,13 @@ mod tests {
             for _ in 0..25 {
                 numa.record_access(t.paddr, NodeId::Offchip);
             }
-            let report = numa.end_epoch(&mut os, &mut NullHook, 0);
+            numa.end_epoch(&mut os, &mut NullHook, 0);
             assert_eq!(
-                report.migrated > 0,
+                os.stats().migrations.value() > 0,
                 expect_migrations,
                 "threshold {threshold}"
             );
         }
-    }
-
-    #[test]
-    fn epoch_reports_record_each_epochs_hit_rate() {
-        let mut os = kernel_slow_first();
-        let mut numa = AutoNuma::new(0.9);
-        numa.record_access(0, NodeId::Stacked);
-        numa.end_epoch(&mut os, &mut NullHook, 0);
-        numa.record_access(1 << 22, NodeId::Offchip);
-        numa.end_epoch(&mut os, &mut NullHook, 0);
-        let rates: Vec<f64> = numa.reports().iter().map(|r| r.stacked_hit_rate).collect();
-        assert_eq!(rates, [1.0, 0.0]);
     }
 
     #[test]
@@ -303,7 +252,9 @@ mod tests {
         for _ in 0..2 {
             numa.record_access(t.paddr, NodeId::Offchip);
         }
-        let report = numa.end_epoch(&mut os, &mut NullHook, 0);
-        assert_eq!(report.migrated, 1);
+        numa.end_epoch(&mut os, &mut NullHook, 0);
+        assert_eq!(os.stats().migrations.value(), 1);
+        let pa = os.peek_translate(pid, 0).unwrap();
+        assert_eq!(os.memory_map().node_of(pa), NodeId::Stacked);
     }
 }

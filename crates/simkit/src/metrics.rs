@@ -321,7 +321,7 @@ impl Registry {
 
     /// Closes the current epoch at `now`: records the counter deltas since
     /// the previous boundary (plus current gauges) and starts a new epoch.
-    pub fn end_epoch(&mut self, now: Cycle) -> &EpochRecord {
+    pub fn end_epoch(&mut self, now: Cycle) {
         let snap = self.snapshot();
         let deltas = snap.delta(&self.epoch_base);
         self.epochs.push(EpochRecord {
@@ -331,8 +331,6 @@ impl Registry {
             gauges: snap.gauges.clone(),
         });
         self.epoch_base = snap;
-        // INVARIANT: pushed three lines above; the vec is non-empty.
-        self.epochs.last().expect("epoch just pushed")
     }
 
     /// Exports everything as a stable, serialisable structure.

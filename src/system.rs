@@ -5,7 +5,7 @@ use chameleon_cache::{CacheStats, Hierarchy, HitLevel, PrefetchBuf, WritebackBuf
 use chameleon_core::policy::{HmaPolicy, ModeDistribution};
 use chameleon_cpu::{MemorySystem, MultiCore, Reply, RunReport};
 use chameleon_os::guidance::GuidanceEngine;
-use chameleon_os::numa::{AutoNuma, EpochReport};
+use chameleon_os::numa::AutoNuma;
 use chameleon_os::page_table::PAGE_SIZE;
 use chameleon_os::{OsConfig, OsError, OsKernel, Pid};
 use chameleon_simkit::mem::ByteSize;
@@ -247,20 +247,17 @@ impl System {
         self.metrics.end_epoch(now);
     }
 
-    /// AutoNUMA epoch reports, when the architecture balances
-    /// (Figure 2c's timeline).
-    pub fn numa_reports(&self) -> &[EpochReport] {
-        self.autonuma.as_ref().map(|n| n.reports()).unwrap_or(&[])
-    }
-
     /// The guidance engine itself (per-tenant profiles), when present.
     pub fn guidance(&self) -> Option<&GuidanceEngine> {
         self.guidance.as_ref()
     }
 
-    /// Sets the AutoNUMA scan-epoch length in LLC misses (the paper's
-    /// `numa_balancing_scan_period`, which it expresses as 10M processor
-    /// cycles; here an access count so scaled runs close epochs too).
+    /// Sets the epoch length in LLC misses. Each epoch boundary closes a
+    /// metrics-registry epoch record, then ends the AutoNUMA scan epoch
+    /// (the paper's `numa_balancing_scan_period`, which it expresses as
+    /// 10M processor cycles; here an access count so scaled runs close
+    /// epochs too) and the guidance tier's epoch, so the migrations an
+    /// epoch triggers land in the next record.
     ///
     /// # Panics
     ///
@@ -571,7 +568,7 @@ impl MemorySystem for System {
                     numa.end_epoch(&mut self.os, self.policy.as_mut(), issue);
                 }
                 if let Some(guidance) = self.guidance.as_mut() {
-                    let _ = guidance.end_epoch(&mut self.os, self.policy.as_mut(), issue);
+                    guidance.end_epoch(&mut self.os, self.policy.as_mut(), issue);
                 }
             }
         }
@@ -677,9 +674,9 @@ mod tests {
         let streams = s.spawn_rate_workload("stream", 100_000, 3).unwrap();
         s.prefault_all().unwrap();
         s.reset_measurement();
-        let _ = s.run(streams);
+        let r = s.run(streams);
         assert!(
-            !s.numa_reports().is_empty(),
+            r.metrics.epochs.len() > 1,
             "long runs must close at least one epoch"
         );
     }
@@ -695,7 +692,7 @@ mod tests {
         s.reset_measurement();
         let r = s.run(streams);
         assert!(r.run.geomean_ipc() > 0.0);
-        assert!(!s.numa_reports().is_empty(), "the balancer closes epochs");
+        assert!(r.metrics.epochs.len() > 1, "the balancer closes epochs");
     }
 
     #[test]
