@@ -192,6 +192,19 @@ impl BuddyAllocator {
         self.free_bits[order as usize][word] & mask != 0
     }
 
+    /// The smallest free block of order `from` or above that contains
+    /// `addr`, as `(order, block)`.
+    fn free_cover(&self, from: u8, addr: u64) -> Option<(u8, u64)> {
+        (from..=MAX_ORDER)
+            .map(|o| {
+                (
+                    o,
+                    self.base + ((addr - self.base) & !((FRAME_SIZE << o) - 1)),
+                )
+            })
+            .find(|&(o, block)| self.is_free(o, block))
+    }
+
     fn insert_free(&mut self, order: u8, addr: u64) {
         self.free_lists[order as usize].push(addr);
         let (word, mask) = self.bit(order, addr);
@@ -239,23 +252,28 @@ impl BuddyAllocator {
     /// Panics if `order > MAX_ORDER`.
     pub fn alloc(&mut self, order: u8) -> Option<u64> {
         assert!(order <= MAX_ORDER, "order {order} exceeds max {MAX_ORDER}");
-        // Find the smallest order with a free block.
-        let mut found = None;
-        for o in order..=MAX_ORDER {
-            if let Some(addr) = self.take_free(o) {
-                found = Some((o, addr));
-                break;
-            }
-        }
-        let (mut o, addr) = found?;
-        // Split down to the requested order, freeing the upper halves.
+        // Take a block of the smallest order that has a free one.
+        let (o, addr) = (order..=MAX_ORDER).find_map(|o| Some((o, self.take_free(o)?)))?;
+        self.carve(addr, o, order, addr);
+        Some(addr)
+    }
+
+    /// Carves the block of `order` that contains `addr` out of `block`, a
+    /// block of order `from` already taken from the free set: splits it
+    /// down, freeing each half that does not contain `addr`.
+    fn carve(&mut self, block: u64, from: u8, order: u8, addr: u64) {
+        let (mut o, mut base) = (from, block);
         while o > order {
             o -= 1;
-            let buddy = addr + (FRAME_SIZE << o);
-            self.insert_free(o, buddy);
+            let half = FRAME_SIZE << o;
+            if addr < base + half {
+                self.insert_free(o, base + half);
+            } else {
+                self.insert_free(o, base);
+                base += half;
+            }
         }
         self.free_bytes -= FRAME_SIZE << order;
-        Some(addr)
     }
 
     /// Frees a previously allocated block, merging buddies eagerly.
@@ -277,13 +295,11 @@ impl BuddyAllocator {
         );
         // Double-free detection: the block (or any enclosing block it may
         // have merged into) must not already be free.
-        for o in order..=MAX_ORDER {
-            let enclosing = self.base + ((addr - self.base) & !((FRAME_SIZE << o) - 1));
-            assert!(
-                !self.is_free(o, enclosing),
-                "double free of {addr:#x} order {order} (covered by free block {enclosing:#x} order {o})"
-            );
-        }
+        let cover = self.free_cover(order, addr);
+        assert!(
+            cover.is_none(),
+            "double free of {addr:#x} order {order} (covered by free (order, block) {cover:x?})"
+        );
         let mut addr = addr;
         let mut order = order;
         while order < MAX_ORDER {
@@ -340,35 +356,11 @@ impl BuddyAllocator {
             addr >= self.base && addr < self.base + self.len,
             "frame {addr:#x} outside region"
         );
-        // Find the enclosing free block (smallest first).
-        let mut found = None;
-        for o in 0..=MAX_ORDER {
-            let enclosing = self.base + ((addr - self.base) & !((FRAME_SIZE << o) - 1));
-            if self.is_free(o, enclosing) {
-                found = Some((o, enclosing));
-                break;
-            }
-        }
-        let Some((order, block)) = found else {
+        let Some((order, block)) = self.free_cover(0, addr) else {
             return false;
         };
         self.remove_specific(order, block);
-        // Split down, keeping the half that contains `addr` and freeing
-        // the other half, until we reach a single page.
-        let mut o = order;
-        let mut base = block;
-        while o > 0 {
-            o -= 1;
-            let half = FRAME_SIZE << o;
-            if addr < base + half {
-                self.insert_free(o, base + half);
-            } else {
-                self.insert_free(o, base);
-                base += half;
-            }
-        }
-        debug_assert_eq!(base, addr);
-        self.free_bytes -= FRAME_SIZE;
+        self.carve(block, order, 0, addr);
         true
     }
 

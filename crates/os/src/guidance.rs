@@ -13,9 +13,10 @@
 //! counter (no RNG), and all rankings break ties by address.
 //!
 //! The engine keeps run-long totals only (the `*_total()` accessors and
-//! [`GuidanceEngine::tracked_pages`], published as `guidance.*`); the
-//! kernel counts each applied hint in `os.hint_*`, and the metrics
-//! registry's epoch deltas give the per-epoch view.
+//! [`GuidanceEngine::tracked_pages`], published as `guidance.*`), counting
+//! promotions and demotions from the moves a batch applied; the kernel
+//! counts each applied hint in `os.hint_*`, and the metrics registry's
+//! epoch deltas give the per-epoch view.
 
 use std::collections::BTreeMap;
 
@@ -24,6 +25,7 @@ use serde::{Deserialize, Serialize};
 use crate::frame::NodeId;
 use crate::isa::IsaHook;
 use crate::kernel::{OsKernel, Pid, PlacementHint};
+use crate::numa::rank;
 use crate::page_table::PAGE_SIZE;
 
 /// Sample one in this many DRAM-bound accesses (1 would be every access).
@@ -100,51 +102,37 @@ impl GuidanceEngine {
     /// keep promotion headroom) and promotes hot off-chip pages, adding
     /// the outcome to the run-long totals.
     pub fn end_epoch(&mut self, kernel: &mut OsKernel, hook: &mut dyn IsaHook, now: u64) {
-        // Age the tracked stacked set: any page sampled this epoch is
-        // fresh; unsampled pages age one epoch. Newly seen stacked pages
-        // (first-touch allocations, foreign migrations) join the set.
-        for &page in self.stacked_seen.keys() {
-            self.tracked.insert(page, 0);
-        }
-        for (_, idle) in self.tracked.iter_mut() {
+        // Age the tracked stacked set one epoch, then mark every page
+        // sampled this epoch fresh. Newly seen stacked pages (first-touch
+        // allocations, foreign migrations) join the set.
+        for idle in self.tracked.values_mut() {
             *idle += 1;
         }
         for &page in self.stacked_seen.keys() {
-            if let Some(idle) = self.tracked.get_mut(&page) {
-                *idle = 0;
-            }
+            self.tracked.insert(page, 0);
         }
 
-        // Cold demotions first: address-ordered, oldest first.
-        let mut cold: Vec<(u64, u32)> = self
-            .tracked
-            .iter()
-            .filter(|&(_, &idle)| idle >= COLD_EPOCHS)
-            .map(|(&p, &idle)| (p, idle))
-            // INVARIANT: end_epoch runs once per guidance epoch, not per
-            // access — candidate staging here is amortized off the hot path.
-            .collect();
-        cold.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        cold.truncate(MAX_DEMOTIONS_PER_EPOCH);
-
-        // Hot promotions: hottest first, ties by address.
-        let mut hot: Vec<(u64, u32, Pid)> = self
-            .offchip_heat
-            .iter()
-            .filter(|&(_, &(c, _))| c >= HOT_THRESHOLD)
-            .map(|(&p, &(c, pid))| (p, c, pid))
-            // INVARIANT: once-per-epoch staging, amortized off the hot path.
-            .collect();
-        hot.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        hot.truncate(MAX_PROMOTIONS_PER_EPOCH);
-
+        // Cold demotions first (oldest first), then hot promotions
+        // (hottest first); both break ties by address.
+        let cold = rank(
+            &self.tracked,
+            |idle| idle,
+            COLD_EPOCHS,
+            MAX_DEMOTIONS_PER_EPOCH,
+        );
+        let hot = rank(
+            &self.offchip_heat,
+            |(count, _)| count,
+            HOT_THRESHOLD,
+            MAX_PROMOTIONS_PER_EPOCH,
+        );
         let hints: Vec<PlacementHint> = cold
             .iter()
             .map(|&(page, _)| PlacementHint {
                 page,
                 target: NodeId::Offchip,
             })
-            .chain(hot.iter().map(|&(page, _, _)| PlacementHint {
+            .chain(hot.iter().map(|&(page, _)| PlacementHint {
                 page,
                 target: NodeId::Stacked,
             }))
@@ -152,34 +140,22 @@ impl GuidanceEngine {
             .collect();
         let outcome = kernel.apply_hints(&hints, now, hook);
 
-        // Re-point the tracked set at the pages' new frames.
-        for (from, to, target) in &outcome.applied {
+        // Re-point the tracked set at the pages' new frames, and attribute
+        // each promotion to the tenant its heat was sampled for.
+        for &(from, to, target) in &outcome.applied {
             match target {
                 NodeId::Offchip => {
-                    self.tracked.remove(from);
-                    let _ = to;
+                    self.tracked.remove(&from);
+                    self.demoted_total += 1;
                 }
                 NodeId::Stacked => {
-                    self.tracked.insert(*to, 0);
+                    self.tracked.insert(to, 0);
+                    self.promoted_total += 1;
+                    let (_, pid) = self.offchip_heat[&from];
+                    self.tenants.entry(pid).or_default().promoted += 1;
                 }
             }
         }
-        // Attribute promotions to their tenants.
-        let promoted_pages: BTreeMap<u64, ()> = outcome
-            .applied
-            .iter()
-            .filter(|(_, _, t)| *t == NodeId::Stacked)
-            .map(|(from, _, _)| (*from, ()))
-            // INVARIANT: once-per-epoch attribution, amortized off the hot path.
-            .collect();
-        for &(page, _, pid) in &hot {
-            if promoted_pages.contains_key(&page) {
-                self.tenants.entry(pid).or_default().promoted += 1;
-            }
-        }
-
-        self.promoted_total += outcome.promoted;
-        self.demoted_total += outcome.demoted;
         self.enomem_total += outcome.enomem;
         self.offchip_heat.clear();
         self.stacked_seen.clear();

@@ -1,4 +1,8 @@
 //! The kernel model: processes, demand paging, swap, and ISA notification.
+//!
+//! A frame joins a page through one install step and leaves it through one
+//! free step; a first touch, a swap-in and a migration differ only in
+//! where the new frame comes from.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -103,10 +107,6 @@ pub struct PlacementHint {
 /// Outcome of one [`OsKernel::apply_hints`] batch.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HintOutcome {
-    /// Pages moved into the stacked node.
-    pub promoted: u64,
-    /// Pages moved out to the off-chip node.
-    pub demoted: u64,
     /// Hints that failed with `-ENOMEM`.
     pub enomem: u64,
     /// Every applied move as `(old_page, new_page, target)`, so the
@@ -225,23 +225,38 @@ impl OsKernel {
         }
     }
 
+    /// The index of `pid`'s slot in `processes` (pids count from 1).
+    fn slot(pid: Pid) -> Option<usize> {
+        pid.0.checked_sub(1).map(|i| i as usize)
+    }
+
     fn process(&self, pid: Pid) -> Result<&Process, OsError> {
-        pid.0
-            .checked_sub(1)
-            .and_then(|i| self.processes.get(i as usize)?.as_ref())
+        Self::slot(pid)
+            .and_then(|i| self.processes.get(i)?.as_ref())
             .ok_or(OsError::NoSuchProcess(pid))
     }
 
     fn process_mut(&mut self, pid: Pid) -> Result<&mut Process, OsError> {
-        Self::slot_mut(&mut self.processes, pid).ok_or(OsError::NoSuchProcess(pid))
+        Self::slot(pid)
+            .and_then(|i| self.processes.get_mut(i)?.as_mut())
+            .ok_or(OsError::NoSuchProcess(pid))
     }
 
-    /// Field-scoped mutable lookup, for call sites that also hold borrows
-    /// of sibling fields (`reverse`, `fifo`).
-    fn slot_mut(processes: &mut [Option<Process>], pid: Pid) -> Option<&mut Process> {
-        pid.0
-            .checked_sub(1)
-            .and_then(|i| processes.get_mut(i as usize)?.as_mut())
+    /// The allocator of `node`; `None` for a stacked node the OS cannot
+    /// see.
+    fn allocator(&self, node: NodeId) -> Option<&BuddyAllocator> {
+        match node {
+            NodeId::Stacked => self.stacked_alloc.as_ref(),
+            NodeId::Offchip => Some(&self.offchip_alloc),
+        }
+    }
+
+    /// The mutable form of [`OsKernel::allocator`].
+    fn allocator_mut(&mut self, node: NodeId) -> Option<&mut BuddyAllocator> {
+        match node {
+            NodeId::Stacked => self.stacked_alloc.as_mut(),
+            NodeId::Offchip => Some(&mut self.offchip_alloc),
+        }
     }
 
     /// The configuration the kernel was built with.
@@ -274,10 +289,7 @@ impl OsKernel {
 
     /// OS-visible free bytes on one node (zero for an invisible node).
     pub fn free_bytes(&self, node: NodeId) -> u64 {
-        match node {
-            NodeId::Stacked => self.stacked_alloc.as_ref().map_or(0, |a| a.free_bytes()),
-            NodeId::Offchip => self.offchip_alloc.free_bytes(),
-        }
+        self.allocator(node).map_or(0, BuddyAllocator::free_bytes)
     }
 
     /// Total OS-visible free bytes.
@@ -312,14 +324,11 @@ impl OsKernel {
     ///
     /// Returns [`OsError::NoSuchProcess`] for an unknown pid.
     pub fn exit(&mut self, pid: Pid, now: Cycle, hook: &mut dyn IsaHook) -> Result<(), OsError> {
-        let mut proc = pid
-            .0
-            .checked_sub(1)
-            .and_then(|i| self.processes.get_mut(i as usize)?.take())
+        let mut proc = Self::slot(pid)
+            .and_then(|i| self.processes.get_mut(i)?.take())
             .ok_or(OsError::NoSuchProcess(pid))?;
         self.mapping_generation += 1;
         for frame in proc.table.clear() {
-            self.reverse.remove(&frame);
             self.free_frame(frame, now, hook);
         }
         Ok(())
@@ -359,38 +368,40 @@ impl OsKernel {
             return Err(OsError::OutOfRange(vaddr));
         }
 
-        match proc.table.state(vaddr) {
-            PageState::Resident { frame } => Ok(TouchOutcome {
-                paddr: frame + vaddr % PAGE_SIZE,
-                fault: None,
-                stall: 0,
-            }),
-            PageState::Untouched => {
-                let paddr = self.fault_in(pid, vaddr, now, hook);
-                self.stats.minor_faults.inc();
-                self.trace
-                    .push(now, EventKind::MinorFault, PageTable::vpn(vaddr));
-                self.stats.fault_stall_cycles.add(MINOR_FAULT_LATENCY);
-                Ok(TouchOutcome {
-                    paddr,
-                    fault: Some(FaultKind::Minor),
-                    stall: MINOR_FAULT_LATENCY,
-                })
-            }
-            PageState::SwappedOut => {
-                let paddr = self.fault_in(pid, vaddr, now, hook);
-                let stall = self.ssd.read_page(now);
-                self.stats.major_faults.inc();
-                self.trace
-                    .push(now, EventKind::MajorFault, PageTable::vpn(vaddr));
+        let (frame, fault, stall) = match proc.table.state(vaddr) {
+            PageState::Resident { frame } => (frame, None, 0),
+            state => {
+                // The frame comes first: allocating it may evict a page and
+                // queue its SSD write ahead of this fault's read.
+                let frame = self.alloc_frame_evicting(now, hook);
+                let vpn = PageTable::vpn(vaddr);
+                self.install(frame, pid, vpn, now, hook);
+                let (kind, event, count, stall) = if state == PageState::Untouched {
+                    (
+                        FaultKind::Minor,
+                        EventKind::MinorFault,
+                        &mut self.stats.minor_faults,
+                        MINOR_FAULT_LATENCY,
+                    )
+                } else {
+                    (
+                        FaultKind::Major,
+                        EventKind::MajorFault,
+                        &mut self.stats.major_faults,
+                        self.ssd.read_page(now),
+                    )
+                };
+                count.inc();
+                self.trace.push(now, event, vpn);
                 self.stats.fault_stall_cycles.add(stall);
-                Ok(TouchOutcome {
-                    paddr,
-                    fault: Some(FaultKind::Major),
-                    stall,
-                })
+                (frame, Some(kind), stall)
             }
-        }
+        };
+        Ok(TouchOutcome {
+            paddr: frame + vaddr % PAGE_SIZE,
+            fault,
+            stall,
+        })
     }
 
     /// Releases one resident page of a process outright (no swap-out):
@@ -411,7 +422,6 @@ impl OsKernel {
         let proc = self.process_mut(pid)?;
         let frame = proc.table.unmap(vaddr).ok_or(OsError::NotMapped(vaddr))?;
         self.mapping_generation += 1;
-        self.reverse.remove(&frame);
         self.free_frame(frame, now, hook);
         Ok(())
     }
@@ -445,18 +455,10 @@ impl OsKernel {
                 return Err(OsError::MigrationEnomem);
             }
         };
-        hook.isa_alloc(new_frame, PAGE_SIZE, now);
-        if let Some(l) = &mut self.ledger {
-            l.on_alloc(new_frame, PAGE_SIZE);
-        }
-        self.stats.allocs.inc();
+        // The new frame's ISA-Alloc precedes the old frame's ISA-Free.
+        self.install(new_frame, pid, vpn, now, hook);
         // Remap: the old translation dies with the move.
         self.mapping_generation += 1;
-        // INVARIANT: reverse[frame] = (pid, vpn) implies the process exists.
-        let proc = self.process_mut(pid).expect("reverse map is consistent");
-        proc.table.map(vpn * PAGE_SIZE, new_frame);
-        self.reverse.remove(&frame_base);
-        self.make_resident(new_frame, pid, vpn);
         self.free_frame(frame_base, now, hook);
         self.stats.migrations.inc();
         Ok(new_frame)
@@ -475,27 +477,18 @@ impl OsKernel {
         hook: &mut dyn IsaHook,
     ) -> HintOutcome {
         let mut out = HintOutcome::default();
-        let mut stacked_full = false;
-        let mut offchip_full = false;
+        // Whether each node (by `NodeId as usize`) has reported -ENOMEM.
+        let mut full = [false; 2];
         for hint in hints {
-            let full = match hint.target {
-                NodeId::Stacked => &mut stacked_full,
-                NodeId::Offchip => &mut offchip_full,
-            };
+            let full = &mut full[hint.target as usize];
             if *full {
                 continue;
             }
             match self.migrate_page(hint.page, hint.target, now, hook) {
                 Ok(new_frame) => {
                     match hint.target {
-                        NodeId::Stacked => {
-                            out.promoted += 1;
-                            self.stats.hint_promotions.inc();
-                        }
-                        NodeId::Offchip => {
-                            out.demoted += 1;
-                            self.stats.hint_demotions.inc();
-                        }
+                        NodeId::Stacked => self.stats.hint_promotions.inc(),
+                        NodeId::Offchip => self.stats.hint_demotions.inc(),
                     }
                     out.applied.push((hint.page, new_frame, hint.target));
                 }
@@ -517,23 +510,19 @@ impl OsKernel {
         self.ledger.as_ref()
     }
 
-    fn fault_in(&mut self, pid: Pid, vaddr: u64, now: Cycle, hook: &mut dyn IsaHook) -> u64 {
-        let frame = self.alloc_frame_evicting(now, hook);
+    /// Hands the newly allocated `frame` to page `vpn` of `pid`: reports
+    /// it with `ISA-Alloc`, charges the ledger, maps it, records it in
+    /// the reverse map and queues it, newest, for replacement.
+    fn install(&mut self, frame: u64, pid: Pid, vpn: u64, now: Cycle, hook: &mut dyn IsaHook) {
         hook.isa_alloc(frame, PAGE_SIZE, now);
         if let Some(l) = &mut self.ledger {
             l.on_alloc(frame, PAGE_SIZE);
         }
         self.stats.allocs.inc();
-        // INVARIANT: touch() validated pid before taking the fault path.
-        let proc = self.process_mut(pid).expect("checked by caller");
-        proc.table.map(vaddr, frame);
-        self.make_resident(frame, pid, PageTable::vpn(vaddr));
-        frame + vaddr % PAGE_SIZE
-    }
-
-    /// Records `frame` as holding `(pid, vpn)` and queues it, newest, for
-    /// replacement.
-    fn make_resident(&mut self, frame: u64, pid: Pid, vpn: u64) {
+        // INVARIANT: callers pass a pid that touch() validated or that the
+        // reverse map holds, and either implies the process exists.
+        let proc = self.process_mut(pid).expect("live process");
+        proc.table.map(vpn * PAGE_SIZE, frame);
         let stamp = self.next_stamp;
         self.next_stamp += 1;
         self.reverse.insert(frame, (pid, vpn, stamp));
@@ -573,13 +562,8 @@ impl OsKernel {
                 break;
             }
             let want = CANDIDATES - cands.len();
-            match node {
-                NodeId::Stacked => {
-                    if let Some(a) = self.stacked_alloc.as_mut() {
-                        cands.extend(a.peek_candidates(want));
-                    }
-                }
-                NodeId::Offchip => cands.extend(self.offchip_alloc.peek_candidates(want)),
+            if let Some(a) = self.allocator_mut(node) {
+                cands.extend(a.peek_candidates(want));
             }
         }
         // INVARIANT: the ledger was checked Some at the top of this function.
@@ -591,14 +575,11 @@ impl OsKernel {
             .collect();
         scored.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
         for (_, f) in scored {
-            let ok = match self.map.node_of(f) {
-                NodeId::Stacked => self
-                    .stacked_alloc
-                    .as_mut()
-                    .is_some_and(|a| a.alloc_exact_page(f)),
-                NodeId::Offchip => self.offchip_alloc.alloc_exact_page(f),
-            };
-            if ok {
+            let node = self.map.node_of(f);
+            if self
+                .allocator_mut(node)
+                .is_some_and(|a| a.alloc_exact_page(f))
+            {
                 return Some(f);
             }
         }
@@ -616,7 +597,6 @@ impl OsKernel {
             let Some(&(pid, vpn, _)) = self.reverse.get(&frame).filter(|e| e.2 == stamp) else {
                 continue; // stale entry (freed, migrated or mapped again)
             };
-            self.reverse.remove(&frame);
             self.mapping_generation += 1;
             // INVARIANT: reverse[frame] = (pid, vpn) implies the process exists.
             let proc = self.process_mut(pid).expect("reverse map is consistent");
@@ -631,28 +611,23 @@ impl OsKernel {
         }
     }
 
+    /// Frees a frame its page no longer holds: drops it from the reverse
+    /// map, reports it with `ISA-Free` and returns it to its allocator.
     fn free_frame(&mut self, frame: u64, now: Cycle, hook: &mut dyn IsaHook) {
+        self.reverse.remove(&frame);
         hook.isa_free(frame, PAGE_SIZE, now);
         if let Some(l) = &mut self.ledger {
             l.on_free(frame, PAGE_SIZE);
         }
         self.stats.frees.inc();
-        match self.map.node_of(frame) {
-            NodeId::Stacked => self
-                .stacked_alloc
-                .as_mut()
-                // INVARIANT: a stacked-node frame implies the allocator exists.
-                .expect("stacked frame implies visibility")
-                .free(frame, 0),
-            NodeId::Offchip => self.offchip_alloc.free(frame, 0),
-        }
+        self.allocator_mut(self.map.node_of(frame))
+            // INVARIANT: a frame was allocated from its node's allocator.
+            .expect("a hidden node holds no frames")
+            .free(frame, 0);
     }
 
     fn alloc_on(&mut self, node: NodeId) -> Option<u64> {
-        match node {
-            NodeId::Stacked => self.stacked_alloc.as_mut()?.alloc(0),
-            NodeId::Offchip => self.offchip_alloc.alloc(0),
-        }
+        self.allocator_mut(node)?.alloc(0)
     }
 
     /// Allocates one page, trying nodes in the configured preference
@@ -675,18 +650,11 @@ impl OsKernel {
         self.alloc_on(first).or_else(|| self.alloc_on(second))
     }
 
+    /// The node's free fraction; -1 for a hidden node, so `Balanced`
+    /// never prefers it.
     fn free_fraction(&self, node: NodeId) -> f64 {
-        let (free, total) = match node {
-            NodeId::Stacked => match &self.stacked_alloc {
-                Some(a) => (a.free_bytes(), a.total_bytes()),
-                None => return -1.0,
-            },
-            NodeId::Offchip => (
-                self.offchip_alloc.free_bytes(),
-                self.offchip_alloc.total_bytes(),
-            ),
-        };
-        free as f64 / total as f64
+        self.allocator(node)
+            .map_or(-1.0, |a| a.free_bytes() as f64 / a.total_bytes() as f64)
     }
 }
 
@@ -902,6 +870,88 @@ mod tests {
             Err(OsError::MigrationEnomem)
         );
         assert_eq!(os.stats().migration_enomem.value(), 1);
+    }
+
+    #[test]
+    fn apply_hints_stops_promoting_after_enomem_but_keeps_demoting() {
+        let cfg = OsConfig {
+            preference: NodePreference::FastFirst,
+            ..OsConfig::default()
+        };
+        let mut os = OsKernel::new(cfg, MemoryMap::new(ByteSize::mib(2), ByteSize::mib(8)));
+        let stacked_pages = (2 << 20) / PAGE_SIZE;
+        let pid = os.spawn(ByteSize::mib(4));
+        // Fill the stacked node, then fault four pages off-chip.
+        for p in 0..stacked_pages + 4 {
+            os.touch(pid, p * PAGE_SIZE, false, 0, &mut NullHook)
+                .unwrap();
+        }
+        let frames: Vec<u64> = [0, 1, stacked_pages, stacked_pages + 1, stacked_pages + 2]
+            .iter()
+            .map(|&p| os.peek_translate(pid, p * PAGE_SIZE).unwrap())
+            .collect();
+        let [s1, s2, o1, o2, gone] = frames[..] else {
+            unreachable!()
+        };
+        let node = |f| os.memory_map().node_of(f);
+        assert_eq!([node(s1), node(s2)], [NodeId::Stacked; 2]);
+        assert_eq!([node(o1), node(o2), node(gone)], [NodeId::Offchip; 3]);
+        os.release_page(pid, (stacked_pages + 2) * PAGE_SIZE, 0, &mut NullHook)
+            .unwrap();
+
+        let hint = |page, target| PlacementHint { page, target };
+        let out = os.apply_hints(
+            &[
+                hint(gone, NodeId::Stacked), // unmapped: skipped
+                hint(o1, NodeId::Stacked),   // -ENOMEM: the stacked node is full
+                hint(s1, NodeId::Offchip),   // demotions still apply
+                hint(o2, NodeId::Stacked),   // skipped, though s1 left room
+                hint(s2, NodeId::Offchip),
+            ],
+            0,
+            &mut NullHook,
+        );
+        assert_eq!(out.enomem, 1);
+        let moved: Vec<(u64, NodeId)> = out.applied.iter().map(|&(f, _, t)| (f, t)).collect();
+        assert_eq!(moved, [(s1, NodeId::Offchip), (s2, NodeId::Offchip)]);
+        for &(_, new, _) in &out.applied {
+            assert_eq!(os.memory_map().node_of(new), NodeId::Offchip);
+        }
+        assert_eq!(os.peek_translate(pid, stacked_pages * PAGE_SIZE), Some(o1));
+        assert_eq!(
+            os.peek_translate(pid, (stacked_pages + 1) * PAGE_SIZE),
+            Some(o2)
+        );
+        assert_eq!(os.free_bytes(NodeId::Stacked), 2 * PAGE_SIZE);
+        let s = os.stats();
+        assert_eq!(s.hint_promotions.value(), 0);
+        assert_eq!(s.hint_demotions.value(), 2);
+        assert_eq!(s.hint_enomem.value(), 1);
+        assert_eq!(s.migration_enomem.value(), 1);
+    }
+
+    #[test]
+    fn group_aware_first_fault_follows_the_preference() {
+        // Six free 2MB blocks per node, so every candidate of the first
+        // fault comes from the first node in the candidate order.
+        let (stacked, offchip) = (ByteSize::mib(12), ByteSize::mib(24));
+        let geom = SegmentGeometry::new(stacked, offchip, ByteSize::kib(2));
+        for (preference, want) in [
+            (NodePreference::FastFirst, NodeId::Stacked),
+            (NodePreference::SlowFirst, NodeId::Offchip),
+            (NodePreference::Balanced, NodeId::Offchip),
+        ] {
+            let cfg = OsConfig {
+                preference,
+                group_placement: Some(geom),
+                ..OsConfig::default()
+            };
+            let mut os = OsKernel::new(cfg, MemoryMap::new(stacked, offchip));
+            let pid = os.spawn(ByteSize::mib(1));
+            let t = os.touch(pid, 0, false, 0, &mut NullHook).unwrap();
+            assert_eq!(t.fault, Some(FaultKind::Minor));
+            assert_eq!(os.memory_map().node_of(t.paddr), want, "{preference:?}");
+        }
     }
 
     #[test]

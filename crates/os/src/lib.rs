@@ -13,7 +13,8 @@
 //!   notifications from the allocator/reclaimer to the memory controller
 //!   (Algorithms 1 and 2 of the paper),
 //! * NUMA policies for the OS-managed comparisons: the first-touch
-//!   allocator and [`numa::AutoNuma`] balancing (Section III-A).
+//!   allocator and [`numa::AutoNuma`] balancing (Section III-A), and the
+//!   [`guidance::GuidanceEngine`] tier, whose hints are page migrations.
 //!
 //! # Example
 //!

@@ -28,6 +28,27 @@ const MAX_MIGRATIONS_PER_EPOCH: usize = 4096;
 /// Minimum sampled accesses before a remote page is considered hot.
 const MIN_HOTNESS: u32 = 2;
 
+/// The pages whose `count` is at least `min`, highest first with ties
+/// broken by address, cut to `max`: AutoNUMA's hot list and the guidance
+/// tier's cold and hot lists.
+pub(crate) fn rank<V: Copy>(
+    pages: &BTreeMap<u64, V>,
+    count: impl Fn(V) -> u32,
+    min: u32,
+    max: usize,
+) -> Vec<(u64, V)> {
+    let mut ranked: Vec<(u64, V)> = pages
+        .iter()
+        .map(|(&page, &v)| (page, v))
+        .filter(|&(_, v)| count(v) >= min)
+        // INVARIANT: the epoch code ranks once per epoch, not per access,
+        // so this staging is amortized off the hot path.
+        .collect();
+    ranked.sort_unstable_by(|a, b| count(b.1).cmp(&count(a.1)).then(a.0.cmp(&b.0)));
+    ranked.truncate(max);
+    ranked
+}
+
 /// The AutoNUMA balancing engine.
 ///
 /// The system model feeds it every memory access via
@@ -92,15 +113,13 @@ impl AutoNuma {
         };
         if remote_ratio > 1.0 - self.threshold {
             // Hottest remote pages first.
-            let mut hot: Vec<(u64, u32)> = self
-                .remote_pages
-                .iter()
-                .filter(|&(_, &c)| c >= MIN_HOTNESS)
-                .map(|(&p, &c)| (p, c))
-                // INVARIANT: once-per-epoch staging, amortized off the hot path.
-                .collect();
-            hot.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            for (page, _) in hot.into_iter().take(MAX_MIGRATIONS_PER_EPOCH) {
+            let hot = rank(
+                &self.remote_pages,
+                |c| c,
+                MIN_HOTNESS,
+                MAX_MIGRATIONS_PER_EPOCH,
+            );
+            for (page, _) in hot {
                 match kernel.migrate_page(page, NodeId::Stacked, now, hook) {
                     Ok(_) | Err(crate::kernel::OsError::NotMapped(_)) => {}
                     // The node is full; later migrations fail too.

@@ -84,20 +84,13 @@ impl PageTable {
     ///
     /// Panics if the page is not resident.
     pub fn swap_out(&mut self, vaddr: u64) -> u64 {
-        let vpn = Self::vpn(vaddr);
-        let state = self
-            .entries
-            .get_mut(vpn as usize)
-            .map_or(PageState::Untouched, |s| {
-                std::mem::replace(s, PageState::SwappedOut)
-            });
-        match state {
-            PageState::Resident { frame } => {
-                self.resident -= 1;
-                frame
-            }
+        match self.replace(vaddr, PageState::SwappedOut) {
+            PageState::Resident { frame } => frame,
             // INVARIANT: callers only swap out pages the kernel lists resident.
-            other => panic!("swap_out of non-resident page {vpn}: {other:?}"),
+            other => panic!(
+                "swap_out of non-resident page {}: {other:?}",
+                Self::vpn(vaddr)
+            ),
         }
     }
 
@@ -105,18 +98,24 @@ impl PageTable {
     /// returning its frame if it was resident. Used for discardable pages
     /// (buffer cache) whose contents need no swap-out.
     pub fn unmap(&mut self, vaddr: u64) -> Option<u64> {
-        let vpn = Self::vpn(vaddr) as usize;
-        let state = self
-            .entries
-            .get_mut(vpn)
-            .map(|s| std::mem::replace(s, PageState::Untouched));
-        match state {
-            Some(PageState::Resident { frame }) => {
-                self.resident -= 1;
-                Some(frame)
-            }
+        match self.replace(vaddr, PageState::Untouched) {
+            PageState::Resident { frame } => Some(frame),
             _ => None,
         }
+    }
+
+    /// Sets the state of the page containing `vaddr` to `new` and returns
+    /// its old state, uncounting it if it was resident. A page beyond the
+    /// table is untouched and stays so.
+    fn replace(&mut self, vaddr: u64, new: PageState) -> PageState {
+        let Some(slot) = self.entries.get_mut(Self::vpn(vaddr) as usize) else {
+            return PageState::Untouched;
+        };
+        let old = std::mem::replace(slot, new);
+        if matches!(old, PageState::Resident { .. }) {
+            self.resident -= 1;
+        }
+        old
     }
 
     /// Removes all mappings, yielding the frames that were resident (in
