@@ -2,7 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::set_assoc::Classify;
 use crate::{
     AccessKind, CacheConfig, InlineVec, LookupResult, PrefetchBuf, PrefetchConfig, SetAssocCache,
     StridePrefetcher,
@@ -211,60 +210,17 @@ impl<const L1: usize, const L2: usize, const L3: usize> Hierarchy<L1, L2, L3> {
         }
     }
 
-    /// The fused L1/L2 fast path: handles the common clean SRAM hit —
-    /// an L1 hit, or an L1 miss whose victim is clean followed by an L2
-    /// hit — with single-pass probe-and-commit lookups, and returns
-    /// `None` for everything else *without mutating any state*, so the
-    /// caller can fall back to the unchanged [`Hierarchy::access_into`].
-    ///
-    /// On `Some`, the committed state, statistics and latency are
-    /// bit-identical to what the full walk would have produced, and the
-    /// walk is guaranteed to have emitted no writebacks and no prefetch
-    /// candidates (both only arise beyond the L2). Enforced by a
-    /// differential proptest (`fused_walk_differential.rs`).
-    ///
-    /// The simulator's spine no longer calls this: every reference that
-    /// fails it pays a second L1 (and often L2) scan in
-    /// [`Hierarchy::access_into`], and on miss-heavy workloads that costs
-    /// more than the hits save. It remains for the repository
-    /// benchmark's cache replay, which still calls it.
-    // lint: hot-path
-    #[inline]
+    /// Always `None`: every reference takes [`Hierarchy::access_into`].
+    /// Kept only for the two calls in `perfbench/src/rate.rs` (lines 443
+    /// and 464), whose contract is "`None` mutates nothing, walk through
+    /// `access_into`"; the next benchmark change deletes it with them.
     pub fn fast_access(
         &mut self,
-        core: usize,
-        addr: u64,
-        is_write: bool,
+        _core: usize,
+        _addr: u64,
+        _is_write: bool,
     ) -> Option<(HitLevel, u32)> {
-        let kind = if is_write {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        // The common case — an L1 hit — is one fused probe-and-commit,
-        // exactly as cheap as the reference L1 lookup; a miss leaves the
-        // L1 untouched (not even its clock moves).
-        if self.l1[core].try_hit(addr, kind) {
-            return Some((HitLevel::L1, self.l1_latency));
-        }
-        match self.l1[core].classify_victim(addr) {
-            Classify::CleanVictim { set, way } => {
-                // The L1 fill is clean (no cascade into L2/L3), so the
-                // only remaining question is whether the L2 hits. Its
-                // probe-and-commit only mutates on a hit, so an L2 miss
-                // still leaves every cache untouched for the reference
-                // walk. (L1 and L2 share no state, so committing the L2
-                // hit before the L1 fill is observationally identical to
-                // the reference walk's L1-fill-then-L2-access order.)
-                if self.l2[core].try_hit(addr, kind) {
-                    self.l1[core].commit_clean_fill(addr, set, way, kind);
-                    Some((HitLevel::L2, self.l1_latency + self.l2_latency))
-                } else {
-                    None
-                }
-            }
-            Classify::Bail => None,
-        }
+        None
     }
 
     /// The shared L3 cache (stats access).

@@ -13,27 +13,6 @@ pub enum AccessKind {
     Write,
 }
 
-/// What a non-mutating [`SetAssocCache::classify_victim`] pass found —
-/// the fused fast path's deferred-commit protocol (see
-/// [`crate::Hierarchy::fast_access`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Classify {
-    /// The victim way is invalid or clean;
-    /// [`SetAssocCache::commit_clean_fill`] reproduces the miss path
-    /// exactly (no writeback).
-    CleanVictim {
-        /// The victim's set, so the commit needs no second set
-        /// computation.
-        set: usize,
-        /// The victim's way within `set`.
-        way: usize,
-    },
-    /// The victim is dirty, so the reference access would emit a
-    /// writeback: the caller must take the full path against the
-    /// untouched cache.
-    Bail,
-}
-
 /// Result of a lookup-with-fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LookupResult {
@@ -220,7 +199,10 @@ impl<const W: usize> SetAssocCache<W> {
         self.tick();
         let (set, tag) = self.locate(addr);
         if let Some(way) = self.find(set, tag) {
-            self.commit_hit(set, way, kind);
+            let s = &mut self.sets[set];
+            s.stamps[way] = self.clock;
+            s.keys[way] |= u32::from(kind == AccessKind::Write) << 1;
+            self.stats.record(kind, true);
             return LookupResult::Hit;
         }
         self.miss_fill(set, tag, kind)
@@ -325,82 +307,6 @@ impl<const W: usize> SetAssocCache<W> {
         let s = &mut self.sets[set];
         s.keys[way] = fill_key(tag, dirty);
         s.stamps[way] = self.clock;
-    }
-
-    /// The hit mutation shared by [`Self::access`] and [`Self::try_hit`]:
-    /// LRU stamp, dirty merge, stats.
-    // lint: hot-path
-    #[inline(always)]
-    fn commit_hit(&mut self, set: usize, way: usize, kind: AccessKind) {
-        let s = &mut self.sets[set];
-        s.stamps[way] = self.clock;
-        s.keys[way] |= u32::from(kind == AccessKind::Write) << 1;
-        self.stats.record(kind, true);
-    }
-
-    /// The fused fast path's hit probe: scans for `addr` exactly like
-    /// [`Self::access`] and, *only on a hit*, commits the identical hit
-    /// mutation (clock advance, LRU stamp, dirty merge, stats) in the
-    /// same pass. On a miss nothing is touched — not even the clock —
-    /// so the caller may probe other caches or fall back to the full
-    /// reference walk against an unchanged cache.
-    ///
-    /// A hit therefore costs exactly what the reference hit path costs
-    /// (one [`Self::find`] scan plus one key and one stamp write), and a
-    /// miss costs only the scan.
-    // lint: hot-path
-    #[inline]
-    pub(crate) fn try_hit(&mut self, addr: u64, kind: AccessKind) -> bool {
-        let (set, tag) = self.locate(addr);
-        if let Some(way) = self.find(set, tag) {
-            // `access` advances the clock before its scan; the scan does
-            // not read it (nor does a wrap pass change a key), so
-            // advancing here yields the same stamps.
-            self.tick();
-            self.commit_hit(set, way, kind);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The victim [`Self::miss_fill`] would pick for an `addr` the caller
-    /// has already established to be absent (via a failed
-    /// [`Self::try_hit`]), found without mutating anything. Returns
-    /// [`Classify::Bail`] when that victim is dirty, since committing
-    /// later could not reproduce the writeback of [`Self::access`].
-    // lint: hot-path
-    #[inline]
-    pub(crate) fn classify_victim(&self, addr: u64) -> Classify {
-        let (set, _) = self.locate(addr);
-        let way = self.victim(set);
-        if self.sets[set].keys[way] & DIRTY != 0 {
-            return Classify::Bail;
-        }
-        Classify::CleanVictim { set, way }
-    }
-
-    /// Commits the clean-victim fill that [`Self::classify_victim`]
-    /// prepared: bit-identical to the miss half of [`Self::access`] for
-    /// a victim with no writeback (eviction accounting, LRU stamp,
-    /// stats). `set` and `way` come from [`Classify::CleanVictim`]; only
-    /// the tag shift is recomputed. A wrap pass in between keeps each
-    /// set's stamp order, so `way` is still the victim.
-    // lint: hot-path
-    #[inline]
-    pub(crate) fn commit_clean_fill(
-        &mut self,
-        addr: u64,
-        set: usize,
-        way: usize,
-        kind: AccessKind,
-    ) {
-        self.tick();
-        let tag = addr >> self.line_shift;
-        let writeback = self.evict(set, way);
-        debug_assert!(writeback.is_none(), "classify_victim vetted a clean victim");
-        self.fill(set, way, tag, kind == AccessKind::Write);
-        self.stats.record(kind, false);
     }
 
     /// Whether `addr`'s line is currently present (no LRU update).
@@ -545,42 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn classify_victim_matches_miss_fill_and_bails_only_on_dirty() {
-        // Checks that `classify_victim(addr)` names `miss_fill`'s way.
-        let check = |c: &SetAssocCache<4>, addr: u64| {
-            let verdict = c.classify_victim(addr);
-            let mut filled = c.clone();
-            let LookupResult::Miss { writeback } = filled.access(addr, AccessKind::Read) else {
-                panic!("{addr:#x} is absent");
-            };
-            match verdict {
-                Classify::CleanVictim { set, way } => {
-                    assert_eq!(
-                        filled.sets[set].keys[way] | DIRTY,
-                        fill_key(addr >> 6, true),
-                        "same way as miss_fill"
-                    );
-                    assert_eq!(writeback, None);
-                }
-                Classify::Bail => assert!(writeback.is_some(), "bail only on a dirty victim"),
-            }
-            verdict
-        };
-        let mut c = one_set::<4>();
-        c.access(0, AccessKind::Write);
-        c.access(64, AccessKind::Read);
-        c.access(128, AccessKind::Read);
-        // An invalid way wins over the dirty LRU line.
-        assert_eq!(check(&c, 0x1000), Classify::CleanVictim { set: 0, way: 3 });
-        c.access(192, AccessKind::Read);
-        // Full set, dirty LRU victim (line 0).
-        assert_eq!(check(&c, 0x1000), Classify::Bail);
-        // Reusing line 0 makes the clean line 1 the LRU victim.
-        c.access(0, AccessKind::Read);
-        assert_eq!(check(&c, 0x1000), Classify::CleanVictim { set: 0, way: 1 });
-    }
-
-    #[test]
     fn dirty_eviction_produces_writeback() {
         let mut c = tiny();
         c.access(0, AccessKind::Write);
@@ -660,21 +530,13 @@ mod tests {
     enum Step {
         /// A read or write through [`SetAssocCache::access`].
         Access(AccessKind),
-        /// The same reference through the fused fast path's protocol:
-        /// `try_hit`, else `classify_victim` and `commit_clean_fill`, or
-        /// `access` when the victim is dirty.
-        Fused(AccessKind),
         /// A prefetch install.
         Touch,
     }
 
     fn any_step() -> impl Strategy<Value = (Step, u64)> {
         let kind = || prop::sample::select(vec![AccessKind::Read, AccessKind::Write]);
-        let step = prop_oneof![
-            kind().prop_map(Step::Access),
-            kind().prop_map(Step::Fused),
-            Just(Step::Touch),
-        ];
+        let step = prop_oneof![kind().prop_map(Step::Access), Just(Step::Touch),];
         (step, any::<u64>())
     }
 
@@ -684,24 +546,11 @@ mod tests {
         step: Step,
         addr: u64,
     ) -> (bool, Option<u64>) {
-        let access = |c: &mut SetAssocCache<W>, kind| match c.access(addr, kind) {
-            LookupResult::Hit => (true, None),
-            LookupResult::Miss { writeback } => (false, writeback),
-        };
         match step {
-            Step::Access(kind) => access(c, kind),
-            Step::Fused(kind) => {
-                if c.try_hit(addr, kind) {
-                    return (true, None);
-                }
-                match c.classify_victim(addr) {
-                    Classify::CleanVictim { set, way } => {
-                        c.commit_clean_fill(addr, set, way, kind);
-                        (false, None)
-                    }
-                    Classify::Bail => access(c, kind),
-                }
-            }
+            Step::Access(kind) => match c.access(addr, kind) {
+                LookupResult::Hit => (true, None),
+                LookupResult::Miss { writeback } => (false, writeback),
+            },
             Step::Touch => (c.probe(addr), c.touch(addr)),
         }
     }
@@ -742,10 +591,7 @@ mod tests {
         let pool = 3 * sets * u64::from(ways);
         for (i, &(step, line)) in steps.iter().enumerate() {
             let addr = line % pool * 64;
-            let write = matches!(
-                step,
-                Step::Access(AccessKind::Write) | Step::Fused(AccessKind::Write)
-            );
+            let write = matches!(step, Step::Access(AccessKind::Write));
             let expected = model.reference(addr, write);
             let ctx = format!("{ways}-way, step {i}: {step:?} of {addr:#x}");
             prop_assert_eq!(run_step(&mut fresh, step, addr), expected, "fresh, {}", ctx);
@@ -780,11 +626,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The clock wrap changes no outcome: reads, writes, fused-path
-        /// references and touches give the same hits, writebacks, lines
-        /// and recency order as in a cache whose clock never wraps, and
-        /// both match the recency-list LRU model, at the Table I widths
-        /// and odd ones.
+        /// The clock wrap changes no outcome: reads, writes and touches
+        /// give the same hits, writebacks, lines and recency order as in
+        /// a cache whose clock never wraps, and both match the
+        /// recency-list LRU model, at the Table I widths and odd ones.
         #[test]
         fn stamp_wrap_matches_a_fresh_cache_and_the_lru_model(
             steps in prop::collection::vec(any_step(), 1..300),

@@ -1,8 +1,10 @@
 //! Property-based tests for the cache models.
 
+use std::collections::HashSet;
+
 use chameleon_cache::{
-    AccessKind, CacheConfig, Hierarchy, HitLevel, LookupResult, PrefetchBuf, SetAssocCache,
-    WritebackBuf,
+    AccessKind, CacheConfig, Hierarchy, HitLevel, LookupResult, PrefetchBuf, PrefetchConfig,
+    SetAssocCache, WritebackBuf,
 };
 use chameleon_simkit::mem::ByteSize;
 use proptest::prelude::*;
@@ -100,23 +102,6 @@ proptest! {
         }
         prop_assert!(seen_wb, "dirty line must have been written back");
     }
-
-    /// The hierarchy's reported level ordering is consistent: once a line
-    /// hits in L1 it keeps hitting in L1 until capacity pressure.
-    #[test]
-    fn hierarchy_levels_consistent(addr in (0u64..(1 << 24)).prop_map(|a| a & !63)) {
-        let mut h = Hierarchy::new(
-            1,
-            CacheConfig::table1_l1(),
-            CacheConfig::table1_l2(),
-            CacheConfig::table1_l3(),
-        );
-        let (mut wbs, mut pfs) = (WritebackBuf::new(), PrefetchBuf::new());
-        let mut level = || h.access_into(0, addr, false, &mut wbs, &mut pfs).0;
-        prop_assert_eq!(level(), HitLevel::Memory);
-        prop_assert_eq!(level(), HitLevel::L1);
-        prop_assert_eq!(level(), HitLevel::L1);
-    }
 }
 
 /// One step of a reference-model run: a read or a write (`Some`), or a
@@ -205,5 +190,106 @@ proptest! {
         check_against_lru::<4>(&steps, sets, offset)?;
         check_against_lru::<8>(&steps, sets, offset)?;
         check_against_lru::<16>(&steps, sets, offset)?;
+    }
+}
+
+/// A hierarchy of small levels (4 KiB L1, 16 KiB L2, 48 KiB L3) at
+/// Table I's widths (4/8/16-way), or with a 4-way L3. The L3's set
+/// count (48 or 192) is not a power of two, so its reciprocal set
+/// indexing runs too.
+fn small_hierarchy<const L3: usize>(cores: usize, prefetcher: bool) -> Hierarchy<4, 8, L3> {
+    let l3_lines = 768;
+    let h = Hierarchy::with_widths(
+        cores,
+        small_cfg(4, 16),
+        small_cfg(8, 32),
+        small_cfg(L3 as u32, l3_lines / L3 as u64),
+    );
+    if prefetcher {
+        h.with_prefetcher(PrefetchConfig::default())
+    } else {
+        h
+    }
+}
+
+/// Walks `refs` through `h`, installing every prefetch candidate,
+/// checking that each memory writeback (the walk's or an install's)
+/// names a line the sequence has stored to, and that an immediate
+/// re-reference on the same core hits L1.
+fn check_walk<const L3: usize>(
+    mut h: Hierarchy<4, 8, L3>,
+    refs: &[(usize, u64, bool)],
+) -> Result<(), TestCaseError> {
+    let (mut wbs, mut pfs) = (WritebackBuf::new(), PrefetchBuf::new());
+    let mut stored = HashSet::new();
+    for (i, &(core, addr, write)) in refs.iter().enumerate() {
+        h.access_into(core, addr, write, &mut wbs, &mut pfs);
+        let mut written_back = wbs.to_vec();
+        written_back.extend(pfs.iter().filter_map(|&pf| h.install_prefetch(pf)));
+        for wb in written_back {
+            prop_assert!(
+                stored.contains(&wb),
+                "ref {}: wrote back {:#x}, never stored",
+                i,
+                wb
+            );
+        }
+        if write {
+            stored.insert(addr);
+        }
+        let (level, _) = h.access_into(core, addr, false, &mut wbs, &mut pfs);
+        prop_assert_eq!(
+            level,
+            HitLevel::L1,
+            "ref {}: re-reference of {:#x}",
+            i,
+            addr
+        );
+    }
+    Ok(())
+}
+
+/// `(core, line address, write)` sequences of short strided runs, so
+/// the prefetcher confirms strides, each over a hot 64-line pool or a
+/// footprint several times the L3, so dirty lines leave every level.
+/// The core is drawn from two and reduced modulo the core count.
+fn any_refs() -> impl Strategy<Value = Vec<(usize, u64, bool)>> {
+    let run = (
+        0..2usize,
+        0u64..4096,
+        any::<bool>(),
+        1u64..4,
+        1u64..8,
+        any::<bool>(),
+    )
+        .prop_map(|(core, line, hot, stride, len, write)| {
+            let start = if hot { line % 64 } else { line };
+            (0..len)
+                .map(|k| (core, (start + k * stride) * 64, write))
+                .collect::<Vec<_>>()
+        });
+    prop::collection::vec(run, 1..300).prop_map(|runs| runs.concat())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The one hierarchy walk, `access_into`, with one or two cores, the
+    /// prefetcher on or off and a 16- or 4-way L3: an immediate
+    /// re-reference hits L1, and every memory writeback is of a line
+    /// the sequence stored to.
+    #[test]
+    fn hierarchy_walk_rehits_l1_and_writes_back_only_stored_lines(
+        cores in 1usize..3,
+        prefetcher in any::<bool>(),
+        narrow_l3 in any::<bool>(),
+        refs in any_refs(),
+    ) {
+        let refs: Vec<_> = refs.into_iter().map(|(c, a, w)| (c % cores, a, w)).collect();
+        if narrow_l3 {
+            check_walk(small_hierarchy::<4>(cores, prefetcher), &refs)?;
+        } else {
+            check_walk(small_hierarchy::<16>(cores, prefetcher), &refs)?;
+        }
     }
 }

@@ -1,6 +1,8 @@
 //! Per-bank row-buffer state machine.
 
-use chameleon_simkit::Cycle;
+use chameleon_simkit::{ClockDomain, Cycle};
+
+use crate::DramConfig;
 
 /// Classification of an access against the bank's row buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,6 +42,25 @@ pub struct CpuTimings {
     pub t_rfc: Cycle,
     /// Refresh interval.
     pub t_refi: Cycle,
+}
+
+impl CpuTimings {
+    /// Converts `dev`'s timings into the `cpu` clock domain, together
+    /// with the CPU cycles one 64B line occupies a channel's bus.
+    pub(crate) fn from_device(dev: &DramConfig, cpu: ClockDomain) -> (Self, Cycle) {
+        let bus = dev.bus_clock;
+        let t = &dev.timings;
+        let timings = Self {
+            t_cas: bus.convert_cycles(t.t_cas as Cycle, &cpu),
+            t_rcd: bus.convert_cycles(t.t_rcd as Cycle, &cpu),
+            t_rp: bus.convert_cycles(t.t_rp as Cycle, &cpu),
+            t_ras: bus.convert_cycles(t.t_ras as Cycle, &cpu),
+            t_rfc: cpu.ns_to_cycles(t.t_rfc_ns),
+            t_refi: cpu.ns_to_cycles(t.t_refi_ns),
+        };
+        let line_bus_cycles = 64u64.div_ceil(dev.bytes_per_bus_cycle());
+        (timings, bus.convert_cycles(line_bus_cycles, &cpu).max(1))
+    }
 }
 
 impl Bank {

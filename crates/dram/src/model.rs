@@ -80,18 +80,7 @@ impl DramModel {
     /// Panics if `cfg` fails [`DramConfig::validate`].
     pub fn new(cfg: DramConfig, cpu: ClockDomain) -> Self {
         let decoder = AddrDecoder::new(&cfg);
-        let bus = cfg.bus_clock;
-        let t = &cfg.timings;
-        let timings = CpuTimings {
-            t_cas: bus.convert_cycles(t.t_cas as Cycle, &cpu),
-            t_rcd: bus.convert_cycles(t.t_rcd as Cycle, &cpu),
-            t_rp: bus.convert_cycles(t.t_rp as Cycle, &cpu),
-            t_ras: bus.convert_cycles(t.t_ras as Cycle, &cpu),
-            t_rfc: cpu.ns_to_cycles(t.t_rfc_ns),
-            t_refi: cpu.ns_to_cycles(t.t_refi_ns),
-        };
-        let line_bus_cycles = 64u64.div_ceil(cfg.bytes_per_bus_cycle());
-        let line_transfer = bus.convert_cycles(line_bus_cycles, &cpu).max(1);
+        let (timings, line_transfer) = CpuTimings::from_device(&cfg, cpu);
         let banks = vec![Bank::default(); cfg.total_banks() as usize];
         let bus_free = vec![0; cfg.channels as usize];
         let bulk_free = vec![0; cfg.channels as usize];
@@ -237,7 +226,6 @@ impl DramModel {
         while self.next_refresh[ch] <= now {
             let until = self.next_refresh[ch] + self.timings.t_rfc;
             let cfg = &self.cfg;
-            let banks_per_channel = (cfg.ranks_per_channel * cfg.banks_per_rank) as usize;
             // Banks are laid out flat as ((channel*ranks + rank)*banks + bank).
             for rank in 0..cfg.ranks_per_channel as usize {
                 let base =
@@ -246,10 +234,6 @@ impl DramModel {
                     self.banks[base + b].refresh_until(until);
                 }
             }
-            debug_assert_eq!(
-                banks_per_channel,
-                cfg.ranks_per_channel as usize * cfg.banks_per_rank as usize
-            );
             self.stats.refreshes.inc();
             self.energy.refreshes += 1;
             self.next_refresh[ch] += self.timings.t_refi;

@@ -88,21 +88,11 @@ impl SchedConfig {
     /// Derives a scheduler configuration from a device configuration
     /// (per channel).
     pub fn from_device(dev: &crate::DramConfig, cpu: chameleon_simkit::ClockDomain) -> Self {
-        let bus = dev.bus_clock;
-        let t = &dev.timings;
-        let timings = CpuTimings {
-            t_cas: bus.convert_cycles(t.t_cas as Cycle, &cpu),
-            t_rcd: bus.convert_cycles(t.t_rcd as Cycle, &cpu),
-            t_rp: bus.convert_cycles(t.t_rp as Cycle, &cpu),
-            t_ras: bus.convert_cycles(t.t_ras as Cycle, &cpu),
-            t_rfc: cpu.ns_to_cycles(t.t_rfc_ns),
-            t_refi: cpu.ns_to_cycles(t.t_refi_ns),
-        };
-        let line_bus_cycles = 64u64.div_ceil(dev.bytes_per_bus_cycle());
+        let (timings, line_transfer) = CpuTimings::from_device(dev, cpu);
         Self {
             banks: (dev.ranks_per_channel * dev.banks_per_rank) as usize,
             timings,
-            line_transfer: bus.convert_cycles(line_bus_cycles, &cpu).max(1),
+            line_transfer,
             write_high_watermark: 16,
             write_low_watermark: 4,
         }
