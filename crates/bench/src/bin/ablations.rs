@@ -3,7 +3,7 @@
 //! elision on ISA relocations, and the security clear of Section V-D2.
 
 use chameleon::{Architecture, ScaledParams, System, SystemReport};
-use chameleon_bench::{banner, geomean, Harness};
+use chameleon_bench::{banner, geomean, Harness, ScaleError};
 use chameleon_simkit::mem::ByteSize;
 
 fn run(params: &ScaledParams, arch: Architecture, apps: &[&str]) -> Vec<SystemReport> {
@@ -19,8 +19,8 @@ fn gm_ipc(rs: &[SystemReport]) -> f64 {
     geomean(&rs.iter().map(|r| r.run.geomean_ipc()).collect::<Vec<_>>())
 }
 
-fn main() {
-    let harness = Harness::new();
+fn main() -> Result<(), ScaleError> {
+    let harness = Harness::new()?;
     let apps = ["bwaves", "stream", "lbm", "hpccg"];
     let mut dump = Vec::new();
 
@@ -138,4 +138,5 @@ fn main() {
     }
 
     harness.save_json("ablations.json", &dump);
+    Ok(())
 }

@@ -7,11 +7,11 @@
 //! swap-heavy policies pay for their bandwidth in energy too.
 
 use chameleon::{Architecture, ScaledParams, System};
-use chameleon_bench::{banner, Harness};
+use chameleon_bench::{banner, Harness, ScaleError};
 use chameleon_dram::{EnergyCounter, EnergyParams};
 
-fn main() {
-    let harness = Harness::new();
+fn main() -> Result<(), ScaleError> {
+    let harness = Harness::new()?;
     let apps = ["bwaves", "stream", "lbm", "hpccg"];
     let archs = [
         Architecture::FlatLarge,
@@ -75,6 +75,7 @@ fn main() {
          reduction shows up directly in the off-chip dynamic column."
     );
     harness.save_json("ext_energy.json", &rows);
+    Ok(())
 }
 
 fn short(label: &str) -> String {

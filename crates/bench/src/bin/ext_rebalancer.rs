@@ -6,10 +6,10 @@
 //! The paper leaves this as future work; this runner quantifies it.
 
 use chameleon::{Architecture, ScaledParams, System};
-use chameleon_bench::{banner, geomean, pct, Harness};
+use chameleon_bench::{banner, geomean, pct, Harness, ScaleError};
 
-fn main() {
-    let harness = Harness::new();
+fn main() -> Result<(), ScaleError> {
+    let harness = Harness::new()?;
     let apps = ["bwaves", "stream", "lbm", "hpccg", "mcf", "leslie3d"];
 
     banner("Section VI-G extension: group-aware allocation placement");
@@ -54,4 +54,5 @@ fn main() {
         (geomean(&ipc_on) / geomean(&ipc_off) - 1.0) * 100.0
     );
     harness.save_json("ext_rebalancer.json", &rows);
+    Ok(())
 }

@@ -5,10 +5,10 @@
 //! the small fast node once and most traffic lands off-chip.
 
 use chameleon::Architecture;
-use chameleon_bench::{banner, pct, Harness};
+use chameleon_bench::{banner, pct, Harness, ScaleError};
 
-fn main() {
-    let harness = Harness::new();
+fn main() -> Result<(), ScaleError> {
+    let harness = Harness::new()?;
     let apps = Harness::app_names();
     let reports = harness.run_matrix(&[Architecture::NumaFirstTouch], &apps);
 
@@ -28,4 +28,5 @@ fn main() {
         .map(|(app, r)| serde_json::json!({ "app": app, "hit_rate": r.stacked_hit_rate }))
         .collect();
     harness.save_json("fig02a_numa_allocator.json", &rows);
+    Ok(())
 }

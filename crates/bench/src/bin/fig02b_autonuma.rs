@@ -5,10 +5,10 @@
 //! at the 90% threshold, with Cloverleaf the low outlier.
 
 use chameleon::Architecture;
-use chameleon_bench::{banner, pct, Harness};
+use chameleon_bench::{banner, pct, Harness, ScaleError};
 
-fn main() {
-    let harness = Harness::new();
+fn main() -> Result<(), ScaleError> {
+    let harness = Harness::new()?;
     let apps = Harness::app_names();
     let archs = [
         Architecture::AutoNuma { threshold_pct: 70 },
@@ -48,4 +48,5 @@ fn main() {
         })
         .collect();
     harness.save_json("fig02b_autonuma.json", &rows);
+    Ok(())
 }

@@ -8,11 +8,11 @@
 //! (to ~31%).
 
 use chameleon::{Architecture, ScaledParams, System};
-use chameleon_bench::{autonuma_timeline, banner, pct, Harness};
+use chameleon_bench::{autonuma_timeline, banner, pct, Harness, ScaleError};
 use chameleon_workloads::AppSpec;
 
-fn main() {
-    let harness = Harness::new();
+fn main() -> Result<(), ScaleError> {
+    let harness = Harness::new()?;
     let mut params: ScaledParams = harness.params().clone();
     // One long measured run (epoch dynamics are the point; no warm-up).
     params.instructions_per_core *= 2;
@@ -59,4 +59,5 @@ fn main() {
     println!("paper: climbs to 77.1% at epoch 81, decays to 30.7% once migrations fail");
 
     harness.save_json("fig02c_autonuma_timeline.json", &epochs);
+    Ok(())
 }

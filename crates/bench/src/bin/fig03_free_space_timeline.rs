@@ -2,12 +2,12 @@
 //! on a 24GB machine, sampled every 2 minutes, with the capacity-pressure
 //! regions the paper marks ①–⑤.
 
-use chameleon_bench::{banner, Harness};
+use chameleon_bench::{banner, Harness, ScaleError};
 use chameleon_simkit::mem::ByteSize;
 use chameleon_workloads::schedule::DatacenterSchedule;
 
-fn main() {
-    let harness = Harness::new();
+fn main() -> Result<(), ScaleError> {
+    let harness = Harness::new()?;
     let schedule = DatacenterSchedule::figure3();
     let cap = ByteSize::gib(24);
     let timeline = schedule.free_space_timeline(cap, 2);
@@ -40,4 +40,5 @@ fn main() {
     );
 
     harness.save_json("fig03_free_space_timeline.json", &timeline);
+    Ok(())
 }

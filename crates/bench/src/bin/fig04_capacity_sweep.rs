@@ -6,15 +6,15 @@
 //! saturate once the footprint fits.
 
 use chameleon::Architecture;
-use chameleon_bench::{banner, geomean, Harness};
+use chameleon_bench::{banner, geomean, Harness, ScaleError};
 use chameleon_simkit::mem::ByteSize;
 
 fn capacities_gb() -> Vec<u64> {
     vec![16, 18, 20, 22, 24, 26, 28]
 }
 
-fn main() {
-    let mut harness = Harness::new();
+fn main() -> Result<(), ScaleError> {
+    let mut harness = Harness::new()?;
     let apps = Harness::app_names();
     let scale = harness.params().footprint_scale;
 
@@ -68,4 +68,5 @@ fn main() {
             "geomean_exec_time": geo_series,
         }),
     );
+    Ok(())
 }

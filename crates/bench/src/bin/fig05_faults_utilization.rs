@@ -6,11 +6,11 @@
 //! uninterruptible swap state.
 
 use chameleon::Architecture;
-use chameleon_bench::{banner, pct, Harness};
+use chameleon_bench::{banner, pct, Harness, ScaleError};
 use chameleon_simkit::mem::ByteSize;
 
-fn main() {
-    let mut harness = Harness::new();
+fn main() -> Result<(), ScaleError> {
+    let mut harness = Harness::new()?;
     let apps = Harness::app_names();
     let scale = harness.params().footprint_scale;
     let caps: Vec<u64> = vec![16, 18, 20, 22, 24, 26, 28];
@@ -48,4 +48,5 @@ fn main() {
          rises to ~100% once the workload footprint fits"
     );
     harness.save_json("fig05_faults_utilization.json", &rows);
+    Ok(())
 }

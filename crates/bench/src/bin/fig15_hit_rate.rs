@@ -4,10 +4,10 @@
 //! Paper: Alloy 62.4%, PoM 81%, Chameleon 84.6%, Chameleon-Opt 89.4%
 //! (averages).
 
-use chameleon_bench::{banner, pct, EpochTimeline, Harness};
+use chameleon_bench::{banner, pct, EpochTimeline, Harness, ScaleError};
 
-fn main() {
-    let harness = Harness::new();
+fn main() -> Result<(), ScaleError> {
+    let harness = Harness::new()?;
     let sweep = harness.main_sweep();
     let cols = ["Alloy-Cache", "PoM", "Chameleon", "Chameleon-Opt"];
     let idx: Vec<usize> = cols
@@ -66,4 +66,5 @@ fn main() {
         })
         .collect();
     harness.save_json("fig15_hit_rate_timeline.json", &timelines);
+    Ok(())
 }

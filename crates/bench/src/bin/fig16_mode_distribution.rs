@@ -5,10 +5,10 @@
 //! Chameleon-Opt (the workloads allocate up front, so the distribution is
 //! static during the measured snippet — exactly as the paper observes).
 
-use chameleon_bench::{banner, pct, Harness};
+use chameleon_bench::{banner, pct, Harness, ScaleError};
 
-fn main() {
-    let harness = Harness::new();
+fn main() -> Result<(), ScaleError> {
+    let harness = Harness::new()?;
     let sweep = harness.main_sweep();
     let cham = sweep
         .archs
@@ -48,4 +48,5 @@ fn main() {
         })
         .collect();
     harness.save_json("fig16_mode_distribution.json", &rows);
+    Ok(())
 }

@@ -5,10 +5,10 @@
 //! Paper: Chameleon reduces swaps by 14.4% and Chameleon-Opt by 43.1% on
 //! average.
 
-use chameleon_bench::{banner, Harness};
+use chameleon_bench::{banner, Harness, ScaleError};
 
-fn main() {
-    let harness = Harness::new();
+fn main() -> Result<(), ScaleError> {
+    let harness = Harness::new()?;
     let sweep = harness.main_sweep();
     let pom = sweep.archs.iter().position(|a| a == "PoM").expect("arch");
     let cham = sweep
@@ -66,4 +66,5 @@ fn main() {
         })
         .collect();
     harness.save_json("fig17_swaps.json", &rows);
+    Ok(())
 }

@@ -4,10 +4,10 @@
 //! Paper: PoM +85.2%/+36.5% over the 20GB/24GB baselines; Chameleon
 //! +6.3% and Chameleon-Opt +11.6% over PoM; +18.5%/+24.2% over Alloy.
 
-use chameleon_bench::{banner, geomean, EpochTimeline, Harness};
+use chameleon_bench::{banner, geomean, EpochTimeline, Harness, ScaleError};
 
-fn main() {
-    let harness = Harness::new();
+fn main() -> Result<(), ScaleError> {
+    let harness = Harness::new()?;
     let sweep = harness.main_sweep();
     banner("Figure 18: normalised IPC (baseline_small = 1.0)");
     print!("{:<11}", "WL");
@@ -100,6 +100,7 @@ fn main() {
         .map(EpochTimeline::from_report)
         .collect();
     harness.save_json("fig18_ipc_timeline.json", &timelines);
+    Ok(())
 }
 
 fn shorten(label: &str) -> String {

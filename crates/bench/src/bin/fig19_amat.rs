@@ -4,10 +4,10 @@
 //! Paper: PoM highest (~700 cycles geomean), Chameleon lower,
 //! Chameleon-Opt lowest.
 
-use chameleon_bench::{banner, geomean, Harness};
+use chameleon_bench::{banner, geomean, Harness, ScaleError};
 
-fn main() {
-    let harness = Harness::new();
+fn main() -> Result<(), ScaleError> {
+    let harness = Harness::new()?;
     let sweep = harness.main_sweep();
     let cols = ["PoM", "Chameleon", "Chameleon-Opt"];
     let idx: Vec<usize> = cols
@@ -51,4 +51,5 @@ fn main() {
         })
         .collect();
     harness.save_json("fig19_amat.json", &rows);
+    Ok(())
 }

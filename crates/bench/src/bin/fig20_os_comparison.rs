@@ -5,10 +5,10 @@
 //! Chameleon-Opt by 34.8% and 24.9%.
 
 use chameleon::Architecture;
-use chameleon_bench::{banner, geomean, Harness};
+use chameleon_bench::{banner, geomean, Harness, ScaleError};
 
-fn main() {
-    let harness = Harness::new();
+fn main() -> Result<(), ScaleError> {
+    let harness = Harness::new()?;
     let apps = Harness::app_names();
     let archs = vec![
         Architecture::FlatSmall,
@@ -72,6 +72,7 @@ fn main() {
         })
         .collect();
     harness.save_json("fig20_os_comparison.json", &rows);
+    Ok(())
 }
 
 fn shorten(label: &str) -> String {

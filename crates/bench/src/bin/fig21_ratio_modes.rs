@@ -6,10 +6,10 @@
 //! chance of at least one free segment.
 
 use chameleon::{Architecture, ScaledParams};
-use chameleon_bench::{banner, pct, Harness};
+use chameleon_bench::{banner, pct, Harness, ScaleError};
 
-fn main() {
-    let mut harness = Harness::new();
+fn main() -> Result<(), ScaleError> {
+    let mut harness = Harness::new()?;
     let apps = Harness::app_names();
 
     banner("Figure 21: Chameleon-Opt cache-mode fraction vs capacity ratio");
@@ -53,4 +53,5 @@ fn main() {
         "fig21_ratio_modes.json",
         &serde_json::json!({ "apps": apps, "ratios": [3, 5, 7], "cache_fraction": table }),
     );
+    Ok(())
 }

@@ -6,10 +6,10 @@
 //! Memory.
 
 use chameleon::Architecture;
-use chameleon_bench::{banner, geomean, Harness};
+use chameleon_bench::{banner, geomean, Harness, ScaleError};
 
-fn main() {
-    let harness = Harness::new();
+fn main() -> Result<(), ScaleError> {
+    let harness = Harness::new()?;
     let apps = Harness::app_names();
     let archs = vec![
         Architecture::FlatSmall,
@@ -63,6 +63,7 @@ fn main() {
         })
         .collect();
     harness.save_json("fig22_polymorphic.json", &rows);
+    Ok(())
 }
 
 fn shorten(label: &str) -> String {

@@ -6,10 +6,10 @@
 //! caching matters).
 
 use chameleon::{Architecture, ScaledParams};
-use chameleon_bench::{banner, geomean, Harness};
+use chameleon_bench::{banner, geomean, Harness, ScaleError};
 
-fn main() {
-    let mut harness = Harness::new();
+fn main() -> Result<(), ScaleError> {
+    let mut harness = Harness::new()?;
     let apps = Harness::app_names();
     let archs = vec![
         Architecture::FlatSmall,
@@ -53,4 +53,5 @@ fn main() {
         }));
     }
     harness.save_json("fig23_ratio_ipc.json", &dump);
+    Ok(())
 }

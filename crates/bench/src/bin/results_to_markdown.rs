@@ -2,7 +2,7 @@
 //! JSON dumps under `results/` (so the document is reproducible from a
 //! `repro_all` run). Writes `results/EXPERIMENTS_GENERATED.md`.
 
-use chameleon_bench::Harness;
+use chameleon_bench::{Harness, ScaleError};
 use serde_json::Value;
 
 fn geo(xs: impl Iterator<Item = f64>) -> f64 {
@@ -21,8 +21,8 @@ fn mean(xs: impl Iterator<Item = f64>) -> f64 {
     v.iter().sum::<f64>() / v.len() as f64
 }
 
-fn main() {
-    let harness = Harness::new();
+fn main() -> Result<(), ScaleError> {
+    let harness = Harness::new()?;
     let mut out = String::new();
     let mut push = |s: &str| out.push_str(s);
 
@@ -226,4 +226,5 @@ fn main() {
     std::fs::write(&path, &out).expect("write generated markdown");
     println!("{out}");
     println!("[saved {}]", path.display());
+    Ok(())
 }

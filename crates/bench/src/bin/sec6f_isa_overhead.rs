@@ -7,11 +7,11 @@
 
 use chameleon::core_policies::{policy::HmaPolicy, Flavor, HmaConfig, RemapPolicy};
 use chameleon::os::{MemoryMap, OsConfig, OsKernel};
-use chameleon_bench::{banner, Harness};
+use chameleon_bench::{banner, Harness, ScaleError};
 use chameleon_workloads::schedule::DatacenterSchedule;
 
-fn main() {
-    let harness = Harness::new();
+fn main() -> Result<(), ScaleError> {
+    let harness = Harness::new()?;
     let scale = harness.params().footprint_scale;
     let schedule = DatacenterSchedule::figure3().scaled(scale);
     let hma = HmaConfig::scaled_laptop();
@@ -96,4 +96,5 @@ fn main() {
             "overhead_percent": seconds * 100.0 / total_seconds,
         }),
     );
+    Ok(())
 }

@@ -2,11 +2,11 @@
 //! footprint targets next to the values measured from our synthetic
 //! generators (via the PoM column of the main sweep).
 
-use chameleon_bench::{banner, Harness};
+use chameleon_bench::{banner, Harness, ScaleError};
 use chameleon_workloads::AppSpec;
 
-fn main() {
-    let harness = Harness::new();
+fn main() -> Result<(), ScaleError> {
+    let harness = Harness::new()?;
     let sweep = harness.main_sweep();
     let pom_idx = sweep
         .archs
@@ -55,4 +55,5 @@ fn main() {
         })
         .collect();
     harness.save_json("table2_workloads.json", &rows);
+    Ok(())
 }

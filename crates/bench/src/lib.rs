@@ -22,7 +22,7 @@ use chameleon_sweep::{Job, Store, SweepEngine};
 use chameleon_workloads::AppSpec;
 use serde::{de::DeserializeOwned, Serialize};
 
-pub use chameleon_sweep::RunScale;
+pub use chameleon_sweep::{RunScale, ScaleError};
 
 /// The experiment harness: parameters, result directory, and shared
 /// sweeps.
@@ -31,17 +31,15 @@ pub struct Harness {
     out_dir: PathBuf,
 }
 
-impl Default for Harness {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Harness {
     /// Creates a harness with the default laptop-scale parameters, the
     /// `CHAMELEON_SCALE` sizing, and `results/` as the output directory.
-    pub fn new() -> Self {
-        let scale = RunScale::from_env();
+    ///
+    /// # Errors
+    ///
+    /// An unrecognised `CHAMELEON_SCALE` (see [`RunScale::from_env`]).
+    pub fn new() -> Result<Self, ScaleError> {
+        let scale = RunScale::from_env()?;
         let mut params = ScaledParams::laptop();
         params.instructions_per_core = scale.instructions();
         let out_dir = PathBuf::from(
@@ -49,7 +47,7 @@ impl Harness {
         );
         // INVARIANT: harness setup; an uncreatable results dir is fatal by design.
         std::fs::create_dir_all(&out_dir).expect("create results directory");
-        Self { params, out_dir }
+        Ok(Self { params, out_dir })
     }
 
     /// The system parameters used for runs.
@@ -371,7 +369,7 @@ mod tests {
     fn scale_from_env_default_is_full() {
         // Note: relies on CHAMELEON_SCALE being unset in the test env.
         if std::env::var("CHAMELEON_SCALE").is_err() {
-            assert_eq!(RunScale::from_env(), RunScale::Full);
+            assert_eq!(RunScale::from_env(), Ok(RunScale::Full));
         }
         assert!(RunScale::Quick.instructions() < RunScale::Full.instructions());
     }
@@ -383,7 +381,7 @@ mod tests {
 
     #[test]
     fn tiny_matrix_runs() {
-        let mut h = Harness::new();
+        let mut h = Harness::new().expect("the test environment sets no CHAMELEON_SCALE");
         let mut p = ScaledParams::tiny();
         p.instructions_per_core = 10_000;
         h.set_params(p);

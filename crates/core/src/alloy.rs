@@ -7,14 +7,8 @@ use chameleon_simkit::Cycle;
 use chameleon_dram::MemOp;
 
 use crate::policy::{base_lifecycle, HmaPolicy, ModeDistribution, PolicyBase};
+use crate::tag_word::TagWord;
 use crate::HmaConfig;
-
-#[derive(Debug, Clone, Copy, Default)]
-struct Tad {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-}
 
 /// A direct-mapped DRAM cache with 64-byte TAD (tag-and-data) units: one
 /// stacked-DRAM access returns tag and data together, so a hit costs a
@@ -39,7 +33,8 @@ struct Tad {
 #[derive(Debug)]
 pub struct AlloyPolicy {
     base: PolicyBase,
-    tags: Vec<Tad>,
+    /// One TAD's tag word per set, tagged with the off-chip line.
+    tags: Vec<TagWord>,
     /// `tags.len()`, the direct-mapped set count.
     sets: FastMod,
     /// Number of valid TADs.
@@ -52,7 +47,7 @@ impl AlloyPolicy {
     pub fn new(cfg: HmaConfig) -> Self {
         let sets = (cfg.stacked.capacity.bytes() / 64) as usize;
         Self {
-            tags: vec![Tad::default(); sets],
+            tags: vec![TagWord::default(); sets],
             sets: FastMod::new(sets as u64),
             valid: 0,
             stacked_base: cfg.stacked.capacity.bytes(),
@@ -100,10 +95,10 @@ impl HmaPolicy for AlloyPolicy {
             .stacked
             .access(set as u64 * 64, 64, MemOp::Read, now);
         let entry = self.tags[set];
-        let latency = if entry.valid && entry.tag == line {
+        let latency = if entry.holds(line) {
             // Hit: data arrived with the tag.
             if write {
-                self.tags[set].dirty = true;
+                self.tags[set].mark_dirty();
                 // The dirty data is written in place.
                 self.base
                     .devices
@@ -115,8 +110,8 @@ impl HmaPolicy for AlloyPolicy {
         } else {
             // Miss: fetch from off-chip (dispatched in parallel with the
             // probe), fill the set, write back the dirty victim as bulk.
-            if entry.valid && entry.dirty {
-                let victim_addr = entry.tag * 64;
+            if entry.is_dirty() {
+                let victim_addr = entry.tag() * 64;
                 self.base
                     .devices
                     .offchip
@@ -128,12 +123,8 @@ impl HmaPolicy for AlloyPolicy {
                 .devices
                 .stacked
                 .bulk(set as u64 * 64, 64, MemOp::Write, now);
-            self.valid += u64::from(!entry.valid);
-            self.tags[set] = Tad {
-                tag: line,
-                valid: true,
-                dirty: write,
-            };
+            self.valid += u64::from(!entry.is_valid());
+            self.tags[set] = TagWord::filled(line, write);
             self.base.stats.fills.inc();
             mem.latency.max(probe.latency)
         };
@@ -151,9 +142,9 @@ impl HmaPolicy for AlloyPolicy {
         let line = rel / 64;
         let set = self.set_of(line);
         let entry = self.tags[set];
-        if entry.valid && entry.tag == line {
+        if entry.holds(line) {
             // Write the cached copy in place (it becomes dirty).
-            self.tags[set].dirty = true;
+            self.tags[set].mark_dirty();
             self.base
                 .devices
                 .stacked
@@ -177,7 +168,7 @@ impl HmaPolicy for AlloyPolicy {
     fn stacked_residency(&self) -> (u64, u64) {
         debug_assert_eq!(
             self.valid,
-            self.tags.iter().filter(|t| t.valid).count() as u64,
+            self.tags.iter().filter(|t| t.is_valid()).count() as u64,
             "Alloy valid-TAD count drifted from its tags"
         );
         (self.valid * 64, self.base.cfg.stacked.capacity.bytes())

@@ -10,23 +10,17 @@
 
 use chameleon_os::isa::IsaHook;
 use chameleon_os::SegmentGeometry;
+use chameleon_simkit::hash::splitmix64;
 use chameleon_simkit::Cycle;
 
 use chameleon_dram::MemOp;
 
 use crate::policy::{base_lifecycle, HmaPolicy, ModeDistribution, PolicyBase};
+use crate::tag_word::TagWord;
 use crate::HmaConfig;
 
 /// Virtual points per frame on the hash ring (evens out key ownership).
 const REPLICAS: u32 = 8;
-
-/// SplitMix64 finaliser: a deterministic, well-mixed 64-bit hash.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// A consistent-hash ring over cache frame indices.
 ///
@@ -47,9 +41,9 @@ fn mix(mut x: u64) -> u64 {
 /// The points are indexed by a directory over the top `floor(log2 n)`
 /// bits of their hash (`n` points in all), in the manner of a small
 /// hardware lookup table: construction buckets the points in linear time
-/// and orders only each bucket's run, and a search starts at its hash's
-/// bucket, about one point from its answer, instead of binary-searching
-/// the whole ring.
+/// and orders every bucket's run in one insertion pass, and a search
+/// starts at its hash's bucket, about one point from its answer, instead
+/// of binary-searching the whole ring.
 #[derive(Debug, Clone)]
 pub struct HashRing {
     /// Sorted `(point, frame)` pairs of every frame; ties break on frame
@@ -105,10 +99,16 @@ impl HashRing {
             points[*d as usize] = entry;
         }
         // Every point of a bucket precedes every point of a later one, so
-        // ordering each (about one point long) run orders the ring.
-        for (b, &start) in dir.iter().enumerate() {
-            let end = dir.get(b + 1).map_or(len, |&e| e as usize);
-            points[start as usize..end].sort_unstable();
+        // a point moves back only past its own bucket's (about one point
+        // long) run: one insertion pass orders the ring.
+        for i in 1..len {
+            let entry = points[i];
+            let mut j = i;
+            while j > 0 && points[j - 1] > entry {
+                points[j] = points[j - 1];
+                j -= 1;
+            }
+            points[j] = entry;
         }
         Self {
             points,
@@ -140,7 +140,7 @@ impl HashRing {
     }
 
     fn point(frame: u32, replica: u32) -> u64 {
-        mix((u64::from(frame) << 32) | u64::from(replica))
+        splitmix64((u64::from(frame) << 32) | u64::from(replica))
     }
 
     /// Adds a frame to membership. Adding a member is a no-op.
@@ -195,7 +195,7 @@ impl HashRing {
             return None;
         }
         // No point sorts below `(h, 0)` unless its hash is below `h`.
-        self.member_from(self.position((mix(key), 0)), None)
+        self.member_from(self.position((splitmix64(key), 0)), None)
     }
 
     /// For each point of `frame`, the next member clockwise other than
@@ -211,15 +211,6 @@ impl HashRing {
         }
         owners
     }
-}
-
-/// One cache frame (a stacked segment currently OS-free).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct Frame {
-    /// Off-chip segment index of the cached copy.
-    tag: u64,
-    valid: bool,
-    dirty: bool,
 }
 
 /// CH-Flex: consistent-hashing resizable stacked cache with
@@ -242,7 +233,9 @@ struct Frame {
 #[derive(Debug)]
 pub struct ChFlexPolicy {
     base: PolicyBase,
-    frames: Vec<Frame>,
+    /// One tag word per cache frame (a stacked segment currently
+    /// OS-free), tagged with the off-chip segment index of its copy.
+    frames: Vec<TagWord>,
     /// The cache frames: a frame is a member iff its stacked segment is
     /// OS-free, so a stacked segment is allocated iff its frame is not a
     /// member. A valid frame is always its own key's owner.
@@ -259,7 +252,7 @@ impl ChFlexPolicy {
         let geom = cfg.geometry();
         let frames = geom.groups() as usize;
         Self {
-            frames: vec![Frame::default(); frames],
+            frames: vec![TagWord::default(); frames],
             // Every frame joins at boot.
             ring: HashRing::new(frames as u32),
             cached: 0,
@@ -283,11 +276,11 @@ impl ChFlexPolicy {
         key * self.geom.segment_bytes()
     }
 
-    /// Writes a frame's dirty copy of `f.tag` home.
-    fn write_home(&mut self, frame: u32, f: Frame, now: Cycle) {
+    /// Writes a frame's dirty copy of `f.tag()` home.
+    fn write_home(&mut self, frame: u32, f: TagWord, now: Cycle) {
         self.base.devices.writeback_segment(
             self.frame_addr(frame),
-            self.key_addr(f.tag),
+            self.key_addr(f.tag()),
             self.base.segment_len(),
             now,
         );
@@ -297,11 +290,11 @@ impl ChFlexPolicy {
     /// Writes a frame's dirty copy home and invalidates it.
     fn flush_frame(&mut self, frame: u32, now: Cycle) {
         let f = self.frames[frame as usize];
-        if f.valid && f.dirty {
+        if f.is_dirty() {
             self.write_home(frame, f, now);
         }
-        self.cached -= u64::from(f.valid);
-        self.frames[frame as usize] = Frame::default();
+        self.cached -= u64::from(f.is_valid());
+        self.frames[frame as usize] = TagWord::default();
     }
 
     /// Takes a frame off the ring because its stacked segment was
@@ -335,7 +328,7 @@ impl ChFlexPolicy {
                 continue;
             }
             let f = self.frames[other as usize];
-            if f.valid && self.ring.lookup(f.tag) != Some(other) {
+            if f.is_valid() && self.ring.lookup(f.tag()) != Some(other) {
                 self.flush_frame(other, now);
                 self.base.stats.ring_remaps.inc();
             }
@@ -387,8 +380,8 @@ impl IsaHook for ChFlexPolicy {
                     break; // no members: nothing is cached
                 };
                 let f = &mut self.frames[owner as usize];
-                if f.valid && f.tag == key {
-                    *f = Frame::default();
+                if f.holds(key) {
+                    *f = TagWord::default();
                     self.cached -= 1;
                 }
             }
@@ -434,7 +427,7 @@ impl HmaPolicy for ChFlexPolicy {
                 }
                 Some(frame) => {
                     let f = self.frames[frame as usize];
-                    if f.valid && f.tag == key {
+                    if f.holds(key) {
                         let data = self.base.devices.stacked.access(
                             self.frame_addr(frame) + offset,
                             64,
@@ -442,7 +435,7 @@ impl HmaPolicy for ChFlexPolicy {
                             now,
                         );
                         if write {
-                            self.frames[frame as usize].dirty = true;
+                            self.frames[frame as usize].mark_dirty();
                         }
                         self.base.stats.stacked_hits.inc();
                         self.base.stats.stacked_latency.record(data.latency as f64);
@@ -452,7 +445,7 @@ impl HmaPolicy for ChFlexPolicy {
                         // frame's current copy, fill on first touch (like
                         // Chameleon's cache mode).
                         let mem = self.base.devices.offchip.access(rel, 64, op, now);
-                        if f.valid && f.dirty {
+                        if f.is_dirty() {
                             self.write_home(frame, f, now);
                         }
                         self.base.devices.fill_segment(
@@ -462,12 +455,8 @@ impl HmaPolicy for ChFlexPolicy {
                             now,
                         );
                         self.base.stats.fills.inc();
-                        self.cached += u64::from(!f.valid);
-                        self.frames[frame as usize] = Frame {
-                            tag: key,
-                            valid: true,
-                            dirty: write,
-                        };
+                        self.cached += u64::from(!f.is_valid());
+                        self.frames[frame as usize] = TagWord::filled(key, write);
                         self.base.stats.offchip_latency.record(mem.latency as f64);
                         mem.latency
                     }
@@ -495,12 +484,12 @@ impl HmaPolicy for ChFlexPolicy {
             return;
         };
         let rel = self.geom.offchip_rel(paddr);
-        let cached = self.ring.lookup(key).filter(|&frame| {
-            let f = self.frames[frame as usize];
-            f.valid && f.tag == key
-        });
+        let cached = self
+            .ring
+            .lookup(key)
+            .filter(|&frame| self.frames[frame as usize].holds(key));
         if let Some(frame) = cached {
-            self.frames[frame as usize].dirty = true;
+            self.frames[frame as usize].mark_dirty();
             self.base.devices.stacked.access(
                 self.frame_addr(frame) + offset,
                 64,
@@ -530,7 +519,7 @@ impl HmaPolicy for ChFlexPolicy {
         // frame), so the sum is bounded by capacity.
         debug_assert_eq!(
             self.cached,
-            self.frames.iter().filter(|f| f.valid).count() as u64,
+            self.frames.iter().filter(|f| f.is_valid()).count() as u64,
             "CH-Flex valid-frame count drifted from its frames"
         );
         let memory = self.frames.len() as u64 - self.active_frames();
@@ -575,7 +564,7 @@ mod reference {
             if self.points.is_empty() {
                 return None;
             }
-            let h = mix(key);
+            let h = splitmix64(key);
             let pos = self.points.partition_point(|&(p, _)| p < h);
             Some(self.points[pos % self.points.len()].1)
         }
@@ -602,7 +591,7 @@ mod reference {
     pub(super) struct ReferenceChFlex {
         cfg: HmaConfig,
         devices: HmaDevices,
-        pub(super) frames: Vec<Frame>,
+        pub(super) frames: Vec<TagWord>,
         pub(super) active: Vec<bool>,
         allocated: Vec<bool>,
         ring: Ring,
@@ -622,7 +611,7 @@ mod reference {
             }
             Self {
                 devices: HmaDevices::new(&cfg),
-                frames: vec![Frame::default(); frames],
+                frames: vec![TagWord::default(); frames],
                 active: vec![true; frames],
                 allocated: vec![false; frames],
                 ring,
@@ -635,16 +624,16 @@ mod reference {
 
         fn flush_frame(&mut self, frame: u32, now: Cycle) {
             let f = self.frames[frame as usize];
-            if f.valid && f.dirty {
+            if f.is_dirty() {
                 self.devices.writeback_segment(
                     u64::from(frame) * self.seg_bytes,
-                    f.tag * self.seg_bytes,
+                    f.tag() * self.seg_bytes,
                     self.seg_bytes as u32,
                     now,
                 );
                 self.stats.writebacks.inc();
             }
-            self.frames[frame as usize] = Frame::default();
+            self.frames[frame as usize] = TagWord::default();
         }
 
         fn segments(&self, addr: u64, len: u64) -> u64 {
@@ -679,8 +668,8 @@ mod reference {
                 let first = (addr - self.stacked_bytes) / self.seg_bytes;
                 let last = (addr - self.stacked_bytes + len - 1) / self.seg_bytes;
                 for f in self.frames.iter_mut() {
-                    if f.valid && (first..=last).contains(&f.tag) {
-                        *f = Frame::default();
+                    if f.is_valid() && (first..=last).contains(&f.tag()) {
+                        *f = TagWord::default();
                     }
                 }
                 return;
@@ -694,7 +683,7 @@ mod reference {
                 self.active[seg as usize] = true;
                 for other in 0..self.frames.len() as u32 {
                     let f = self.frames[other as usize];
-                    if f.valid && self.ring.lookup(f.tag) != Some(other) {
+                    if f.is_valid() && self.ring.lookup(f.tag()) != Some(other) {
                         self.flush_frame(other, now);
                         self.stats.ring_remaps.inc();
                     }
@@ -727,10 +716,12 @@ mod reference {
                     Some(frame) => {
                         let base = u64::from(frame) * self.seg_bytes;
                         let f = self.frames[frame as usize];
-                        if f.valid && f.tag == key {
+                        if f.holds(key) {
                             let offset = rel % self.seg_bytes;
                             let data = self.devices.stacked.access(base + offset, 64, op, now);
-                            self.frames[frame as usize].dirty |= write;
+                            if write {
+                                self.frames[frame as usize].mark_dirty();
+                            }
                             self.stats.stacked_hits.inc();
                             self.stats.stacked_latency.record(data.latency as f64);
                             data.latency
@@ -741,11 +732,7 @@ mod reference {
                             self.devices
                                 .fill_segment(key * self.seg_bytes, base, len, now);
                             self.stats.fills.inc();
-                            self.frames[frame as usize] = Frame {
-                                tag: key,
-                                valid: true,
-                                dirty: write,
-                            };
+                            self.frames[frame as usize] = TagWord::filled(key, write);
                             self.stats.offchip_latency.record(mem.latency as f64);
                             mem.latency
                         }
@@ -767,12 +754,12 @@ mod reference {
             }
             let rel = paddr - self.stacked_bytes;
             let key = rel / self.seg_bytes;
-            let cached = self.ring.lookup(key).filter(|&frame| {
-                let f = self.frames[frame as usize];
-                f.valid && f.tag == key
-            });
+            let cached = self
+                .ring
+                .lookup(key)
+                .filter(|&frame| self.frames[frame as usize].holds(key));
             if let Some(frame) = cached {
-                self.frames[frame as usize].dirty = true;
+                self.frames[frame as usize].mark_dirty();
                 let addr = u64::from(frame) * self.seg_bytes + rel % self.seg_bytes;
                 self.devices.stacked.access(addr, 64, MemOp::Write, now);
             } else {
@@ -883,8 +870,8 @@ mod tests {
             .frames
             .iter()
             .enumerate()
-            .filter(|(_, f)| f.valid)
-            .map(|(i, f)| (i, f.tag))
+            .filter(|(_, f)| f.is_valid())
+            .map(|(i, f)| (i, f.tag()))
             .collect();
         assert!(!cached_before.is_empty());
         // Shrink by one frame, then grow back: only copies whose ring
@@ -903,8 +890,8 @@ mod tests {
         );
         // Every surviving copy still agrees with the ring.
         for (i, f) in ch.frames.iter().enumerate() {
-            if f.valid {
-                assert_eq!(ch.ring.lookup(f.tag), Some(i as u32));
+            if f.is_valid() {
+                assert_eq!(ch.ring.lookup(f.tag()), Some(i as u32));
             }
         }
     }
@@ -1092,8 +1079,8 @@ mod tests {
                     prop_assert_eq!(ch.ring.contains(i as u32), active, "frame {}", i);
                 }
                 for (i, f) in ch.frames.iter().enumerate() {
-                    if f.valid {
-                        prop_assert_eq!(ch.ring.lookup(f.tag), Some(i as u32), "frame {}", i);
+                    if f.is_valid() {
+                        prop_assert_eq!(ch.ring.lookup(f.tag()), Some(i as u32), "frame {}", i);
                     }
                 }
             }

@@ -1,11 +1,15 @@
 //! Bit-level SRRT entry encoding (the hardware layout of Figure 7).
 //!
-//! The simulator's [`crate::SrrtEntry`] is an expanded software struct;
-//! this module packs the architecturally visible fields into the exact
-//! bit budget a hardware table would use — per-slot tag bits, the ABV,
-//! the mode bit, the dirty bit and the shared counter — and proves the
-//! roundtrip is lossless. It grounds the metadata-overhead numbers the
-//! paper discusses (Sections V and VII).
+//! The simulator's [`crate::SrrtEntry`] is itself packed, into a
+//! busy-until cycle and one 64-bit word, but that word is sized for the
+//! largest group: 3-bit tags for [`crate::MAX_SLOTS`] slots whatever the
+//! group size, plus the controller state a hardware table does not hold
+//! (the cached slot, the counter candidate and the in-flight transfer).
+//! This module packs only the architecturally visible fields into the
+//! exact bit budget a hardware table of a given group size would use —
+//! per-slot tag bits, the ABV, the mode bit, the dirty bit and the
+//! shared counter — and proves the roundtrip is lossless. It grounds the
+//! metadata-overhead numbers the paper discusses (Sections V and VII).
 
 use crate::srrt::{Mode, SrrtEntry};
 
@@ -33,13 +37,13 @@ pub fn entry_bits(slots: u8) -> u32 {
         + 16 // shared counter
 }
 
-/// Packs the architecturally visible state of an entry.
+/// Packs the architecturally visible state of an entry of a group with
+/// `slots` slots.
 ///
 /// The competing-counter *candidate* and in-flight transit state are
 /// microarchitectural (they live in the controller pipeline, not the
 /// table) and are not part of the encoding.
-pub fn pack(e: &SrrtEntry) -> PackedEntry {
-    let slots = e.slots();
+pub fn pack(e: &SrrtEntry, slots: u8) -> PackedEntry {
     let tb = tag_bits(slots);
     let mut bits: u128 = 0;
     let mut pos = 0u32;
@@ -105,7 +109,7 @@ pub fn unpack(p: &PackedEntry, slots: u8) -> SrrtEntry {
     }
     pos += 1;
     e.set_counter(((p.bits >> pos) & 0xFFFF) as u16);
-    assert!(e.check_permutation(), "corrupt packed entry");
+    assert!(e.check_permutation(slots), "corrupt packed entry");
     e
 }
 
@@ -128,7 +132,7 @@ mod tests {
     #[test]
     fn roundtrip_identity_entry() {
         let e = SrrtEntry::new(6);
-        let p = pack(&e);
+        let p = pack(&e, 6);
         let back = unpack(&p, 6);
         for l in 0..6 {
             assert_eq!(back.physical_of(l), e.physical_of(l));
@@ -147,14 +151,14 @@ mod tests {
         e.set_allocated(4, true);
         e.set_mode(Mode::Cache);
         e.set_counter(12345);
-        let back = unpack(&pack(&e), 6);
+        let back = unpack(&pack(&e, 6), 6);
         for l in 0..6 {
             assert_eq!(back.physical_of(l), e.physical_of(l), "tag {l}");
             assert_eq!(back.is_allocated(l), e.is_allocated(l), "abv {l}");
         }
         assert_eq!(back.mode(), Mode::Cache);
         assert_eq!(back.counter(), 12345);
-        assert!(back.check_permutation());
+        assert!(back.check_permutation(6));
     }
 
     #[test]
@@ -163,7 +167,7 @@ mod tests {
         e.set_mode(Mode::Cache);
         e.set_cached(Some(2));
         e.mark_dirty();
-        let back = unpack(&pack(&e), 6);
+        let back = unpack(&pack(&e, 6), 6);
         assert!(back.is_dirty());
     }
 

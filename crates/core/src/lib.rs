@@ -61,6 +61,7 @@ pub mod policy;
 mod remap;
 mod srrt;
 mod stats;
+mod tag_word;
 mod unison;
 
 pub use alloy::AlloyPolicy;

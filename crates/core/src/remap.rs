@@ -808,7 +808,7 @@ mod tests {
         assert_eq!(e.physical_of(4), 0);
         assert_eq!(e.logical_in(0), 4);
         assert_eq!(m.base.stats.isa_swaps.value(), swaps_before + 1);
-        assert!(e.check_permutation());
+        assert!(e.check_permutation(m.srrt().slots_per_group()));
     }
 
     #[test]
@@ -932,7 +932,7 @@ mod tests {
         assert_eq!(e.physical_of(0), 0, "freed segment swapped back to stacked");
         assert_eq!(e.physical_of(1), 1, "occupant returned home");
         assert_eq!(m.base.stats.isa_swaps.value(), 1);
-        assert!(e.check_permutation());
+        assert!(e.check_permutation(m.srrt().slots_per_group()));
     }
 
     #[test]
@@ -959,7 +959,7 @@ mod tests {
             4,
             "stacked slot backed by the free segment"
         );
-        assert!(e.check_permutation());
+        assert!(e.check_permutation(m.srrt().slots_per_group()));
     }
 
     #[test]

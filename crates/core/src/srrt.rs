@@ -1,13 +1,17 @@
 //! The Segment Restricted Remapping Table (SRRT).
 //!
 //! One [`SrrtEntry`] per segment group holds the paper's Figure 7 state:
-//! remapping tag bits (stored here as a permutation `remap[logical] =
-//! physical`), the Alloc Bit Vector (ABV), the mode bit, the dirty bit and
-//! the shared competing counter of the PoM baseline. Entries are pure
-//! metadata — data movement costs are charged by the policies.
+//! remapping tag bits (`physical_of(logical)`), the Alloc Bit Vector
+//! (ABV), the mode bit, the dirty bit and the shared competing counter of
+//! the PoM baseline, plus the controller's cached slot, counter candidate
+//! and in-flight transfer. Entries are pure metadata — data movement
+//! costs are charged by the policies.
 
 use chameleon_simkit::Cycle;
 use serde::{Deserialize, Serialize};
+
+#[cfg(test)]
+mod reference;
 
 /// Maximum slots per segment group (supports capacity ratios up to 1:7).
 pub const MAX_SLOTS: usize = 8;
@@ -21,42 +25,54 @@ pub enum Mode {
     Cache,
 }
 
-/// Per-group SRRT state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+// The fields of `SrrtEntry::word`, LSB first. A fresh entry holds the
+// identity tags and the preset ABV bits; every other field is zero.
+/// Bits per remapping tag: enough for [`MAX_SLOTS`] slots.
+const TAG_BITS: u32 = 3;
+/// Mask of one tag, of one slot index and of the competing-counter
+/// candidate.
+const SLOT_MASK: u64 = 0b111;
+/// Bits 0..24: the tag of logical slot `l` at bit `3 * l`.
+const IDENTITY_TAGS: u64 = 0o7654_3210;
+/// Bits 24..32: the ABV, bit `l` set iff logical slot `l` is allocated.
+/// Bits of slots the group lacks are preset, so they read as allocated.
+const ABV_SHIFT: u32 = 24;
+/// Bit 32: the mode bit, set in cache mode.
+const CACHE_MODE: u64 = 1 << 32;
+/// Bit 33: the dirty bit of the cached copy.
+const DIRTY: u64 = 1 << 33;
+/// Bits 34..38: the cached logical slot plus one, 0 when none is.
+const CACHED_SHIFT: u32 = 34;
+/// Bits 38..41: the competing-counter candidate.
+const CAND_SHIFT: u32 = 38;
+/// Bits 41..47: the two logical slots of the last transfer, three bits
+/// each. A one-segment transfer stores its slot twice, which reads as a
+/// slot with no partner. `clear_busy` stores slot 0 twice and zeroes
+/// `busy_until`, so no slot reads as in transit or partnered.
+const TRANSIT_SHIFT: u32 = 41;
+/// Bits 48..64: the competing-counter value.
+const COUNT_SHIFT: u32 = 48;
+
+/// Per-group SRRT state: the busy-until cycle and one packed word.
+///
+/// The slot count is the table's ([`SegmentGroupTable::slots_per_group`]),
+/// not the entry's: the ABV bits of slots a group lacks are preset, so
+/// [`Self::all_allocated`] and [`Self::free_logical_except`] need no
+/// count, and the tags of those slots stay the identity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SrrtEntry {
-    /// `remap[logical] = physical` slot permutation (the tag bits).
-    remap: [u8; MAX_SLOTS],
-    /// Inverse permutation, `inv[physical] = logical`, maintained in
-    /// lockstep with `remap` so [`SrrtEntry::logical_in`] — queried on
-    /// every stacked-slot reference — is a single array read instead of a
-    /// linear scan (hardware reads the tag bits associatively; this is
-    /// the software equivalent).
-    inv: [u8; MAX_SLOTS],
-    /// Number of live slots.
-    slots: u8,
-    /// Alloc Bit Vector: bit `l` set iff logical segment `l` is allocated.
-    abv: u8,
-    /// Mode bit.
-    mode: Mode,
-    /// Dirty bit for the cached copy (cache mode only).
-    dirty: bool,
-    /// Logical id currently cached in the stacked physical slot, if any.
-    cached: Option<u8>,
-    /// Competing-counter candidate (logical id).
-    cand: u8,
-    /// Competing-counter value.
-    count: u16,
     /// Cycle until which an in-flight swap/fill occupies this group.
     busy_until: Cycle,
-    /// Logical segments currently in transit (`NO_TRANSIT` = unused).
-    transit: [u8; 2],
+    /// The Figure 7 fields and the controller state, laid out as the
+    /// `*_SHIFT` constants above say.
+    word: u64,
 }
 
-/// Sentinel for an unused transit slot.
-const NO_TRANSIT: u8 = u8::MAX;
+const _: () = assert!(std::mem::size_of::<SrrtEntry>() == 16);
 
 impl SrrtEntry {
-    /// A fresh identity-mapped entry in PoM mode with nothing allocated.
+    /// A fresh identity-mapped entry in PoM mode with nothing allocated,
+    /// for a group of `slots` slots.
     ///
     /// # Panics
     ///
@@ -66,112 +82,114 @@ impl SrrtEntry {
             (1..=MAX_SLOTS as u8).contains(&slots),
             "slots must be 1..={MAX_SLOTS}, got {slots}"
         );
-        let mut remap = [0u8; MAX_SLOTS];
-        for (i, r) in remap.iter_mut().enumerate() {
-            *r = i as u8;
-        }
+        let absent = (0xFF_u64 << slots) & 0xFF;
         Self {
-            remap,
-            inv: remap,
-            slots,
-            abv: 0,
-            mode: Mode::Pom,
-            dirty: false,
-            cached: None,
-            cand: 0,
-            count: 0,
             busy_until: 0,
-            transit: [NO_TRANSIT; 2],
+            word: IDENTITY_TAGS | absent << ABV_SHIFT,
         }
     }
 
-    /// Number of slots in this group.
-    pub fn slots(&self) -> u8 {
-        self.slots
+    fn field(&self, shift: u32, mask: u64) -> u64 {
+        (self.word >> shift) & mask
+    }
+
+    fn set_field(&mut self, shift: u32, mask: u64, value: u64) {
+        debug_assert!(value <= mask, "{value} overflows the field at bit {shift}");
+        self.word = (self.word & !(mask << shift)) | (value << shift);
     }
 
     /// Physical slot currently holding logical segment `l`'s home data.
     // lint: hot-path
     pub fn physical_of(&self, l: u8) -> u8 {
-        debug_assert!(l < self.slots);
-        self.remap[l as usize]
+        debug_assert!(usize::from(l) < MAX_SLOTS);
+        self.field(TAG_BITS * u32::from(l), SLOT_MASK) as u8
     }
 
-    /// Logical segment whose home data occupies physical slot `p`.
-    // lint: hot-path
+    /// Logical segment whose home data occupies physical slot `p`: the
+    /// inverse of the tags, found by scanning them (only swaps,
+    /// transitions and ISA calls ask).
     pub fn logical_in(&self, p: u8) -> u8 {
-        debug_assert!(p < self.slots);
-        self.inv[p as usize]
+        debug_assert!(usize::from(p) < MAX_SLOTS);
+        (0..MAX_SLOTS as u8)
+            .find(|&l| self.physical_of(l) == p)
+            // INVARIANT: the tags are a permutation of 0..MAX_SLOTS.
+            .expect("the SRRT tags are a permutation")
     }
 
     /// Swaps the homes of logical segments `a` and `b`.
     // lint: hot-path
     pub fn swap_homes(&mut self, a: u8, b: u8) {
-        debug_assert!(a < self.slots && b < self.slots);
-        self.remap.swap(a as usize, b as usize);
-        self.inv[self.remap[a as usize] as usize] = a;
-        self.inv[self.remap[b as usize] as usize] = b;
+        let (pa, pb) = (self.physical_of(a), self.physical_of(b));
+        self.set_field(TAG_BITS * u32::from(a), SLOT_MASK, u64::from(pb));
+        self.set_field(TAG_BITS * u32::from(b), SLOT_MASK, u64::from(pa));
     }
 
     /// Marks logical segment `l` allocated or free.
     pub fn set_allocated(&mut self, l: u8, allocated: bool) {
-        debug_assert!(l < self.slots);
-        if allocated {
-            self.abv |= 1 << l;
-        } else {
-            self.abv &= !(1 << l);
-        }
+        debug_assert!(usize::from(l) < MAX_SLOTS);
+        self.set_field(ABV_SHIFT + u32::from(l), 1, u64::from(allocated));
     }
 
     /// Whether logical segment `l` is allocated.
     pub fn is_allocated(&self, l: u8) -> bool {
-        debug_assert!(l < self.slots);
-        self.abv & (1 << l) != 0
+        debug_assert!(usize::from(l) < MAX_SLOTS);
+        self.field(ABV_SHIFT + u32::from(l), 1) != 0
     }
 
     /// Whether every segment in the group is allocated.
     pub fn all_allocated(&self) -> bool {
-        self.abv == ((1u16 << self.slots) - 1) as u8
+        self.field(ABV_SHIFT, 0xFF) == 0xFF
     }
 
-    /// Some free logical segment other than `except`, if one exists.
+    /// The lowest free logical segment other than `except`, if one
+    /// exists.
     pub fn free_logical_except(&self, except: u8) -> Option<u8> {
-        (0..self.slots).find(|&l| l != except && !self.is_allocated(l))
+        debug_assert!(usize::from(except) < MAX_SLOTS);
+        let free = !(self.field(ABV_SHIFT, 0xFF) | 1 << except) & 0xFF;
+        (free != 0).then(|| free.trailing_zeros() as u8)
     }
 
     /// Current mode.
     pub fn mode(&self) -> Mode {
-        self.mode
+        if self.word & CACHE_MODE != 0 {
+            Mode::Cache
+        } else {
+            Mode::Pom
+        }
     }
 
     /// Sets the mode, resetting the competing counter on change.
     pub fn set_mode(&mut self, mode: Mode) {
-        if self.mode != mode {
-            self.count = 0;
-            self.cand = 0;
+        if self.mode() != mode {
+            self.set_field(COUNT_SHIFT, 0xFFFF, 0);
+            self.set_field(CAND_SHIFT, SLOT_MASK, 0);
         }
-        self.mode = mode;
+        match mode {
+            Mode::Cache => self.word |= CACHE_MODE,
+            Mode::Pom => self.word &= !CACHE_MODE,
+        }
     }
 
     /// The logical segment cached in the stacked slot (cache mode).
     pub fn cached(&self) -> Option<u8> {
-        self.cached
+        (self.field(CACHED_SHIFT, 0xF) as u8).checked_sub(1)
     }
 
     /// Installs or clears the cached segment; clears the dirty bit.
     pub fn set_cached(&mut self, l: Option<u8>) {
-        self.cached = l;
-        self.dirty = false;
+        debug_assert!(l.is_none_or(|l| usize::from(l) < MAX_SLOTS));
+        self.set_field(CACHED_SHIFT, 0xF, l.map_or(0, |l| u64::from(l) + 1));
+        self.word &= !DIRTY;
     }
 
     /// The cache-mode dirty bit.
     pub fn is_dirty(&self) -> bool {
-        self.dirty
+        self.word & DIRTY != 0
     }
 
     /// Marks the cached copy dirty.
     pub fn mark_dirty(&mut self) {
-        self.dirty = true;
+        self.word |= DIRTY;
     }
 
     /// Competing-counter update for a PoM-mode access to logical `l`
@@ -179,36 +197,40 @@ impl SrrtEntry {
     /// reached `threshold` and `l` should be swapped into the stacked
     /// slot (the counter then resets).
     pub fn note_offchip_access(&mut self, l: u8, threshold: u16) -> bool {
-        if self.cand == l {
-            self.count = self.count.saturating_add(1);
-        } else if self.count > 0 {
-            self.count -= 1;
+        debug_assert!(usize::from(l) < MAX_SLOTS);
+        let mut cand = self.field(CAND_SHIFT, SLOT_MASK) as u8;
+        let mut count = self.counter();
+        if cand == l {
+            count = count.saturating_add(1);
+        } else if count > 0 {
+            count -= 1;
         } else {
-            self.cand = l;
-            self.count = 1;
+            cand = l;
+            count = 1;
         }
-        if self.cand == l && self.count >= threshold {
-            self.count = 0;
-            true
-        } else {
-            false
+        let promote = cand == l && count >= threshold;
+        if promote {
+            count = 0;
         }
+        self.set_field(CAND_SHIFT, SLOT_MASK, u64::from(cand));
+        self.set_counter(count);
+        promote
     }
 
     /// Competing-counter decay on a stacked-slot hit.
     pub fn note_stacked_access(&mut self) {
-        self.count = self.count.saturating_sub(1);
+        self.set_counter(self.counter().saturating_sub(1));
     }
 
     /// Raw shared-counter value (the Figure 7 field).
     pub fn counter(&self) -> u16 {
-        self.count
+        (self.word >> COUNT_SHIFT) as u16
     }
 
     /// Sets the raw shared-counter value (used when unpacking a
     /// hardware-encoded entry).
     pub fn set_counter(&mut self, value: u16) {
-        self.count = value;
+        self.set_field(COUNT_SHIFT, 0xFFFF, u64::from(value));
     }
 
     /// Whether a bulk transfer is still in flight at `now` (no new swap
@@ -220,14 +242,23 @@ impl SrrtEntry {
     /// Records an in-flight transfer of up to two logical segments,
     /// completing at `until`.
     pub fn set_transit(&mut self, a: u8, b: Option<u8>, until: Cycle) {
+        debug_assert!(usize::from(a.max(b.unwrap_or(a))) < MAX_SLOTS);
         self.busy_until = self.busy_until.max(until);
-        self.transit = [a, b.unwrap_or(NO_TRANSIT)];
+        let pair = u64::from(a) | u64::from(b.unwrap_or(a)) << TAG_BITS;
+        self.set_field(TRANSIT_SHIFT, 0o77, pair);
+    }
+
+    /// The two logical segments of the last transfer.
+    fn transit(&self) -> (u8, u8) {
+        let pair = self.field(TRANSIT_SHIFT, 0o77);
+        ((pair & SLOT_MASK) as u8, (pair >> TAG_BITS) as u8)
     }
 
     /// Whether logical segment `l` is one of the segments in transit at
     /// `now`.
     pub fn in_transit(&self, l: u8, now: Cycle) -> bool {
-        self.is_busy(now) && (self.transit[0] == l || self.transit[1] == l)
+        let (a, b) = self.transit();
+        self.is_busy(now) && (a == l || b == l)
     }
 
     /// Physical slot where an in-transit segment's data can still be
@@ -235,39 +266,36 @@ impl SrrtEntry {
     /// i.e. the segment's own pre-swap location; for a single-segment
     /// transfer the mapping is unchanged.
     pub fn pre_transit_physical(&self, l: u8) -> u8 {
-        let partner = if self.transit[0] == l {
-            self.transit[1]
-        } else if self.transit[1] == l {
-            self.transit[0]
-        } else {
-            NO_TRANSIT
+        let partner = match self.transit() {
+            (a, b) if a == l => b,
+            (a, b) if b == l => a,
+            _ => l,
         };
-        if partner == NO_TRANSIT {
-            self.physical_of(l)
-        } else {
-            self.physical_of(partner)
-        }
+        self.physical_of(partner)
     }
 
     /// Marks all in-flight transfers complete (warm-up settling).
     pub fn clear_busy(&mut self) {
         self.busy_until = 0;
-        self.transit = [NO_TRANSIT; 2];
+        self.set_field(TRANSIT_SHIFT, 0o77, 0);
     }
 
-    /// Debug invariant: `remap` is a permutation of `0..slots` and `inv`
-    /// is its inverse.
-    pub fn check_permutation(&self) -> bool {
+    /// Debug invariant: the tags of logical slots `0..slots` are a
+    /// permutation of `0..slots`, and every other slot is unmapped
+    /// (its tag the identity, its ABV bit preset).
+    pub fn check_permutation(&self, slots: u8) -> bool {
         let mut seen = [false; MAX_SLOTS];
-        for l in 0..self.slots {
-            let p = self.remap[l as usize];
-            if p >= self.slots || seen[p as usize] {
+        for l in 0..MAX_SLOTS as u8 {
+            let p = self.physical_of(l);
+            let mapped = if l < slots {
+                p < slots && !seen[usize::from(p)]
+            } else {
+                p == l && self.is_allocated(l)
+            };
+            if !mapped {
                 return false;
             }
-            seen[p as usize] = true;
-            if self.inv[p as usize] != l {
-                return false;
-            }
+            seen[usize::from(p)] = true;
         }
         true
     }
@@ -379,7 +407,9 @@ impl SegmentGroupTable {
 
 #[cfg(test)]
 mod tests {
+    use super::reference::ReferenceEntry;
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn fresh_entry_is_identity_pom() {
@@ -390,7 +420,7 @@ mod tests {
             assert_eq!(e.logical_in(l), l);
             assert!(!e.is_allocated(l));
         }
-        assert!(e.check_permutation());
+        assert!(e.check_permutation(6));
         assert!(!e.all_allocated());
     }
 
@@ -401,11 +431,11 @@ mod tests {
         assert_eq!(e.physical_of(0), 3);
         assert_eq!(e.physical_of(3), 0);
         assert_eq!(e.logical_in(0), 3);
-        assert!(e.check_permutation());
+        assert!(e.check_permutation(6));
         e.swap_homes(3, 5);
         assert_eq!(e.physical_of(3), 5);
         assert_eq!(e.physical_of(5), 0);
-        assert!(e.check_permutation());
+        assert!(e.check_permutation(6));
     }
 
     #[test]
@@ -543,6 +573,151 @@ mod tests {
         assert_eq!(bytes, (2 << 20) * 42 / 8);
         assert!(bytes < 16 << 20, "metadata {bytes} too large");
         assert!(bytes > 8 << 20);
+    }
+
+    /// One step of the packed-entry differential. Slot arguments are
+    /// taken modulo the group's slot count.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Swap(u8, u8),
+        Allocate(u8, bool),
+        SetMode(Mode),
+        SetCached(Option<u8>),
+        MarkDirty,
+        Offchip(u8, u16),
+        Stacked,
+        SetCounter(u16),
+        Transit(u8, Option<u8>, Cycle),
+        ClearBusy,
+    }
+
+    /// A slot index, or `None` one time in two.
+    fn maybe_slot() -> impl Strategy<Value = Option<u8>> {
+        (0u8..8, any::<bool>()).prop_map(|(l, some)| some.then_some(l))
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let slot = 0u8..8;
+        prop_oneof![
+            (slot.clone(), slot.clone()).prop_map(|(a, b)| Op::Swap(a, b)),
+            (slot.clone(), any::<bool>()).prop_map(|(l, a)| Op::Allocate(l, a)),
+            prop_oneof![Just(Mode::Pom), Just(Mode::Cache)].prop_map(Op::SetMode),
+            maybe_slot().prop_map(Op::SetCached),
+            Just(Op::MarkDirty),
+            (slot.clone(), prop_oneof![1u16..4, any::<u16>()]).prop_map(|(l, t)| Op::Offchip(l, t)),
+            Just(Op::Stacked),
+            prop_oneof![0u16..4, Just(u16::MAX), any::<u16>()].prop_map(Op::SetCounter),
+            (slot, maybe_slot(), 0u64..256).prop_map(|(a, b, until)| Op::Transit(a, b, until)),
+            Just(Op::ClearBusy),
+        ]
+    }
+
+    /// Every accessor of `packed` reads as the reference entry's does.
+    fn same_state(
+        packed: &SrrtEntry,
+        oracle: &ReferenceEntry,
+        slots: u8,
+    ) -> Result<(), TestCaseError> {
+        const PROBES: [Cycle; 5] = [0, 1, 64, 128, 255];
+        prop_assert_eq!(packed.check_permutation(slots), oracle.check_permutation());
+        prop_assert_eq!(packed.all_allocated(), oracle.all_allocated());
+        prop_assert_eq!(packed.mode(), oracle.mode());
+        prop_assert_eq!(packed.cached(), oracle.cached());
+        prop_assert_eq!(packed.is_dirty(), oracle.is_dirty());
+        prop_assert_eq!(packed.counter(), oracle.counter());
+        for now in PROBES {
+            prop_assert_eq!(packed.is_busy(now), oracle.is_busy(now), "now {}", now);
+        }
+        for l in 0..slots {
+            prop_assert_eq!(packed.physical_of(l), oracle.physical_of(l), "slot {}", l);
+            prop_assert_eq!(packed.logical_in(l), oracle.logical_in(l), "slot {}", l);
+            prop_assert_eq!(packed.is_allocated(l), oracle.is_allocated(l), "slot {}", l);
+            prop_assert_eq!(
+                packed.free_logical_except(l),
+                oracle.free_logical_except(l),
+                "slot {}",
+                l
+            );
+            prop_assert_eq!(
+                packed.pre_transit_physical(l),
+                oracle.pre_transit_physical(l),
+                "slot {}",
+                l
+            );
+            for now in PROBES {
+                prop_assert_eq!(
+                    packed.in_transit(l, now),
+                    oracle.in_transit(l, now),
+                    "slot {} now {}",
+                    l,
+                    now
+                );
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The packed 16-byte entry behaves exactly as the 40-byte
+        /// reference through arbitrary operation sequences, for every
+        /// group size: after each step every accessor agrees.
+        #[test]
+        fn packed_entry_matches_the_reference(
+            slots in 1u8..9,
+            ops in prop::collection::vec(op(), 1..120),
+        ) {
+            let mut packed = SrrtEntry::new(slots);
+            let mut oracle = ReferenceEntry::new(slots);
+            same_state(&packed, &oracle, slots)?;
+            for op in ops {
+                let slot = |l: u8| l % slots;
+                match op {
+                    Op::Swap(a, b) => {
+                        packed.swap_homes(slot(a), slot(b));
+                        oracle.swap_homes(slot(a), slot(b));
+                    }
+                    Op::Allocate(l, a) => {
+                        packed.set_allocated(slot(l), a);
+                        oracle.set_allocated(slot(l), a);
+                    }
+                    Op::SetMode(m) => {
+                        packed.set_mode(m);
+                        oracle.set_mode(m);
+                    }
+                    Op::SetCached(l) => {
+                        packed.set_cached(l.map(slot));
+                        oracle.set_cached(l.map(slot));
+                    }
+                    Op::MarkDirty => {
+                        packed.mark_dirty();
+                        oracle.mark_dirty();
+                    }
+                    Op::Offchip(l, threshold) => prop_assert_eq!(
+                        packed.note_offchip_access(slot(l), threshold),
+                        oracle.note_offchip_access(slot(l), threshold)
+                    ),
+                    Op::Stacked => {
+                        packed.note_stacked_access();
+                        oracle.note_stacked_access();
+                    }
+                    Op::SetCounter(v) => {
+                        packed.set_counter(v);
+                        oracle.set_counter(v);
+                    }
+                    Op::Transit(a, b, until) => {
+                        packed.set_transit(slot(a), b.map(slot), until);
+                        oracle.set_transit(slot(a), b.map(slot), until);
+                    }
+                    Op::ClearBusy => {
+                        packed.clear_busy();
+                        oracle.clear_busy();
+                    }
+                }
+                same_state(&packed, &oracle, slots)?;
+            }
+        }
     }
 
     #[test]

@@ -82,7 +82,7 @@ proptest! {
         drive(&mut p, &ops);
         for g in 0..64u64 {
             let e = p.srrt().entry(g);
-            prop_assert!(e.check_permutation(), "group {g} remap corrupted");
+            prop_assert!(e.check_permutation(p.srrt().slots_per_group()), "group {g} remap corrupted");
             let cache = e.mode() == Mode::Cache;
             prop_assert_eq!(
                 cache,
@@ -111,7 +111,7 @@ proptest! {
         drive(&mut p, &ops);
         for g in 0..64u64 {
             let e = p.srrt().entry(g);
-            prop_assert!(e.check_permutation(), "group {g} remap corrupted");
+            prop_assert!(e.check_permutation(p.srrt().slots_per_group()), "group {g} remap corrupted");
             let cache = e.mode() == Mode::Cache;
             prop_assert_eq!(cache, !e.all_allocated(), "group {} mode census", g);
             if cache {
@@ -148,7 +148,7 @@ proptest! {
         }
         prop_assert_eq!(p.mode_distribution().cache_groups, 0);
         for g in 0..64u64 {
-            prop_assert!(p.srrt().entry(g).check_permutation());
+            prop_assert!(p.srrt().entry(g).check_permutation(p.srrt().slots_per_group()));
         }
     }
 
@@ -192,10 +192,10 @@ proptest! {
 }
 
 proptest! {
-    /// The maintained inverse permutation stays consistent with the
-    /// forward remap through arbitrary `swap_homes` sequences:
-    /// `logical_in` (one array read) always agrees with a linear scan of
-    /// `physical_of`, and the two maps are mutual inverses.
+    /// The inverse permutation stays consistent with the forward remap
+    /// through arbitrary `swap_homes` sequences: `logical_in` always
+    /// agrees with a linear scan of `physical_of`, and the two maps are
+    /// mutual inverses.
     #[test]
     fn srrt_inverse_tracks_forward_permutation(
         swaps in prop::collection::vec((0u8..8, 0u8..8), 0..64),
@@ -204,7 +204,7 @@ proptest! {
         let mut e = SrrtEntry::new(slots);
         for (a, b) in swaps {
             e.swap_homes(a % slots, b % slots);
-            prop_assert!(e.check_permutation());
+            prop_assert!(e.check_permutation(slots));
         }
         for l in 0..slots {
             prop_assert_eq!(e.logical_in(e.physical_of(l)), l);
@@ -335,7 +335,7 @@ proptest! {
         }
         e.set_mode(if cache_mode { Mode::Cache } else { Mode::Pom });
         e.set_counter(counter);
-        let packed = encoding::pack(&e);
+        let packed = encoding::pack(&e, slots);
         prop_assert_eq!(packed.width as u32, encoding::entry_bits(slots));
         let back = encoding::unpack(&packed, slots);
         for l in 0..slots {
@@ -344,7 +344,7 @@ proptest! {
         }
         prop_assert_eq!(back.mode(), e.mode());
         prop_assert_eq!(back.counter(), e.counter());
-        prop_assert!(back.check_permutation());
+        prop_assert!(back.check_permutation(slots));
     }
 }
 

@@ -125,7 +125,13 @@ fn main() -> ExitCode {
         }
     };
 
-    let scale = chameleon_sweep::RunScale::from_env();
+    let scale = match chameleon_sweep::RunScale::from_env() {
+        Ok(scale) => scale,
+        Err(e) => {
+            eprintln!("sweeprunner: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let mut params = ScaledParams::laptop();
     params.instructions_per_core = opts.instructions.unwrap_or_else(|| scale.instructions());
 

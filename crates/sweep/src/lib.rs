@@ -49,5 +49,5 @@ mod store;
 pub use engine::{worker_count, SweepEngine, SweepError, SweepOutcome};
 pub use grid::GridSpec;
 pub use job::{Job, JobKey};
-pub use scale::RunScale;
+pub use scale::{RunScale, ScaleError};
 pub use store::{Store, StoredCell};
